@@ -2,12 +2,12 @@
 
 Rational systems are solved fraction-free: rows are scaled to integers, the
 elimination uses cross-multiplication updates with per-row content removal,
-and pivots are chosen by minimal bit size to slow coefficient growth.  When
-gmpy2 is importable its integers are used inside the kernel (identical
-results, faster big-number arithmetic); the fallback is plain int.
+and pivots are chosen by minimal bit size to slow coefficient growth.
 
 Systems whose entries are polynomials or rational functions go through a
 generic field elimination instead (entries must support +, -, *, /).
+Determinants use Bareiss elimination over Z (after clearing denominators)
+or over Q[x], with every division checked to be exact.
 """
 
 from __future__ import annotations
@@ -17,14 +17,16 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence
 
-from .poly import Polynomial, RationalFunction, domain_one_like, domain_zero_like, is_zero_entry
-
-try:  # optional fast integer kernel
-    from gmpy2 import mpz as _mpz
-    from gmpy2 import gcd as _gcd
-except ImportError:  # pragma: no cover - environment without gmpy2
-    _mpz = int
-    _gcd = gcd
+from .poly import (
+    Polynomial,
+    RationalFunction,
+    common_variables,
+    domain_one_like,
+    domain_zero_like,
+    exact_quotient,
+    is_zero_entry,
+    polynomial_over,
+)
 
 
 class ExactMatrix:
@@ -114,15 +116,15 @@ def _int_rows(rows: list) -> list:
             g = gcd(g, abs(x))
         if g > 1:
             ints = [x // g for x in ints]
-        out.append([_mpz(x) for x in ints])
+        out.append(ints)
     return out
 
 
 def _strip_content(row: list) -> list:
-    g = _mpz(0)
+    g = 0
     for x in row:
         if x:
-            g = _gcd(g, x)
+            g = gcd(g, x)
             if g == 1:
                 return row
     if g > 1:
@@ -318,71 +320,52 @@ def matrix_rank(matrix) -> int:
 
 
 def determinant(matrix):
-    """Exact determinant: Bareiss elimination for rational entries,
-    memoized cofactor expansion for polynomial entries."""
+    """Exact determinant by Bareiss elimination: over Z after clearing
+    denominators for rational entries, over Q[x] for polynomial entries.
+    RationalFunction entries are rejected."""
     rows = _coerce_rows(matrix)
     n = len(rows)
     if n == 0:
         return Fraction(1)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
+    if any(isinstance(x, RationalFunction) for r in rows for x in r):
+        raise ValueError("determinant supports rational and polynomial entries only")
     if _all_rational(rows):
-        return _det_bareiss(rows)
-    return _det_cofactor(rows)
+        scale = 1
+        m = []
+        for r in rows:
+            fr = [Fraction(x) for x in r]
+            mult = 1
+            for x in fr:
+                mult = lcm(mult, x.denominator)
+            scale *= mult
+            m.append([x.numerator * (mult // x.denominator) for x in fr])
+        return Fraction(_bareiss(m, 0, 1), scale)
+    variables = common_variables(x for r in rows for x in r)
+    m = [[polynomial_over(x, variables) for x in r] for r in rows]
+    return _bareiss(m, Polynomial.zero(variables), Polynomial.constant(1, variables))
 
 
-def _det_bareiss(rows) -> Fraction:
-    n = len(rows)
-    scale = Fraction(1)
-    m = []
-    for r in rows:
-        fr = [Fraction(x) for x in r]
-        mult = 1
-        for x in fr:
-            mult = lcm(mult, x.denominator)
-        scale *= mult
-        m.append([_mpz(int(x * mult)) for x in fr])
+def _bareiss(m: list, zero, one):
+    """Determinant of a square int or Polynomial matrix, eliminated in place."""
+    n = len(m)
     sign = 1
-    prev = _mpz(1)
+    prev = one
     for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), -1)
+        if is_zero_entry(m[k][k]):
+            swap = next((i for i in range(k + 1, n) if not is_zero_entry(m[i][k])), -1)
             if swap < 0:
-                return Fraction(0)
+                return zero
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         pivot = m[k][k]
+        row_k = m[k]
         for i in range(k + 1, n):
-            row_i, row_k = m[i], m[k]
+            row_i = m[i]
             factor = row_i[k]
             for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = _mpz(0)
+                row_i[j] = exact_quotient(row_i[j] * pivot - factor * row_k[j], prev)
+            row_i[k] = zero
         prev = pivot
-    return sign * Fraction(int(m[n - 1][n - 1])) / scale
-
-
-def _det_cofactor(rows):
-    n = len(rows)
-    zero = domain_zero_like(rows[0][0])
-    memo = {}
-
-    def minor(row: int, cols: tuple):
-        if row == n:
-            return domain_one_like(rows[0][0])
-        key = cols
-        if key in memo:
-            return memo[key]
-        total = zero
-        sign = 1
-        for idx, c in enumerate(cols):
-            a = rows[row][c]
-            if not is_zero_entry(a):
-                sub = minor(row + 1, cols[:idx] + cols[idx + 1 :])
-                term = a * sub
-                total = total + term if sign > 0 else total - term
-            sign = -sign
-        memo[key] = total
-        return total
-
-    return minor(0, tuple(range(n)))
+    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]

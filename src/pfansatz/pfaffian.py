@@ -2,12 +2,19 @@
 
 Conventions: indices are 1-based to match the combinatorial formulas; the
 Pfaffian of the empty matrix is 1 and of any odd-dimensional matrix is 0.
-Entries may be Fractions, Polynomials, or RationalFunctions.
+Entries may be Fractions or Polynomials (pf_naive and pf_laplace also take
+RationalFunctions).
 
-The three routes are deliberately independent:
+The three routes share no arithmetic kernel, so a bug in one cannot hide
+behind agreement with another:
   * pf_naive      - signed sum over perfect matchings (definition; dim <= 14),
-  * pf_eliminate  - skew elimination with 2x2 pivots and exact division,
+  * pf_eliminate  - fraction-free skew elimination with 2x2 pivots (the
+                    Pfaffian analogue of Bareiss; Rote 2001), over Z or Q[x];
+                    its k-th pivot is the k-th leading Pfaffian, so one pass
+                    yields all of them,
   * pf_laplace    - expansion along the last row/column via sub-Pfaffians.
+cofactor_vector goes through linalg.solve_linear, a separate elimination, so
+the pipeline's cofactor and Pfaffian cross-checks stay independent too.
 """
 
 from __future__ import annotations
@@ -15,17 +22,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .linalg import LinearSolution, solve_linear
+from .linalg import solve_linear
 from .poly import (
     Polynomial,
     RationalFunction,
+    common_variables,
     domain_one_like,
     domain_zero_like,
     entry_text,
+    exact_quotient,
     is_zero_entry,
     parse_entry,
+    polynomial_over,
 )
 from .sequences import MatrixFamily
 
@@ -266,51 +277,79 @@ def pf_naive(A: SkewMatrix, limit: int = NAIVE_DIMENSION_LIMIT) -> Entry:
     return total
 
 
-def pf_eliminate(A: SkewMatrix) -> Entry:
-    """Skew elimination: repeatedly factor out the pivot a(1,2) and update the
-    trailing block by the rank-2 correction, multiplying up the pivots.
+def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
+    """Fraction-free skew elimination with 2x2 pivots.
 
-    Polynomial matrices are lifted to rational functions for the internal
-    divisions and converted back exactly at the end.
+    Rational matrices are scaled by D, the lcm of the entry denominators, and
+    eliminated over Python ints; polynomial matrices are eliminated over Q[x]
+    as they are.  Step k takes the pivot p = M[k][k+1], the first nonzero
+    entry of row k after swapping that column (and row) into place, and
+    replaces every trailing entry i, j >= k + 2 by
+
+        (p * M[i][j] - M[k][i] * M[k+1][j] + M[k][j] * M[k+1][i]) / p'
+
+    where p' is the previous pivot (1 at the first step).  The division is
+    exact, and checked.  The pivot of the s-th step is the Pfaffian of the
+    leading 2s x 2s block of the (relabelled) scaled matrix, so the last one,
+    signed by the swaps and divided by D^n, is Pf A.  A zero row means
+    Pf A = 0.
+
+    If `leading` is a list, the Pfaffian of each leading 2k x 2k block of A,
+    k = 1, 2, ..., is appended to it while no swap has happened; the first
+    swap (or zero row) stops the recording, so a short list means that some
+    leading Pfaffian vanished.
     """
-    lifted = any(isinstance(v, Polynomial) for v in A.upper.values())
     m = A.dim
     if m == 0:
         return domain_one_like(A.zero())
-    M = A.dense()
-    if lifted:
-        M = [[RationalFunction.lift(v) for v in row] for row in M]
-    zero = M[0][1] - M[0][1]
-    one = domain_one_like(zero)
+    if any(isinstance(v, Polynomial) for v in A.upper.values()):
+        variables = common_variables(A.upper.values())
+        zero = Polynomial.zero(variables)
+        one = Polynomial.constant(1, variables)
+        upper = {key: polynomial_over(v, variables) for key, v in A.upper.items()}
+        scale = None
+    else:
+        if any(isinstance(v, RationalFunction) for v in A.upper.values()):
+            raise ValueError("pf_eliminate supports rational and polynomial entries only")
+        zero, one = 0, 1
+        upper = {key: Fraction(v) for key, v in A.upper.items()}
+        scale = lcm(*(v.denominator for v in upper.values()))
+        upper = {key: v.numerator * (scale // v.denominator) for key, v in upper.items()}
+    M = [[zero] * m for _ in range(m)]
+    for (i, j), v in upper.items():
+        M[i - 1][j - 1] = v
+        M[j - 1][i - 1] = -v
+
+    def unscaled(value, steps: int) -> Entry:
+        return value if scale is None else Fraction(value, scale ** steps)
+
     sign = 1
-    pf = one
+    prev = one
     for k in range(0, m, 2):
-        piv = next((j for j in range(k + 1, m) if not is_zero_entry(M[k][j])), -1)
+        row_k = M[k]
+        piv = next((j for j in range(k + 1, m) if not is_zero_entry(row_k[j])), -1)
         if piv < 0:
-            # row k is zero on the active block: the matrix is singular
-            return A.zero() if not lifted else domain_zero_like(A.zero())
+            return domain_zero_like(A.zero())
         if piv != k + 1:
             for row in M:
                 row[k + 1], row[piv] = row[piv], row[k + 1]
             M[k + 1], M[piv] = M[piv], M[k + 1]
             sign = -sign
-        a = M[k][k + 1]
-        pf = pf * a
+            leading = None
+        row_k1 = M[k + 1]
+        p = row_k[k + 1]
+        if leading is not None:
+            leading.append(unscaled(p, k // 2 + 1))
         for i in range(k + 2, m):
-            ci = M[k][i]
-            di = M[k + 1][i]
-            if is_zero_entry(ci) and is_zero_entry(di):
-                continue
+            row_i = M[i]
+            ci = row_k[i]
+            di = row_k1[i]
             for j in range(i + 1, m):
-                delta = (ci * M[k + 1][j] - M[k][j] * di) / a
-                if not is_zero_entry(delta):
-                    M[i][j] = M[i][j] - delta
-                    M[j][i] = zero - M[i][j]
-    if sign < 0:
-        pf = zero - pf
-    if lifted:
-        return pf.as_polynomial()
-    return pf
+                v = exact_quotient(p * row_i[j] - ci * row_k1[j] + row_k[j] * di, prev)
+                row_i[j] = v
+                M[j][i] = -v
+        prev = p
+    return unscaled(prev if sign > 0 else -prev, m // 2)
 
 
 def pf_laplace(A: SkewMatrix) -> Entry:

@@ -39,15 +39,12 @@ from .poly import (
     RationalFunction,
     entry_text,
     format_rational,
+    is_zero_entry,
     parse_poly,
 )
 from .sequences import MatrixFamily, family_from_descriptor
 
 Value = Union[Fraction, Polynomial, RationalFunction]
-
-
-def _is_zero(v) -> bool:
-    return v == 0 if isinstance(v, Fraction) else v.is_zero()
 
 
 def _div(a: Value, b: Value) -> Value:
@@ -263,7 +260,7 @@ class OrthogonalityGrid:
         return sorted(
             (n, j)
             for (n, j), v in self.values.items()
-            if j < 2 * n and not _is_zero(v)
+            if j < 2 * n and not is_zero_entry(v)
         )
 
     def diagonal(self) -> List[Value]:
@@ -302,7 +299,8 @@ class RatioResult:
 def ratio_sequence(family: MatrixFamily, grid: OrthogonalityGrid,
                    cross_check: bool = True) -> RatioResult:
     """Diagonal of the orthogonality grid, cross-checked against quotients of
-    independently eliminated Pfaffians.
+    independently eliminated Pfaffians.  One elimination of A_{2R}, R the
+    number of ratios, yields every b_{2n} as a leading Pfaffian.
 
     Only the contiguous run of solved sizes starting at n = 1 is used: past a
     singular size the quotient b_{2n}/b_{2n-2} loses its meaning, so ratios
@@ -316,11 +314,14 @@ def ratio_sequence(family: MatrixFamily, grid: OrthogonalityGrid,
     pfaffians: List[Value] = []
     if cross_check:
         pfaffians.append(Fraction(1))
-        for n in range(1, len(ratios) + 1):
+        if ratios:
+            pf_eliminate(SkewMatrix.from_family(family, 2 * len(ratios)), pfaffians)
+        # a leading Pfaffian that vanished stopped the one-pass prefix short
+        for n in range(len(pfaffians), len(ratios) + 1):
             pfaffians.append(pf_eliminate(SkewMatrix.from_family(family, 2 * n)))
         for n in range(1, len(ratios) + 1):
             prev = pfaffians[n - 1]
-            if _is_zero(prev):
+            if is_zero_entry(prev):
                 return RatioResult(ratios, pfaffians, False, n)
             if ratios[n - 1] != _div(pfaffians[n], prev):
                 return RatioResult(ratios, pfaffians, False, n)
@@ -365,7 +366,6 @@ class CertificationReport:
     singular: Dict[int, str]
     operators: Dict[str, dict]
     config: dict
-    timing_seconds: Optional[float] = None  # never serialized: reports are byte-stable
 
     def to_json_dict(self) -> dict:
         return {

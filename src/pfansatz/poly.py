@@ -635,3 +635,34 @@ def is_zero_entry(x) -> bool:
     if isinstance(x, (int, Fraction)):
         return x == 0
     return x.is_zero()
+
+
+def common_variables(entries) -> tuple:
+    """Sorted union of the variables of the Polynomial entries, the order
+    `parse_poly` gives a text's variables."""
+    return tuple(sorted({v for x in entries if isinstance(x, Polynomial) for v in x.variables}))
+
+
+def polynomial_over(x, variables: tuple) -> Polynomial:
+    """A Polynomial or exact scalar as a Polynomial over `variables`."""
+    if isinstance(x, Polynomial):
+        return x.with_variables(variables)
+    return Polynomial.constant(x, variables)
+
+
+def exact_quotient(num, den):
+    """num / den for int or Polynomial operands when den divides num exactly;
+    raises ArithmeticError otherwise.  The fraction-free kernels divide by
+    their previous pivot, which always divides exactly: a remainder means a
+    bug, never a value to round."""
+    if isinstance(num, int):
+        q, r = divmod(num, den)
+        if r:
+            raise ArithmeticError(f"inexact division: {num} / {den}")
+        return q
+    if den.is_constant():
+        return num / den.constant_value()
+    q = poly_exact_divide(num, den)
+    if q is None:
+        raise ArithmeticError(f"inexact division: ({num}) / ({den})")
+    return q

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Optional, Union
 
-from .poly import Polynomial, PolynomialError, format_rational
+from .poly import Polynomial, PolynomialError, format_rational, is_zero_entry
 
 Entry = Union[Fraction, Polynomial]
 
@@ -254,13 +254,9 @@ def family_entry(family: MatrixFamily, i: int, j: int) -> Entry:
 def validate_family_skew(family: MatrixFamily, size: int = 12) -> bool:
     """Sample check of a(i,j) = -a(j,i) and a(i,i) = 0 on a size x size grid."""
     for i in range(1, size + 1):
-        if not _is_zero(family.entry(i, i)):
+        if not is_zero_entry(family.entry(i, i)):
             return False
         for j in range(i + 1, size + 1):
             if family.entry(i, j) != -family.entry(j, i):
                 return False
     return True
-
-
-def _is_zero(x) -> bool:
-    return x == 0 if isinstance(x, Fraction) else x.is_zero()

@@ -95,6 +95,26 @@ def test_determinant_polynomial_entries():
     assert determinant(m) == parse_poly("n^2 - 1", ("n",))
 
 
+def test_determinant_polynomial_matches_permutation_sum():
+    rng = random.Random(103)
+    x = parse_poly("x", ("x",))
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            rows = [
+                [rng.randint(-3, 3) * x * x + Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+                for _ in range(n)
+            ]
+            rows[0][0] = Fraction(0)  # forces a row swap whenever n > 1
+            assert determinant(ExactMatrix(rows)) == det_permutation_sum(rows)
+
+
+def test_determinant_rejects_rational_functions():
+    r = RationalFunction(parse_poly("1", ("x",)), parse_poly("x", ("x",)))
+    with pytest.raises(ValueError):
+        determinant(ExactMatrix([[r]]))
+
+
 def test_determinant_multiplicative():
     rng = random.Random(102)
     for _ in range(5):

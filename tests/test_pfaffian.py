@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfansatz.linalg import ExactMatrix, determinant
 from pfansatz.pfaffian import (
@@ -28,8 +30,9 @@ from pfansatz.pfaffian import (
     pf_minor,
     pf_naive,
 )
-from pfansatz.poly import Polynomial, parse_poly
-from pfansatz.sequences import family_from_descriptor
+from pfansatz.pipeline import OrthogonalityGrid, RatioResult, ratio_sequence
+from pfansatz.poly import Polynomial, RationalFunction, parse_poly
+from pfansatz.sequences import MatrixFamily, family_from_descriptor
 
 
 def pf_reference(entries, indices=None):
@@ -327,3 +330,147 @@ def test_cofactor_vector_singular_raises():
         cofactor_vector(A)
     with pytest.raises(SingularCofactorSystem):
         cofactor_vector_via_minors(A)
+
+
+# ---------------------------------------------------------------------------
+# seeded property tests of the fraction-free kernel
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+X_ZERO = Polynomial.zero(("x",))
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+POLYNOMIALS = st.builds(
+    lambda cs: Polynomial(("x",), {(k,): c for k, c in enumerate(cs)}),
+    st.lists(RATIONALS, min_size=1, max_size=3),
+)
+
+
+@st.composite
+def sparse_skew(draw, values, max_dim, zero=Fraction(0)):
+    """Random skew matrix in which each upper entry is zero with a drawn
+    probability, so leading pivots vanish (forcing swaps) and whole rows do
+    (forcing Pf = 0)."""
+    dim = draw(st.sampled_from(range(0, max_dim + 1, 2)))
+    density = draw(st.sampled_from((0.2, 0.5, 0.8, 1.0)))
+    upper = {}
+    for i in range(1, dim + 1):
+        for j in range(i + 1, dim + 1):
+            if draw(st.floats(0, 1)) < density:
+                upper[(i, j)] = draw(values)
+    return SkewMatrix(dim, upper, zero)
+
+
+@st.composite
+def low_rank_skew(draw, max_dim):
+    """B^T J B for an integer r x dim matrix B with r < dim: singular, but
+    with no zero row to give it away."""
+    dim = draw(st.sampled_from(range(4, max_dim + 1, 2)))
+    r = draw(st.sampled_from(range(2, dim, 2)))
+    B = [[draw(st.integers(-3, 3)) for _ in range(dim)] for _ in range(r)]
+    upper = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            upper[(i + 1, j + 1)] = Fraction(sum(
+                B[2 * m][i] * B[2 * m + 1][j] - B[2 * m + 1][i] * B[2 * m][j]
+                for m in range(r // 2)
+            ))
+    return SkewMatrix(dim, upper)
+
+
+@PROPERTY
+@given(sparse_skew(RATIONALS, 10))
+def test_eliminate_matches_naive_and_laplace_over_q(A):
+    pf = pf_eliminate(A)
+    assert isinstance(pf, Fraction)
+    assert pf == pf_naive(A) == pf_laplace(A)
+
+
+@PROPERTY
+@given(low_rank_skew(10))
+def test_eliminate_vanishes_on_low_rank_matrices(A):
+    assert pf_eliminate(A) == 0 == pf_laplace(A)
+
+
+@PROPERTY
+@given(sparse_skew(POLYNOMIALS, 8, X_ZERO))
+def test_eliminate_matches_naive_and_laplace_over_qx(A):
+    pf = pf_eliminate(A)
+    assert pf == pf_naive(A) == pf_laplace(A)
+    assert isinstance(pf, Polynomial)
+
+
+@PROPERTY
+@given(st.one_of(sparse_skew(RATIONALS, 10), sparse_skew(POLYNOMIALS, 6, X_ZERO)))
+def test_square_is_determinant_property(A):
+    pf = pf_eliminate(A)
+    assert pf * pf == determinant(ExactMatrix(dense_rows(A)))
+
+
+@PROPERTY
+@given(st.one_of(sparse_skew(RATIONALS, 10), sparse_skew(POLYNOMIALS, 6, X_ZERO)))
+def test_leading_list_holds_leading_pfaffians(A):
+    leading = []
+    pf = pf_eliminate(A, leading)
+    n = A.dim // 2
+    blocks = [pf_naive(A.submatrix_removing(range(2 * k + 1, A.dim + 1))) for k in range(1, n + 1)]
+    assert leading == blocks[: len(leading)]
+    # recording stops only where a leading Pfaffian vanishes
+    if len(leading) < n:
+        assert blocks[len(leading)] == 0
+    elif n:
+        assert leading[-1] == pf
+
+
+LEADING_FAMILIES = (("motzkin", 10), ("delannoy", 10), ("narayana:x=3/7", 10), ("narayana:x=sym", 6))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.sampled_from(LEADING_FAMILIES), st.data())
+def test_leading_list_matches_per_n_elimination(case, data):
+    descriptor, n_max = case
+    n = data.draw(st.integers(1, n_max))
+    fam = family_from_descriptor(descriptor)
+    leading = []
+    pf_eliminate(SkewMatrix.from_family(fam, 2 * n), leading)
+    per_n = [pf_eliminate(SkewMatrix.from_family(fam, 2 * k)) for k in range(1, n + 1)]
+    assert leading == per_n
+    assert [str(v) for v in leading] == [str(v) for v in per_n]
+
+
+def per_n_ratio_sequence(family, grid):
+    """The ratio cross-check with one independent elimination per size."""
+    ratios = []
+    for n in range(1, grid.n_max + 1):
+        v = grid.get(n, 2 * n)
+        if v is None:
+            break
+        ratios.append(v)
+    pfaffians = [Fraction(1)] + [
+        pf_eliminate(SkewMatrix.from_family(family, 2 * n)) for n in range(1, len(ratios) + 1)
+    ]
+    for n in range(1, len(ratios) + 1):
+        if pfaffians[n - 1] == 0 or ratios[n - 1] != pfaffians[n] / pfaffians[n - 1]:
+            return RatioResult(ratios, pfaffians, False, n)
+    return RatioResult(ratios, pfaffians, True, None)
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.lists(st.integers(-3, 3), min_size=55, max_size=55),
+       st.lists(st.integers(-2, 2), min_size=5, max_size=5))
+def test_ratio_sequence_falls_back_when_b2_vanishes(n_max, cells, diagonal):
+    pool = iter(cells)
+    upper = {(i, j): Fraction(next(pool)) for i in range(1, 12) for j in range(i + 1, 12)}
+    upper[(1, 2)] = Fraction(0)
+    family = MatrixFamily("handmade", "handmade", lambda i, j: upper.get((i, j), Fraction(0)))
+    grid = OrthogonalityGrid(n_max, {(n, 2 * n): Fraction(diagonal[n - 1]) for n in range(1, n_max + 1)}, 0)
+    result = ratio_sequence(family, grid)
+    assert result == per_n_ratio_sequence(family, grid)
+    assert result.pfaffians[1] == 0 and len(result.pfaffians) == n_max + 1
+    if n_max > 1:
+        assert result.mismatch_n is not None
+
+
+def test_eliminate_rejects_rational_function_entries():
+    A = SkewMatrix(2, {(1, 2): RationalFunction.lift(Fraction(3))})
+    with pytest.raises(ValueError):
+        pf_eliminate(A)

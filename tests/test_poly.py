@@ -10,6 +10,7 @@ from pfansatz.poly import (
     PolynomialError,
     RationalFunction,
     entry_text,
+    exact_quotient,
     format_rational,
     parse_entry,
     parse_poly,
@@ -216,3 +217,14 @@ def test_rational_function_lift():
     f = RationalFunction.lift(Fraction(3, 2))
     assert f == RationalFunction.lift(Fraction(3, 2))
     assert f.num.constant_value() / f.den.constant_value() == Fraction(3, 2)
+
+
+def test_exact_quotient_refuses_a_remainder():
+    assert exact_quotient(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        exact_quotient(7, 2)
+    x = parse_poly("x", ("x",))
+    assert exact_quotient(x * x - 1, x - 1) == x + 1
+    assert exact_quotient(2 * x, Polynomial.constant(4, ("x",))) == x / 2
+    with pytest.raises(ArithmeticError):
+        exact_quotient(x * x + 1, x - 1)
