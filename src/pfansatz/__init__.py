@@ -45,6 +45,7 @@ from .minorsum import (
     verify_okinawa,
 )
 from .pfaffian import (
+    LAPLACE_DIMENSION_LIMIT,
     NAIVE_DIMENSION_LIMIT,
     PerfectMatching,
     SingularCofactorSystem,

@@ -17,6 +17,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -33,6 +34,7 @@ from .guessing import (
 )
 from .linalg import ExactMatrix, determinant
 from .pfaffian import (
+    LAPLACE_DIMENSION_LIMIT,
     NAIVE_DIMENSION_LIMIT,
     SingularCofactorSystem,
     SkewMatrix,
@@ -126,6 +128,11 @@ def _load_matrix_file(path: str) -> SkewMatrix:
 
 
 _ALGORITHMS = {"naive": pf_naive, "eliminate": pf_eliminate, "laplace": pf_laplace}
+# exponential algorithms: (largest dimension, what to use instead)
+_DIMENSION_LIMITS = {
+    "naive": (NAIVE_DIMENSION_LIMIT, "eliminate or laplace"),
+    "laplace": (LAPLACE_DIMENSION_LIMIT, "eliminate"),
+}
 
 
 def cmd_pfaffian(args) -> int:
@@ -144,14 +151,14 @@ def cmd_pfaffian(args) -> int:
         source = os.path.basename(args.file)
 
     names = list(_ALGORITHMS) if args.all_algorithms else [args.algorithm]
-    if "naive" in names and A.dim > NAIVE_DIMENSION_LIMIT:
-        if args.all_algorithms:
-            names.remove("naive")
-        else:
-            raise UsageError(
-                f"the naive expansion is capped at dimension {NAIVE_DIMENSION_LIMIT}; "
-                "use eliminate or laplace"
-            )
+    for name, (limit, instead) in _DIMENSION_LIMITS.items():
+        if name in names and A.dim > limit:
+            if args.all_algorithms:
+                names.remove(name)
+            else:
+                raise UsageError(
+                    f"the {name} expansion is capped at dimension {limit}; use {instead}"
+                )
     values = {name: _ALGORITHMS[name](A) for name in names}
     first = values[names[0]]
     agree = all(v == first for v in values.values())
@@ -298,15 +305,17 @@ def _parse_support(text: str, arity: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 def cmd_guess(args) -> int:
-    table, variables = _guess_table(args.source, args.n_max)
     if args.order and args.support:
         raise UsageError("give at most one of --order/--support")
+    # the bounds are checked here, before a family source solves its cofactor
+    # systems; the shifts need the table's arity
+    spec = GuessSpec(degree=args.degree, margin=args.margin)
+    table, variables = _guess_table(args.source, args.n_max)
     if args.support:
-        spec = GuessSpec(degree=args.degree, support=_parse_support(args.support, table.arity),
-                         margin=args.margin)
+        spec = replace(spec, support=_parse_support(args.support, table.arity))
     else:
         orders = _parse_orders(args.order, table.arity) if args.order else (2,) * table.arity
-        spec = GuessSpec(degree=args.degree, orders=orders, margin=args.margin)
+        spec = replace(spec, orders=orders)
 
     config = {
         "source": args.source,

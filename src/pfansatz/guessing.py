@@ -13,13 +13,15 @@ windows are derived deterministically unless the caller pins them.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .linalg import nullspace, solve_linear
-from .poly import Polynomial, format_rational, parse_poly
+from .poly import Polynomial, format_rational, int_value, parse_poly
 
 Point = Tuple[int, ...]
 
@@ -156,8 +158,6 @@ class RecurrenceOperator:
         if not merged:
             raise ValueError("zero operator")
         # scale to integer coefficients with content 1
-        from math import gcd, lcm
-
         den = 1
         num = 0
         for c in merged.values():
@@ -169,6 +169,8 @@ class RecurrenceOperator:
         if merged[lead_shift].leading_term()[1] * scale < 0:
             scale = -scale
         merged = {s: c * scale for s, c in merged.items()}
+        # residual_at evaluates the coefficients in Python ints
+        assert all(c.int_form() is not None for c in merged.values()), merged
         return cls(variables, tuple(sorted(merged.items(), key=lambda t: t[0])))
 
     # -- structure ------------------------------------------------------
@@ -204,15 +206,24 @@ class RecurrenceOperator:
     # -- application -----------------------------------------------------
 
     def residual_at(self, table: Table, point: Point):
-        total = Fraction(0)
-        binding = dict(zip(self.variables, point))
+        """Exact residual at `point`, or None when a shifted value is missing.
+
+        The integer coefficients are evaluated by `int_value` and the values
+        summed over their common denominator, so one Fraction is built."""
+        values = table.values
+        total = 0
+        den = 1
         for shift, coeff in self.terms:
-            q = tuple(p + s for p, s in zip(point, shift))
-            v = table.get(q)
+            v = values.get(tuple(p + s for p, s in zip(point, shift)))
             if v is None:
                 return None
-            total += coeff.eval(binding) * v
-        return total
+            d = v.denominator
+            if den % d:
+                step = d // gcd(den, d)
+                total *= step
+                den *= step
+            total += int_value(coeff.int_form(), point) * v.numerator * (den // d)
+        return Fraction(total, den)
 
     def admissible_points(self, table: Table) -> List[Point]:
         pts = set(table.values)
@@ -313,6 +324,11 @@ class GuessSpec:
     data_points: Optional[Tuple[Point, ...]] = None
     validation_points: Optional[Tuple[Point, ...]] = None
 
+    def __post_init__(self):
+        for name in ("degree", "margin", "extra_equations"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
     def effective_support(self, arity: int) -> Tuple[Point, ...]:
         if (self.support is None) == (self.orders is None):
             raise ValueError("exactly one of support/orders must be set")
@@ -407,24 +423,27 @@ def guess_from_table(
     monomials = _monomials(table.arity, spec.degree)
     unknowns = len(support) * len(monomials)
 
-    def build_row(p: Point) -> List[Fraction]:
-        row = []
+    def build_row(p: Point) -> List[int]:
+        """The equation at p, scaled by the lcm of its values' denominators
+        to integers (equations are homogeneous, so the kernel is unchanged)."""
         shifted_vals = []
         for s in support:
             v = table.get(tuple(a + b for a, b in zip(p, s)))
             if v is None:
                 raise CoverageError(f"missing data around point {p}")
             shifted_vals.append(v)
-        powers = {}
+        den = lcm(*(v.denominator for v in shifted_vals))
+        powers = []
         for m in monomials:
-            pm = Fraction(1)
+            pm = 1
             for base, e in zip(p, m):
                 if e:
-                    pm *= Fraction(base) ** e
-            powers[m] = pm
+                    pm *= base ** e
+            powers.append(pm)
+        row = []
         for v in shifted_vals:
-            for m in monomials:
-                row.append(powers[m] * v)
+            scaled = v.numerator * (den // v.denominator)
+            row.extend(pm * scaled for pm in powers)
         return row
 
     if spec.data_points is not None:
@@ -609,8 +628,6 @@ def integer_roots(p: Polynomial) -> List[int]:
     if var is None:
         return []
     coeffs = p.univariate_coefficients(var)
-    from math import lcm
-
     den = 1
     for c in coeffs:
         den = lcm(den, c.denominator)
@@ -629,7 +646,15 @@ def integer_roots(p: Polynomial) -> List[int]:
     return sorted(roots)
 
 
-_RELATIONS = (">=", "<=", "==", "!=", ">", "<")
+# parse order matters: a two-character relation is tried before its prefix
+_RELATIONS = {
+    ">=": operator.ge,
+    "<=": operator.le,
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">": operator.gt,
+    "<": operator.lt,
+}
 
 
 @dataclass(frozen=True)
@@ -638,15 +663,7 @@ class Constraint:
     relation: str
 
     def satisfied(self, point: Dict[str, int]) -> bool:
-        v = self.poly.eval(point)
-        return {
-            ">=": v >= 0,
-            ">": v > 0,
-            "<=": v <= 0,
-            "<": v < 0,
-            "==": v == 0,
-            "!=": v != 0,
-        }[self.relation]
+        return _RELATIONS[self.relation](self.poly.eval(point), 0)
 
 
 @dataclass(frozen=True)

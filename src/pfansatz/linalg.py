@@ -102,15 +102,19 @@ def _all_rational(rows) -> bool:
 
 
 def _int_rows(rows: list) -> list:
-    """Scale each row by the lcm of denominators; strip the gcd.  Equations are
-    homogeneous in this scaling, so solutions are unchanged."""
+    """Scale each row by the lcm of denominators (rows of ints need none);
+    strip the gcd.  Equations are homogeneous in this scaling, so solutions
+    are unchanged."""
     out = []
     for r in rows:
-        fr = [Fraction(x) for x in r]
-        mult = 1
-        for x in fr:
-            mult = lcm(mult, x.denominator)
-        ints = [int(x * mult) for x in fr]
+        if all(type(x) is int for x in r):
+            ints = r
+        else:
+            fr = [Fraction(x) for x in r]
+            mult = 1
+            for x in fr:
+                mult = lcm(mult, x.denominator)
+            ints = [int(x * mult) for x in fr]
         g = 0
         for x in ints:
             g = gcd(g, abs(x))

@@ -43,6 +43,9 @@ from .sequences import MatrixFamily
 Entry = Union[Fraction, Polynomial, RationalFunction]
 
 NAIVE_DIMENSION_LIMIT = 14
+# the memoized expansion visits every subset of the index set: time and
+# memory grow about x3.3 per +2 dimensions
+LAPLACE_DIMENSION_LIMIT = 22
 
 
 class SingularCofactorSystem(ValueError):
@@ -356,8 +359,14 @@ def pf_laplace(A: SkewMatrix) -> Entry:
     """Expansion along the last column: Pf A = sum_k (-1)^(k-1) a(k, 2n) Pf A(k, 2n).
 
     Sub-Pfaffians are memoized on the surviving index set, so the cost is one
-    term per (subset, element) pair rather than a double factorial.
+    term per (subset, element) pair rather than a double factorial; the
+    exponential growth is guarded.
     """
+    if A.dim > LAPLACE_DIMENSION_LIMIT:
+        raise ValueError(
+            f"pf_laplace dimension guard: dim {A.dim} exceeds limit "
+            f"{LAPLACE_DIMENSION_LIMIT}"
+        )
     one = domain_one_like(A.zero())
     memo = {(): one}
 

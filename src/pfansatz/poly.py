@@ -49,8 +49,20 @@ def _gl_key(exp: tuple) -> tuple:
     return (sum(exp), exp)
 
 
+def int_value(form: tuple, values: Sequence[int]) -> int:
+    """Value of an integer form (see `Polynomial.int_form`) at a point given
+    as a sequence of ints in the polynomial's variable order."""
+    total = 0
+    for coeff, monomial in form:
+        for i, e in monomial:
+            coeff *= values[i] ** e
+        total += coeff
+    return total
+
+
 class Polynomial:
-    __slots__ = ("variables", "terms")
+    # _int_form is built on first use by int_form()
+    __slots__ = ("variables", "terms", "_int_form")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Scalar]):
         variables = tuple(variables)
@@ -248,8 +260,34 @@ class Polynomial:
 
     # -- evaluation / substitution ----------------------------------------
 
+    def int_form(self):
+        """The terms as ((int coefficient, ((variable index, exponent), ...)), ...),
+        listing only positive exponents, or None when a coefficient is not an
+        integer.  Built once and cached."""
+        try:
+            return self._int_form
+        except AttributeError:
+            pass
+        if all(c.denominator == 1 for c in self.terms.values()):
+            form = tuple(
+                (c.numerator, tuple((i, e) for i, e in enumerate(exp) if e))
+                for exp, c in self.terms.items()
+            )
+        else:
+            form = None
+        object.__setattr__(self, "_int_form", form)
+        return form
+
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate at a full rational point (every effective variable bound)."""
+        """Evaluate at a full rational point (every effective variable bound).
+
+        Integer coefficients at a point of plain ints are evaluated in Python
+        ints by `int_value`; every other input takes the Fraction loop."""
+        form = self.int_form()
+        if form is not None:
+            ints = [point.get(v) for v in self.variables]
+            if all(type(x) is int for x in ints):
+                return Fraction(int_value(form, ints))
         vals = []
         for v in self.variables:
             if v in point:

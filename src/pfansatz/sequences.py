@@ -82,6 +82,7 @@ def narayana(n: int) -> Polynomial:
     return Polynomial(("x",), terms)
 
 
+@functools.lru_cache(maxsize=None)
 def narayana_value(n: int, x: Fraction) -> Fraction:
     """Same sum evaluated directly at a rational x."""
     if n < 0:

@@ -95,6 +95,26 @@ def test_pfaffian_naive_guard_is_usage_error(capsys):
     assert "naive" in err
 
 
+def test_pfaffian_laplace_guard_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "pfaffian", "--family", "motzkin", "--dim", "24", "--algorithm", "laplace"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: the laplace expansion is capped at dimension 22; use eliminate\n"
+
+
+def test_pfaffian_all_algorithms_drops_laplace_above_its_limit(capsys):
+    code, out, _ = run(capsys, "pfaffian", "--family", "motzkin", "--dim", "24",
+                       "--all-algorithms", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["algorithms"] == ["eliminate"]
+    code, out, _ = run(capsys, "pfaffian", "--family", "motzkin", "--dim", "18",
+                       "--all-algorithms", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["algorithms"] == ["eliminate", "laplace"]
+
+
 def test_pfaffian_usage_errors(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps([[0, 1], [-1, 0]]))
@@ -249,6 +269,17 @@ def test_guess_flag_conflicts_and_bad_values(capsys):
     assert run(capsys, "guess", "--source", "seq:motzkin", "--support", "0,0;1,1")[0] == 2
     assert run(capsys, "guess", "--source", "seq:nosuch")[0] == 2
     assert run(capsys, "guess", "--source", "seq:motzkin", "--order", "1,2")[0] == 2
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--degree", "-1", "error: degree must be >= 0, got -1\n"),
+    ("--margin", "-2", "error: margin must be >= 0, got -2\n"),
+])
+def test_guess_negative_bounds_fail_before_any_solve(capsys, flag, value, message):
+    code, out, err = run(capsys, "guess", "--source", "c:motzkin", "--n-max", "8", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == message  # no cofactor system was solved first
 
 
 def test_guess_ratio_source(capsys):

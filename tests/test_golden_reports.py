@@ -1,0 +1,37 @@
+"""Byte-for-byte regression of `certify --format json` reports.
+
+The files under tests/data/ hold reports recorded from the implementation
+that evaluated operators and guessing rows over Fractions, with the
+"version" line removed; a report of this code, with its "version" line
+removed the same way, must equal them byte for byte."""
+
+import os
+
+import pytest
+
+from pfansatz import cli
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+GOLDEN = [
+    ("motzkin", 10, "certify_motzkin.json"),
+    ("delannoy", 8, "certify_delannoy.json"),
+    ("narayana:x=3/7", 8, "certify_narayana_x_3_7.json"),
+]
+
+
+@pytest.fixture(autouse=True)
+def _no_out_dir(monkeypatch):
+    monkeypatch.delenv("PFANSATZ_OUT_DIR", raising=False)
+
+
+@pytest.mark.parametrize("family, n_max, name", GOLDEN)
+def test_certify_json_report_matches_golden(capsys, family, n_max, name):
+    code = cli.main(["certify", "--family", family, "--n-max", str(n_max), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    assert sum(line.startswith('  "version": ') for line in lines) == 1
+    report = "".join(line for line in lines if not line.startswith('  "version": '))
+    with open(os.path.join(DATA, name), encoding="utf-8", newline="") as fh:
+        assert report == fh.read()

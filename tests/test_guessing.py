@@ -1,13 +1,18 @@
 """Recurrence-operator fitting: tables, operators, guessing, and the
 leading-coefficient analysis."""
 
+import functools
 import json
 import math
+import os
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pfansatz.catalog import COFACTOR_OPS_MOTZKIN
+from pfansatz.catalog import COFACTOR_OPS_MOTZKIN, known_operators
 from pfansatz.guessing import (
     DegenerateData,
     GuessSpec,
@@ -24,8 +29,9 @@ from pfansatz.guessing import (
     table_from_json_dict,
     table_to_json_dict,
 )
+from pfansatz.pipeline import c_table, check_identity2, ratio_sequence
 from pfansatz.poly import Polynomial, parse_poly
-from pfansatz.sequences import motzkin
+from pfansatz.sequences import family_from_descriptor, motzkin
 
 
 # ---------------------------------------------------------------------------
@@ -311,3 +317,150 @@ def test_leading_bivariate_finds_vanishing_points():
     rep = leading_nonvanishing(op, "n >= 1 and i >= 1", window={"n": (1, 5), "i": (1, 5)})
     assert {"n": 3, "i": 3} in rep.vanishing
     assert len(rep.vanishing) == 5
+
+
+# ---------------------------------------------------------------------------
+# integer evaluation on the residual and guessing paths, against references
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def reference_eval(poly, point):
+    """Polynomial.eval's Fraction loop, kept here as the reference."""
+    total = Fraction(0)
+    for exp, coeff in poly.terms.items():
+        term = coeff
+        for v, e in zip(poly.variables, exp):
+            if e:
+                term *= Fraction(point[v]) ** e
+        total += term
+    return total
+
+
+def reference_residual(op, table, point):
+    total = Fraction(0)
+    binding = dict(zip(op.variables, point))
+    for shift, coeff in op.terms:
+        v = table.get(tuple(p + s for p, s in zip(point, shift)))
+        if v is None:
+            return None
+        total += reference_eval(coeff, binding) * v
+    return total
+
+
+CATALOG_FAMILIES = ("delannoy", "motzkin")
+
+
+@functools.cache
+def _family_tables(name):
+    family = family_from_descriptor(name)
+    table = c_table(family, 8)
+    grid = check_identity2(family, table, j_extra=4)
+    ratios = ratio_sequence(family, grid, cross_check=False).ratios
+    return {"c": table.as_table(), "g": grid.as_table(),
+            "r": Table.from_sequence(ratios, start=1)}
+
+
+@pytest.mark.parametrize("family", CATALOG_FAMILIES)
+def test_catalog_residuals_match_fraction_reference(family):
+    tables = _family_tables(family)
+    entries = known_operators(family)
+    assert entries
+    for entry in entries:
+        table = tables[entry.target]
+        residuals = apply_operator(entry.operator, table)
+        assert residuals
+        for p, r in residuals.items():
+            assert type(r) is Fraction
+            assert r == reference_residual(entry.operator, table, p)
+        # outside the admissible set a missing value still gives None
+        far = tuple(1000 for _ in entry.operator.variables)
+        assert entry.operator.residual_at(table, far) is None
+
+
+@st.composite
+def rational_tables(draw):
+    """A catalog operator and a table of random rationals on its variables'
+    grid, so residuals are nonzero and need a common denominator."""
+    family = draw(st.sampled_from(CATALOG_FAMILIES))
+    entry = draw(st.sampled_from(known_operators(family)))
+    template = _family_tables(family)[entry.target]
+    values = {
+        p: Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 12)))
+        for p in template.points()
+    }
+    return entry.operator, Table(template.arity, values)
+
+
+@PROPERTY
+@given(rational_tables())
+def test_residuals_on_rational_tables_match_reference(case):
+    op, table = case
+    residuals = apply_operator(op, table)
+    for p, r in residuals.items():
+        assert r == reference_residual(op, table, p)
+
+
+def test_make_normalizes_to_integer_coefficients():
+    op = RecurrenceOperator.make(("n",), {(1,): "n/2 + 1/3", (0,): Fraction(-5, 4)})
+    assert all(coeff.int_form() is not None for _, coeff in op.terms)
+    assert str(op) == "(6*n + 4)*S_n + (-15)"
+
+
+def seeded_guess_cases():
+    """(label, table, spec, variables) on seeded tables with rational values:
+    first-order hypergeometric sequences, perturbed ones (validation rejects
+    candidates), bivariate power tables (consequences reduced away), and a
+    pinned-window case."""
+    cases = []
+    for seed in range(4):
+        rng = random.Random(seed)
+        a = [Fraction(rng.randint(1, 9), rng.randint(1, 9))]
+        p0, p1, q0, q1 = (rng.randint(1, 5) for _ in range(4))
+        for n in range(34):
+            a.append(a[-1] * (p1 * n + p0) / (q1 * n + q0))
+        cases.append((f"hyper-{seed}", Table.from_sequence(a),
+                      GuessSpec(degree=1, orders=(1,)), ("n",)))
+        bent = list(a)
+        bent[30] += 1
+        cases.append((f"bent-{seed}", Table.from_sequence(bent),
+                      GuessSpec(degree=1, orders=(1,), extra_equations=8, margin=4), ("n",)))
+        r, s = Fraction(rng.randint(1, 5), rng.randint(1, 5)), Fraction(rng.randint(2, 5), 3)
+        grid = {(n, i): r ** n * s ** i * (n + i + seed) for n in range(8) for i in range(8)}
+        cases.append((f"power-{seed}", Table(2, grid),
+                      GuessSpec(degree=1, orders=(1, 1), margin=5), ("n", "i")))
+    motz = Table.from_sequence([motzkin(n) for n in range(30)])
+    cases.append(("pinned", motz,
+                  GuessSpec(degree=1, orders=(2,), margin=2,
+                            data_points=tuple((n,) for n in range(0, 24, 2)),
+                            validation_points=tuple((n,) for n in range(1, 27, 2))),
+                  ("n",)))
+    return cases
+
+
+def test_seeded_guess_results_unchanged():
+    """Results recorded from the Fraction-row implementation."""
+    with open(os.path.join(DATA, "guess_seeded.json"), encoding="utf-8") as fh:
+        expected = json.load(fh)
+    cases = seeded_guess_cases()
+    assert [label for label, *_ in cases] == list(expected)
+    for label, table, spec, variables in cases:
+        got = guess_from_table(table, spec, variables).to_json_dict()
+        assert got == expected[label], label
+
+
+def test_seeded_cases_cover_rejection_and_reduction():
+    with open(os.path.join(DATA, "guess_seeded.json"), encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert any(r["rejected_by_validation"] for r in expected.values())
+    assert any(r["reduced_away"] for r in expected.values())
+    assert all(r["operators"] for k, r in expected.items() if k.startswith("hyper"))
+
+
+def test_guess_spec_rejects_negative_bounds():
+    for bad in ({"degree": -1}, {"degree": 1, "margin": -1},
+                {"degree": 1, "extra_equations": -2}):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            GuessSpec(orders=(1,), **bad)
+    GuessSpec(degree=0, orders=(1,), margin=0, extra_equations=0)

@@ -5,10 +5,13 @@ A*v == 0, and random matrices with planted rank/kernel structure.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfansatz.linalg import (
     ExactMatrix,
@@ -201,6 +204,22 @@ def test_nullspace_known_vector():
     assert len(basis) == 2
     for v in basis:
         assert v[0] + v[1] + v[2] == 0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 7), st.data())
+def test_nullspace_of_integer_rows_equals_fraction_rows(nrows, ncols, data):
+    """Rows of plain ints skip the denominator clearing; scaling a row by a
+    positive integer never changes the normalized kernel basis."""
+    entry = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3)))
+    rows = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    ints = []
+    for r in rows:
+        scale = data.draw(st.integers(1, 5)) * math.lcm(*(x.denominator for x in r))
+        ints.append([int(x * scale) for x in r])
+    assert all(type(x) is int for r in ints for x in r)
+    assert nullspace(ints) == nullspace(rows)
+
 
 
 def test_rank_examples():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from pfansatz.linalg import ExactMatrix, determinant
 from pfansatz.pfaffian import (
+    LAPLACE_DIMENSION_LIMIT,
     NAIVE_DIMENSION_LIMIT,
     PerfectMatching,
     SingularCofactorSystem,
@@ -214,6 +215,13 @@ def test_naive_dimension_guard():
     with pytest.raises(ValueError):
         pf_naive(A)
     assert NAIVE_DIMENSION_LIMIT == 14
+
+
+def test_laplace_dimension_guard():
+    A = SkewMatrix.from_function(LAPLACE_DIMENSION_LIMIT + 2, lambda i, j: Fraction(1))
+    with pytest.raises(ValueError, match="pf_laplace dimension guard"):
+        pf_laplace(A)
+    assert LAPLACE_DIMENSION_LIMIT == 22
 
 
 def test_symbolic_pfaffian():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfansatz.poly import (
     Polynomial,
@@ -12,6 +14,7 @@ from pfansatz.poly import (
     entry_text,
     exact_quotient,
     format_rational,
+    int_value,
     parse_entry,
     parse_poly,
     poly_divmod,
@@ -228,3 +231,79 @@ def test_exact_quotient_refuses_a_remainder():
     assert exact_quotient(2 * x, Polynomial.constant(4, ("x",))) == x / 2
     with pytest.raises(ArithmeticError):
         exact_quotient(x * x + 1, x - 1)
+
+
+# ---------------------------------------------------------------------------
+# the integer evaluator against the Fraction loop
+
+
+def reference_eval(poly, point):
+    """The Fraction loop Polynomial.eval runs for non-integer input."""
+    vals = [Fraction(point[v]) if v in point else None for v in poly.variables]
+    total = Fraction(0)
+    for exp, coeff in poly.terms.items():
+        term = coeff
+        for val, e in zip(vals, exp):
+            if e:
+                if val is None:
+                    raise PolynomialError("unbound")
+                term *= val ** e
+        total += term
+    return total
+
+
+VARIABLES = ("n", "i", "x")
+INTS = st.integers(-40, 40)
+FRACTIONS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
+
+
+@st.composite
+def polynomials(draw, coefficients):
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    terms = draw(st.dictionaries(exps, coefficients, max_size=6))
+    return Polynomial(VARIABLES[:nvars], terms)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(polynomials(INTS), polynomials(FRACTIONS)), st.data())
+def test_eval_matches_fraction_loop(poly, data):
+    point = {v: data.draw(st.one_of(INTS, FRACTIONS)) for v in poly.variables}
+    point["unused"] = data.draw(st.one_of(INTS, FRACTIONS))  # extra keys are ignored
+    got = poly.eval(point)
+    assert type(got) is Fraction
+    assert got == reference_eval(poly, point)
+    form = poly.int_form()
+    if all(c.denominator == 1 for c in poly.terms.values()):
+        assert form is not None and poly.int_form() is form  # cached
+        if all(type(point[v]) is int for v in poly.variables):
+            assert int_value(form, [point[v] for v in poly.variables]) == got
+    else:
+        assert form is None
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(polynomials(INTS), st.data())
+def test_eval_unbound_variable_still_raises(poly, data):
+    used = poly.effective_variables()
+    if not used:
+        assert poly.eval({}) == poly.constant_value()
+        return
+    missing = data.draw(st.sampled_from(used))
+    point = {v: data.draw(INTS) for v in poly.variables if v != missing}
+    with pytest.raises(PolynomialError, match="unbound"):
+        poly.eval(point)
+
+
+def test_eval_int_path_edge_cases():
+    p = P("n^2*i - 3*i + 7", ("n", "i"))
+    assert p.eval({"n": 2, "i": 5}) == 12
+    # a variable the polynomial does not use may be left unbound
+    q = Polynomial(("n", "i"), {(2, 0): Fraction(1)})
+    assert q.eval({"n": -3}) == 9
+    # bools and Fractions take the Fraction loop, with the same values
+    assert p.eval({"n": True, "i": Fraction(5)}) == -3
+    assert p.eval({"n": Fraction(1, 2), "i": 4}) == Fraction(1, 4) * 4 - 12 + 7
+    assert P("n/2 + 1", ("n",)).int_form() is None
+    assert Polynomial.zero(("n",)).int_form() == ()
+    assert Polynomial.zero(("n",)).eval({"n": 3}) == 0

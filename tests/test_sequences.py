@@ -124,6 +124,18 @@ def test_narayana_value_matches_polynomial_eval():
             assert narayana_value(n, x) == narayana(n).eval({"x": x})
 
 
+def test_narayana_value_is_memoized_and_exact():
+    narayana_value.cache_clear()
+    points = [Fraction(3, 7), Fraction(-2, 5), Fraction(1), Fraction(0), Fraction(9, 4)]
+    for _ in range(2):
+        for x in points:
+            for n in range(-1, 16):
+                assert narayana_value(n, x) == narayana(n).eval({"x": x})
+    info = narayana_value.cache_info()
+    assert info.currsize == len(points) * 17
+    assert info.hits == len(points) * 17
+
+
 def test_schroeder_equals_weighted_count_at_two():
     for n in range(31):
         assert schroeder(n) == narayana_value(n, Fraction(2))
