@@ -224,6 +224,11 @@ def cmd_certify(args) -> int:
 
 _SEQUENCES = {"motzkin": motzkin, "delannoy": delannoy, "schroeder": schroeder}
 
+# Default --n-max of a generated source.  A ratio source gives one point per
+# n, and the default class (order 2, degree 2) needs 19 usable equations:
+# r:motzkin first has them at n_max = 28.
+_DEFAULT_BOUNDS = {"seq": 40, "c": 12, "g": 12, "r": 28}
+
 
 def _guess_table(source: str, n_max: Optional[int]) -> Tuple[Table, Tuple[str, ...]]:
     """Resolve a --source string to (table, variable names).
@@ -239,11 +244,13 @@ def _guess_table(source: str, n_max: Optional[int]) -> Tuple[Table, Tuple[str, .
                 raise UsageError(
                     f"unknown sequence {rest!r}; choose from {sorted(_SEQUENCES)}"
                 )
-            bound = 40 if n_max is None else n_max
+            bound = _DEFAULT_BOUNDS[kind] if n_max is None else n_max
             return Table.from_sequence([fn(n) for n in range(bound + 1)]), ("n",)
         if kind in ("c", "g", "r") and sep:
             family = family_from_descriptor(rest)
-            bound = 12 if n_max is None else n_max
+            if family.symbolic:
+                raise UsageError("guessing operates on rational tables only")
+            bound = _DEFAULT_BOUNDS[kind] if n_max is None else n_max
             table = c_table(family, bound, progress=_say)
             if kind == "c":
                 return table.as_table(), ("n", "i")
@@ -631,7 +638,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("guess", help="guess recurrence operators for a table")
     p.add_argument("--source", required=True,
                    help="c:<family> | g:<family> | r:<family> | seq:<name> | file:<path>")
-    p.add_argument("--n-max", type=int, help="table size for generated sources")
+    p.add_argument("--n-max", type=int,
+                   help="table size for generated sources (default 40 for seq:, "
+                        "28 for r:, 12 for c: and g:)")
     p.add_argument("--order", help="max shift per variable, comma-separated (default 2)")
     p.add_argument("--degree", type=int, default=2, help="max coefficient degree (default 2)")
     p.add_argument("--support", help="explicit shifts, e.g. \"0,0;1,0;0,1\"")

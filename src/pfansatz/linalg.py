@@ -1,13 +1,15 @@
-"""Exact linear algebra over Q and over rational-function fields.
+"""Exact linear algebra over Q and over Q[x].
 
 Rational systems are solved fraction-free: rows are scaled to integers, the
 elimination uses cross-multiplication updates with per-row content removal,
 and pivots are chosen by minimal bit size to slow coefficient growth.
 
-Systems whose entries are polynomials or rational functions go through a
-generic field elimination instead (entries must support +, -, *, /).
-Determinants use Bareiss elimination over Z (after clearing denominators)
-or over Q[x], with every division checked to be exact.
+Polynomial systems, ranks and determinants go through one fraction-free
+Bareiss row echelon (`_bareiss`, over Z or Q[x]; Bareiss 1968): after k
+pivot steps every trailing entry is a (k+1)-minor of the input, so the
+division by the previous pivot is exact, and it is checked.  A polynomial
+solve back-substitutes y = D x, D the last pivot, in Q[x] and divides by D
+once per entry at the end.  RationalFunction entries are rejected.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ from .poly import (
     Polynomial,
     RationalFunction,
     common_variables,
-    domain_one_like,
-    domain_zero_like,
     exact_quotient,
-    is_zero_entry,
+    poly_exact_divide,
     polynomial_over,
 )
 
@@ -204,50 +204,68 @@ def _normalize_vector(vec: Sequence[Fraction]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# generic field kernel (polynomial / rational-function entries)
+# Bareiss kernel (int or polynomial entries)
 
 
-def _field_echelon(rows: list, ncols: int) -> list:
+def _bareiss(m: list, ncols: int) -> tuple:
+    """In-place fraction-free row echelon of an int or Polynomial matrix over
+    its first `ncols` columns; returns ([(row_index, pivot_col)], sign of
+    the row swaps).  A column without a nonzero entry at or below the
+    current row is skipped.  Each step replaces every entry right of the
+    pivot p in the rows below by (p * a - q * b) / p', p' the previous pivot
+    (no division at the first step), through the checked `exact_quotient`,
+    and the entries below p by zeros.  Both entry types are falsy exactly
+    when zero."""
     pivots = []
+    sign = 1
+    prev = None
     r = 0
     for col in range(ncols):
-        pivot_row = -1
-        for i in range(r, len(rows)):
-            if not is_zero_entry(rows[i][col]):
-                pivot_row = i
-                break
-        if pivot_row < 0:
+        if r == len(m):
+            break
+        best = next((i for i in range(r, len(m)) if m[i][col]), -1)
+        if best < 0:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        p = rows[r][col]
-        for i in range(r + 1, len(rows)):
-            q = rows[i][col]
-            if not is_zero_entry(q):
-                factor = q / p if not isinstance(q, Polynomial) else RationalFunction.lift(q) / RationalFunction.lift(p)
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        if best != r:
+            m[r], m[best] = m[best], m[r]
+            sign = -sign
+        row_r = m[r]
+        p = row_r[col]
+        zero = p * 0
+        for i in range(r + 1, len(m)):
+            row_i = m[i]
+            q = row_i[col]
+            for j in range(col + 1, ncols):
+                a = row_i[j]
+                b = row_r[j]
+                if q and b:
+                    v = p * a - q * b
+                elif a:
+                    v = p * a
+                else:
+                    continue
+                row_i[j] = v if prev is None else exact_quotient(v, prev)
+            row_i[col] = zero
         pivots.append((r, col))
+        prev = p
         r += 1
-    return pivots
+    return pivots, sign
 
 
-def _field_back_substitute(rows, pivots, ncols, assign, zero, one):
-    x = [None] * ncols
-    for col, val in assign.items():
-        x[col] = val
-    for r, col in reversed(pivots):
-        total = zero
-        for c in range(col + 1, ncols):
-            if not is_zero_entry(rows[r][c]):
-                total = total + rows[r][c] * x[c]
-        x[col] = (zero - total) / rows[r][col]
-    return x
+def _polynomial_rows(rows: list, operation: str) -> tuple:
+    """The entries as Polynomials over their common variables, and that tuple."""
+    if any(isinstance(x, RationalFunction) for r in rows for x in r):
+        raise ValueError(f"{operation} supports rational and polynomial entries only")
+    variables = common_variables(x for r in rows for x in r)
+    return [[polynomial_over(x, variables) for x in r] for r in rows], variables
 
 
-def _lift_field(rows):
-    """Promote Polynomial entries to RationalFunction so division works."""
-    if any(isinstance(x, Polynomial) for r in rows for x in r):
-        return [[RationalFunction.lift(x) if not isinstance(x, RationalFunction) else x for x in r] for r in rows]
-    return rows
+def _over_pivot(y: Polynomial, d: Polynomial):
+    """y / d as a Polynomial when d divides y, else a reduced RationalFunction."""
+    if d.is_constant():
+        return y / d.constant_value()
+    q = poly_exact_divide(y, d)
+    return q if q is not None else RationalFunction(y, d)
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +295,23 @@ def solve_linear(matrix, rhs) -> Optional[LinearSolution]:
         assign[n] = Fraction(-1)  # A x - b = 0 form
         x = _back_substitute(work, pivots, n + 1, assign)
         return LinearSolution(tuple(x[:n]), unique=len(pivots) == n)
-    work = _lift_field(aug)
-    pivots = _field_echelon(work, n + 1)
+    m, variables = _polynomial_rows(aug, "solve_linear")
+    pivots, _ = _bareiss(m, n + 1)
     if any(col == n for _, col in pivots):
         return None
-    sample = work[0][0]
-    zero, one = domain_zero_like(sample), domain_one_like(sample)
-    assign = {c: zero for c in range(n) if c not in {col for _, col in pivots}}
-    assign[n] = zero - one
-    x = _field_back_substitute(work, pivots, n + 1, assign, zero, one)
-    return LinearSolution(tuple(x[:n]), unique=len(pivots) == n)
+    # free unknowns are 0; pivot row r reads p_r y_col + sum_c a_rc y_c = D b_r
+    # with y = D x, and y_col, a Cramer minor, is a polynomial
+    d = m[pivots[-1][0]][pivots[-1][1]] if pivots else Polynomial.constant(1, variables)
+    zero = Polynomial.zero(variables)
+    y = [zero] * n
+    for r, col in reversed(pivots):
+        row = m[r]
+        total = d * row[n]
+        for c in range(col + 1, n):
+            if row[c] and y[c]:
+                total = total - row[c] * y[c]
+        y[col] = exact_quotient(total, row[col])
+    return LinearSolution(tuple(_over_pivot(v, d) for v in y), unique=len(pivots) == n)
 
 
 def nullspace(matrix) -> List[tuple]:
@@ -319,8 +344,8 @@ def matrix_rank(matrix) -> int:
     if _all_rational(rows):
         work = _int_rows(rows)
         return len(_int_echelon(work, len(rows[0])))
-    work = _lift_field(rows)
-    return len(_field_echelon(work, len(rows[0])))
+    m, _ = _polynomial_rows(rows, "matrix_rank")
+    return len(_bareiss(m, len(rows[0]))[0])
 
 
 def determinant(matrix):
@@ -333,8 +358,6 @@ def determinant(matrix):
         return Fraction(1)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    if any(isinstance(x, RationalFunction) for r in rows for x in r):
-        raise ValueError("determinant supports rational and polynomial entries only")
     if _all_rational(rows):
         scale = 1
         m = []
@@ -345,31 +368,16 @@ def determinant(matrix):
                 mult = lcm(mult, x.denominator)
             scale *= mult
             m.append([x.numerator * (mult // x.denominator) for x in fr])
-        return Fraction(_bareiss(m, 0, 1), scale)
-    variables = common_variables(x for r in rows for x in r)
-    m = [[polynomial_over(x, variables) for x in r] for r in rows]
-    return _bareiss(m, Polynomial.zero(variables), Polynomial.constant(1, variables))
+        return Fraction(_bareiss_det(m), scale)
+    m, variables = _polynomial_rows(rows, "determinant")
+    return _bareiss_det(m) or Polynomial.zero(variables)
 
 
-def _bareiss(m: list, zero, one):
-    """Determinant of a square int or Polynomial matrix, eliminated in place."""
-    n = len(m)
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if is_zero_entry(m[k][k]):
-            swap = next((i for i in range(k + 1, n) if not is_zero_entry(m[i][k])), -1)
-            if swap < 0:
-                return zero
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = exact_quotient(row_i[j] * pivot - factor * row_k[j], prev)
-            row_i[k] = zero
-        prev = pivot
-    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
+def _bareiss_det(m: list):
+    """Determinant of a square int or Polynomial matrix: the signed last
+    pivot of its Bareiss echelon, 0 when a column has no pivot."""
+    pivots, sign = _bareiss(m, len(m))
+    if len(pivots) < len(m):
+        return 0
+    det = m[-1][-1]
+    return det if sign > 0 else -det

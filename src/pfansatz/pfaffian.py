@@ -13,8 +13,10 @@ behind agreement with another:
                     its k-th pivot is the k-th leading Pfaffian, so one pass
                     yields all of them,
   * pf_laplace    - expansion along the last row/column via sub-Pfaffians.
-cofactor_vector goes through linalg.solve_linear, a separate elimination, so
-the pipeline's cofactor and Pfaffian cross-checks stay independent too.
+cofactor_vector goes through linalg.solve_linear, whose polynomial systems
+run the Bareiss row echelon `linalg._bareiss`: it shares Polynomial
+arithmetic and `exact_quotient` with pf_eliminate but no elimination loop,
+so the pipeline's cofactor and Pfaffian cross-checks stay independent too.
 """
 
 from __future__ import annotations

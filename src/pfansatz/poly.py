@@ -4,7 +4,9 @@ A polynomial is an ordered tuple of variable names plus a map from exponent
 vectors (one non-negative integer per variable) to nonzero Fraction
 coefficients.  Everything is canonical on construction (zero coefficients
 dropped) and treated as immutable: all operations build new objects, so
-values can be shared freely between threads.
+values can be shared freely between threads.  `Polynomial(...)` validates
+its input; arithmetic results, canonical by construction, go through the
+unchecked `_trusted` instead.
 
 The text format is what `parse_poly` reads and `str()` writes: integer or
 a/b coefficients, `*` for products, `^` or `**` for powers, terms printed in
@@ -18,6 +20,7 @@ from __future__ import annotations
 import ast
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -60,6 +63,25 @@ def int_value(form: tuple, values: Sequence[int]) -> int:
     return total
 
 
+def _over_common_denominator(terms: dict) -> tuple:
+    """(d, [(exponent, int numerator)]) with terms[exponent] == numerator / d."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+
+
+def _accumulate(terms: dict, exp: tuple, c: Fraction) -> None:
+    """terms[exp] += c, deleting the entry when the sum is zero."""
+    old = terms.get(exp)
+    if old is None:
+        terms[exp] = c
+        return
+    c += old
+    if c:
+        terms[exp] = c
+    else:
+        del terms[exp]
+
+
 class Polynomial:
     # _int_form is built on first use by int_form()
     __slots__ = ("variables", "terms", "_int_form")
@@ -82,6 +104,16 @@ class Polynomial:
                     del clean[exp]
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, variables: tuple, terms: dict) -> "Polynomial":
+        """A Polynomial built without validation: `variables` is a tuple of
+        distinct names and `terms` maps exponent tuples of that length to
+        nonzero Fractions, as every arithmetic result here does."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("Polynomial is immutable")
@@ -106,6 +138,10 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        # falsy exactly when zero, like int and Fraction
+        return bool(self.terms)
 
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exp) for exp in self.terms)
@@ -167,7 +203,7 @@ class Polynomial:
                         raise PolynomialError(f"variable {v} not in target {variables}")
                     new_exp[pos[v]] = e
             new_terms[tuple(new_exp)] = coeff
-        return Polynomial(variables, new_terms)
+        return Polynomial._trusted(variables, new_terms)
 
     @staticmethod
     def _union_vars(a: "Polynomial", b: "Polynomial") -> tuple:
@@ -191,13 +227,13 @@ class Polynomial:
             return NotImplemented
         terms = dict(a.terms)
         for exp, c in b.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return Polynomial(a.variables, terms)
+            _accumulate(terms, exp, c)
+        return Polynomial._trusted(a.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         a, b = self._aligned(other)
@@ -211,16 +247,23 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return Polynomial(self.variables, {e: k * c for e, k in self.terms.items()})
+            if not c:
+                return Polynomial._trusted(self.variables, {})
+            return Polynomial._trusted(self.variables, {e: k * c for e, k in self.terms.items()})
         a, b = self._aligned(other)
         if a is None:
             return NotImplemented
-        terms = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                exp = tuple(x + y for x, y in zip(e1, e2))
-                terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
-        return Polynomial(a.variables, terms)
+        # the coefficients multiply and sum as ints over the product of the
+        # two common denominators, one Fraction per result term
+        den_a, left = _over_common_denominator(a.terms)
+        den_b, right = _over_common_denominator(b.terms)
+        sums = {}
+        for e1, n1 in left:
+            for e2, n2 in right:
+                exp = tuple(map(add, e1, e2))
+                sums[exp] = sums.get(exp, 0) + n1 * n2
+        den = den_a * den_b
+        return Polynomial._trusted(a.variables, {e: Fraction(v, den) for e, v in sums.items() if v})
 
     __rmul__ = __mul__
 
@@ -488,31 +531,34 @@ def poly_divmod(a: Polynomial, b: Polynomial, var: str) -> tuple:
             rem[dr - db + k] -= factor * bc[k]
         rem = rem[: dr + 1]
     def build(coeffs):
-        return Polynomial((var,), {(i,): c for i, c in enumerate(coeffs) if c})
+        return Polynomial._trusted((var,), {(i,): c for i, c in enumerate(coeffs) if c})
     return build(q), build(rem)
 
 
 def poly_exact_divide(num: Polynomial, den: Polynomial):
     """num / den when den divides num exactly (any number of variables),
     else None.  Leading terms are taken in graded-lex order, which divides
-    at every step iff the division is exact."""
+    at every step iff the division is exact.  The remainder is one dict,
+    updated in place."""
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     union = Polynomial._union_vars(num, den)
     num = num.with_variables(union)
     den = den.with_variables(union)
     d_exp, d_coeff = den.leading_term()
+    d_rest = [(exp, c) for exp, c in den.terms.items() if exp != d_exp]
     quotient = {}
-    rem = num
-    while not rem.is_zero():
-        r_exp, r_coeff = rem.leading_term()
+    rem = dict(num.terms)
+    while rem:
+        r_exp = max(rem, key=_gl_key)
         t_exp = tuple(r - d for r, d in zip(r_exp, d_exp))
         if any(e < 0 for e in t_exp):
             return None
-        t_coeff = r_coeff / d_coeff
+        t_coeff = rem.pop(r_exp) / d_coeff
         quotient[t_exp] = t_coeff
-        rem = rem - Polynomial(union, {t_exp: t_coeff}) * den
-    return Polynomial(union, quotient)
+        for exp, c in d_rest:
+            _accumulate(rem, tuple(map(add, t_exp, exp)), -t_coeff * c)
+    return Polynomial._trusted(union, quotient)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial, var: str) -> Polynomial:

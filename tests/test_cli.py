@@ -294,6 +294,22 @@ def test_guess_symbolic_family_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["c", "g", "r"])
+def test_guess_symbolic_family_rejected_before_any_solve(capsys, kind):
+    code, out, err = run(capsys, "guess", "--source", f"{kind}:narayana:x=sym", "--n-max", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: guessing operates on rational tables only\n"
+    assert "cofactor system" not in err
+
+
+def test_guess_ratio_source_default_bound_fits_default_class(capsys):
+    code, out, err = run(capsys, "guess", "--source", "r:motzkin")
+    assert code == 0
+    assert "cofactor system n=28\n" in err and "n=29" not in err
+    assert "(2*n)*S_n^2 + (-3)*S_n + (-2*n - 1)" in out
+
+
 # ---------------------------------------------------------------------------
 # minor-sum / okinawa
 

@@ -17,6 +17,7 @@ GOLDEN = [
     ("motzkin", 10, "certify_motzkin.json"),
     ("delannoy", 8, "certify_delannoy.json"),
     ("narayana:x=3/7", 8, "certify_narayana_x_3_7.json"),
+    ("narayana:x=sym", 6, "certify_narayana_x_sym.json"),
 ]
 
 

@@ -234,3 +234,155 @@ def test_rank_polynomial_entries():
     zero = Polynomial.zero(("n",))
     assert matrix_rank([[n, n], [n, n]]) == 1
     assert matrix_rank([[n, zero], [zero, n]]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the polynomial Bareiss kernel against the RationalFunction field elimination
+# it replaced (a copy kept here as the oracle)
+
+
+def field_echelon(rows, ncols):
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), -1)
+        if pivot_row < 0:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        p = rows[r][col]
+        for i in range(r + 1, len(rows)):
+            q = rows[i][col]
+            if not q.is_zero():
+                factor = q / p
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append((r, col))
+        r += 1
+    return pivots
+
+
+def field_solve(rows, rhs):
+    """(vector, unique) with free unknowns 0, or None when inconsistent."""
+    n = len(rows[0])
+    work = [[RationalFunction.lift(x) for x in r + [b]] for r, b in zip(rows, rhs)]
+    pivots = field_echelon(work, n + 1)
+    if any(col == n for _, col in pivots):
+        return None
+    zero = RationalFunction.lift(Fraction(0))
+    x = [zero] * n
+    for r, col in reversed(pivots):
+        total = work[r][n]
+        for c in range(col + 1, n):
+            total = total - work[r][c] * x[c]
+        x[col] = total / work[r][col]
+    return x, len(pivots) == n
+
+
+def field_rank(rows):
+    return len(field_echelon([[RationalFunction.lift(x) for x in r] for r in rows], len(rows[0])))
+
+
+X = ("x",)
+SMALL = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def q_x_entry(draw):
+    """Sparse entries of degree <= 2 over Q[x]; a few plain Fractions."""
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return Polynomial.zero(X)
+    if kind == 1:
+        return Fraction(draw(SMALL))
+    coeffs = draw(st.lists(SMALL, min_size=1, max_size=3))
+    return Polynomial(X, {(k,): c for k, c in enumerate(coeffs)})
+
+
+def product(b, c):
+    return [[sum((b[i][k] * c[k][j] for k in range(len(c))), Polynomial.zero(X))
+             for j in range(len(c[0]))] for i in range(len(b))]
+
+
+@st.composite
+def q_x_systems(draw):
+    """(kind, rows, rhs): square, rectangular, rank-deficient (consistent,
+    with free unknowns) or inconsistent, up to dim 6."""
+    kind = draw(st.sampled_from(("square", "rectangular", "deficient", "inconsistent")))
+    entries = lambda r, c: [[draw(q_x_entry()) for _ in range(c)] for _ in range(r)]
+    if kind == "square":
+        n = draw(st.integers(1, 6))
+        return kind, entries(n, n), [draw(q_x_entry()) for _ in range(n)]
+    if kind == "rectangular":
+        m = draw(st.integers(1, 6))
+        n = draw(st.integers(1, 6).filter(lambda v: v != m))
+        return kind, entries(m, n), [draw(q_x_entry()) for _ in range(m)]
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(2, 6))
+    k = draw(st.integers(1, min(m, n) - 1))
+    rows = product(entries(m, k), entries(k, n))
+    x0 = [draw(q_x_entry()) for _ in range(n)]
+    rhs = [sum((a * b for a, b in zip(r, x0)), Polynomial.zero(X)) for r in rows]
+    if kind == "inconsistent":
+        rows[-1] = list(rows[0])
+        rhs[-1] = rhs[0] + 1
+    return kind, rows, rhs
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(q_x_systems())
+def test_polynomial_solve_matches_field_elimination(system):
+    kind, rows, rhs = system
+    sol = solve_linear(rows, rhs)
+    ref = field_solve(rows, rhs)
+    assert (sol is None) == (ref is None)
+    if kind == "inconsistent":
+        assert sol is None
+    if kind == "deficient":
+        assert sol is not None and not sol.unique
+    if sol is None:
+        return
+    vector, unique = ref
+    assert sol.unique == unique
+    assert list(sol.vector) == vector
+    for v in sol.vector:
+        # a quotient that is a polynomial comes back as one
+        assert isinstance(v, Polynomial) or not v.den.is_constant()
+    for r, b in zip(rows, rhs):
+        total = sum((RationalFunction.lift(a) * v for a, v in zip(r, sol.vector)),
+                    RationalFunction.lift(Fraction(0)))
+        assert total == b
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(q_x_systems())
+def test_polynomial_rank_matches_field_elimination(system):
+    _, rows, _ = system
+    assert matrix_rank(rows) == field_rank(rows)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.booleans(), st.data())
+def test_determinant_equals_permutation_sum(n, polynomial, data):
+    entry = q_x_entry() if polynomial else SMALL.map(Fraction)
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    assert determinant(ExactMatrix(rows)) == det_permutation_sum(rows)
+
+
+def test_polynomial_solve_and_rank_reject_rational_functions():
+    r = RationalFunction(parse_poly("1", X), parse_poly("x", X))
+    with pytest.raises(ValueError):
+        solve_linear([[r]], [Fraction(1)])
+    with pytest.raises(ValueError):
+        matrix_rank([[r, parse_poly("x", X)]])
+
+
+def test_polynomial_solve_returns_polynomials_and_reduced_quotients():
+    x = parse_poly("x", X)
+    one = Polynomial.constant(1, X)
+    # [[x, 1], [1, x]] v = [1, 0]: v = (x, -1) / (x^2 - 1)
+    sol = solve_linear([[x, one], [one, x]], [one, Polynomial.zero(X)])
+    assert sol.unique
+    assert sol.vector[0] == RationalFunction(x, x * x - 1)
+    assert sol.vector[1] == RationalFunction(-one, x * x - 1)
+    # x v = x^2 + x: v = x + 1, a Polynomial
+    sol = solve_linear([[x]], [x * x + x])
+    assert type(sol.vector[0]) is Polynomial and sol.vector[0] == x + 1

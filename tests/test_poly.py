@@ -307,3 +307,77 @@ def test_eval_int_path_edge_cases():
     assert P("n/2 + 1", ("n",)).int_form() is None
     assert Polynomial.zero(("n",)).int_form() == ()
     assert Polynomial.zero(("n",)).eval({"n": 3}) == 0
+
+
+# ---------------------------------------------------------------------------
+# trusted arithmetic results and the in-place exact division
+
+
+COEFFICIENTS = st.one_of(INTS, FRACTIONS)
+
+
+def assert_canonical(p):
+    """p holds exactly what the validating constructor builds from its data."""
+    assert type(p) is Polynomial
+    assert Polynomial(p.variables, p.terms).terms == p.terms
+    assert len(set(p.variables)) == len(p.variables)
+    for exp, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert len(exp) == len(p.variables) and all(type(e) is int and e >= 0 for e in exp)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(polynomials(COEFFICIENTS), polynomials(COEFFICIENTS), COEFFICIENTS, st.data())
+def test_arithmetic_results_keep_the_constructor_invariants(p, q, s, data):
+    point = {v: data.draw(INTS) for v in VARIABLES + ("z",)}
+    pv, qv = p.eval(point), q.eval(point)
+    results = [
+        (p + q, pv + qv),
+        (p - q, pv - qv),
+        (p - p, 0),
+        (-p, -pv),
+        (p * q, pv * qv),
+        (p * s, pv * s),
+        (s * p, pv * s),
+        (p * 0, 0),
+        (p + s, pv + s),
+        (p.with_variables(VARIABLES + ("z",)), pv),
+    ]
+    if s:
+        results.append((p / s, pv / s))
+    for result, value in results:
+        assert_canonical(result)
+        assert result.eval(point) == value
+    assert bool(p) is not p.is_zero()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(polynomials(COEFFICIENTS), polynomials(COEFFICIENTS))
+def test_exact_divide_recovers_a_factor(a, b):
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            poly_exact_divide(a, b)
+        return
+    q = poly_exact_divide(a * b, b)
+    assert q is not None and q == a
+    assert_canonical(q)
+
+
+UNIVARIATE = st.dictionaries(st.tuples(st.integers(0, 5)), COEFFICIENTS, max_size=4).map(
+    lambda terms: Polynomial(("x",), terms)
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(UNIVARIATE, UNIVARIATE, UNIVARIATE)
+def test_exact_divide_is_none_exactly_when_divmod_leaves_a_remainder(c, b, r):
+    if b.is_zero():
+        return
+    a = c * b + r  # divisible when r is, and r is often zero or a multiple of b
+    q = poly_exact_divide(a, b)
+    quotient, remainder = poly_divmod(a, b, "x")
+    if remainder.is_zero():
+        assert q == quotient
+        assert_canonical(q)
+    else:
+        assert q is None
