@@ -42,6 +42,7 @@ from .pfaffian import (
     pf_eliminate,
     pf_laplace,
     pf_naive,
+    permutation_sign,
 )
 from .pipeline import (
     c_table,
@@ -237,48 +238,47 @@ def _guess_table(source: str, n_max: Optional[int]) -> Tuple[Table, Tuple[str, .
     "r:<family>" ratio sequence, "seq:<name>" a built-in number sequence,
     anything else (or "file:<path>") a table JSON file."""
     kind, sep, rest = source.partition(":")
+    if kind == "seq" and sep:
+        fn = _SEQUENCES.get(rest)
+        if fn is None:
+            raise UsageError(
+                f"unknown sequence {rest!r}; choose from {sorted(_SEQUENCES)}"
+            )
+        bound = _DEFAULT_BOUNDS[kind] if n_max is None else n_max
+        return Table.from_sequence([fn(n) for n in range(bound + 1)]), ("n",)
+    if kind in ("c", "g", "r") and sep:
+        family = family_from_descriptor(rest)
+        if family.symbolic:
+            raise UsageError("guessing operates on rational tables only")
+        bound = _DEFAULT_BOUNDS[kind] if n_max is None else n_max
+        table = c_table(family, bound, progress=_say)
+        if kind == "c":
+            return table.as_table(), ("n", "i")
+        grid = check_identity2(family, table, j_extra=4)
+        if kind == "g":
+            return grid.as_table(), ("n", "j")
+        ratios = ratio_sequence(family, grid, cross_check=False).ratios
+        return Table.from_sequence(ratios, start=1), ("n",)
+    path = rest if kind == "file" and sep else source
     try:
-        if kind == "seq" and sep:
-            fn = _SEQUENCES.get(rest)
-            if fn is None:
-                raise UsageError(
-                    f"unknown sequence {rest!r}; choose from {sorted(_SEQUENCES)}"
-                )
-            bound = _DEFAULT_BOUNDS[kind] if n_max is None else n_max
-            return Table.from_sequence([fn(n) for n in range(bound + 1)]), ("n",)
-        if kind in ("c", "g", "r") and sep:
-            family = family_from_descriptor(rest)
-            if family.symbolic:
-                raise UsageError("guessing operates on rational tables only")
-            bound = _DEFAULT_BOUNDS[kind] if n_max is None else n_max
-            table = c_table(family, bound, progress=_say)
-            if kind == "c":
-                return table.as_table(), ("n", "i")
-            grid = check_identity2(family, table, j_extra=4)
-            if kind == "g":
-                return grid.as_table(), ("n", "j")
-            ratios = ratio_sequence(family, grid, cross_check=False).ratios
-            return Table.from_sequence(ratios, start=1), ("n",)
-        path = rest if kind == "file" and sep else source
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as e:
-            raise UsageError(f"cannot read {path}: {e}") from None
-        except json.JSONDecodeError as e:
-            raise UsageError(f"malformed JSON in {path}: {e}") from None
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as e:
+        raise UsageError(f"cannot read {path}: {e}") from None
+    except json.JSONDecodeError as e:
+        raise UsageError(f"malformed JSON in {path}: {e}") from None
+    try:
         table = table_from_json_dict(data)
-        names = data.get("vars")
-        if names is None:
-            names = ("n",) if table.arity == 1 else ("n", "i")
-        if len(names) != table.arity:
-            raise UsageError(f"table arity {table.arity} != vars {names}")
-        return table, tuple(str(v) for v in names)
-    except TypeError:
-        raise UsageError(
-            f"source {source!r} produced non-rational values; guessing needs "
-            "rational tables (symbolic families are not supported here)"
-        ) from None
+    except (TypeError, KeyError) as e:
+        # a row that is not a point/value pair, or a point coordinate or
+        # value of the wrong JSON type
+        raise UsageError(f"malformed table in {path} ({type(e).__name__}: {e})") from None
+    names = data.get("vars")
+    if names is None:
+        names = ("n",) if table.arity == 1 else ("n", "i")
+    if len(names) != table.arity:
+        raise UsageError(f"table arity {table.arity} != vars {names}")
+    return table, tuple(str(v) for v in names)
 
 
 def _parse_orders(text: str, arity: int) -> Tuple[int, ...]:
@@ -463,10 +463,6 @@ def _random_skew(rng: random.Random, dim: int) -> SkewMatrix:
     )
 
 
-def _dense(A: SkewMatrix) -> List[List[Fraction]]:
-    return [[A.entry(i, j) for j in range(1, A.dim + 1)] for i in range(1, A.dim + 1)]
-
-
 def _suite_agreement(rng: random.Random):
     count = 0
     for dim in (2, 4, 6, 8):
@@ -485,7 +481,7 @@ def _suite_square(rng: random.Random):
         for _ in range(6):
             A = _random_skew(rng, dim)
             pf = pf_eliminate(A)
-            if pf * pf != determinant(ExactMatrix(_dense(A))):
+            if pf * pf != determinant(ExactMatrix(A.dense())):
                 return False, f"Pf^2 != det on a dim-{dim} matrix"
             count += 1
     return True, f"Pf^2 == det on {count} random matrices"
@@ -498,15 +494,8 @@ def _suite_permutation(rng: random.Random):
             A = _random_skew(rng, dim)
             perm = list(range(1, dim + 1))
             rng.shuffle(perm)
-            inversions = sum(
-                1
-                for a in range(dim)
-                for b in range(a + 1, dim)
-                if perm[a] > perm[b]
-            )
-            sign = -1 if inversions % 2 else 1
             B = SkewMatrix.from_function(dim, lambda i, j: A.entry(perm[i - 1], perm[j - 1]))
-            if pf_eliminate(B) != sign * pf_eliminate(A):
+            if pf_eliminate(B) != permutation_sign(perm) * pf_eliminate(A):
                 return False, f"conjugation sign law fails on a dim-{dim} matrix"
             count += 1
     return True, f"relabeling sign law holds on {count} random matrices"

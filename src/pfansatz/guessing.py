@@ -154,7 +154,7 @@ class RecurrenceOperator:
             else:
                 coeff = coeff.with_variables(variables)
             merged[shift] = merged.get(shift, Polynomial.zero(variables)) + coeff
-        merged = {s: c for s, c in merged.items() if not c.is_zero()}
+        merged = {s: c for s, c in merged.items() if c}
         if not merged:
             raise ValueError("zero operator")
         # scale to integer coefficients with content 1
@@ -622,7 +622,7 @@ def _int_divisors(n: int) -> List[int]:
 def integer_roots(p: Polynomial) -> List[int]:
     """All integer roots of a univariate polynomial (errors on the zero
     polynomial; a nonzero constant has none)."""
-    if p.is_zero():
+    if not p:
         raise ValueError("zero polynomial has every integer as a root")
     var = p.sole_variable()
     if var is None:
@@ -796,7 +796,7 @@ def leading_nonvanishing(
             expr = rest / (-cv)  # var == expr on the boundary line
             restricted = lead.substitute({var: expr})
             r_eff = restricted.effective_variables()
-            if restricted.is_zero():
+            if not restricted:
                 boundary.append(
                     {"line": f"{var} == {expr}", "identically_zero": True}
                 )

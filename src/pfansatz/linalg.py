@@ -10,6 +10,12 @@ pivot steps every trailing entry is a (k+1)-minor of the input, so the
 division by the previous pivot is exact, and it is checked.  A polynomial
 solve back-substitutes y = D x, D the last pivot, in Q[x] and divides by D
 once per entry at the end.  RationalFunction entries are rejected.
+
+Rational solves, ranks and `nullspace` keep their own kernel, `_int_echelon`,
+beside `_bareiss`: on guessing matrices its per-row content removal keeps
+entries far smaller than Bareiss's exact minors.  Sent through `_bareiss`,
+`certify narayana:x=3/7 --n-max 14` took about twice as long (0.8-1.0 s
+to 1.7-1.9 s on a 2-vCPU host), with byte-identical reports.
 """
 
 from __future__ import annotations
@@ -101,27 +107,17 @@ def _all_rational(rows) -> bool:
 # integer fraction-free kernel
 
 
+def _int_row(r: Sequence) -> tuple:
+    """(ints, mult): a row of int or Fraction entries times mult, the lcm of
+    its denominators, as a new list of ints."""
+    mult = lcm(*(x.denominator for x in r))
+    return [x.numerator * (mult // x.denominator) for x in r], mult
+
+
 def _int_rows(rows: list) -> list:
-    """Scale each row by the lcm of denominators (rows of ints need none);
-    strip the gcd.  Equations are homogeneous in this scaling, so solutions
-    are unchanged."""
-    out = []
-    for r in rows:
-        if all(type(x) is int for x in r):
-            ints = r
-        else:
-            fr = [Fraction(x) for x in r]
-            mult = 1
-            for x in fr:
-                mult = lcm(mult, x.denominator)
-            ints = [int(x * mult) for x in fr]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
-    return out
+    """Scale each row to integers and strip its gcd.  Equations are
+    homogeneous in this scaling, so solutions are unchanged."""
+    return [_strip_content(_int_row(r)[0]) for r in rows]
 
 
 def _strip_content(row: list) -> list:
@@ -186,15 +182,7 @@ def _back_substitute(rows, pivots, ncols, assign) -> list:
 
 def _normalize_vector(vec: Sequence[Fraction]) -> tuple:
     """Scale to integer entries with content 1 and first nonzero entry positive."""
-    mult = 1
-    for x in vec:
-        mult = lcm(mult, Fraction(x).denominator)
-    ints = [int(Fraction(x) * mult) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
+    ints = _strip_content(_int_row(vec)[0])
     for x in ints:
         if x:
             if x < 0:
@@ -362,12 +350,9 @@ def determinant(matrix):
         scale = 1
         m = []
         for r in rows:
-            fr = [Fraction(x) for x in r]
-            mult = 1
-            for x in fr:
-                mult = lcm(mult, x.denominator)
+            ints, mult = _int_row(r)
             scale *= mult
-            m.append([x.numerator * (mult // x.denominator) for x in fr])
+            m.append(ints)
         return Fraction(_bareiss_det(m), scale)
     m, variables = _polynomial_rows(rows, "determinant")
     return _bareiss_det(m) or Polynomial.zero(variables)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, List, Sequence, Tuple
 
 from .linalg import ExactMatrix, determinant
@@ -198,10 +199,7 @@ def verify_msf(T: ExactMatrix, A: SkewMatrix) -> MsfReport:
 def okinawa_lhs(i: int, j: int) -> Fraction:
     total = Fraction(0)
     for k in range(0, min(i, j) + 1):
-        b = _binom(i, k) * _binom(j, k)
-        if b == 0:
-            continue
-        total += b * _gauss_factor(k, i) * _gauss_factor(k, j)
+        total += comb(i, k) * comb(j, k) * _gauss_factor(k, i) * _gauss_factor(k, j)
     return total
 
 
@@ -209,14 +207,6 @@ def okinawa_rhs(i: int, j: int) -> Fraction:
     return hyp2f1_terminating(
         Fraction(1 - i - j, 2), Fraction(-i - j, 2), Fraction(2), Fraction(4)
     )
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    import math
-
-    return math.comb(n, k)
 
 
 def _gauss_factor(k: int, i: int) -> Fraction:

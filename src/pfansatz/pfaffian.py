@@ -32,11 +32,8 @@ from .poly import (
     Polynomial,
     RationalFunction,
     common_variables,
-    domain_one_like,
-    domain_zero_like,
     entry_text,
     exact_quotient,
-    is_zero_entry,
     parse_entry,
     polynomial_over,
 )
@@ -72,7 +69,7 @@ class SkewMatrix:
         for (i, j), v in upper.items():
             if not (1 <= i < j <= dim):
                 raise ValueError(f"bad upper index ({i}, {j}) for dim {dim}")
-            if not is_zero_entry(v):
+            if v:
                 clean[(i, j)] = v
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "upper", clean)
@@ -95,16 +92,16 @@ class SkewMatrix:
     @classmethod
     def from_dense(cls, rows: Sequence[Sequence[Entry]]) -> "SkewMatrix":
         dim = len(rows)
-        zero = domain_zero_like(rows[0][0]) if dim else Fraction(0)
+        zero = Fraction(0) * rows[0][0] if dim else Fraction(0)
         for i in range(dim):
             if len(rows[i]) != dim:
                 raise ValueError("ragged matrix")
-            if not is_zero_entry(rows[i][i]):
+            if rows[i][i]:
                 raise ValueError(f"nonzero diagonal at {i + 1}")
             for j in range(i + 1, dim):
                 lhs = rows[i][j]
                 rhs = rows[j][i]
-                if not is_zero_entry(lhs + rhs):
+                if lhs + rhs:
                     raise ValueError(f"not skew-symmetric at ({i + 1}, {j + 1})")
         upper = {(i + 1, j + 1): rows[i][j] for i in range(dim) for j in range(i + 1, dim)}
         return cls(dim, upper, zero)
@@ -137,7 +134,7 @@ class SkewMatrix:
         for a in range(len(keep)):
             for b in range(a + 1, len(keep)):
                 v = self.entry(keep[a], keep[b])
-                if not is_zero_entry(v):
+                if v:
                     upper[(a + 1, b + 1)] = v
         return SkewMatrix(len(keep), upper, self._zero)
 
@@ -150,7 +147,7 @@ class SkewMatrix:
         for i in range(1, self.dim + 1):
             for j in range(i + 1, self.dim + 1):
                 v = self.entry(pi[i - 1], pi[j - 1])
-                if not is_zero_entry(v):
+                if v:
                     upper[(i, j)] = v
         return SkewMatrix(self.dim, upper, self._zero)
 
@@ -219,11 +216,7 @@ class PerfectMatching:
     pairs: Tuple[Tuple[int, int], ...]
 
     def sign(self) -> int:
-        flat = [k for pair in self.pairs for k in pair]
-        inversions = sum(
-            1 for a in range(len(flat)) for b in range(a + 1, len(flat)) if flat[a] > flat[b]
-        )
-        return -1 if inversions % 2 else 1
+        return permutation_sign([k for pair in self.pairs for k in pair])
 
     @staticmethod
     def enumerate(dim: int):
@@ -264,7 +257,7 @@ def pf_naive(A: SkewMatrix, limit: int = NAIVE_DIMENSION_LIMIT) -> Entry:
         raise ValueError(
             f"pf_naive dimension guard: dim {A.dim} exceeds limit {limit}"
         )
-    one = domain_one_like(A.zero())
+    one = A.zero() + 1
     if A.dim == 0:
         return one
     total = A.zero()
@@ -273,7 +266,7 @@ def pf_naive(A: SkewMatrix, limit: int = NAIVE_DIMENSION_LIMIT) -> Entry:
         ok = True
         for i, j in matching.pairs:
             v = A.entry(i, j)
-            if is_zero_entry(v):
+            if not v:
                 ok = False
                 break
             term = term * v
@@ -306,7 +299,7 @@ def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
     """
     m = A.dim
     if m == 0:
-        return domain_one_like(A.zero())
+        return A.zero() + 1
     if any(isinstance(v, Polynomial) for v in A.upper.values()):
         variables = common_variables(A.upper.values())
         zero = Polynomial.zero(variables)
@@ -332,9 +325,9 @@ def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
     prev = one
     for k in range(0, m, 2):
         row_k = M[k]
-        piv = next((j for j in range(k + 1, m) if not is_zero_entry(row_k[j])), -1)
+        piv = next((j for j in range(k + 1, m) if row_k[j]), -1)
         if piv < 0:
-            return domain_zero_like(A.zero())
+            return A.zero()
         if piv != k + 1:
             for row in M:
                 row[k + 1], row[piv] = row[piv], row[k + 1]
@@ -369,7 +362,7 @@ def pf_laplace(A: SkewMatrix) -> Entry:
             f"pf_laplace dimension guard: dim {A.dim} exceeds limit "
             f"{LAPLACE_DIMENSION_LIMIT}"
         )
-    one = domain_one_like(A.zero())
+    one = A.zero() + 1
     memo = {(): one}
 
     def rec(indices: tuple) -> Entry:
@@ -381,7 +374,7 @@ def pf_laplace(A: SkewMatrix) -> Entry:
         for pos in range(len(indices) - 1):
             k = indices[pos]
             v = A.entry(k, last)
-            if not is_zero_entry(v):
+            if v:
                 rest = indices[:pos] + indices[pos + 1 : -1]
                 term = v * rec(rest)
                 total = total + (term if sign > 0 else -term)
@@ -422,7 +415,7 @@ def cofactor_vector(A: SkewMatrix) -> List[Entry]:
     if m < 2:
         raise ValueError("cofactor vector needs dim >= 2")
     zero = A.zero()
-    one = domain_one_like(zero)
+    one = zero + 1
     rows = []
     rhs = []
     for j in range(1, m):
@@ -440,7 +433,7 @@ def cofactor_vector_via_minors(A: SkewMatrix) -> List[Entry]:
     """Independent route: c_i = gamma(i, dim) / gamma(dim-1, dim)."""
     m = A.dim
     denom = gamma(A, m - 1, m)
-    if is_zero_entry(denom):
+    if not denom:
         raise SingularCofactorSystem(m, "normalizing sub-Pfaffian is zero")
     out = []
     for i in range(1, m):

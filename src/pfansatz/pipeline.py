@@ -39,7 +39,6 @@ from .poly import (
     RationalFunction,
     entry_text,
     format_rational,
-    is_zero_entry,
     parse_poly,
 )
 from .sequences import MatrixFamily, family_from_descriptor
@@ -61,7 +60,6 @@ def _div(a: Value, b: Value) -> Value:
 class ClosedForm:
     """Opaque exact evaluator n -> b_{2n} with b_0 = evaluate(0) = 1."""
 
-    name: str
     description: str
     fn: Callable[[int], Value]
 
@@ -99,26 +97,22 @@ def closed_form_for(name: str, x: Optional[Fraction] = None) -> ClosedForm:
     """Built-in closed forms by family name; `x` parametrizes the weighted one
     (None means symbolic)."""
     if name == "motzkin":
-        return ClosedForm("motzkin", "prod_{k<n} (4k+1)", _cf_motzkin)
+        return ClosedForm("prod_{k<n} (4k+1)", _cf_motzkin)
     if name == "delannoy":
-        return ClosedForm(
-            "delannoy", "2^((n+1)(n-1)) * (2n-1) * prod_{1<=k<n} (4k-1)", _cf_delannoy
-        )
+        return ClosedForm("2^((n+1)(n-1)) * (2n-1) * prod_{1<=k<n} (4k-1)", _cf_delannoy)
     if name == "schroeder":
-        return ClosedForm("schroeder", "2^(n^2) * prod_{k<n} (4k+1)", _cf_schroeder)
+        return ClosedForm("2^(n^2) * prod_{k<n} (4k+1)", _cf_schroeder)
     if name == "narayana":
         if x is None:
             def fn(n: int) -> Polynomial:
                 return Polynomial(("x",), {(n * n,): _cf_motzkin(n)})
-            return ClosedForm("narayana", "x^(n^2) * prod_{k<n} (4k+1)", fn)
+            return ClosedForm("x^(n^2) * prod_{k<n} (4k+1)", fn)
         xv = Fraction(x)
 
         def fn(n: int) -> Fraction:
             return xv ** (n * n) * _cf_motzkin(n)
 
-        return ClosedForm(
-            "narayana", f"x^(n^2) * prod_{{k<n}} (4k+1) at x={format_rational(xv)}", fn
-        )
+        return ClosedForm(f"x^(n^2) * prod_{{k<n}} (4k+1) at x={format_rational(xv)}", fn)
     raise ValueError(f"no built-in closed form named {name!r}")
 
 
@@ -172,7 +166,7 @@ def closed_form_from_text(text: str) -> ClosedForm:
                     out *= val.eval({"k": k})
         return out
 
-    return ClosedForm("override", text.strip(), fn)
+    return ClosedForm(text.strip(), fn)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +181,7 @@ class CofactorTable:
     `singular` and excluded from lookups.
     """
 
-    def __init__(self, family: MatrixFamily, n_max: int, values: Dict[Tuple[int, int], Value],
-                 singular: Dict[int, str]):
-        self.family = family
+    def __init__(self, n_max: int, values: Dict[Tuple[int, int], Value], singular: Dict[int, str]):
         self.n_max = n_max
         self.values = values
         self.singular = singular
@@ -237,7 +229,7 @@ def c_table(
             continue
         for i, v in enumerate(vec, start=1):
             values[(n, i)] = v
-    return CofactorTable(family, n_max, values, singular)
+    return CofactorTable(n_max, values, singular)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +243,6 @@ class OrthogonalityGrid:
 
     n_max: int
     values: Dict[Tuple[int, int], Value]
-    j_extra: int
 
     def get(self, n: int, j: int) -> Optional[Value]:
         return self.values.get((n, j))
@@ -260,7 +251,7 @@ class OrthogonalityGrid:
         return sorted(
             (n, j)
             for (n, j), v in self.values.items()
-            if j < 2 * n and not is_zero_entry(v)
+            if j < 2 * n and v
         )
 
     def diagonal(self) -> List[Value]:
@@ -285,7 +276,7 @@ def check_identity2(family: MatrixFamily, table: CofactorTable, j_extra: int = 4
                 term = row[i - 1] * family.entry(i, j)
                 total = term if total is None else total + term
             values[(n, j)] = total
-    return OrthogonalityGrid(table.n_max, values, j_extra)
+    return OrthogonalityGrid(table.n_max, values)
 
 
 @dataclass(frozen=True)
@@ -321,7 +312,7 @@ def ratio_sequence(family: MatrixFamily, grid: OrthogonalityGrid,
             pfaffians.append(pf_eliminate(SkewMatrix.from_family(family, 2 * n)))
         for n in range(1, len(ratios) + 1):
             prev = pfaffians[n - 1]
-            if is_zero_entry(prev):
+            if not prev:
                 return RatioResult(ratios, pfaffians, False, n)
             if ratios[n - 1] != _div(pfaffians[n], prev):
                 return RatioResult(ratios, pfaffians, False, n)
@@ -652,54 +643,53 @@ class ConjectureReport:
         return "\n".join(lines) + "\n"
 
 
-def conjecture_predicted(k: int, n: int, variant: str) -> Fraction:
-    """Predicted Pfaffian value for the k-scaled families; 0 off the residue
-    classes.  The n % k == 0 branch takes precedence (they overlap at k=1).
+# the shift e of each variant: the factors of variant ii carry k + 1 where
+# those of variant i carry k
+_VARIANT_SHIFT = {"i": 0, "ii": 1}
+_CLASS_LABELS = ("m = n/k", "m = (n + floor(k/2))/k")
 
-    The products carry a sign (-1)^(m*floor(k/2)) on the n % k == 0 branch
-    and (-1)^((m-1)*floor(k/2)) on the other nonzero branch; without it the
-    on-class values only agree in absolute value with the Pfaffians.  The
-    signed form reproduces the Pfaffians exactly for every k <= 6, n <= 8.
-    """
+
+def conjecture_class(k: int, n: int, variant: str) -> Optional[int]:
+    """The residue class s of n carrying a nonzero predicted value, or None:
+    s = 0 when k | n, else s = 1 when k | n + floor(k/2) and k % 2 != e,
+    e the variant's shift (so odd k for variant i, even k for variant ii)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if variant == "i":
-        if n % k == 0:
-            m = n // k
-            out = Fraction(1)
-            for a in range(m):
-                for b in range(k):
-                    out *= 4 * k * a + 2 * b + k
-            return -out if (m * (k // 2)) % 2 else out
-        if k % 2 == 1 and (n + k // 2) % k == 0:
-            m = (n + k // 2) // k
-            out = Fraction(1)
-            for b in range(1, k // 2 + 1):
-                out /= 2 * b - k
-            for a in range(m):
-                for b in range(1, k + 1):
-                    out *= 4 * k * a + 2 * b - k
-            return -out if ((m - 1) * (k // 2)) % 2 else out
+    if variant not in _VARIANT_SHIFT:
+        raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
+    if n % k == 0:
+        return 0
+    if k % 2 != _VARIANT_SHIFT[variant] and (n + k // 2) % k == 0:
+        return 1
+    return None
+
+
+def conjecture_predicted(k: int, n: int, variant: str) -> Fraction:
+    """Predicted Pfaffian value for the k-scaled families; 0 off the residue
+    classes.  The class s = 0 takes precedence (they overlap at k = 1).
+
+    With h = floor(k/2), m = (n + s*h)/k and c = (-1)^s (k + e), the value is
+
+        (-1)^((m-s)*h) prod_{a<m} prod_{s<=b<k+s} (4ka + 2b + c)
+                       / prod_{1<=b<=s*h} (2b + c).
+
+    Without the sign the on-class values only agree in absolute value with
+    the Pfaffians.  The signed form reproduces the Pfaffians exactly for
+    every k <= 6, n <= 8.
+    """
+    s = conjecture_class(k, n, variant)
+    if s is None:
         return Fraction(0)
-    if variant == "ii":
-        if n % k == 0:
-            m = n // k
-            out = Fraction(1)
-            for a in range(m):
-                for b in range(k):
-                    out *= 4 * k * a + 2 * b + k + 1
-            return -out if (m * (k // 2)) % 2 else out
-        if k % 2 == 0 and (n + k // 2) % k == 0:
-            m = (n + k // 2) // k
-            out = Fraction(1)
-            for b in range(1, k // 2 + 1):
-                out /= 2 * b - k - 1
-            for a in range(m):
-                for b in range(1, k + 1):
-                    out *= 4 * k * a + 2 * b - k - 1
-            return -out if ((m - 1) * (k // 2)) % 2 else out
-        return Fraction(0)
-    raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
+    h = k // 2
+    c = (k + _VARIANT_SHIFT[variant]) * (-1) ** s
+    m = (n + s * h) // k
+    out = Fraction(1)
+    for b in range(1, s * h + 1):
+        out /= 2 * b + c
+    for a in range(m):
+        for b in range(s, k + s):
+            out *= 4 * k * a + 2 * b + c
+    return -out if ((m - s) * h) % 2 else out
 
 
 def check_conjecture1(
@@ -718,12 +708,8 @@ def check_conjecture1(
         say(f"n={n}")
         pf = pf_eliminate(SkewMatrix.from_family(family, 2 * n))
         predicted = conjecture_predicted(k, n, variant)
-        if n % k == 0:
-            case = "m = n/k"
-        elif (k % 2 == 1 if variant == "i" else k % 2 == 0) and (n + k // 2) % k == 0:
-            case = "m = (n + floor(k/2))/k"
-        else:
-            case = "off-class zero"
+        s = conjecture_class(k, n, variant)
+        case = "off-class zero" if s is None else _CLASS_LABELS[s]
         match = pf == predicted
         all_match &= match
         rows.append(

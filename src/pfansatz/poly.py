@@ -8,6 +8,10 @@ values can be shared freely between threads.  `Polynomial(...)` validates
 its input; arithmetic results, canonical by construction, go through the
 unchecked `_trusted` instead.
 
+Every exact entry (int, Fraction, Polynomial, RationalFunction) is falsy
+exactly when it is zero, and `Fraction(0) * x` is the zero of x's domain
+(a Polynomial keeps its variables), so `Fraction(0) * x + 1` is its one.
+
 The text format is what `parse_poly` reads and `str()` writes: integer or
 a/b coefficients, `*` for products, `^` or `**` for powers, terms printed in
 graded-lexicographic order (largest first) with respect to the declared
@@ -135,9 +139,6 @@ class Polynomial:
         return cls(variables, {})
 
     # -- basic queries -------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         # falsy exactly when zero, like int and Fraction
@@ -509,7 +510,7 @@ def entry_text(x) -> str:
 
 def poly_divmod(a: Polynomial, b: Polynomial, var: str) -> tuple:
     """Univariate long division: a = q*b + r with deg r < deg b."""
-    if b.is_zero():
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
     ac = a.univariate_coefficients(var)
     bc = b.univariate_coefficients(var)
@@ -540,7 +541,7 @@ def poly_exact_divide(num: Polynomial, den: Polynomial):
     else None.  Leading terms are taken in graded-lex order, which divides
     at every step iff the division is exact.  The remainder is one dict,
     updated in place."""
-    if den.is_zero():
+    if not den:
         raise ZeroDivisionError("polynomial division by zero")
     union = Polynomial._union_vars(num, den)
     num = num.with_variables(union)
@@ -563,10 +564,10 @@ def poly_exact_divide(num: Polynomial, den: Polynomial):
 
 def poly_gcd(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
     """Monic univariate gcd by the Euclidean algorithm."""
-    while not b.is_zero():
+    while b:
         _, r = poly_divmod(a, b, var)
         a, b = b, r
-    if a.is_zero():
+    if not a:
         return a
     _, lead = a.leading_term()
     return a / lead
@@ -591,9 +592,9 @@ class RationalFunction:
             num = Polynomial.constant(num)
         if isinstance(den, (int, Fraction)):
             den = Polynomial.constant(den)
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
+        if not num:
             num, den = Polynomial.zero(), Polynomial.constant(1)
         else:
             union = Polynomial._union_vars(num, den)
@@ -631,8 +632,8 @@ class RationalFunction:
             return cls(x, Polynomial.constant(1))
         return cls(Polynomial.constant(_as_fraction(x)), Polynomial.constant(1))
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def as_polynomial(self) -> Polynomial:
         """Exact conversion back to a polynomial; raises if the quotient is not one."""
@@ -666,7 +667,7 @@ class RationalFunction:
 
     def __truediv__(self, other):
         o = RationalFunction.lift(other)
-        if o.is_zero():
+        if not o:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * o.den, self.den * o.num)
 
@@ -693,32 +694,6 @@ class RationalFunction:
 
 # ---------------------------------------------------------------------------
 # small domain helpers shared by the matrix code
-
-
-def domain_zero_like(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(0)
-    if isinstance(x, Polynomial):
-        return Polynomial.zero(x.variables)
-    if isinstance(x, RationalFunction):
-        return RationalFunction.lift(Fraction(0))
-    raise PolynomialError(f"unknown entry domain: {type(x)}")
-
-
-def domain_one_like(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(1)
-    if isinstance(x, Polynomial):
-        return Polynomial.constant(1, x.variables)
-    if isinstance(x, RationalFunction):
-        return RationalFunction.lift(Fraction(1))
-    raise PolynomialError(f"unknown entry domain: {type(x)}")
-
-
-def is_zero_entry(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero()
 
 
 def common_variables(entries) -> tuple:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Optional, Union
 
-from .poly import Polynomial, PolynomialError, format_rational, is_zero_entry
+from .poly import Polynomial, format_rational
 
 Entry = Union[Fraction, Polynomial]
 
@@ -166,7 +166,6 @@ class MatrixFamily:
     rule: Callable[[int, int], Entry]
     symbolic: bool = False
     x: Optional[Fraction] = None
-    k: Optional[int] = None
 
     def entry(self, i: int, j: int) -> Entry:
         if i == j:
@@ -242,7 +241,7 @@ def family_from_descriptor(descriptor: str) -> MatrixFamily:
             rule = lambda i, j: (j - i) * motzkin_column(k, i + j - 2)
         else:
             rule = lambda i, j: (j - i) * (motzkin_column(k, i + j - 2) + motzkin_column(k, i + j - 1))
-        return MatrixFamily(name, f"{name}:k={k}", rule, k=k)
+        return MatrixFamily(name, f"{name}:k={k}", rule)
     raise ValueError(f"unknown family descriptor {descriptor!r}")
 
 
@@ -255,7 +254,7 @@ def family_entry(family: MatrixFamily, i: int, j: int) -> Entry:
 def validate_family_skew(family: MatrixFamily, size: int = 12) -> bool:
     """Sample check of a(i,j) = -a(j,i) and a(i,i) = 0 on a size x size grid."""
     for i in range(1, size + 1):
-        if not is_zero_entry(family.entry(i, i)):
+        if family.entry(i, i):
             return False
         for j in range(i + 1, size + 1):
             if family.entry(i, j) != -family.entry(j, i):

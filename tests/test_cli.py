@@ -303,6 +303,21 @@ def test_guess_symbolic_family_rejected_before_any_solve(capsys, kind):
     assert "cofactor system" not in err
 
 
+@pytest.mark.parametrize("values, error", [
+    ('[{"point": [null], "value": "1"}]', "TypeError"),
+    ('[{"value": "1"}]', "KeyError"),
+    ('[7]', "TypeError"),
+])
+def test_guess_malformed_table_file_is_named(tmp_path, capsys, values, error):
+    path = tmp_path / "t.json"
+    path.write_text('{"arity": 1, "values": %s}' % values)
+    code, out, err = run(capsys, "guess", "--source", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: malformed table in {path} ({error}: ")
+    assert "symbolic" not in err
+
+
 def test_guess_ratio_source_default_bound_fits_default_class(capsys):
     code, out, err = run(capsys, "guess", "--source", "r:motzkin")
     assert code == 0

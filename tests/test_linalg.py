@@ -245,14 +245,14 @@ def field_echelon(rows, ncols):
     pivots = []
     r = 0
     for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), -1)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), -1)
         if pivot_row < 0:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         p = rows[r][col]
         for i in range(r + 1, len(rows)):
             q = rows[i][col]
-            if not q.is_zero():
+            if q:
                 factor = q / p
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
         pivots.append((r, col))

@@ -92,7 +92,12 @@ def test_skew_matrix_entry_signs():
 
 
 def test_from_dense_validates_skewness():
-    SkewMatrix.from_dense([[0, 1], [-1, 0]])
+    A = SkewMatrix.from_dense([[0, 1], [-1, 0]])
+    assert type(A.zero()) is Fraction and type(A.entry(1, 1)) is Fraction
+    Z = SkewMatrix.from_dense([[0, 0], [0, 0]])
+    assert type(pf_eliminate(Z)) is Fraction and type(pf_naive(Z)) is Fraction
+    zero, x = Polynomial.zero(("x", "y")), parse_poly("x", ("x", "y"))
+    assert SkewMatrix.from_dense([[zero, x], [-x, zero]]).zero().variables == ("x", "y")
     with pytest.raises(ValueError):
         SkewMatrix.from_dense([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
@@ -470,7 +475,7 @@ def test_ratio_sequence_falls_back_when_b2_vanishes(n_max, cells, diagonal):
     upper = {(i, j): Fraction(next(pool)) for i in range(1, 12) for j in range(i + 1, 12)}
     upper[(1, 2)] = Fraction(0)
     family = MatrixFamily("handmade", "handmade", lambda i, j: upper.get((i, j), Fraction(0)))
-    grid = OrthogonalityGrid(n_max, {(n, 2 * n): Fraction(diagonal[n - 1]) for n in range(1, n_max + 1)}, 0)
+    grid = OrthogonalityGrid(n_max, {(n, 2 * n): Fraction(diagonal[n - 1]) for n in range(1, n_max + 1)})
     result = ratio_sequence(family, grid)
     assert result == per_n_ratio_sequence(family, grid)
     assert result.pfaffians[1] == 0 and len(result.pfaffians) == n_max + 1

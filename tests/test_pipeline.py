@@ -15,6 +15,7 @@ from pfansatz.pipeline import (
     check_identity2,
     closed_form_for,
     closed_form_from_text,
+    conjecture_class,
     conjecture_predicted,
     ratio_sequence,
 )
@@ -280,6 +281,63 @@ def test_conjecture_predicted_cases():
         conjecture_predicted(0, 1, "i")
     with pytest.raises(ValueError):
         conjecture_predicted(2, 1, "iii")
+
+
+def old_conjecture_predicted(k, n, variant):
+    """The four-branch form that conjecture_predicted replaced, kept as the
+    reference, with the case label check_conjecture1 computed beside it."""
+    if variant == "i":
+        if n % k == 0:
+            m = n // k
+            out = Fraction(1)
+            for a in range(m):
+                for b in range(k):
+                    out *= 4 * k * a + 2 * b + k
+            return -out if (m * (k // 2)) % 2 else out
+        if k % 2 == 1 and (n + k // 2) % k == 0:
+            m = (n + k // 2) // k
+            out = Fraction(1)
+            for b in range(1, k // 2 + 1):
+                out /= 2 * b - k
+            for a in range(m):
+                for b in range(1, k + 1):
+                    out *= 4 * k * a + 2 * b - k
+            return -out if ((m - 1) * (k // 2)) % 2 else out
+        return Fraction(0)
+    if n % k == 0:
+        m = n // k
+        out = Fraction(1)
+        for a in range(m):
+            for b in range(k):
+                out *= 4 * k * a + 2 * b + k + 1
+        return -out if (m * (k // 2)) % 2 else out
+    if k % 2 == 0 and (n + k // 2) % k == 0:
+        m = (n + k // 2) // k
+        out = Fraction(1)
+        for b in range(1, k // 2 + 1):
+            out /= 2 * b - k - 1
+        for a in range(m):
+            for b in range(1, k + 1):
+                out *= 4 * k * a + 2 * b - k - 1
+        return -out if ((m - 1) * (k // 2)) % 2 else out
+    return Fraction(0)
+
+
+def old_conjecture_case(k, n, variant):
+    if n % k == 0:
+        return "m = n/k"
+    if (k % 2 == 1 if variant == "i" else k % 2 == 0) and (n + k // 2) % k == 0:
+        return "m = (n + floor(k/2))/k"
+    return "off-class zero"
+
+
+def test_conjecture_predicted_matches_the_four_branch_form():
+    labels = {None: "off-class zero", 0: "m = n/k", 1: "m = (n + floor(k/2))/k"}
+    for variant in ("i", "ii"):
+        for k in range(1, 9):
+            for n in range(40):
+                assert conjecture_predicted(k, n, variant) == old_conjecture_predicted(k, n, variant)
+                assert labels[conjecture_class(k, n, variant)] == old_conjecture_case(k, n, variant)
 
 
 def test_conjecture_signs_are_real():

@@ -41,7 +41,7 @@ def test_constant_and_variable_builders():
     assert Polynomial.constant(7).eval({}) == 7
     x = Polynomial.variable("x")
     assert x.eval({"x": Fraction(5, 2)}) == Fraction(5, 2)
-    assert Polynomial.zero(("n",)).is_zero()
+    assert not Polynomial.zero(("n",))
 
 
 def test_equality_ignores_variable_padding():
@@ -159,7 +159,7 @@ def test_poly_divmod_reconstructs():
     b = P("n^2 + 1", ("n",))
     q, r = poly_divmod(a, b, "n")
     assert q * b + r == a
-    assert r.is_zero()
+    assert not r
 
 
 def test_poly_divmod_remainder():
@@ -206,7 +206,7 @@ def test_rational_function_field_ops():
         den = s.den.eval({"n": k})
         assert Fraction(num, den) == lhs
     assert (f * g) / g == f
-    assert (f - f).is_zero()
+    assert not (f - f)
 
 
 def test_rational_function_division_by_zero():
@@ -348,13 +348,13 @@ def test_arithmetic_results_keep_the_constructor_invariants(p, q, s, data):
     for result, value in results:
         assert_canonical(result)
         assert result.eval(point) == value
-    assert bool(p) is not p.is_zero()
+    assert bool(p) is bool(p.terms)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(polynomials(COEFFICIENTS), polynomials(COEFFICIENTS))
 def test_exact_divide_recovers_a_factor(a, b):
-    if b.is_zero():
+    if not b:
         with pytest.raises(ZeroDivisionError):
             poly_exact_divide(a, b)
         return
@@ -371,13 +371,42 @@ UNIVARIATE = st.dictionaries(st.tuples(st.integers(0, 5)), COEFFICIENTS, max_siz
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(UNIVARIATE, UNIVARIATE, UNIVARIATE)
 def test_exact_divide_is_none_exactly_when_divmod_leaves_a_remainder(c, b, r):
-    if b.is_zero():
+    if not b:
         return
     a = c * b + r  # divisible when r is, and r is often zero or a multiple of b
     q = poly_exact_divide(a, b)
     quotient, remainder = poly_divmod(a, b, "x")
-    if remainder.is_zero():
+    if not remainder:
         assert q == quotient
         assert_canonical(q)
     else:
         assert q is None
+
+
+# ---------------------------------------------------------------------------
+# the zero protocol: truthiness is the only zero test, and Fraction(0) * x
+# is the zero of x's domain
+
+
+ENTRIES = st.one_of(
+    INTS,
+    FRACTIONS,
+    polynomials(COEFFICIENTS),
+    st.builds(RationalFunction, polynomials(COEFFICIENTS), polynomials(COEFFICIENTS).filter(bool)),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ENTRIES)
+def test_truthiness_is_the_zero_test_and_zero_times_x_is_its_domain_zero(x):
+    assert bool(x) == (x != 0)
+    zero = Fraction(0) * x
+    assert zero == 0 and not zero
+    assert zero + 1 == 1 and zero + 1
+    if isinstance(x, Polynomial):
+        assert type(zero) is Polynomial and zero.variables == x.variables
+        assert (zero + 1).variables == x.variables
+    elif isinstance(x, RationalFunction):
+        assert type(zero) is RationalFunction
+    else:
+        assert type(zero) is Fraction and type(zero + 1) is Fraction
