@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .linalg import nullspace, solve_linear
-from .poly import Polynomial, format_rational, int_value, parse_poly
+from .poly import Polynomial, PolynomialError, format_rational, int_value, parse_poly
 
 Point = Tuple[int, ...]
 
@@ -535,23 +536,6 @@ def guess_from_table(
     )
 
 
-def _vectorize(
-    op: RecurrenceOperator,
-    support: Tuple[Point, ...],
-    monomials: List[Tuple[int, ...]],
-) -> Optional[List[Fraction]]:
-    index = {(s, m): k for k, (s, m) in enumerate((s, m) for s in support for m in monomials)}
-    vec = [Fraction(0)] * len(index)
-    for shift, coeff in op.terms:
-        aligned = coeff.with_variables(op.variables)
-        for exp, q in aligned.terms.items():
-            key = (shift, exp)
-            if key not in index:
-                return None
-            vec[index[key]] = q
-    return vec
-
-
 def _is_consequence(
     op: RecurrenceOperator,
     base: RecurrenceOperator,
@@ -561,28 +545,42 @@ def _is_consequence(
     monomials: List[Tuple[int, ...]],
 ) -> bool:
     """True iff `op` is a linear combination of translate-and-multiply images
-    q(vars) * S^v * base that stay inside the support/degree bounds."""
-    support = tuple(sorted(support_set))
-    target = _vectorize(op, support, monomials)
-    if target is None:
-        return False
+    q(vars) * S^v * base that stay inside the support/degree bounds.
+
+    Each image m * S^off * base, m a monomial, is written straight into the
+    (shift, monomial) coordinates from base's shifted coefficients."""
+    index = {key: k for k, key in enumerate(product(sorted(support_set), monomials))}
+    target = [0] * len(index)
+    for shift, coeff in op.terms:
+        for exp, q in coeff.with_variables(variables).terms.items():
+            k = index.get((shift, exp))
+            if k is None:
+                return False
+            target[k] = q
     base_shifts = base.shifts()
-    base_deg = base.coefficient_degree()
+    multipliers = _monomials(len(variables), degree - base.coefficient_degree())
     offsets = {
         tuple(a - b for a, b in zip(s, base_shifts[0])) for s in support_set
     }
     gens = []
     for off in sorted(offsets):
-        if not all(tuple(a + b for a, b in zip(s, off)) in support_set for s in base_shifts):
+        moved = [tuple(a + b for a, b in zip(s, off)) for s in base_shifts]
+        if not all(s in support_set for s in moved):
             continue
-        translated = base.translated(off)
-        for m in _monomials(len(variables), degree - base_deg):
-            mono = Polynomial(variables, {m: Fraction(1)})
-            scaled = RecurrenceOperator.make(
-                variables, [(s, c * mono) for s, c in translated.terms]
-            )
-            v = _vectorize(scaled, support, monomials)
-            if v is not None:
+        by_variable = dict(zip(variables, off))
+        shifted = [  # (shift, exponent, coefficient) of S^off * base
+            (s, exp, q)
+            for s, (_, coeff) in zip(moved, base.terms)
+            for exp, q in coeff.with_variables(variables).shifted(by_variable).terms.items()
+        ]
+        for m in multipliers:
+            v = [0] * len(index)
+            for s, exp, q in shifted:
+                k = index.get((s, tuple(a + b for a, b in zip(exp, m))))
+                if k is None:
+                    break
+                v[k] = q
+            else:
                 gens.append(v)
     if not gens:
         return False
@@ -732,6 +730,18 @@ class LeadingReport:
         }
 
 
+@lru_cache(maxsize=16)
+def _region_box_points(region_text: str, names: Tuple[str, ...], box) -> Tuple[Point, ...]:
+    """The integer points of the box (one (low, high) range per name, in
+    product order) that satisfy the region parsed from `region_text`.
+    Memoized, so the operators of one guess share a single region scan."""
+    region = Region.parse(region_text)
+    ranges = [range(lo, hi + 1) for lo, hi in box]
+    return tuple(
+        combo for combo in product(*ranges) if region.satisfied(dict(zip(names, combo)))
+    )
+
+
 def leading_nonvanishing(
     op: RecurrenceOperator,
     region: Union[Region, str],
@@ -740,7 +750,8 @@ def leading_nonvanishing(
     """Analyze where the leading coefficient vanishes inside the region.
 
     One effective variable: exact (integer roots filtered by the region).
-    More: every integer point of the window box inside the region is tested,
+    More: every integer point of the window box inside the region is tested
+    (the points in the region are found once per region text and window),
     plus exact root-finding on each region boundary line where a variable can
     be isolated with unit coefficient; the verdict is window-bounded.
     """
@@ -762,13 +773,21 @@ def leading_nonvanishing(
         )
     if window is None:
         raise ValueError("a finite window is required for multivariate leading coefficients")
-    names = sorted(window)
-    ranges = [range(window[v][0], window[v][1] + 1) for v in names]
+    names = tuple(sorted(window))
+    box = tuple((window[v][0], window[v][1]) for v in names)
+    points = _region_box_points(region.text, names, box)
     hits = []
-    for combo in product(*ranges):
-        point = dict(zip(names, combo))
-        if region.satisfied(point) and lead.eval(point) == 0:
-            hits.append(point)
+    if points:
+        unbound = [v for v in eff if v not in window]
+        if unbound:
+            raise PolynomialError(f"unbound variables {unbound} in evaluation")
+        # the point's coordinates in the lead's variable order (an unbound
+        # variable is not effective, so its placeholder is never read)
+        where = [names.index(v) if v in window else 0 for v in lead.variables]
+        form = lead.int_form()
+        for combo in points:
+            if not int_value(form, [combo[k] for k in where]):
+                hits.append(dict(zip(names, combo)))
     boundary = []
     for c in region.constraints:
         if c.relation == "!=":

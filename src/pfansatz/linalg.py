@@ -2,7 +2,8 @@
 
 Rational systems are solved fraction-free: rows are scaled to integers, the
 elimination uses cross-multiplication updates with per-row content removal,
-and pivots are chosen by minimal bit size to slow coefficient growth.
+and pivots are chosen by minimal bit size to slow coefficient growth.  Back
+substitution keeps int numerators over one common denominator.
 
 Polynomial systems, ranks and determinants go through one fraction-free
 Bareiss row echelon (`_bareiss`, over Z or Q[x]; Bareiss 1968): after k
@@ -16,13 +17,36 @@ beside `_bareiss`: on guessing matrices its per-row content removal keeps
 entries far smaller than Bareiss's exact minors.  Sent through `_bareiss`,
 `certify narayana:x=3/7 --n-max 14` took about twice as long (0.8-1.0 s
 to 1.7-1.9 s on a 2-vCPU host), with byte-identical reports.
-"""
 
+`nullspace` first works modulo a prime p of 61-63 bits (the modular method
+of Kauers, *The Guessing Handbook*, RISC 09-07, 2009): it echelons the
+integer rows mod p, back-solves one vector per free column f (1 at f, zero
+on the other free columns), and rational-reconstructs every entry.  On the
+115x90 c-guess matrix of `certify motzkin --n-max 30`, `_int_echelon`'s
+entries grow to 436 bits while the kernel entries have at most 10, so the
+work mod p avoids that growth.  The
+basis is returned only after every vector annihilates every integer row
+exactly, and that check proves it equal to the exact one:
+  - the rank mod p is at most the rank r over Q, so the n - r_p verified
+    vectors, independent by their 1s on distinct free columns, are at least
+    n - r kernel vectors; hence r_p = r and they span the kernel;
+  - the vector of free column f is nonzero only on f and on pivot columns
+    before f, so column f depends on earlier columns over Q: every free
+    column mod p is a free column over Q, and as the counts agree the two
+    pivot sets are equal;
+  - the kernel vector with 1 at f and support on f and the earlier pivot
+    columns is unique, so after `_normalize_vector` each vector equals the
+    one the exact back-substitution gives.
+When an entry does not reconstruct or a vector fails the check (an unlucky
+prime, or entries too large for p), the next prime of `_PRIMES` is tried;
+after the last one the exact `_int_echelon` path, the kernel of
+`solve_linear` and `matrix_rank`, computes the basis.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import List, Optional, Sequence
 
 from .poly import (
@@ -165,19 +189,30 @@ def _int_echelon(rows: list, ncols: int) -> list:
 
 
 def _back_substitute(rows, pivots, ncols, assign) -> list:
-    """Solve the echelon system given values `assign` for the free columns."""
-    x = [None] * ncols
+    """Solve the echelon system given int values `assign` for some free
+    columns (the other free columns are 0).  The unknowns are kept as int
+    numerators over one common denominator, which grows by |p| / gcd(total, p)
+    only when a pivot p does not divide its row's total; the Fractions are
+    built once, at the end."""
+    num = [0] * ncols
     for col, val in assign.items():
-        x[col] = Fraction(val)
+        num[col] = val
+    den = 1
     for r, col in reversed(pivots):
-        total = Fraction(0)
+        row = rows[r]
+        total = 0
         for c in range(col + 1, ncols):
-            if rows[r][c] and x[c]:
-                total += Fraction(int(rows[r][c])) * x[c]
-            elif rows[r][c] and x[c] is None:
-                raise AssertionError("unassigned trailing column")
-        x[col] = -total / Fraction(int(rows[r][col]))
-    return x
+            a = row[c]
+            if a and num[c]:
+                total += a * num[c]
+        p = row[col]
+        if total % p:
+            step = abs(p) // gcd(total, p)
+            num = [v * step for v in num]
+            den *= step
+            total *= step
+        num[col] = -total // p
+    return [Fraction(v, den) for v in num]
 
 
 def _normalize_vector(vec: Sequence[Fraction]) -> tuple:
@@ -189,6 +224,77 @@ def _normalize_vector(vec: Sequence[Fraction]) -> tuple:
                 ints = [-y for y in ints]
             break
     return tuple(Fraction(x) for x in ints)
+
+
+# ---------------------------------------------------------------------------
+# modular kernel with exact verification
+
+# primes just below 2^63, 2^62 and 2^61, tried in this order
+_PRIMES = (2**63 - 25, 2**62 - 57, 2**61 - 1)
+
+
+def _rational_reconstruction(a: int, p: int) -> Optional[Fraction]:
+    """The fraction r/s with |r|, s <= sqrt(p/2) and r == a*s mod p, or None
+    (Wang's extended-Euclid reconstruction; the bound makes it unique)."""
+    bound = isqrt(p // 2)
+    r0, r1 = p, a % p
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _modular_kernel(rows: list, ncols: int, p: int) -> Optional[List[list]]:
+    """A kernel basis of the int `rows` found mod p, as lists of ints with one
+    vector per free column f (1 at f, nonzero otherwise only on pivot columns
+    before f), or None when an entry does not reconstruct or a vector fails
+    the exact check against every row."""
+    # echelon mod p; a pending row keeps only its columns from `col` on, and
+    # a pivot row, scaled to pivot 1, its columns from its pivot on.  Pending
+    # entries are reduced mod p only where read: each update adds c * b with
+    # c, b < p, so they stay below rank * p^2.
+    pending = [[a % p for a in r] for r in rows]
+    pivots = []  # (pivot column, trailing row)
+    for col in range(ncols):
+        k = next((i for i, r in enumerate(pending) if r[0] % p), -1)
+        if k < 0:
+            pending = [r[1:] for r in pending]
+            continue
+        head = pending.pop(k)
+        inv = pow(head[0], -1, p)
+        head = [a * inv % p for a in head]
+        pivots.append((col, head))
+        tail = head[1:]
+        updated = []
+        for r in pending:
+            c = p - r[0] % p
+            updated.append([a + c * b for a, b in zip(r[1:], tail)] if c != p else r[1:])
+        pending = updated
+    pivot_cols = {col for col, _ in pivots}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        x = {free: 1}  # the values mod p, nonzero entries only
+        for col, row in reversed(pivots):
+            if col < free:
+                v = -sum(row[c - col] * x[c] for c in x) % p
+                if v:
+                    x[col] = v
+        vec = [0] * ncols
+        for c, v in x.items():
+            vec[c] = _rational_reconstruction(v, p)
+            if vec[c] is None:
+                return None
+        vec = _int_row(vec)[0]
+        if any(sum(r[c] * vec[c] for c in x) for r in rows):
+            return None
+        basis.append(vec)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +385,7 @@ def solve_linear(matrix, rhs) -> Optional[LinearSolution]:
         pivots = _int_echelon(work, n + 1)
         if any(col == n for _, col in pivots):
             return None
-        assign = {c: Fraction(0) for c in range(n) if c not in {col for _, col in pivots}}
-        assign[n] = Fraction(-1)  # A x - b = 0 form
+        assign = {n: -1}  # A x - b = 0 form; free unknowns stay 0
         x = _back_substitute(work, pivots, n + 1, assign)
         return LinearSolution(tuple(x[:n]), unique=len(pivots) == n)
     m, variables = _polynomial_rows(aug, "solve_linear")
@@ -304,7 +409,11 @@ def solve_linear(matrix, rhs) -> Optional[LinearSolution]:
 
 def nullspace(matrix) -> List[tuple]:
     """Basis of the right kernel; each vector has integer entries with content 1
-    and first nonzero entry positive.  Rational entries only."""
+    and first nonzero entry positive.  Rational entries only.
+
+    The basis is found modulo a prime and accepted only once every vector
+    annihilates every integer row exactly (see the module docstring); else
+    the next prime is tried, and after the last one `_int_echelon`."""
     rows = _coerce_rows(matrix)
     if not rows:
         return []
@@ -312,17 +421,17 @@ def nullspace(matrix) -> List[tuple]:
     if not _all_rational(rows):
         raise ValueError("nullspace supports rational entries only")
     work = _int_rows(rows)
+    for p in _PRIMES:
+        basis = _modular_kernel(work, n, p)
+        if basis is not None:
+            return [_normalize_vector(v) for v in basis]
     pivots = _int_echelon(work, n)
     pivot_cols = {col for _, col in pivots}
-    basis = []
-    for free in range(n):
-        if free in pivot_cols:
-            continue
-        assign = {c: Fraction(0) for c in range(n) if c not in pivot_cols}
-        assign[free] = Fraction(1)
-        x = _back_substitute(work, pivots, n, assign)
-        basis.append(_normalize_vector(x))
-    return basis
+    return [
+        _normalize_vector(_back_substitute(work, pivots, n, {free: 1}))
+        for free in range(n)
+        if free not in pivot_cols
+    ]
 
 
 def matrix_rank(matrix) -> int:

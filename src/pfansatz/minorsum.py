@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .linalg import ExactMatrix, determinant
 from .pfaffian import SkewMatrix, pf_eliminate, pf_naive

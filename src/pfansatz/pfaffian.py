@@ -138,19 +138,6 @@ class SkewMatrix:
                     upper[(a + 1, b + 1)] = v
         return SkewMatrix(len(keep), upper, self._zero)
 
-    def permuted(self, pi: Sequence[int]) -> "SkewMatrix":
-        """Conjugate by the permutation pi (1-based images): new (i,j) entry is
-        a(pi[i-1], pi[j-1])."""
-        if sorted(pi) != list(range(1, self.dim + 1)):
-            raise ValueError(f"not a permutation of 1..{self.dim}: {pi}")
-        upper = {}
-        for i in range(1, self.dim + 1):
-            for j in range(i + 1, self.dim + 1):
-                v = self.entry(pi[i - 1], pi[j - 1])
-                if v:
-                    upper[(i, j)] = v
-        return SkewMatrix(self.dim, upper, self._zero)
-
     def __eq__(self, other):
         if not isinstance(other, SkewMatrix):
             return NotImplemented

@@ -28,7 +28,6 @@ from .guessing import (
     GuessingError,
     GuessSpec,
     GuessResult,
-    RecurrenceOperator,
     Table,
     apply_operator,
     leading_nonvanishing,

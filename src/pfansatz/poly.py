@@ -25,7 +25,7 @@ import ast
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Rational = Fraction
 

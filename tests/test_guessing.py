@@ -2,12 +2,14 @@
 leading-coefficient analysis."""
 
 import functools
+import itertools
 import json
 import math
 import os
 import random
 from fractions import Fraction
 
+import hypothesis
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from hypothesis import strategies as st
 from pfansatz.catalog import COFACTOR_OPS_MOTZKIN, known_operators
 from pfansatz.guessing import (
     DegenerateData,
+    _is_consequence,
+    _monomials,
     GuessSpec,
     RecurrenceOperator,
     Region,
@@ -29,6 +33,7 @@ from pfansatz.guessing import (
     table_from_json_dict,
     table_to_json_dict,
 )
+from pfansatz.linalg import solve_linear
 from pfansatz.pipeline import c_table, check_identity2, ratio_sequence
 from pfansatz.poly import Polynomial, parse_poly
 from pfansatz.sequences import family_from_descriptor, motzkin
@@ -464,3 +469,168 @@ def test_guess_spec_rejects_negative_bounds():
         with pytest.raises(ValueError, match="must be >= 0"):
             GuessSpec(orders=(1,), **bad)
     GuessSpec(degree=0, orders=(1,), margin=0, extra_equations=0)
+
+
+# ---------------------------------------------------------------------------
+# consequence reduction and the window scan, against the constructions they
+# replaced (copies kept here as the oracles)
+
+
+def reference_vectorize(op, support, monomials):
+    index = {(s, m): k for k, (s, m) in enumerate((s, m) for s in support for m in monomials)}
+    vec = [Fraction(0)] * len(index)
+    for shift, coeff in op.terms:
+        for exp, q in coeff.with_variables(op.variables).terms.items():
+            if (shift, exp) not in index:
+                return None
+            vec[index[(shift, exp)]] = q
+    return vec
+
+
+def reference_is_consequence(op, base, support_set, degree, variables, monomials):
+    """Every generator built as a normalized operator through `make`."""
+    support = tuple(sorted(support_set))
+    target = reference_vectorize(op, support, monomials)
+    if target is None:
+        return False
+    base_shifts = base.shifts()
+    offsets = {tuple(a - b for a, b in zip(s, base_shifts[0])) for s in support_set}
+    gens = []
+    for off in sorted(offsets):
+        if not all(tuple(a + b for a, b in zip(s, off)) in support_set for s in base_shifts):
+            continue
+        translated = base.translated(off)
+        for m in _monomials(len(variables), degree - base.coefficient_degree()):
+            mono = Polynomial(variables, {m: Fraction(1)})
+            scaled = RecurrenceOperator.make(variables, [(s, c * mono) for s, c in translated.terms])
+            v = reference_vectorize(scaled, support, monomials)
+            if v is not None:
+                gens.append(v)
+    if not gens:
+        return False
+    matrix = [[g[k] for g in gens] for k in range(len(target))]
+    return solve_linear(matrix, target) is not None
+
+
+def _images(base, support_set, degree):
+    """A few q * S^off * base images and a sum of two, inside the bounds."""
+    variables = base.variables
+    out = []
+    for off in sorted({tuple(a - b for a, b in zip(s, base.shifts()[0])) for s in support_set}):
+        if all(tuple(a + b for a, b in zip(s, off)) in support_set for s in base.shifts()):
+            out.append(base.translated(off))
+    room = degree - base.coefficient_degree()
+    if out and room >= 1:
+        q = Polynomial(variables, {m: Fraction(k + 2) for k, m in enumerate(_monomials(len(variables), 1))})
+        out.append(RecurrenceOperator.make(variables, [(s, c * q) for s, c in out[-1].terms]))
+    if len(out) >= 2:
+        merged = dict((s, c) for s, c in out[0].terms)
+        for s, c in out[-1].terms:
+            merged[s] = merged[s] + c * 3 if s in merged else c * 3
+        if any(merged.values()):
+            out.append(RecurrenceOperator.make(variables, merged))
+    return out[:4]
+
+
+def _consequence_cases():
+    """(op, base, support set, degree, variables) from the seeded guesses and
+    from pairs of catalog operators, each base with some of its images."""
+    with open(os.path.join(DATA, "guess_seeded.json"), encoding="utf-8") as fh:
+        expected = json.load(fh)
+    groups = []
+    for result in expected.values():
+        ops = [RecurrenceOperator.from_json_dict(o) for o in result["operators"]]
+        support = {tuple(s) for s in result["support"]}
+        groups.append((ops, support, result["degree"]))
+    for family in CATALOG_FAMILIES:
+        by_target = {}
+        for entry in known_operators(family):
+            by_target.setdefault(entry.target, []).append(entry.operator)
+        for ops in by_target.values():
+            for a, b in itertools.combinations(ops, 2):
+                shifts = a.shifts() + b.shifts()
+                box = itertools.product(*(
+                    range(min(s[k] for s in shifts), max(s[k] for s in shifts) + 1)
+                    for k in range(len(a.variables))
+                ))
+                degree = max(a.coefficient_degree(), b.coefficient_degree())
+                groups.append(([a, b], set(box), degree))
+    cases = []
+    for ops, support, degree in groups:
+        for base in ops:
+            for op in ops + _images(base, support, degree):
+                if op is not base:
+                    cases.append((op, base, support, degree, base.variables))
+    return cases
+
+
+def test_is_consequence_matches_operator_construction():
+    outcomes = set()
+    for op, base, support, degree, variables in _consequence_cases():
+        monomials = _monomials(len(variables), degree)
+        got = _is_consequence(op, base, support, degree, variables, monomials)
+        assert got == reference_is_consequence(op, base, support, degree, variables, monomials), (
+            str(op), str(base))
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+C_REGION = "n >= 1 and i >= 1 and 2*n-1-i >= 0"
+
+
+def reference_window_hits(op, region, window):
+    """The box scan as it was: every window point, region test first."""
+    region = Region.parse(region)
+    lead = op.leading_coefficient()
+    names = sorted(window)
+    hits = []
+    for combo in itertools.product(*(range(window[v][0], window[v][1] + 1) for v in names)):
+        point = dict(zip(names, combo))
+        if region.satisfied(point) and reference_eval(lead, point) == 0:
+            hits.append(point)
+    return tuple(hits)
+
+
+def _check_window_scan(op, region, window):
+    first = leading_nonvanishing(op, region, window)
+    again = leading_nonvanishing(op, region, window)  # served by the memo
+    assert first.mode == "window"
+    assert first.vanishing == reference_window_hits(op, region, window)
+    assert again.to_json_dict() == first.to_json_dict()
+    return first
+
+
+@pytest.mark.parametrize("family", CATALOG_FAMILIES)
+def test_window_scan_matches_box_scan_on_catalog(family):
+    regions = {"c": (C_REGION, "i"), "g": ("n >= 1 and j >= 1 and 2*n-j >= 0", "j")}
+    seen = 0
+    for entry in known_operators(family):
+        if entry.target not in regions:
+            continue
+        region, second = regions[entry.target]
+        for size in (6, 12):
+            if len(entry.operator.leading_coefficient().effective_variables()) < 2:
+                continue
+            _check_window_scan(entry.operator, region, {"n": (1, size), second: (1, 2 * size)})
+            seen += 1
+    assert seen
+
+
+@st.composite
+def bivariate_leads(draw):
+    """Operators whose leading coefficient is a product of integer linear
+    factors in n and i, plus now and then a term that breaks the product."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
+        factors.append(f"({a}*n + {b}*i + {c})")
+    text = "*".join(factors) + (" + n*i" if draw(st.booleans()) else "")
+    lead = parse_poly(text, ("n", "i"))
+    hypothesis.assume(len(lead.effective_variables()) == 2)
+    return RecurrenceOperator.make(("n", "i"), [((1, 0), lead), ((0, 0), "n + 1")])
+
+
+@PROPERTY
+@given(bivariate_leads(), st.integers(2, 7))
+def test_window_scan_matches_box_scan_on_random_leads(op, size):
+    _check_window_scan(op, C_REGION, {"n": (1, size), "i": (1, 2 * size - 1)})

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfansatz import linalg
 from pfansatz.linalg import (
     ExactMatrix,
+    LinearSolution,
     determinant,
     matrix_rank,
     nullspace,
@@ -386,3 +388,163 @@ def test_polynomial_solve_returns_polynomials_and_reduced_quotients():
     # x v = x^2 + x: v = x + 1, a Polynomial
     sol = solve_linear([[x]], [x * x + x])
     assert type(sol.vector[0]) is Polynomial and sol.vector[0] == x + 1
+
+
+# ---------------------------------------------------------------------------
+# the modular nullspace and the integer back-substitution against the
+# Fraction back-substitution they replaced (a copy kept here as the oracle)
+
+
+# bound at import, so a test that counts fallback calls does not count these
+int_echelon = linalg._int_echelon
+
+
+def fraction_back_substitute(rows, pivots, ncols, assign):
+    x = [None] * ncols
+    for col, val in assign.items():
+        x[col] = Fraction(val)
+    for r, col in reversed(pivots):
+        total = Fraction(0)
+        for c in range(col + 1, ncols):
+            if rows[r][c] and x[c]:
+                total += Fraction(int(rows[r][c])) * x[c]
+            elif rows[r][c] and x[c] is None:
+                raise AssertionError("unassigned trailing column")
+        x[col] = -total / Fraction(int(rows[r][col]))
+    return x
+
+
+def reference_nullspace(rows):
+    n = len(rows[0])
+    work = linalg._int_rows([list(r) for r in rows])
+    pivots = int_echelon(work, n)
+    pivot_cols = {col for _, col in pivots}
+    basis = []
+    for free in range(n):
+        if free in pivot_cols:
+            continue
+        assign = {c: Fraction(0) for c in range(n) if c not in pivot_cols}
+        assign[free] = Fraction(1)
+        basis.append(linalg._normalize_vector(fraction_back_substitute(work, pivots, n, assign)))
+    return basis
+
+
+def reference_solve(rows, rhs):
+    n = len(rows[0])
+    work = linalg._int_rows([list(r) + [b] for r, b in zip(rows, rhs)])
+    pivots = int_echelon(work, n + 1)
+    if any(col == n for _, col in pivots):
+        return None
+    assign = {c: Fraction(0) for c in range(n) if c not in {col for _, col in pivots}}
+    assign[n] = Fraction(-1)
+    x = fraction_back_substitute(work, pivots, n + 1, assign)
+    return LinearSolution(tuple(x[:n]), unique=len(pivots) == n)
+
+
+@st.composite
+def rank_deficient_rows(draw, max_rows=8, max_cols=9):
+    """Rows spanned by at most min(rows, cols) - 1 random base rows (rank
+    below full whenever that is possible), with small rational entries or,
+    now and then, entries too large for a kernel to reconstruct mod p."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    rank = draw(st.integers(0, max(0, min(nrows, ncols) - 1)))
+    big = draw(st.booleans()) and draw(st.booleans())
+    num = st.integers(-2**40, 2**40) if big else st.integers(-6, 6)
+    entry = st.builds(Fraction, num, st.sampled_from((1, 1, 1, 2, 3)))
+    base = [[draw(entry) for _ in range(ncols)] for _ in range(rank)]
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
+    rows = []
+    for _ in range(nrows):
+        mix = [draw(coeff) for _ in base]
+        rows.append([sum((m * b[c] for m, b in zip(mix, base)), Fraction(0)) for c in range(ncols)])
+    order = draw(st.permutations(range(nrows)))
+    return [rows[k] for k in order]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(rank_deficient_rows())
+def test_nullspace_matches_fraction_back_substitution(rows):
+    assert nullspace(rows) == reference_nullspace(rows)
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    original = linalg._int_echelon
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return original(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_int_echelon", counted)
+    return calls
+
+
+def test_nullspace_unlucky_prime_falls_through(monkeypatch):
+    p = linalg._PRIMES[0]
+    # mod p the first column vanishes, so e_0 comes back; the exact check
+    # rejects it, and -1/p is too large to reconstruct mod the later primes
+    assert linalg._modular_kernel([[p, 1]], 2, p) is None
+    calls = _count_fallbacks(monkeypatch)
+    assert nullspace([[p, 1]]) == [(Fraction(1), Fraction(-p))]
+    assert calls == [2]
+    # [[p, p]] is the zero row mod p; the second prime gives (1, -1) exactly
+    del calls[:]
+    assert linalg._modular_kernel([[p, p]], 2, p) is None
+    assert nullspace([[p, p]]) == [(Fraction(1), Fraction(-1))]
+    assert calls == []
+
+
+def test_nullspace_unreconstructible_kernel_uses_fallback(monkeypatch):
+    rows = [[2**100 + 1, 3**70]]
+    calls = _count_fallbacks(monkeypatch)
+    assert nullspace(rows) == reference_nullspace(rows) == [(Fraction(3**70), -Fraction(2**100 + 1))]
+    assert calls == [2]
+
+
+def test_nullspace_small_kernel_needs_no_fallback(monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    rows = [[1, 2, 3, 4], [2, 4, 7, 1], [3, 6, 10, 5]]
+    assert nullspace(rows) == reference_nullspace(rows)
+    assert calls == []
+
+
+def test_rational_reconstruction_bounds():
+    p = linalg._PRIMES[2]
+    for q in (Fraction(0), Fraction(-7, 3), Fraction(2**29, 2**30 - 1)):
+        a = q.numerator * pow(q.denominator, -1, p) % p
+        assert linalg._rational_reconstruction(a, p) == q
+    # 1/7^30 has no representative within sqrt(p/2), so none is returned;
+    # 1/3^40 has one, and it is not 1/3^40: hence the exact check
+    assert linalg._rational_reconstruction(pow(7**30, -1, p), p) is None
+    wrong = linalg._rational_reconstruction(pow(3**40, -1, p), p)
+    assert wrong is not None and wrong != Fraction(1, 3**40)
+
+
+@st.composite
+def linear_systems(draw):
+    """Consistent, inconsistent and underdetermined rational systems."""
+    kind = draw(st.sampled_from(("consistent", "inconsistent", "underdetermined")))
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(nrows + 1, 8)) if kind == "underdetermined" else draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 1, 2, 5)))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    x = [draw(entry) for _ in range(ncols)]
+    rhs = [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in rows]
+    if kind == "inconsistent":
+        # a repeated row whose right-hand side disagrees
+        k = draw(st.integers(0, nrows - 1))
+        rows.append(list(rows[k]))
+        rhs.append(rhs[k] + draw(st.sampled_from((1, -2, Fraction(1, 3)))))
+    return rows, rhs
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(linear_systems())
+def test_solve_matches_fraction_back_substitution(system):
+    rows, rhs = system
+    got = solve_linear(rows, rhs)
+    assert got == reference_solve(rows, rhs)
+    if got is not None:
+        for r, b in zip(rows, rhs):
+            assert sum(a * v for a, v in zip(r, got.vector)) == b
