@@ -45,6 +45,7 @@ from .minorsum import (
     verify_okinawa,
 )
 from .pfaffian import (
+    ELIMINATE_DIMENSION_LIMIT,
     LAPLACE_DIMENSION_LIMIT,
     NAIVE_DIMENSION_LIMIT,
     PerfectMatching,
@@ -64,7 +65,6 @@ from .pipeline import (
     ClosedForm,
     CofactorTable,
     ConjectureReport,
-    GuessPlan,
     OrthogonalityGrid,
     RatioResult,
     c_table,

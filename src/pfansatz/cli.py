@@ -34,6 +34,7 @@ from .guessing import (
 )
 from .linalg import ExactMatrix, determinant
 from .pfaffian import (
+    ELIMINATE_DIMENSION_LIMIT,
     LAPLACE_DIMENSION_LIMIT,
     NAIVE_DIMENSION_LIMIT,
     SingularCofactorSystem,
@@ -136,6 +137,14 @@ _DIMENSION_LIMITS = {
 }
 
 
+def _check_dimension(dim: int) -> None:
+    """Refuse a matrix no algorithm may take, before it is built or eliminated."""
+    if dim > ELIMINATE_DIMENSION_LIMIT:
+        raise UsageError(
+            f"matrix dimension {dim} is above the cap of {ELIMINATE_DIMENSION_LIMIT}"
+        )
+
+
 def cmd_pfaffian(args) -> int:
     if bool(args.family) == bool(args.file):
         raise UsageError("exactly one of --family/--file is required")
@@ -144,11 +153,13 @@ def cmd_pfaffian(args) -> int:
             raise UsageError("--dim is required with --family")
         if args.dim < 0 or args.dim % 2:
             raise UsageError(f"dimension must be even and non-negative, got {args.dim}")
+        _check_dimension(args.dim)
         family = family_from_descriptor(args.family)
         A = SkewMatrix.from_family(family, args.dim)
         source = family.descriptor
     else:
         A = _load_matrix_file(args.file)
+        _check_dimension(A.dim)
         source = os.path.basename(args.file)
 
     names = list(_ALGORITHMS) if args.all_algorithms else [args.algorithm]

@@ -11,15 +11,13 @@ The checks carry semantic labels:
   cofactor-normalization   last cofactor entry equals 1,
   cofactor-orthogonality   the cofactor vector annihilates columns j < 2n,
   pfaffian-ratio           diagonal value equals the Pfaffian quotient,
-  closed-form-product      telescoped ratio product equals the closed form,
-  boundary-zeros           the zero-extended table satisfies the found
-                           operators outside 1 <= i <= 2n-1 as well.
+  closed-form-product      telescoped ratio product equals the closed form.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -28,8 +26,10 @@ from .guessing import (
     GuessingError,
     GuessSpec,
     GuessResult,
+    Region,
     Table,
     apply_operator,
+    guess_from_table,
     leading_nonvanishing,
 )
 from .pfaffian import SingularCofactorSystem, SkewMatrix, cofactor_vector, pf_eliminate
@@ -197,13 +197,14 @@ class CofactorTable:
             raise KeyError(f"no cofactor row at n={n}")
         return [self.values[(n, i)] for i in range(1, 2 * n)]
 
-    def as_table(self, i_margin: int = 4) -> Table:
-        """Guessing table with the zero extension materialized to the margin."""
+    def as_table(self) -> Table:
+        """Guessing table with the zero extension materialized to a margin of
+        4 on each side of 1 <= i <= 2n-1."""
         pts = {}
         for n in range(1, self.n_max + 1):
             if n in self.singular:
                 continue
-            for i in range(1 - i_margin, 2 * n + i_margin):
+            for i in range(-3, 2 * n + 4):
                 v = self.get(n, i)
                 if not isinstance(v, Fraction):
                     raise ValueError("guessing operates on rational tables only")
@@ -252,9 +253,6 @@ class OrthogonalityGrid:
             for (n, j), v in self.values.items()
             if j < 2 * n and v
         )
-
-    def diagonal(self) -> List[Value]:
-        return [self.values[(n, 2 * n)] for n in range(1, self.n_max + 1) if (n, 2 * n) in self.values]
 
     def as_table(self) -> Table:
         if any(not isinstance(v, Fraction) for v in self.values.values()):
@@ -322,25 +320,14 @@ def ratio_sequence(family: MatrixFamily, grid: OrthogonalityGrid,
 # certification
 
 
-@dataclass(frozen=True)
-class GuessPlan:
-    """Which operator guesses `certify` runs and with what class bounds.
-
-    The default classes are the smallest ones containing true operators for
-    the built-in families (the ratio sequences satisfy first-order
-    recurrences; the cofactor and orthogonality grids have small mixed
-    operators).  On ranges too short to determine them the guesses degrade
-    to recorded diagnostics without affecting the verdict.
-    """
-
-    guess_r: bool = True
-    r_spec: GuessSpec = field(
-        default_factory=lambda: GuessSpec(degree=2, orders=(1,), margin=2, extra_equations=10)
-    )
-    guess_c: bool = True
-    c_spec: GuessSpec = field(default_factory=lambda: GuessSpec(degree=4, orders=(1, 2)))
-    guess_g: bool = True
-    g_spec: GuessSpec = field(default_factory=lambda: GuessSpec(degree=2, orders=(0, 2)))
+# The operator classes `certify` guesses in: the smallest ones containing
+# true operators for the built-in families (the ratio sequences satisfy
+# first-order recurrences; the cofactor and orthogonality grids have small
+# mixed operators).  On ranges too short to determine them the guesses
+# degrade to recorded diagnostics without affecting the verdict.
+R_SPEC = GuessSpec(degree=2, orders=(1,), margin=2, extra_equations=10)
+C_SPEC = GuessSpec(degree=4, orders=(1, 2))
+G_SPEC = GuessSpec(degree=2, orders=(0, 2))
 
 
 @dataclass
@@ -417,115 +404,94 @@ def certify(
     family: MatrixFamily,
     closed_form: ClosedForm,
     n_max: int,
-    plan: Optional[GuessPlan] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> CertificationReport:
     """Run the full finite-scale certification of Pf(family, 2n) == closed_form(n)."""
-    plan = plan or GuessPlan()
     say = progress or (lambda msg: None)
 
     say(f"solving cofactor systems up to n={n_max}")
     table = c_table(family, n_max, progress=progress)
     checks: Dict[str, dict] = {}
     witness = None
-    verdict = "certified-at-scale"
+    verdict = "inapplicable" if table.singular else "certified-at-scale"
 
-    solved = [n for n in range(1, n_max + 1) if n not in table.singular]
-    if table.singular:
-        verdict = "inapplicable"
+    def record(label: str, passed: str, failure: Optional[Tuple[str, dict]]) -> None:
+        """Enter one check: `failure` is None or (detail, witness fields).
+        The first failure of an otherwise certified run refutes it."""
+        nonlocal verdict, witness
+        if failure is None:
+            checks[label] = {"ok": True, "detail": passed}
+            return
+        detail, fields = failure
+        checks[label] = {"ok": False, "detail": detail}
+        if verdict == "certified-at-scale":
+            verdict = "refuted"
+            witness = {"check": label, **fields}
 
     # cofactor-normalization: c_{2n,2n-1} == 1
-    bad = [n for n in solved if not table.get(n, 2 * n - 1) == 1]
-    checks["cofactor-normalization"] = {
-        "ok": not bad,
-        "detail": f"last entry equals 1 at every solved n" if not bad else f"fails at n={bad[0]}",
-    }
-    if bad and verdict == "certified-at-scale":
-        verdict = "refuted"
-        n0 = bad[0]
-        witness = {"check": "cofactor-normalization", "n": n0,
-                   "lhs": entry_text(table.get(n0, 2 * n0 - 1)), "rhs": "1"}
+    n0 = next((n for n in range(1, n_max + 1)
+               if n not in table.singular and table.get(n, 2 * n - 1) != 1), None)
+    record("cofactor-normalization", "last entry equals 1 at every solved n",
+           None if n0 is None else
+           (f"fails at n={n0}",
+            {"n": n0, "lhs": entry_text(table.get(n0, 2 * n0 - 1)), "rhs": "1"}))
 
     say("contracting the orthogonality grid")
     grid = check_identity2(family, table, j_extra=8)
     violations = grid.zero_violations()
-    checks["cofactor-orthogonality"] = {
-        "ok": not violations,
-        "detail": "g(n,j) == 0 for all 1 <= j < 2n"
-        if not violations
-        else f"nonzero at (n,j)={violations[0]}",
-    }
-    if violations and verdict == "certified-at-scale":
-        verdict = "refuted"
+    failure = None
+    if violations:
         n0, j0 = violations[0]
-        witness = {"check": "cofactor-orthogonality", "n": n0, "j": j0,
-                   "lhs": entry_text(grid.get(n0, j0)), "rhs": "0"}
+        failure = (f"nonzero at (n,j)={violations[0]}",
+                   {"n": n0, "j": j0, "lhs": entry_text(grid.get(n0, j0)), "rhs": "0"})
+    record("cofactor-orthogonality", "g(n,j) == 0 for all 1 <= j < 2n", failure)
 
     say("cross-checking ratios against eliminated Pfaffians")
     ratio = ratio_sequence(family, grid)
-    checks["pfaffian-ratio"] = {
-        "ok": ratio.quotients_match,
-        "detail": "diagonal equals Pf quotient at every n"
-        if ratio.quotients_match
-        else f"mismatch at n={ratio.mismatch_n}",
-    }
-    if not ratio.quotients_match and verdict == "certified-at-scale":
-        verdict = "refuted"
-        n0 = ratio.mismatch_n
-        witness = {"check": "pfaffian-ratio", "n": n0,
-                   "lhs": entry_text(ratio.ratios[n0 - 1]),
-                   "rhs": f"({entry_text(ratio.pfaffians[n0])})/({entry_text(ratio.pfaffians[n0 - 1])})"}
+    n0 = ratio.mismatch_n
+    record("pfaffian-ratio", "diagonal equals Pf quotient at every n",
+           None if ratio.quotients_match else
+           (f"mismatch at n={n0}",
+            {"n": n0, "lhs": entry_text(ratio.ratios[n0 - 1]),
+             "rhs": f"({entry_text(ratio.pfaffians[n0])})/({entry_text(ratio.pfaffians[n0 - 1])})"}))
 
     say("comparing against the closed form")
-    cf_bad = None
+    failure = None
     product = Fraction(1) if not family.symbolic else Polynomial.constant(1, ("x",))
-    for n in range(1, len(ratio.ratios) + 1):
-        product = product * ratio.ratios[n - 1]
+    for n, r in enumerate(ratio.ratios, start=1):
+        product = product * r
         expected = closed_form.evaluate(n)
-        direct = ratio.pfaffians[n] if n < len(ratio.pfaffians) else None
-        if not product == expected or (direct is not None and not direct == expected):
-            cf_bad = (n, product, expected)
+        if product != expected or ratio.pfaffians[n] != expected:
+            failure = (f"mismatch at n={n}",
+                       {"n": n, "lhs": entry_text(product), "rhs": entry_text(expected)})
             break
-    checks["closed-form-product"] = {
-        "ok": cf_bad is None,
-        "detail": "telescoped product and direct Pfaffian equal the closed form"
-        if cf_bad is None
-        else f"mismatch at n={cf_bad[0]}",
-    }
-    if cf_bad and verdict == "certified-at-scale":
-        verdict = "refuted"
-        n0, got, expected = cf_bad
-        witness = {"check": "closed-form-product", "n": n0,
-                   "lhs": entry_text(got), "rhs": entry_text(expected)}
-
-    # boundary-zeros: the extension c_{2n,i} = 0 outside 1..2n-1 is definitional;
-    # the content of the check is that contraction sums and operator residuals
-    # below run over the extended range without picking up nonzero terms.
-    checks["boundary-zeros"] = {
-        "ok": True,
-        "detail": "zero extension materialized to margin 4 and used by all residual checks",
-    }
+    record("closed-form-product",
+           "telescoped product and direct Pfaffian equal the closed form", failure)
 
     operators: Dict[str, dict] = {}
-    rational = not family.symbolic
-    if rational:
-        from . import catalog
+    if family.symbolic:
+        operators["skipped"] = {
+            "status": "diagnostic",
+            "detail": "operator guessing and catalog checks need rational entries; "
+                      "this family is symbolic",
+        }
+    else:
+        # imported here: the catalog parses its operators at import (about
+        # 30 ms), which no other command needs
+        from .catalog import known_operators
 
-        known = catalog.known_operators(family.name)
+        tables = {"c": table.as_table(), "g": grid.as_table(),
+                  "r": Table.from_sequence(ratio.ratios, start=1)}
+        known = known_operators(family.name)
         if known:
             say("verifying cataloged operators on the computed tables")
-            ctab = table.as_table()
-            gtab = grid.as_table()
-            rtab = Table.from_sequence(ratio.ratios, start=1)
             entries = []
             all_ok = True
             for item in known:
-                tab = {"c": ctab, "g": gtab, "r": rtab}[item.target]
+                tab = tables[item.target]
                 try:
                     pts = item.operator.admissible_points(tab)
                     if item.region is not None:
-                        from .guessing import Region
-
                         reg = Region.parse(item.region)
                         names = item.operator.variables
                         pts = [p for p in pts if reg.satisfied(dict(zip(names, p)))]
@@ -541,43 +507,21 @@ def certify(
                 )
             operators["catalog"] = {"ok": all_ok, "entries": entries}
 
-        from .guessing import guess_bivariate, guess_univariate
-
-        if plan.guess_r:
-            say("guessing a ratio recurrence")
+        for kind, message, spec, variables, region, window in (
+            ("r", "guessing a ratio recurrence", R_SPEC, ("n",), "n >= 1", None),
+            ("c", "guessing cofactor recurrences", C_SPEC, ("n", "i"),
+             "n >= 1 and i >= 1 and 2*n-1-i >= 0",
+             {"n": (1, n_max), "i": (1, 2 * n_max - 1)}),
+            ("g", "guessing contraction recurrences", G_SPEC, ("n", "j"),
+             "n >= 1 and j >= 1 and 2*n-j >= 0",
+             {"n": (1, n_max), "j": (1, 2 * n_max)}),
+        ):
+            say(message)
             try:
-                operators["r"] = _guess_section(
-                    guess_univariate(Table.from_sequence(ratio.ratios, start=1), plan.r_spec),
-                    region="n >= 1",
-                )
+                operators[kind] = _guess_section(
+                    guess_from_table(tables[kind], spec, variables), region, window)
             except GuessingError as e:
-                operators["r"] = _guess_section(e)
-        if plan.guess_c:
-            say("guessing cofactor recurrences")
-            try:
-                operators["c"] = _guess_section(
-                    guess_bivariate(table.as_table(), plan.c_spec, ("n", "i")),
-                    region="n >= 1 and i >= 1 and 2*n-1-i >= 0",
-                    window={"n": (1, n_max), "i": (1, 2 * n_max - 1)},
-                )
-            except GuessingError as e:
-                operators["c"] = _guess_section(e)
-        if plan.guess_g:
-            say("guessing contraction recurrences")
-            try:
-                operators["g"] = _guess_section(
-                    guess_bivariate(grid.as_table(), plan.g_spec, ("n", "j")),
-                    region="n >= 1 and j >= 1 and 2*n-j >= 0",
-                    window={"n": (1, n_max), "j": (1, 2 * n_max)},
-                )
-            except GuessingError as e:
-                operators["g"] = _guess_section(e)
-    else:
-        operators["skipped"] = {
-            "status": "diagnostic",
-            "detail": "operator guessing and catalog checks need rational entries; "
-                      "this family is symbolic",
-        }
+                operators[kind] = _guess_section(e)
 
     return CertificationReport(
         family=family.descriptor,
@@ -594,11 +538,6 @@ def certify(
             "family": family.descriptor,
             "closed_form": closed_form.description,
             "n_max": n_max,
-            "plan": {
-                "guess_r": plan.guess_r,
-                "guess_c": plan.guess_c,
-                "guess_g": plan.guess_g,
-            },
         },
     )
 

@@ -437,6 +437,29 @@ class Polynomial:
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
+# Caps on a power in polynomial text: the exponent, the total degree of the
+# result, and a bound on the bits of its largest coefficient.
+POWER_EXPONENT_LIMIT = 1000
+POWER_DEGREE_LIMIT = 1000
+POWER_BITS_LIMIT = 10 ** 6
+
+
+def _check_power(base: Polynomial, e: int) -> None:
+    """Refuse base^e before computing it when it is above a cap.  A
+    coefficient of base^e is a sum of at most t^e products of e
+    coefficients of base (t its term count), so it has at most
+    e * (b + bit_length(t)) bits, b the bits of base's largest coefficient."""
+    b = max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+             for c in base.terms.values()), default=0)
+    if (e > POWER_EXPONENT_LIMIT
+            or e * max(base.total_degree(), 0) > POWER_DEGREE_LIMIT
+            or e * (b + len(base.terms).bit_length()) > POWER_BITS_LIMIT):
+        raise PolynomialError(
+            f"a power with exponent {e} is above the caps on polynomial text: "
+            f"exponent {POWER_EXPONENT_LIMIT}, degree {POWER_DEGREE_LIMIT}, "
+            f"coefficient bits {POWER_BITS_LIMIT}"
+        )
+
 
 def _from_node(node) -> Polynomial:
     if isinstance(node, ast.Expression):
@@ -469,6 +492,7 @@ def _from_node(node) -> Polynomial:
             e = right.constant_value()
             if e.denominator != 1 or e < 0:
                 raise PolynomialError(f"exponent must be a non-negative integer, got {e}")
+            _check_power(left, int(e))
             return left ** int(e)
     raise PolynomialError(f"unsupported syntax: {ast.dump(node)}")
 

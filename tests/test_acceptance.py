@@ -8,7 +8,6 @@ hand-pinned matrix entries -- never by calling the code under test twice.
 Stated time budgets are asserted with a monotonic clock.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction

@@ -141,6 +141,41 @@ def test_pfaffian_malformed_files(tmp_path, capsys):
     assert run(capsys, "pfaffian", "--file", str(scalar))[0] == 2
 
 
+def test_pfaffian_dimension_cap(tmp_path, capsys, monkeypatch):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"dim": 100000000, "upper": []}')
+    code, out, err = run(capsys, "pfaffian", "--file", str(huge))
+    assert (code, out) == (2, "")
+    assert err == "error: matrix dimension 100000000 is above the cap of 400\n"
+    # an empty upper triangle at the cap has Pfaffian 0 at the first pivot
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"dim": 400, "upper": []}')
+    assert run(capsys, "pfaffian", "--file", str(empty))[:2] == (0, "0\n")
+
+    def no_build(cls, family, dim):
+        raise AssertionError("built a matrix above the cap")
+
+    monkeypatch.setattr(SkewMatrix, "from_family", classmethod(no_build))
+    code, _, err = run(capsys, "pfaffian", "--family", "motzkin", "--dim", "402")
+    assert code == 2
+    assert err == "error: matrix dimension 402 is above the cap of 400\n"
+
+
+@pytest.mark.parametrize("entry", ["9^9^9", "((9^999)^999)^999", "((x+1)^999)^999", "x^1001"])
+def test_pfaffian_file_refuses_oversized_powers(tmp_path, capsys, entry):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 2, "upper": [[1, 2, entry]]}))
+    code, out, err = run(capsys, "pfaffian", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert "above the caps on polynomial text" in err
+
+
+def test_pfaffian_file_power_at_the_cap(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 2, "upper": [[1, 2, "x^1000"]]}))
+    assert run(capsys, "pfaffian", "--file", str(path))[:2] == (0, "x^1000\n")
+
+
 def test_pfaffian_json_report(capsys):
     code, out, _ = run(
         capsys, "pfaffian", "--family", "motzkin", "--dim", "6", "--format", "json"

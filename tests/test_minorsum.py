@@ -17,7 +17,6 @@ import pytest
 
 from pfansatz.linalg import ExactMatrix, determinant
 from pfansatz.minorsum import (
-    MinorSumTerm,
     build_H,
     canonical_block_skew,
     conjugate,

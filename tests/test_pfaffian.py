@@ -6,7 +6,6 @@ pf_naive's matching enumerator), determinants come from linalg, and a hand
 worked 4x4 pins the sign conventions.
 """
 
-import itertools
 import json
 import random
 from fractions import Fraction

@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from pfansatz import pipeline
 from pfansatz.pfaffian import SkewMatrix, pf_eliminate, pf_naive
 from pfansatz.pipeline import (
-    ClosedForm,
-    GuessPlan,
     c_table,
     certify,
     check_conjecture1,
@@ -107,7 +106,7 @@ def test_cofactor_boundary_zero_extension():
 
 def test_cofactor_as_table_materializes_margin():
     table = c_table(MOTZKIN, 3)
-    t = table.as_table(i_margin=2)
+    t = table.as_table()
     assert t.get((2, -1)) == 0
     assert t.get((2, 5)) == 0
     assert t.get((2, 1)) == 2
@@ -140,7 +139,7 @@ def test_grid_zeros_and_diagonal():
     assert grid.get(1, 1) == 0
     assert grid.get(2, 1) == 0 and grid.get(2, 2) == 0 and grid.get(2, 3) == 0
     # diagonal carries the ratio sequence
-    assert grid.diagonal()[:4] == [1, 5, 9, 13]
+    assert [grid.get(n, 2 * n) for n in range(1, 5)] == [1, 5, 9, 13]
     # the grid extends past the diagonal
     assert grid.get(2, 2 * 2 + 4) is not None
 
@@ -193,7 +192,7 @@ def test_certify_motzkin_certified():
     assert report.verdict == "certified-at-scale"
     assert report.witness is None
     for label in ("cofactor-normalization", "cofactor-orthogonality",
-                  "pfaffian-ratio", "closed-form-product", "boundary-zeros"):
+                  "pfaffian-ratio", "closed-form-product"):
         assert report.checks[label]["ok"], label
     assert report.ratios[:3] == ["1", "5", "9"]
     assert report.pfaffians[:3] == ["1", "1", "5"]
@@ -217,11 +216,97 @@ def test_certify_refutation_witness():
     assert report.witness == {"check": "closed-form-product", "n": 1, "lhs": "1", "rhs": "2"}
 
 
+def _wrong_last_entry_at_n2(real):
+    def cofactor_vector(A):
+        vec = real(A)
+        if A.dim == 4:
+            vec[-1] = Fraction(2)
+        return vec
+    return cofactor_vector
+
+
+def _wrong_middle_entry_at_n3(real):
+    def cofactor_vector(A):
+        vec = real(A)
+        if A.dim == 6:
+            vec[1] += 1
+        return vec
+    return cofactor_vector
+
+
+def _wrong_last_leading_pfaffian(real):
+    def pf_eliminate(A, leading=None):
+        if leading is None:
+            return real(A)
+        found = []
+        value = real(A, found)
+        leading.extend(found[:-1])
+        leading.append(2 * found[-1])
+        return value
+    return pf_eliminate
+
+
+def test_certify_normalization_witness(monkeypatch):
+    monkeypatch.setattr(pipeline, "cofactor_vector",
+                        _wrong_last_entry_at_n2(pipeline.cofactor_vector))
+    report = certify(MOTZKIN, closed_form_for("motzkin"), 4)
+    assert report.verdict == "refuted"
+    assert report.witness == {"check": "cofactor-normalization", "n": 2,
+                              "lhs": "2", "rhs": "1"}
+    assert report.checks["cofactor-normalization"] == {"ok": False, "detail": "fails at n=2"}
+
+
+def test_certify_orthogonality_witness(monkeypatch):
+    monkeypatch.setattr(pipeline, "cofactor_vector",
+                        _wrong_middle_entry_at_n3(pipeline.cofactor_vector))
+    report = certify(MOTZKIN, closed_form_for("motzkin"), 4)
+    assert report.verdict == "refuted"
+    assert report.witness == {"check": "cofactor-orthogonality", "n": 3, "j": 1,
+                              "lhs": "-1", "rhs": "0"}
+    assert report.checks["cofactor-normalization"]["ok"]
+    assert report.checks["cofactor-orthogonality"] == {
+        "ok": False, "detail": "nonzero at (n,j)=(3, 1)"}
+
+
+def test_certify_pfaffian_ratio_witness(monkeypatch):
+    monkeypatch.setattr(pipeline, "pf_eliminate",
+                        _wrong_last_leading_pfaffian(pipeline.pf_eliminate))
+    report = certify(MOTZKIN, closed_form_for("motzkin"), 4)
+    assert report.verdict == "refuted"
+    assert report.witness == {"check": "pfaffian-ratio", "n": 4,
+                              "lhs": "13", "rhs": "(1170)/(45)"}
+    assert report.checks["cofactor-orthogonality"]["ok"]
+    assert report.checks["pfaffian-ratio"] == {"ok": False, "detail": "mismatch at n=4"}
+
+
+def test_certify_first_failed_check_gives_the_witness(monkeypatch):
+    # a wrong last entry breaks every later check too
+    monkeypatch.setattr(pipeline, "cofactor_vector",
+                        _wrong_last_entry_at_n2(pipeline.cofactor_vector))
+    report = certify(MOTZKIN, closed_form_from_text("prod(4*k+2)"), 4)
+    failed = [label for label, info in report.checks.items() if not info["ok"]]
+    assert failed == ["cofactor-normalization", "cofactor-orthogonality",
+                      "pfaffian-ratio", "closed-form-product"]
+    assert report.witness["check"] == "cofactor-normalization"
+    monkeypatch.undo()
+    # a wrong Pfaffian and a wrong closed form: the ratio check runs first
+    monkeypatch.setattr(pipeline, "pf_eliminate",
+                        _wrong_last_leading_pfaffian(pipeline.pf_eliminate))
+    report = certify(MOTZKIN, closed_form_from_text("prod(4*k+2)"), 4)
+    assert not report.checks["closed-form-product"]["ok"]
+    assert report.witness["check"] == "pfaffian-ratio"
+
+
 def test_certify_singular_family_inapplicable():
     fam = family_from_descriptor("genmotzkin:k=2")
     report = certify(fam, closed_form_from_text("prod(4*k+1)"), 3)
     assert report.verdict == "inapplicable"
     assert 2 in report.singular
+    # a failed check does not turn a singular run into a refutation
+    report = certify(fam, closed_form_from_text("prod(4*k+2)"), 3)
+    assert report.checks["closed-form-product"] == {"ok": False, "detail": "mismatch at n=1"}
+    assert report.verdict == "inapplicable"
+    assert report.witness is None
 
 
 def test_certify_symbolic_family_skips_operator_guessing():
@@ -233,8 +318,7 @@ def test_certify_symbolic_family_skips_operator_guessing():
 
 
 def test_certify_guess_sections_record_windows():
-    plan = GuessPlan()
-    report = certify(MOTZKIN, closed_form_for("motzkin"), 12, plan=plan)
+    report = certify(MOTZKIN, closed_form_for("motzkin"), 12)
     r_section = report.operators["r"]
     assert r_section["status"] == "ok"
     assert r_section["operators"] == [

@@ -136,6 +136,16 @@ def test_parse_rejects_garbage():
         parse_poly("1/(n+1)", ("n",))  # not a polynomial
 
 
+def test_parse_power_caps():
+    # exponent, result degree and coefficient bits each stop at their cap
+    assert parse_poly("x^1000") == Polynomial(("x",), {(1000,): Fraction(1)})
+    assert parse_poly("(x^2 + 1)^500").total_degree() == 1000
+    assert parse_entry("(2^999)^999") == 2 ** (999 * 999)
+    for text in ("x^1001", "1^1001", "(x^2 + 1)^501", "(x*y)^501", "(2^1000)^1000"):
+        with pytest.raises(PolynomialError, match="above the caps"):
+            parse_poly(text)
+
+
 def test_parse_entry_dispatch():
     assert parse_entry("22/7") == Fraction(22, 7)
     assert parse_entry("-15") == Fraction(-15)

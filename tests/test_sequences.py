@@ -5,7 +5,6 @@ Every generator is checked against an independent combinatorial oracle
 """
 
 import functools
-import itertools
 from fractions import Fraction
 
 import pytest
