@@ -20,7 +20,6 @@ from .guessing import (
     Table,
     UnderdeterminedData,
     apply_operator,
-    guess_bivariate,
     guess_from_table,
     guess_univariate,
     integer_roots,

@@ -108,14 +108,18 @@ def _ext(fmt: str) -> str:
 # pfaffian
 
 
-def _load_matrix_file(path: str) -> SkewMatrix:
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise UsageError(f"malformed JSON in {path}: {e}") from None
+
+
+def _load_matrix_file(path: str) -> SkewMatrix:
+    data = _read_json(path)
     if isinstance(data, dict):
         return SkewMatrix.from_json_dict(data)
     if isinstance(data, list):  # dense row-major form, entries numbers or text
@@ -271,13 +275,7 @@ def _guess_table(source: str, n_max: Optional[int]) -> Tuple[Table, Tuple[str, .
         ratios = ratio_sequence(family, grid, cross_check=False).ratios
         return Table.from_sequence(ratios, start=1), ("n",)
     path = rest if kind == "file" and sep else source
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise UsageError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise UsageError(f"malformed JSON in {path}: {e}") from None
+    data = _read_json(path)
     try:
         table = table_from_json_dict(data)
     except (TypeError, KeyError) as e:

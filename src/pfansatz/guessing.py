@@ -4,10 +4,11 @@ An operator is a finite set of integer shift vectors with polynomial
 coefficients in the index variables; it annihilates a table when the residual
 sum_t coeff_t(p) * data(p + shift_t) vanishes at every admissible point p.
 
-Guessing builds one linear equation per base point with one unknown per
-(shift, coefficient-monomial) pair, takes an exact nullspace, and confirms
-every candidate on a disjoint validation window before reporting it.  The
-windows are derived deterministically unless the caller pins them.
+Guessing builds one integer equation row per admissible point with one
+unknown per (shift, coefficient-monomial) pair, takes an exact nullspace of
+the data window's rows, and confirms every candidate on the disjoint
+validation window's rows before reporting it.  The windows are derived
+deterministically.
 """
 
 from __future__ import annotations
@@ -311,10 +312,10 @@ class GuessSpec:
     """Operator class bounds plus window policy.
 
     Exactly one of `support` (explicit shift vectors) or `orders` (rectangle:
-    all shifts 0..orders[k] in variable k) must be given.  Windows are derived
-    deterministically when not pinned: usable (non-trivial) equations sorted by
-    base point; the data window takes the first min(#unknowns + extra_equations,
-    3/4 of them) and validation takes every remaining admissible point.
+    all shifts 0..orders[k] in variable k) must be given.  Usable (non-trivial)
+    equations are sorted by base point; the data window takes the first
+    min(#unknowns + extra_equations, 3/4 of them), which must be at least
+    #unknowns + margin, and validation takes every remaining admissible point.
     """
 
     degree: int
@@ -322,8 +323,6 @@ class GuessSpec:
     orders: Optional[Tuple[int, ...]] = None
     margin: int = 10
     extra_equations: int = 25
-    data_points: Optional[Tuple[Point, ...]] = None
-    validation_points: Optional[Tuple[Point, ...]] = None
 
     def __post_init__(self):
         for name in ("degree", "margin", "extra_equations"):
@@ -397,21 +396,35 @@ def _operator_from_vector(
     variables: Tuple[str, ...],
     support: Tuple[Point, ...],
     monomials: List[Tuple[int, ...]],
-    vec: Sequence[Fraction],
-) -> Optional[RecurrenceOperator]:
-    terms = {}
-    idx = 0
-    for s in support:
-        coeff_terms = {}
-        for m in monomials:
-            if vec[idx]:
-                coeff_terms[m] = vec[idx]
-            idx += 1
-        if coeff_terms:
-            terms[s] = Polynomial(variables, coeff_terms)
-    if not terms:
-        return None
+    vec: Sequence[int],
+) -> RecurrenceOperator:
+    coeffs = iter(vec)
+    terms = {s: Polynomial(variables, dict(zip(monomials, coeffs))) for s in support}
     return RecurrenceOperator.make(variables, terms)
+
+
+def _equation_row(
+    table: Table, support: Tuple[Point, ...], monomials: List[Tuple[int, ...]], p: Point
+) -> List[int]:
+    """The equation at the admissible point p, scaled to integers by the lcm
+    d of its values' denominators.  Its dot product with a vector v is
+    d / c times the residual at p of `_operator_from_vector(v)`, c the
+    nonzero factor `RecurrenceOperator.make` scales v by, so the two vanish
+    together."""
+    shifted_vals = [table.values[tuple(a + b for a, b in zip(p, s))] for s in support]
+    den = lcm(*(v.denominator for v in shifted_vals))
+    powers = []
+    for m in monomials:
+        pm = 1
+        for base, e in zip(p, m):
+            if e:
+                pm *= base ** e
+        powers.append(pm)
+    row = []
+    for v in shifted_vals:
+        scaled = v.numerator * (den // v.denominator)
+        row.extend(pm * scaled for pm in powers)
+    return row
 
 
 def guess_from_table(
@@ -424,88 +437,37 @@ def guess_from_table(
     monomials = _monomials(table.arity, spec.degree)
     unknowns = len(support) * len(monomials)
 
-    def build_row(p: Point) -> List[int]:
-        """The equation at p, scaled by the lcm of its values' denominators
-        to integers (equations are homogeneous, so the kernel is unchanged)."""
-        shifted_vals = []
-        for s in support:
-            v = table.get(tuple(a + b for a, b in zip(p, s)))
-            if v is None:
-                raise CoverageError(f"missing data around point {p}")
-            shifted_vals.append(v)
-        den = lcm(*(v.denominator for v in shifted_vals))
-        powers = []
-        for m in monomials:
-            pm = 1
-            for base, e in zip(p, m):
-                if e:
-                    pm *= base ** e
-            powers.append(pm)
-        row = []
-        for v in shifted_vals:
-            scaled = v.numerator * (den // v.denominator)
-            row.extend(pm * scaled for pm in powers)
-        return row
-
-    if spec.data_points is not None:
-        data_pts = [tuple(p) for p in spec.data_points]
-        val_pts = [tuple(p) for p in (spec.validation_points or ())]
-        if set(data_pts) & set(val_pts):
-            raise ValueError("data and validation windows must be disjoint")
-        rows = [build_row(p) for p in data_pts]
-        usable_rows = [(p, r) for p, r in zip(data_pts, rows) if any(r)]
-        if not usable_rows:
-            raise DegenerateData()
-        if len(usable_rows) < unknowns + spec.margin:
-            raise UnderdeterminedData(unknowns + spec.margin, len(usable_rows))
-        data_window = tuple(p for p, _ in usable_rows)
-        matrix = [r for _, r in usable_rows]
-        validation_window = tuple(val_pts)
-    else:
-        probe = RecurrenceOperator.make(
-            variables, {s: Polynomial.constant(1, variables) for s in support}
-        )
-        admissible = probe.admissible_points(table)
-        usable = []
-        for p in admissible:
-            r = build_row(p)
-            if any(r):
-                usable.append((p, r))
-        if not usable:
-            raise DegenerateData()
-        cap = min(unknowns + spec.extra_equations, (3 * len(usable)) // 4)
-        if cap < unknowns + spec.margin:
-            raise UnderdeterminedData(unknowns + spec.margin, cap)
-        data_window = tuple(p for p, _ in usable[:cap])
-        matrix = [r for _, r in usable[:cap]]
-        taken = set(data_window)
-        validation_window = tuple(p for p in admissible if p not in taken)
+    probe = RecurrenceOperator.make(
+        variables, {s: Polynomial.constant(1, variables) for s in support}
+    )
+    admissible = probe.admissible_points(table)
+    usable = []  # (point, row) of every non-trivial equation, by point
+    for p in admissible:
+        row = _equation_row(table, support, monomials, p)
+        if any(row):
+            usable.append((p, row))
+    if not usable:
+        raise DegenerateData()
+    cap = min(unknowns + spec.extra_equations, (3 * len(usable)) // 4)
+    if cap < unknowns + spec.margin:
+        raise UnderdeterminedData(unknowns + spec.margin, cap)
+    data_window = tuple(p for p, _ in usable[:cap])
+    matrix = [row for _, row in usable[:cap]]
+    # a trivial row vanishes against every vector, so only these can reject
+    checks = [row for _, row in usable[cap:]]
+    taken = set(data_window)
+    validation_window = tuple(p for p in admissible if p not in taken)
 
     kernel = nullspace(matrix)
-    candidates = []
-    for vec in kernel:
-        op = _operator_from_vector(variables, support, monomials, vec)
-        if op is not None:
-            candidates.append(op)
-
-    validated = []
-    rejected = 0
-    for op in candidates:
-        residuals = (op.residual_at(table, p) for p in validation_window)
-        if all(r == 0 for r in residuals):
-            validated.append(op)
-        else:
-            rejected += 1
+    passed = [
+        vec for vec in kernel if not any(sum(map(operator.mul, row, vec)) for row in checks)
+    ]
+    rejected = len(kernel) - len(passed)
     if rejected:
         # fall back to the kernel of the full system: operators that vanish on
         # every admissible point, hence on both windows
-        all_rows = matrix + [build_row(p) for p in validation_window]
-        full = [r for r in all_rows if any(r)]
-        validated = []
-        for vec in nullspace(full):
-            op = _operator_from_vector(variables, support, monomials, vec)
-            if op is not None:
-                validated.append(op)
+        passed = nullspace(matrix + checks)
+    validated = [_operator_from_vector(variables, support, monomials, vec) for vec in passed]
 
     validated.sort(key=_sort_key)
     reduced_away = 0
@@ -591,13 +553,7 @@ def _is_consequence(
 def guess_univariate(data, spec: GuessSpec, variable: str = "n") -> GuessResult:
     """Guess operators for a one-dimensional sequence (list or Table)."""
     table = data if isinstance(data, Table) else Table.from_sequence(data)
-    return guess_from_table(table, spec, (variable,), reduce_consequences=True)
-
-
-def guess_bivariate(table: Table, spec: GuessSpec, variables=("n", "i")) -> GuessResult:
-    """Guess operators for a two-dimensional table, dropping operators that are
-    data-level consequences of smaller ones already found."""
-    return guess_from_table(table, spec, tuple(variables), reduce_consequences=True)
+    return guess_from_table(table, spec, (variable,))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ division by the previous pivot is exact, and it is checked.  A polynomial
 solve back-substitutes y = D x, D the last pivot, in Q[x] and divides by D
 once per entry at the end.  RationalFunction entries are rejected.
 
-Rational solves, ranks and `nullspace` keep their own kernel, `_int_echelon`,
-beside `_bareiss`: on guessing matrices its per-row content removal keeps
-entries far smaller than Bareiss's exact minors.  Sent through `_bareiss`,
-`certify narayana:x=3/7 --n-max 14` took about twice as long (0.8-1.0 s
-to 1.7-1.9 s on a 2-vCPU host), with byte-identical reports.
+Rational solves, ranks and `nullspace`'s exact fallback keep their own
+kernel, `_int_echelon`, beside `_bareiss`: its per-row content removal keeps
+entries smaller than Bareiss's exact minors.  With rational solves and ranks
+sent through `_bareiss`, reports stayed byte-identical and `certify` was
+0-20% slower (2-vCPU host, Python 3.11.7, one process per run): motzkin
+--n-max 30 1.84-1.94 s to 2.00-2.03 s, narayana:x=3/7 --n-max 14 0.44-0.45 s
+to 0.49-0.55 s, delannoy --n-max 14 0.30-0.31 s to 0.30-0.36 s.
 
 `nullspace` first works modulo a prime p of 61-63 bits (the modular method
 of Kauers, *The Guessing Handbook*, RISC 09-07, 2009): it echelons the
@@ -216,14 +218,14 @@ def _back_substitute(rows, pivots, ncols, assign) -> list:
 
 
 def _normalize_vector(vec: Sequence[Fraction]) -> tuple:
-    """Scale to integer entries with content 1 and first nonzero entry positive."""
+    """Scale to int entries with content 1 and first nonzero entry positive."""
     ints = _strip_content(_int_row(vec)[0])
     for x in ints:
         if x:
             if x < 0:
                 ints = [-y for y in ints]
             break
-    return tuple(Fraction(x) for x in ints)
+    return tuple(ints)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import ast
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add
 from typing import Mapping, Sequence, Union
 
@@ -442,6 +442,13 @@ _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 POWER_EXPONENT_LIMIT = 1000
 POWER_DEGREE_LIMIT = 1000
 POWER_BITS_LIMIT = 10 ** 6
+# Cap on the term-count bound of a product or power in polynomial text: a
+# t1-term times a t2-term polynomial has at most t1 * t2 terms, and a t-term
+# base to the power e at most comb(t + e - 1, e), the number of multisets of
+# e of its terms.  The slowest power this cap admits, a trinomial to the
+# 61st, parses in about 0.4 s; binomials are held by the degree cap, and
+# (x+1)^999 takes about 0.6 s (2-vCPU host, Python 3.11.7).
+TERM_LIMIT = 2000
 
 
 def _check_power(base: Polynomial, e: int) -> None:
@@ -458,6 +465,14 @@ def _check_power(base: Polynomial, e: int) -> None:
             f"a power with exponent {e} is above the caps on polynomial text: "
             f"exponent {POWER_EXPONENT_LIMIT}, degree {POWER_DEGREE_LIMIT}, "
             f"coefficient bits {POWER_BITS_LIMIT}"
+        )
+
+
+def _check_terms(bound: int) -> None:
+    if bound > TERM_LIMIT:
+        raise PolynomialError(
+            f"a product or power of up to {bound} terms is above the cap on "
+            f"polynomial text: {TERM_LIMIT} terms"
         )
 
 
@@ -481,6 +496,7 @@ def _from_node(node) -> Polynomial:
         if isinstance(node.op, ast.Sub):
             return left - right
         if isinstance(node.op, ast.Mult):
+            _check_terms(len(left.terms) * len(right.terms))
             return left * right
         if isinstance(node.op, ast.Div):
             if not right.is_constant():
@@ -492,8 +508,10 @@ def _from_node(node) -> Polynomial:
             e = right.constant_value()
             if e.denominator != 1 or e < 0:
                 raise PolynomialError(f"exponent must be a non-negative integer, got {e}")
-            _check_power(left, int(e))
-            return left ** int(e)
+            e = int(e)
+            _check_power(left, e)
+            _check_terms(comb(max(len(left.terms), 1) + e - 1, e))
+            return left ** e
     raise PolynomialError(f"unsupported syntax: {ast.dump(node)}")
 
 

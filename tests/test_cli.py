@@ -7,6 +7,7 @@ exact stdout bytes for the stable text formats, the JSON report fields
 """
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from pfansatz import __version__, cli
 from pfansatz.guessing import Table, table_to_json_dict
 from pfansatz.pfaffian import SkewMatrix
+from pfansatz.poly import parse_poly
 from pfansatz.sequences import family_from_descriptor
 
 
@@ -170,10 +172,25 @@ def test_pfaffian_file_refuses_oversized_powers(tmp_path, capsys, entry):
     assert "above the caps on polynomial text" in err
 
 
+@pytest.mark.parametrize("entry", ["(a+b+c+d)^40", "*".join(["(a+b+c)"] * 150)])
+def test_pfaffian_file_refuses_too_many_terms_at_once(tmp_path, capsys, entry):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 2, "upper": [[1, 2, entry]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pfaffian", "--file", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "above the cap on polynomial text: 2000 terms" in err
+
+
 def test_pfaffian_file_power_at_the_cap(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"dim": 2, "upper": [[1, 2, "x^1000"]]}))
     assert run(capsys, "pfaffian", "--file", str(path))[:2] == (0, "x^1000\n")
+    # a dense power: 1000 terms, degree 999
+    path.write_text(json.dumps({"dim": 2, "upper": [[1, 2, "(x+1)^999"]]}))
+    code, out, _ = run(capsys, "pfaffian", "--file", str(path))
+    assert (code, out) == (0, str(parse_poly("(x+1)^999")) + "\n")
 
 
 def test_pfaffian_json_report(capsys):

@@ -14,18 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfansatz import guessing
 from pfansatz.catalog import COFACTOR_OPS_MOTZKIN, known_operators
 from pfansatz.guessing import (
     DegenerateData,
+    _equation_row,
     _is_consequence,
     _monomials,
+    _operator_from_vector,
     GuessSpec,
     RecurrenceOperator,
     Region,
     Table,
     UnderdeterminedData,
     apply_operator,
-    guess_bivariate,
     guess_from_table,
     guess_univariate,
     integer_roots,
@@ -33,7 +35,7 @@ from pfansatz.guessing import (
     table_from_json_dict,
     table_to_json_dict,
 )
-from pfansatz.linalg import solve_linear
+from pfansatz.linalg import nullspace, solve_linear
 from pfansatz.pipeline import c_table, check_identity2, ratio_sequence
 from pfansatz.poly import Polynomial, parse_poly
 from pfansatz.sequences import family_from_descriptor, motzkin
@@ -220,7 +222,7 @@ def test_guess_rejects_bad_specs():
 def test_guess_linear_table_kernel():
     pts = {(n, i): Fraction(n + i) for n in range(8) for i in range(8)}
     spec = GuessSpec(degree=0, support=((0, 0), (1, 0), (0, 1)), margin=5)
-    result = guess_bivariate(Table(2, pts), spec, ("n", "i"))
+    result = guess_from_table(Table(2, pts), spec, ("n", "i"))
     # the kernel of this class on f = n + i is exactly the difference operator
     assert len(result.operators) == 1
     assert result.operators[0] == RecurrenceOperator.make(
@@ -231,7 +233,7 @@ def test_guess_linear_table_kernel():
 def test_guess_all_zero_table_is_diagnostic_not_fit():
     pts = {(n, i): Fraction(0) for n in range(6) for i in range(6)}
     with pytest.raises((DegenerateData, UnderdeterminedData)):
-        guess_bivariate(Table(2, pts), GuessSpec(degree=1, orders=(1, 1)), ("n", "i"))
+        guess_from_table(Table(2, pts), GuessSpec(degree=1, orders=(1, 1)), ("n", "i"))
 
 
 def test_guess_empty_data_degenerate():
@@ -244,7 +246,7 @@ def test_guess_reduction_drops_consequences():
     # and so do its shift/multiply consequences; reduction should leave one
     pts = {(n, i): Fraction(2) ** (n + i) for n in range(7) for i in range(7)}
     spec = GuessSpec(degree=1, orders=(1, 1), margin=5)
-    result = guess_bivariate(Table(2, pts), spec, ("n", "i"))
+    result = guess_from_table(Table(2, pts), spec, ("n", "i"))
     assert result.operators
     full = Table(2, pts)
     for op in result.operators:
@@ -416,8 +418,7 @@ def test_make_normalizes_to_integer_coefficients():
 def seeded_guess_cases():
     """(label, table, spec, variables) on seeded tables with rational values:
     first-order hypergeometric sequences, perturbed ones (validation rejects
-    candidates), bivariate power tables (consequences reduced away), and a
-    pinned-window case."""
+    candidates) and bivariate power tables (consequences reduced away)."""
     cases = []
     for seed in range(4):
         rng = random.Random(seed)
@@ -435,12 +436,6 @@ def seeded_guess_cases():
         grid = {(n, i): r ** n * s ** i * (n + i + seed) for n in range(8) for i in range(8)}
         cases.append((f"power-{seed}", Table(2, grid),
                       GuessSpec(degree=1, orders=(1, 1), margin=5), ("n", "i")))
-    motz = Table.from_sequence([motzkin(n) for n in range(30)])
-    cases.append(("pinned", motz,
-                  GuessSpec(degree=1, orders=(2,), margin=2,
-                            data_points=tuple((n,) for n in range(0, 24, 2)),
-                            validation_points=tuple((n,) for n in range(1, 27, 2))),
-                  ("n",)))
     return cases
 
 
@@ -461,6 +456,71 @@ def test_seeded_cases_cover_rejection_and_reduction():
     assert any(r["rejected_by_validation"] for r in expected.values())
     assert any(r["reduced_away"] for r in expected.values())
     assert all(r["operators"] for k, r in expected.items() if k.startswith("hyper"))
+
+
+def test_guess_builds_each_row_once_and_evaluates_no_residual(monkeypatch):
+    built = []
+
+    def counted_row(table, support, monomials, p):
+        built.append(p)
+        return _equation_row(table, support, monomials, p)
+
+    def no_residual(self, table, point):
+        raise AssertionError("guessing evaluated a residual")
+
+    monkeypatch.setattr(guessing, "_equation_row", counted_row)
+    monkeypatch.setattr(RecurrenceOperator, "residual_at", no_residual)
+    with open(os.path.join(DATA, "guess_seeded.json"), encoding="utf-8") as fh:
+        expected = json.load(fh)
+    for label, table, spec, variables in seeded_guess_cases():
+        built.clear()
+        result = guess_from_table(table, spec, variables)
+        assert result.to_json_dict() == expected[label], label
+        admissible = sorted(result.data_window + result.validation_window)
+        assert built == admissible, label
+
+
+@st.composite
+def rows_and_vectors(draw):
+    """A table of small rationals, zero-extended outside a triangle when it
+    is bivariate, a support/degree class on it, and integer vectors in that
+    class: one random nonzero vector plus the kernel of the rows at a few
+    drawn points, so that both zero and nonzero dot products occur."""
+    arity = draw(st.sampled_from((1, 2)))
+    size = draw(st.integers(4, 7))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    values = {}
+    for p in itertools.product(range(size), repeat=arity):
+        zero_extended = arity == 2 and p[1] > p[0] + 1
+        values[p] = Fraction(0) if zero_extended else draw(value)
+    table = Table(arity, values)
+    shifts = list(itertools.product(range(2), repeat=arity))
+    support = tuple(sorted(draw(st.lists(st.sampled_from(shifts), min_size=1,
+                                         max_size=len(shifts), unique=True))))
+    monomials = _monomials(arity, draw(st.integers(0, 2)))
+    width = len(support) * len(monomials)
+    vec = draw(st.lists(st.integers(-3, 3), min_size=width, max_size=width))
+    hypothesis.assume(any(vec))
+    variables = ("n", "i")[:arity]
+    probe = RecurrenceOperator.make(variables, {s: "1" for s in support})
+    admissible = probe.admissible_points(table)
+    hypothesis.assume(admissible)
+    picked = draw(st.lists(st.sampled_from(admissible), max_size=width - 1, unique=True))
+    rows = [_equation_row(table, support, monomials, p) for p in picked]
+    kernel = nullspace(rows) if rows else []
+    return table, variables, support, monomials, admissible, [tuple(vec)] + kernel
+
+
+@PROPERTY
+@given(rows_and_vectors())
+def test_row_dot_product_vanishes_with_the_residual(case):
+    table, variables, support, monomials, admissible, vectors = case
+    for vec in vectors:
+        op = _operator_from_vector(variables, support, monomials, vec)
+        for p in admissible:
+            row = _equation_row(table, support, monomials, p)
+            dot = sum(a * b for a, b in zip(row, vec))
+            assert (dot == 0) == (op.residual_at(table, p) == 0)
 
 
 def test_guess_spec_rejects_negative_bounds():

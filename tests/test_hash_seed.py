@@ -36,6 +36,7 @@ def two_variable_matrix(path):
 
 @pytest.mark.parametrize("argv", [
     ["certify", "--family", "narayana:x=sym", "--n-max", "4", "--format", "json"],
+    ["guess", "--source", "c:motzkin", "--n-max", "12", "--format", "json"],
     ["pfaffian", "--file", "{matrix}", "--all-algorithms", "--format", "json"],
 ])
 def test_reports_are_byte_identical_across_hash_seeds(tmp_path, argv):

@@ -146,6 +146,19 @@ def test_parse_power_caps():
             parse_poly(text)
 
 
+def test_parse_term_cap():
+    # a product's bound is t1 * t2, a power's comb(t + e - 1, e); 2000 passes
+    forty = "(" + " + ".join(f"a{k}" for k in range(40)) + ")"
+    fifty = "(" + " + ".join(f"b{k}" for k in range(50)) + ")"
+    assert len(parse_poly(f"{forty} * {fifty}").terms) == 2000
+    assert len(parse_poly("(0)^0").terms) == 1
+    with pytest.raises(PolynomialError, match="above the cap"):
+        parse_poly(f"{forty} * {fifty} * (c + 1)")
+    assert len(parse_poly("(a + b + c + d)^20").terms) == 1771  # comb(23, 20)
+    with pytest.raises(PolynomialError, match="of up to 2024 terms"):
+        parse_poly("(a + b + c + d)^21")
+
+
 def test_parse_entry_dispatch():
     assert parse_entry("22/7") == Fraction(22, 7)
     assert parse_entry("-15") == Fraction(-15)
