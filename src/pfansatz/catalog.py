@@ -2,11 +2,10 @@
 
 Each entry pairs an operator with the table it annihilates ("c" for the
 normalized cofactor grid, "g" for the orthogonality grid, "r" for the ratio
-sequence) and an optional validity region over the operator's variables.
-The operators were originally produced by the guesser at larger scale than
-the default pipeline runs; keeping them here lets `certify` re-verify them
-against freshly computed tables on every run, and lets the tests pin the
-guesser's output without re-deriving it.
+sequence).  The operators were originally produced by the guesser at larger
+scale than the default pipeline runs; keeping them here lets `certify`
+re-verify them against freshly computed tables on every run, and lets the
+tests pin the guesser's output without re-deriving it.
 
 Residuals are checked on the zero-extended tables: cofactor rows are
 extended by c(n, i) = 0 for i <= 0 and i >= 2n, which is compatible with all
@@ -19,7 +18,7 @@ deduce the diagonal value, but its residual is still zero there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .guessing import RecurrenceOperator
 
@@ -29,7 +28,6 @@ class CatalogEntry:
     target: str                     # "c" | "g" | "r"
     name: str
     operator: RecurrenceOperator
-    region: Optional[str] = None    # constraint text; None means every admissible point
 
 
 def _op(variables, terms) -> RecurrenceOperator:

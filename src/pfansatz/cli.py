@@ -54,7 +54,7 @@ from .pipeline import (
     closed_form_from_text,
     ratio_sequence,
 )
-from .poly import entry_text, format_rational, parse_entry
+from .poly import ParseBudget, entry_text, format_rational, parse_entry
 from .minorsum import theorem4_terms, verify_msf, verify_okinawa
 from .sequences import delannoy, family_from_descriptor, motzkin, schroeder
 
@@ -123,10 +123,11 @@ def _load_matrix_file(path: str) -> SkewMatrix:
     if isinstance(data, dict):
         return SkewMatrix.from_json_dict(data)
     if isinstance(data, list):  # dense row-major form, entries numbers or text
+        budget = ParseBudget()  # one bound on the parse work of every entry
         rows = []
         for row in data:
             rows.append([
-                Fraction(v) if isinstance(v, int) else parse_entry(str(v))
+                Fraction(v) if isinstance(v, int) else parse_entry(str(v), budget)
                 for v in row
             ])
         return SkewMatrix.from_dense(rows)

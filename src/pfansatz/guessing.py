@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .linalg import nullspace, solve_linear
 from .poly import Polynomial, PolynomialError, format_rational, int_value, parse_poly
+from .poly import over_common_denominator
 
 Point = Tuple[int, ...]
 
@@ -160,13 +161,8 @@ class RecurrenceOperator:
         if not merged:
             raise ValueError("zero operator")
         # scale to integer coefficients with content 1
-        den = 1
-        num = 0
-        for c in merged.values():
-            for q in c.terms.values():
-                den = lcm(den, q.denominator)
-                num = gcd(num, q.numerator)
-        scale = Fraction(den, num if num else 1)
+        ints, den = over_common_denominator([q for c in merged.values() for q in c.terms.values()])
+        scale = Fraction(den, gcd(*ints))
         lead_shift = max(merged)
         if merged[lead_shift].leading_term()[1] * scale < 0:
             scale = -scale
@@ -212,19 +208,11 @@ class RecurrenceOperator:
 
         The integer coefficients are evaluated by `int_value` and the values
         summed over their common denominator, so one Fraction is built."""
-        values = table.values
-        total = 0
-        den = 1
-        for shift, coeff in self.terms:
-            v = values.get(tuple(p + s for p, s in zip(point, shift)))
-            if v is None:
-                return None
-            d = v.denominator
-            if den % d:
-                step = d // gcd(den, d)
-                total *= step
-                den *= step
-            total += int_value(coeff.int_form(), point) * v.numerator * (den // d)
+        shifted = [table.values.get(tuple(map(operator.add, point, s))) for s, _ in self.terms]
+        if None in shifted:
+            return None
+        ints, den = over_common_denominator(shifted)
+        total = sum(int_value(c.int_form(), point) * v for (_, c), v in zip(self.terms, ints))
         return Fraction(total, den)
 
     def admissible_points(self, table: Table) -> List[Point]:
@@ -411,8 +399,8 @@ def _equation_row(
     d / c times the residual at p of `_operator_from_vector(v)`, c the
     nonzero factor `RecurrenceOperator.make` scales v by, so the two vanish
     together."""
-    shifted_vals = [table.values[tuple(a + b for a, b in zip(p, s))] for s in support]
-    den = lcm(*(v.denominator for v in shifted_vals))
+    shifted = [table.values[tuple(a + b for a, b in zip(p, s))] for s in support]
+    scaled_vals, _ = over_common_denominator(shifted)
     powers = []
     for m in monomials:
         pm = 1
@@ -421,8 +409,7 @@ def _equation_row(
                 pm *= base ** e
         powers.append(pm)
     row = []
-    for v in shifted_vals:
-        scaled = v.numerator * (den // v.denominator)
+    for scaled in scaled_vals:
         row.extend(pm * scaled for pm in powers)
     return row
 
@@ -581,11 +568,7 @@ def integer_roots(p: Polynomial) -> List[int]:
     var = p.sole_variable()
     if var is None:
         return []
-    coeffs = p.univariate_coefficients(var)
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
+    ints, _ = over_common_denominator(p.univariate_coefficients(var))
     low = 0
     while ints[low] == 0:
         low += 1

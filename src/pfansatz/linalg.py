@@ -20,8 +20,8 @@ sent through `_bareiss`, reports stayed byte-identical and `certify` was
 --n-max 30 1.84-1.94 s to 2.00-2.03 s, narayana:x=3/7 --n-max 14 0.44-0.45 s
 to 0.49-0.55 s, delannoy --n-max 14 0.30-0.31 s to 0.30-0.36 s.
 
-`nullspace` first works modulo a prime p of 61-63 bits (the modular method
-of Kauers, *The Guessing Handbook*, RISC 09-07, 2009): it echelons the
+`nullspace` first works modulo the one prime p = 2^63 - 25 (the modular
+method of Kauers, *The Guessing Handbook*, RISC 09-07, 2009): it echelons the
 integer rows mod p, back-solves one vector per free column f (1 at f, zero
 on the other free columns), and rational-reconstructs every entry.  On the
 115x90 c-guess matrix of `certify motzkin --n-max 30`, `_int_echelon`'s
@@ -39,16 +39,17 @@ exactly, and that check proves it equal to the exact one:
   - the kernel vector with 1 at f and support on f and the earlier pivot
     columns is unique, so after `_normalize_vector` each vector equals the
     one the exact back-substitution gives.
-When an entry does not reconstruct or a vector fails the check (an unlucky
-prime, or entries too large for p), the next prime of `_PRIMES` is tried;
-after the last one the exact `_int_echelon` path, the kernel of
-`solve_linear` and `matrix_rank`, computes the basis.
+When an entry does not reconstruct or a vector fails the check, the exact
+`_int_echelon` path (the kernel of `solve_linear` and `matrix_rank`)
+computes the basis.  One prime is enough: entries too large for p are too
+large for any prime of its size, and a prime that divides a pivot of the
+exact echelon (unlikely at 63 bits) costs only the exact path.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, prod
 from typing import List, Optional, Sequence
 
 from .poly import (
@@ -56,6 +57,7 @@ from .poly import (
     RationalFunction,
     common_variables,
     exact_quotient,
+    over_common_denominator,
     poly_exact_divide,
     polynomial_over,
 )
@@ -133,17 +135,10 @@ def _all_rational(rows) -> bool:
 # integer fraction-free kernel
 
 
-def _int_row(r: Sequence) -> tuple:
-    """(ints, mult): a row of int or Fraction entries times mult, the lcm of
-    its denominators, as a new list of ints."""
-    mult = lcm(*(x.denominator for x in r))
-    return [x.numerator * (mult // x.denominator) for x in r], mult
-
-
 def _int_rows(rows: list) -> list:
     """Scale each row to integers and strip its gcd.  Equations are
     homogeneous in this scaling, so solutions are unchanged."""
-    return [_strip_content(_int_row(r)[0]) for r in rows]
+    return [_strip_content(over_common_denominator(r)[0]) for r in rows]
 
 
 def _strip_content(row: list) -> list:
@@ -218,21 +213,20 @@ def _back_substitute(rows, pivots, ncols, assign) -> list:
 
 
 def _normalize_vector(vec: Sequence[Fraction]) -> tuple:
-    """Scale to int entries with content 1 and first nonzero entry positive."""
-    ints = _strip_content(_int_row(vec)[0])
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    """Scale a nonzero vector to int entries with content 1 and first nonzero
+    entry positive."""
+    ints, _ = over_common_denominator(vec)
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 # ---------------------------------------------------------------------------
 # modular kernel with exact verification
 
-# primes just below 2^63, 2^62 and 2^61, tried in this order
-_PRIMES = (2**63 - 25, 2**62 - 57, 2**61 - 1)
+# the largest prime below 2^63
+_PRIME = 2**63 - 25
 
 
 def _rational_reconstruction(a: int, p: int) -> Optional[Fraction]:
@@ -292,7 +286,7 @@ def _modular_kernel(rows: list, ncols: int, p: int) -> Optional[List[list]]:
             vec[c] = _rational_reconstruction(v, p)
             if vec[c] is None:
                 return None
-        vec = _int_row(vec)[0]
+        vec = over_common_denominator(vec)[0]
         if any(sum(r[c] * vec[c] for c in x) for r in rows):
             return None
         basis.append(vec)
@@ -415,7 +409,7 @@ def nullspace(matrix) -> List[tuple]:
 
     The basis is found modulo a prime and accepted only once every vector
     annihilates every integer row exactly (see the module docstring); else
-    the next prime is tried, and after the last one `_int_echelon`."""
+    `_int_echelon` computes it exactly."""
     rows = _coerce_rows(matrix)
     if not rows:
         return []
@@ -423,10 +417,9 @@ def nullspace(matrix) -> List[tuple]:
     if not _all_rational(rows):
         raise ValueError("nullspace supports rational entries only")
     work = _int_rows(rows)
-    for p in _PRIMES:
-        basis = _modular_kernel(work, n, p)
-        if basis is not None:
-            return [_normalize_vector(v) for v in basis]
+    basis = _modular_kernel(work, n, _PRIME)
+    if basis is not None:
+        return [_normalize_vector(v) for v in basis]
     pivots = _int_echelon(work, n)
     pivot_cols = {col for _, col in pivots}
     return [
@@ -458,13 +451,8 @@ def determinant(matrix):
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
     if _all_rational(rows):
-        scale = 1
-        m = []
-        for r in rows:
-            ints, mult = _int_row(r)
-            scale *= mult
-            m.append(ints)
-        return Fraction(_bareiss_det(m), scale)
+        forms = [over_common_denominator(r) for r in rows]
+        return Fraction(_bareiss_det([ints for ints, _ in forms]), prod(den for _, den in forms))
     m, variables = _polynomial_rows(rows, "determinant")
     return _bareiss_det(m) or Polynomial.zero(variables)
 

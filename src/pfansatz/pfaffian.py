@@ -15,7 +15,8 @@ behind agreement with another:
   * pf_laplace    - expansion along the last row/column via sub-Pfaffians.
 cofactor_vector goes through linalg.solve_linear, whose polynomial systems
 run the Bareiss row echelon `linalg._bareiss`: it shares Polynomial
-arithmetic and `exact_quotient` with pf_eliminate but no elimination loop,
+arithmetic, `exact_quotient` and `over_common_denominator` (rationals as
+integers over one denominator) with pf_eliminate but no elimination loop,
 so the pipeline's cofactor and Pfaffian cross-checks stay independent too.
 """
 
@@ -24,16 +25,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .linalg import solve_linear
 from .poly import (
+    ParseBudget,
     Polynomial,
     RationalFunction,
     common_variables,
     entry_text,
     exact_quotient,
+    over_common_denominator,
     parse_entry,
     polynomial_over,
 )
@@ -172,13 +174,14 @@ class SkewMatrix:
             raise ValueError(f"malformed matrix object: {e}") from None
         upper = {}
         symbolic = False
+        budget = ParseBudget()  # one bound on the parse work of every entry
         for item in triples:
             if len(item) != 3:
                 raise ValueError(f"malformed upper triple: {item!r}")
             i, j, text = int(item[0]), int(item[1]), str(item[2])
             if (i, j) in upper:
                 raise ValueError(f"duplicate entry ({i}, {j})")
-            v = parse_entry(text)
+            v = parse_entry(text, budget)
             if isinstance(v, Polynomial):
                 symbolic = True
             upper[(i, j)] = v
@@ -241,11 +244,11 @@ def permutation_sign(seq: Sequence[int]) -> int:
 # Pfaffian algorithms
 
 
-def pf_naive(A: SkewMatrix, limit: int = NAIVE_DIMENSION_LIMIT) -> Entry:
+def pf_naive(A: SkewMatrix) -> Entry:
     """Signed sum over perfect matchings; the (2n-1)!! growth is guarded."""
-    if A.dim > limit:
+    if A.dim > NAIVE_DIMENSION_LIMIT:
         raise ValueError(
-            f"pf_naive dimension guard: dim {A.dim} exceeds limit {limit}"
+            f"pf_naive dimension guard: dim {A.dim} exceeds limit {NAIVE_DIMENSION_LIMIT}"
         )
     one = A.zero() + 1
     if A.dim == 0:
@@ -300,9 +303,8 @@ def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
         if any(isinstance(v, RationalFunction) for v in A.upper.values()):
             raise ValueError("pf_eliminate supports rational and polynomial entries only")
         zero, one = 0, 1
-        upper = {key: Fraction(v) for key, v in A.upper.items()}
-        scale = lcm(*(v.denominator for v in upper.values()))
-        upper = {key: v.numerator * (scale // v.denominator) for key, v in upper.items()}
+        ints, scale = over_common_denominator(A.upper.values())
+        upper = dict(zip(A.upper, ints))
     M = [[zero] * m for _ in range(m)]
     for (i, j), v in upper.items():
         M[i - 1][j - 1] = v

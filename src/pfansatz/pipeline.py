@@ -26,7 +26,6 @@ from .guessing import (
     GuessingError,
     GuessSpec,
     GuessResult,
-    Region,
     Table,
     apply_operator,
     guess_from_table,
@@ -342,7 +341,6 @@ class CertificationReport:
     pfaffians: List[str]
     singular: Dict[int, str]
     operators: Dict[str, dict]
-    config: dict
 
     def to_json_dict(self) -> dict:
         return {
@@ -358,7 +356,11 @@ class CertificationReport:
             "pfaffians": self.pfaffians,
             "singular": {str(k): v for k, v in sorted(self.singular.items())},
             "operators": self.operators,
-            "config": self.config,
+            "config": {
+                "family": self.family,
+                "closed_form": self.closed_form,
+                "n_max": self.n_max,
+            },
         }
 
     def to_json(self) -> str:
@@ -491,10 +493,6 @@ def certify(
                 tab = tables[item.target]
                 try:
                     pts = item.operator.admissible_points(tab)
-                    if item.region is not None:
-                        reg = Region.parse(item.region)
-                        names = item.operator.variables
-                        pts = [p for p in pts if reg.satisfied(dict(zip(names, p)))]
                     residuals = apply_operator(item.operator, tab, points=pts)
                     ok = all(v == 0 for v in residuals.values())
                     detail = f"{len(residuals)} residuals"
@@ -534,11 +532,6 @@ def certify(
         pfaffians=[entry_text(v) for v in ratio.pfaffians],
         singular=dict(table.singular),
         operators=operators,
-        config={
-            "family": family.descriptor,
-            "closed_form": closed_form.description,
-            "n_max": n_max,
-        },
     )
 
 

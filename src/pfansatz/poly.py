@@ -67,10 +67,12 @@ def int_value(form: tuple, values: Sequence[int]) -> int:
     return total
 
 
-def _over_common_denominator(terms: dict) -> tuple:
-    """(d, [(exponent, int numerator)]) with terms[exponent] == numerator / d."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+def over_common_denominator(values) -> tuple:
+    """(ints, den) for a collection of int or Fraction values: den is the lcm
+    of their denominators (1 for no values) and ints[k] == values[k] * den.
+    Every exact step that works in integers writes its rationals this way."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _accumulate(terms: dict, exp: tuple, c: Fraction) -> None:
@@ -177,14 +179,8 @@ class Polynomial:
 
     def content(self) -> Fraction:
         """gcd of the coefficients as a positive rational (0 for the zero poly)."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = lcm(den, c.denominator)
-        return Fraction(num, den)
+        ints, den = over_common_denominator(self.terms.values())
+        return Fraction(gcd(*ints), den)
 
     # -- variable plumbing ---------------------------------------------
 
@@ -256,11 +252,11 @@ class Polynomial:
             return NotImplemented
         # the coefficients multiply and sum as ints over the product of the
         # two common denominators, one Fraction per result term
-        den_a, left = _over_common_denominator(a.terms)
-        den_b, right = _over_common_denominator(b.terms)
+        left, den_a = over_common_denominator(a.terms.values())
+        right, den_b = over_common_denominator(b.terms.values())
         sums = {}
-        for e1, n1 in left:
-            for e2, n2 in right:
+        for e1, n1 in zip(a.terms, left):
+            for e2, n2 in zip(b.terms, right):
                 exp = tuple(map(add, e1, e2))
                 sums[exp] = sums.get(exp, 0) + n1 * n2
         den = den_a * den_b
@@ -451,16 +447,43 @@ POWER_BITS_LIMIT = 10 ** 6
 TERM_LIMIT = 2000
 
 
+# Cap on the parse work charged to one `ParseBudget`, such as every entry of
+# one matrix file.  Each operation is charged, before it is computed, 64 plus
+# per pair of terms it combines 16 + its variables + (b1 + 64)(b2 + 64) / 10^5
+# for b1- and b2-bit coefficients; a power as the squaring of its half power.
+# One (x+1)^999 costs 1.0 * 10^7, so a second one in a file exits 2; files at
+# the cap parse in 0.4-10 s (README; 2-vCPU host, Python 3.11.7).
+PARSE_WORK_LIMIT = 15 * 10 ** 6
+
+
+class ParseBudget:
+    """Parse work charged so far; PolynomialError once past PARSE_WORK_LIMIT."""
+
+    def __init__(self):
+        self.spent = 0
+
+    def charge(self, pairs: int, variables: int, bits_a: int, bits_b: int) -> None:
+        self.spent += 64 + pairs * (variables + 16 + (bits_a + 64) * (bits_b + 64) // 10 ** 5)
+        if self.spent > PARSE_WORK_LIMIT:
+            raise PolynomialError(
+                f"the polynomial text is above the cap on parse work: {PARSE_WORK_LIMIT}"
+            )
+
+
+def _coefficient_bits(p: Polynomial) -> int:
+    """Bits of the largest numerator or denominator of p's coefficients."""
+    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                for c in p.terms.values()), default=0)
+
+
 def _check_power(base: Polynomial, e: int) -> None:
     """Refuse base^e before computing it when it is above a cap.  A
     coefficient of base^e is a sum of at most t^e products of e
     coefficients of base (t its term count), so it has at most
     e * (b + bit_length(t)) bits, b the bits of base's largest coefficient."""
-    b = max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-             for c in base.terms.values()), default=0)
     if (e > POWER_EXPONENT_LIMIT
             or e * max(base.total_degree(), 0) > POWER_DEGREE_LIMIT
-            or e * (b + len(base.terms).bit_length()) > POWER_BITS_LIMIT):
+            or e * (_coefficient_bits(base) + len(base.terms).bit_length()) > POWER_BITS_LIMIT):
         raise PolynomialError(
             f"a power with exponent {e} is above the caps on polynomial text: "
             f"exponent {POWER_EXPONENT_LIMIT}, degree {POWER_DEGREE_LIMIT}, "
@@ -476,9 +499,9 @@ def _check_terms(bound: int) -> None:
         )
 
 
-def _from_node(node) -> Polynomial:
+def _from_node(node, budget: ParseBudget) -> Polynomial:
     if isinstance(node, ast.Expression):
-        return _from_node(node.body)
+        return _from_node(node.body, budget)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int):
             return Polynomial.constant(node.value)
@@ -486,22 +509,12 @@ def _from_node(node) -> Polynomial:
     if isinstance(node, ast.Name):
         return Polynomial.variable(node.id)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        inner = _from_node(node.operand)
+        inner = _from_node(node.operand, budget)
+        budget.charge(len(inner.terms), len(inner.variables), _coefficient_bits(inner), 0)
         return -inner if isinstance(node.op, ast.USub) else inner
     if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-        left = _from_node(node.left)
-        right = _from_node(node.right)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            _check_terms(len(left.terms) * len(right.terms))
-            return left * right
-        if isinstance(node.op, ast.Div):
-            if not right.is_constant():
-                raise PolynomialError("division only by constants in polynomial text")
-            return left / right.constant_value()
+        left = _from_node(node.left, budget)
+        right = _from_node(node.right, budget)
         if isinstance(node.op, ast.Pow):
             if not right.is_constant():
                 raise PolynomialError("exponent must be a constant")
@@ -510,31 +523,51 @@ def _from_node(node) -> Polynomial:
                 raise PolynomialError(f"exponent must be a non-negative integer, got {e}")
             e = int(e)
             _check_power(left, e)
-            _check_terms(comb(max(len(left.terms), 1) + e - 1, e))
+            t = max(len(left.terms), 1)
+            _check_terms(comb(t + e - 1, e))
+            half = e // 2
+            bits = half * (_coefficient_bits(left) + t.bit_length())
+            budget.charge(comb(t + half - 1, half) ** 2, len(left.variables), bits, bits)
             return left ** e
+        if isinstance(node.op, ast.Div) and not right.is_constant():
+            raise PolynomialError("division only by constants in polynomial text")
+        pairs = len(left.terms) + len(right.terms)
+        if isinstance(node.op, ast.Mult):
+            pairs = len(left.terms) * len(right.terms)
+            _check_terms(pairs)
+        budget.charge(pairs, len(set(left.variables) | set(right.variables)),
+                      _coefficient_bits(left), _coefficient_bits(right))
+        if isinstance(node.op, ast.Add):
+            return left + right
+        if isinstance(node.op, ast.Sub):
+            return left - right
+        if isinstance(node.op, ast.Mult):
+            return left * right
+        return left / right.constant_value()
     raise PolynomialError(f"unsupported syntax: {ast.dump(node)}")
 
 
-def parse_poly(text: str, variables: Sequence[str] = None) -> Polynomial:
+def parse_poly(text: str, variables: Sequence[str] = None, budget: ParseBudget = None) -> Polynomial:
     """Parse polynomial text like "(i-1)*(2*n-3)" or "x^2 - 1/2".
 
     If `variables` is given the result is expressed over exactly that tuple
     (which must cover all names in the text); otherwise the variables are the
-    names in the text, sorted alphabetically.
+    names in the text, sorted alphabetically.  The parse work is charged to
+    `budget`, by default a fresh one (see `PARSE_WORK_LIMIT`).
     """
-    try:
+    try:  # text nested too deeply for the parser or `_from_node` recurses too far
         tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
-    except SyntaxError as e:
+        p = _from_node(tree, ParseBudget() if budget is None else budget)
+    except (SyntaxError, RecursionError) as e:
         raise PolynomialError(f"cannot parse polynomial {text!r}: {e}") from None
-    p = _from_node(tree)
     if variables is not None:
         return p.with_variables(tuple(variables))
     return p.with_variables(tuple(sorted(p.effective_variables())))
 
 
-def parse_entry(text: str):
+def parse_entry(text: str, budget: ParseBudget = None):
     """Parse a matrix-entry string into a Fraction (no variables) or Polynomial."""
-    p = parse_poly(text)
+    p = parse_poly(text, budget=budget)
     if p.is_constant():
         return p.constant_value()
     return p

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from pfansatz import __version__, cli
+from pfansatz import __version__, cli, poly
 from pfansatz.guessing import Table, table_to_json_dict
 from pfansatz.pfaffian import SkewMatrix
 from pfansatz.poly import parse_poly
@@ -183,6 +183,17 @@ def test_pfaffian_file_refuses_too_many_terms_at_once(tmp_path, capsys, entry):
     assert "above the cap on polynomial text: 2000 terms" in err
 
 
+@pytest.mark.parametrize("terms", [2000, 20000])
+def test_pfaffian_file_refuses_text_nested_too_deeply(tmp_path, capsys, terms):
+    # a long sum is a deep chain of additions, for the parser or for the
+    # conversion to a polynomial
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 2, "upper": [[1, 2, "+".join(["x"] * terms)]]}))
+    code, out, err = run(capsys, "pfaffian", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert "cannot parse polynomial" in err
+
+
 def test_pfaffian_file_power_at_the_cap(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"dim": 2, "upper": [[1, 2, "x^1000"]]}))
@@ -191,6 +202,35 @@ def test_pfaffian_file_power_at_the_cap(tmp_path, capsys):
     path.write_text(json.dumps({"dim": 2, "upper": [[1, 2, "(x+1)^999"]]}))
     code, out, _ = run(capsys, "pfaffian", "--file", str(path))
     assert (code, out) == (0, str(parse_poly("(x+1)^999")) + "\n")
+
+
+@pytest.mark.parametrize("form", ["object", "dense"])
+def test_pfaffian_file_parse_work_is_bounded_per_file(tmp_path, capsys, monkeypatch, form):
+    # each entry alone parses (see above); the file's shared budget refuses
+    # the second of 79 800 before computing it
+    dim, entry = 400, "(x+1)^999"
+    if form == "object":
+        data = {"dim": dim, "upper": [[i, j, entry] for i in range(1, dim + 1)
+                                      for j in range(i + 1, dim + 1)]}
+    else:
+        data = [[0 if i == j else entry if i < j else f"-({entry})" for j in range(dim)]
+                for i in range(dim)]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    parsed = []
+    original = poly.parse_poly
+
+    def counted(text, *args, **kwargs):
+        parsed.append(text)
+        return original(text, *args, **kwargs)
+
+    monkeypatch.setattr(poly, "parse_poly", counted)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pfaffian", "--file", str(path))
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert "above the cap on parse work" in err
+    assert len(parsed) == 2
 
 
 def test_pfaffian_json_report(capsys):

@@ -37,7 +37,7 @@ from pfansatz.guessing import (
 )
 from pfansatz.linalg import nullspace, solve_linear
 from pfansatz.pipeline import c_table, check_identity2, ratio_sequence
-from pfansatz.poly import Polynomial, parse_poly
+from pfansatz.poly import Polynomial, int_value, parse_poly
 from pfansatz.sequences import family_from_descriptor, motzkin
 
 
@@ -407,6 +407,80 @@ def test_residuals_on_rational_tables_match_reference(case):
     residuals = apply_operator(op, table)
     for p, r in residuals.items():
         assert r == reference_residual(op, table, p)
+
+
+def former_residual(op, table, point):
+    """RecurrenceOperator.residual_at's former loop: a running common
+    denominator, widened as each shifted value is read."""
+    total = 0
+    den = 1
+    for shift, coeff in op.terms:
+        v = table.values.get(tuple(p + s for p, s in zip(point, shift)))
+        if v is None:
+            return None
+        d = v.denominator
+        if den % d:
+            step = d // math.gcd(den, d)
+            total *= step
+            den *= step
+        total += int_value(coeff.int_form(), point) * v.numerator * (den // d)
+    return Fraction(total, den)
+
+
+@PROPERTY
+@given(rational_tables(), st.data())
+def test_residual_at_matches_former_loop(case, data):
+    op, table = case
+    points = op.admissible_points(table)
+    # a point next to the grid has a missing shifted value
+    edge = tuple(c - 1 for c in min(table.values))
+    for p in data.draw(st.lists(st.sampled_from(points), max_size=8)) + [edge]:
+        got = op.residual_at(table, p)
+        assert got == former_residual(op, table, p)
+        assert got is None or type(got) is Fraction
+
+
+def former_make_scale(coefficients):
+    """RecurrenceOperator.make's former content loop: the lcm of the
+    denominators over the gcd of the numerators."""
+    den = 1
+    num = 0
+    for c in coefficients:
+        for q in c.terms.values():
+            den = math.lcm(den, q.denominator)
+            num = math.gcd(num, q.numerator)
+    return Fraction(den, num if num else 1)
+
+
+@st.composite
+def operator_terms(draw):
+    """Distinct shifts with nonzero rational polynomial coefficients."""
+    arity = draw(st.integers(1, 2))
+    variables = ("n", "i")[:arity]
+    shifts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * arity), min_size=1,
+                           max_size=4, unique=True))
+    coefficient = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    exps = st.tuples(*[st.integers(0, 2)] * arity)
+    terms = {}
+    for shift in shifts:
+        poly = Polynomial(variables, draw(st.dictionaries(exps, coefficient, min_size=1, max_size=4)))
+        if poly:
+            terms[shift] = poly
+    hypothesis.assume(terms)
+    return variables, terms
+
+
+@PROPERTY
+@given(operator_terms())
+def test_make_scales_like_former_loop(case):
+    variables, terms = case
+    scale = former_make_scale(terms.values())
+    lead = max(terms)
+    if terms[lead].leading_term()[1] * scale < 0:
+        scale = -scale
+    op = RecurrenceOperator.make(variables, terms)
+    assert op.terms == tuple(sorted((s, c * scale) for s, c in terms.items()))
+    assert all(c.int_form() is not None for _, c in op.terms)
 
 
 def test_make_normalizes_to_integer_coefficients():

@@ -481,14 +481,15 @@ def _count_fallbacks(monkeypatch):
 
 
 def test_nullspace_unlucky_prime_falls_through(monkeypatch):
-    p = linalg._PRIMES[0]
+    p = linalg._PRIME
     # mod p the first column vanishes, so e_0 comes back; the exact check
-    # rejects it, and -1/p is too large to reconstruct mod the later primes
+    # rejects it, and the exact path gives (1, -p)
     assert linalg._modular_kernel([[p, 1]], 2, p) is None
     calls = _count_fallbacks(monkeypatch)
     assert nullspace([[p, 1]]) == [(Fraction(1), Fraction(-p))]
     assert calls == [2]
-    # [[p, p]] is the zero row mod p; the second prime gives (1, -1) exactly
+    # [[p, p]] is the zero row mod p, but nullspace strips the row's content
+    # first, and [[1, 1]] needs no fallback
     del calls[:]
     assert linalg._modular_kernel([[p, p]], 2, p) is None
     assert nullspace([[p, p]]) == [(Fraction(1), Fraction(-1))]
@@ -510,7 +511,7 @@ def test_nullspace_small_kernel_needs_no_fallback(monkeypatch):
 
 
 def test_rational_reconstruction_bounds():
-    p = linalg._PRIMES[2]
+    p = 2**61 - 1
     for q in (Fraction(0), Fraction(-7, 3), Fraction(2**29, 2**30 - 1)):
         a = q.numerator * pow(q.denominator, -1, p) % p
         assert linalg._rational_reconstruction(a, p) == q

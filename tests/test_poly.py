@@ -1,5 +1,6 @@
 """Exact polynomial and rational-function arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfansatz.poly import (
+    PARSE_WORK_LIMIT,
+    ParseBudget,
     Polynomial,
     PolynomialError,
     RationalFunction,
@@ -15,6 +18,7 @@ from pfansatz.poly import (
     exact_quotient,
     format_rational,
     int_value,
+    over_common_denominator,
     parse_entry,
     parse_poly,
     poly_divmod,
@@ -157,6 +161,21 @@ def test_parse_term_cap():
     assert len(parse_poly("(a + b + c + d)^20").terms) == 1771  # comb(23, 20)
     with pytest.raises(PolynomialError, match="of up to 2024 terms"):
         parse_poly("(a + b + c + d)^21")
+
+
+def test_parse_budget_is_shared_across_texts():
+    budget = ParseBudget()
+    parse_poly("(x+1)^999", budget=budget)
+    spent = budget.spent
+    assert 0 < spent <= PARSE_WORK_LIMIT < 2 * spent
+    # the second power is refused before it is computed
+    with pytest.raises(PolynomialError, match="above the cap on parse work"):
+        parse_entry("(y+1)^999", budget)
+    # small entries are charged little, and text without a budget nothing
+    small = ParseBudget()
+    parse_entry("-12345/677", small)
+    assert small.spent < 200
+    assert parse_poly("(x+1)^999") == parse_poly("(x+1)^999", budget=ParseBudget())
 
 
 def test_parse_entry_dispatch():
@@ -316,6 +335,46 @@ def test_eval_unbound_variable_still_raises(poly, data):
     point = {v: data.draw(INTS) for v in poly.variables if v != missing}
     with pytest.raises(PolynomialError, match="unbound"):
         poly.eval(point)
+
+
+def reference_content(poly):
+    """Polynomial.content's former loop: gcd of numerators over lcm of
+    denominators."""
+    if not poly.terms:
+        return Fraction(0)
+    num, den = 0, 1
+    for c in poly.terms.values():
+        num = math.gcd(num, abs(c.numerator))
+        den = math.lcm(den, c.denominator)
+    return Fraction(num, den)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.one_of(INTS, FRACTIONS, st.builds(Fraction, st.integers(), st.integers(1, 10**4)))))
+def test_over_common_denominator_matches_fraction_reference(values):
+    ints, den = over_common_denominator(values)
+    assert all(type(k) is int for k in ints) and type(den) is int and den >= 1
+    assert [Fraction(k, den) for k in ints] == [Fraction(v) for v in values]
+    # den is the least common denominator: dividing it by any of its prime
+    # factors leaves some value non-integral
+    p = 2
+    rest = den
+    while rest > 1:
+        if rest % p == 0:
+            assert any((Fraction(v) * (den // p)).denominator != 1 for v in values)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if not values:
+        assert (ints, den) == ([], 1)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(polynomials(INTS), polynomials(FRACTIONS)))
+def test_content_matches_former_loop(poly):
+    got = poly.content()
+    assert type(got) is Fraction and got == reference_content(poly)
+    assert got >= 0 and (got == 0) == (not poly)
 
 
 def test_eval_int_path_edge_cases():
