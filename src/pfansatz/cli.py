@@ -120,17 +120,21 @@ def _read_json(path: str):
 
 def _load_matrix_file(path: str) -> SkewMatrix:
     data = _read_json(path)
-    if isinstance(data, dict):
-        return SkewMatrix.from_json_dict(data)
-    if isinstance(data, list):  # dense row-major form, entries numbers or text
-        budget = ParseBudget()  # one bound on the parse work of every entry
-        rows = []
-        for row in data:
-            rows.append([
-                Fraction(v) if isinstance(v, int) else parse_entry(str(v), budget)
-                for v in row
-            ])
-        return SkewMatrix.from_dense(rows)
+    try:
+        if isinstance(data, dict):
+            return SkewMatrix.from_json_dict(data)
+        if isinstance(data, list):  # dense row-major form, entries numbers or text
+            budget = ParseBudget()  # one bound on the parse work of every entry
+            rows = []
+            for row in data:
+                rows.append([
+                    Fraction(v) if isinstance(v, int) else parse_entry(str(v), budget)
+                    for v in row
+                ])
+            return SkewMatrix.from_dense(rows)
+    except (TypeError, KeyError) as e:
+        # a field, triple, row or index of the wrong JSON type
+        raise UsageError(f"malformed matrix in {path} ({type(e).__name__}: {e})") from None
     raise UsageError(f"matrix JSON must be an object or a dense array: {path}")
 
 

@@ -92,15 +92,16 @@ class SkewMatrix:
 
     @classmethod
     def from_family(cls, family: MatrixFamily, dim: int) -> "SkewMatrix":
-        return cls.from_function(dim, family.entry, family.zero())
+        m = [family.moment(s) for s in range(2 * dim)]
+        return cls.from_function(dim, lambda i, j: (j - i) * m[i + j], Fraction(0) * family.moment(0))
 
     @classmethod
     def from_dense(cls, rows: Sequence[Sequence[Entry]]) -> "SkewMatrix":
         dim = len(rows)
+        if any(len(row) != dim for row in rows):
+            raise ValueError("ragged matrix")
         zero = Fraction(0) * rows[0][0] if dim else Fraction(0)
         for i in range(dim):
-            if len(rows[i]) != dim:
-                raise ValueError("ragged matrix")
             if rows[i][i]:
                 raise ValueError(f"nonzero diagonal at {i + 1}")
             for j in range(i + 1, dim):
@@ -167,18 +168,20 @@ class SkewMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SkewMatrix":
+        """Raises TypeError where a field, triple or index has the wrong JSON
+        type (a float dim or index is refused, not truncated)."""
         try:
-            dim = int(data["dim"])
+            dim = _json_int(data["dim"])
             triples = data["upper"]
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"malformed matrix object: {e}") from None
+        except KeyError as e:
+            raise ValueError(f"malformed matrix object: missing {e}") from None
         upper = {}
         symbolic = False
         budget = ParseBudget()  # one bound on the parse work of every entry
         for item in triples:
             if len(item) != 3:
                 raise ValueError(f"malformed upper triple: {item!r}")
-            i, j, text = int(item[0]), int(item[1]), str(item[2])
+            i, j, text = _json_int(item[0]), _json_int(item[1]), str(item[2])
             if (i, j) in upper:
                 raise ValueError(f"duplicate entry ({i}, {j})")
             v = parse_entry(text, budget)
@@ -195,6 +198,12 @@ class SkewMatrix:
         except json.JSONDecodeError as e:
             raise ValueError(f"malformed matrix JSON: {e}") from None
         return cls.from_json_dict(data)
+
+
+def _json_int(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

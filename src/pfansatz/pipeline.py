@@ -261,6 +261,7 @@ class OrthogonalityGrid:
 
 def check_identity2(family: MatrixFamily, table: CofactorTable, j_extra: int = 4) -> OrthogonalityGrid:
     """Contract sums g_{n,j} for 1 <= j <= 2n + j_extra at every solved n."""
+    m = [family.moment(s) for s in range(4 * table.n_max + j_extra)]
     values: Dict[Tuple[int, int], Value] = {}
     for n in range(1, table.n_max + 1):
         if n in table.singular:
@@ -269,7 +270,7 @@ def check_identity2(family: MatrixFamily, table: CofactorTable, j_extra: int = 4
         for j in range(1, 2 * n + j_extra + 1):
             total = None
             for i in range(1, 2 * n):
-                term = row[i - 1] * family.entry(i, j)
+                term = row[i - 1] * ((j - i) * m[i + j])
                 total = term if total is None else total + term
             values[(n, j)] = total
     return OrthogonalityGrid(table.n_max, values)

@@ -3,7 +3,7 @@ matrix families built from them.
 
 Sequence generators return exact values (Fraction, or Polynomial for the
 variable-weighted case) and treat negative indices as 0, which makes the
-entry rules below total functions.  Memo caches hold immutable values only,
+moments below total functions.  Memo caches hold immutable values only,
 so concurrent readers are safe.
 """
 
@@ -158,37 +158,21 @@ def motzkin_column(k: int, i: int) -> Fraction:
 
 @dataclass(frozen=True)
 class MatrixFamily:
-    """A named rule (i, j) -> entry generating skew-symmetric matrices of any
-    even dimension.  `symbolic` marks polynomial-valued entries."""
+    """The skew-symmetric matrices a(i, j) = (j - i) * moment(i + j) of every
+    even dimension, 1-based, named by a descriptor.  The moments are
+    Fractions, or Polynomials in x for a symbolic family."""
 
     name: str
     descriptor: str
-    rule: Callable[[int, int], Entry]
-    symbolic: bool = False
+    moment: Callable[[int], Entry]
     x: Optional[Fraction] = None
 
-    def entry(self, i: int, j: int) -> Entry:
-        if i == j:
-            return self.zero()
-        return self.rule(i, j)
-
-    def zero(self) -> Entry:
-        return Polynomial.zero(("x",)) if self.symbolic else Fraction(0)
+    @property
+    def symbolic(self) -> bool:
+        return isinstance(self.moment(0), Polynomial)
 
     def __repr__(self):
         return f"MatrixFamily({self.descriptor!r})"
-
-
-def _motzkin_rule(i, j):
-    return (j - i) * motzkin(i + j - 3)
-
-
-def _delannoy_rule(i, j):
-    return (j - i) * delannoy(i + j - 3)
-
-
-def _schroeder_rule(i, j):
-    return (j - i) * schroeder(i + j - 2)
 
 
 def family_from_descriptor(descriptor: str) -> MatrixFamily:
@@ -204,29 +188,28 @@ def family_from_descriptor(descriptor: str) -> MatrixFamily:
     if name == "motzkin":
         if arg:
             raise ValueError(f"{name} takes no parameter, got {arg!r}")
-        return MatrixFamily("motzkin", descriptor, _motzkin_rule)
+        return MatrixFamily("motzkin", descriptor, lambda s: motzkin(s - 3))
     if name == "delannoy":
         if arg:
             raise ValueError(f"{name} takes no parameter, got {arg!r}")
-        return MatrixFamily("delannoy", descriptor, _delannoy_rule)
+        return MatrixFamily("delannoy", descriptor, lambda s: delannoy(s - 3))
     if name == "schroeder":
         if arg:
             raise ValueError(f"{name} takes no parameter, got {arg!r}")
-        return MatrixFamily("schroeder", descriptor, _schroeder_rule)
+        return MatrixFamily("schroeder", descriptor, lambda s: schroeder(s - 2))
     if name == "narayana":
         key, _, value = arg.partition("=")
         if key.strip() != "x" or not value:
             raise ValueError(f"narayana needs x=<rational|sym>, got {arg!r}")
         value = value.strip()
         if value == "sym":
-            rule = lambda i, j: narayana(i + j - 2) * (j - i)
-            return MatrixFamily("narayana", "narayana:x=sym", rule, symbolic=True)
+            return MatrixFamily("narayana", "narayana:x=sym", lambda s: narayana(s - 2))
         try:
             x = Fraction(value)
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"bad rational for x: {value!r}") from e
-        rule = lambda i, j: (j - i) * narayana_value(i + j - 2, x)
-        return MatrixFamily("narayana", f"narayana:x={format_rational(x)}", rule, x=x)
+        return MatrixFamily("narayana", f"narayana:x={format_rational(x)}",
+                            lambda s: narayana_value(s - 2, x), x=x)
     if name in ("genmotzkin", "genmotzkin-sum"):
         key, _, value = arg.partition("=")
         if key.strip() != "k" or not value:
@@ -238,25 +221,9 @@ def family_from_descriptor(descriptor: str) -> MatrixFamily:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if name == "genmotzkin":
-            rule = lambda i, j: (j - i) * motzkin_column(k, i + j - 2)
+            moment = lambda s: motzkin_column(k, s - 2)
         else:
-            rule = lambda i, j: (j - i) * (motzkin_column(k, i + j - 2) + motzkin_column(k, i + j - 1))
-        return MatrixFamily(name, f"{name}:k={k}", rule)
+            moment = lambda s: motzkin_column(k, s - 2) + motzkin_column(k, s - 1)
+        return MatrixFamily(name, f"{name}:k={k}", moment)
     raise ValueError(f"unknown family descriptor {descriptor!r}")
 
-
-def family_entry(family: MatrixFamily, i: int, j: int) -> Entry:
-    if i < 1 or j < 1:
-        raise ValueError(f"indices are 1-based, got ({i}, {j})")
-    return family.entry(i, j)
-
-
-def validate_family_skew(family: MatrixFamily, size: int = 12) -> bool:
-    """Sample check of a(i,j) = -a(j,i) and a(i,i) = 0 on a size x size grid."""
-    for i in range(1, size + 1):
-        if family.entry(i, i):
-            return False
-        for j in range(i + 1, size + 1):
-            if family.entry(i, j) != -family.entry(j, i):
-                return False
-    return True

@@ -143,6 +143,21 @@ def test_pfaffian_malformed_files(tmp_path, capsys):
     assert run(capsys, "pfaffian", "--file", str(scalar))[0] == 2
 
 
+@pytest.mark.parametrize("text, detail", [
+    ('{"dim": 2, "upper": [5]}', "TypeError: object of type 'int' has no len()"),
+    ('{"dim": 2, "upper": 5}', "TypeError: 'int' object is not iterable"),
+    ("[1, 2]", "TypeError: 'int' object is not iterable"),
+    ('{"dim": 2.9, "upper": [[1, 2, "3"]]}', "TypeError: expected an integer, got 2.9"),
+    ('{"dim": 2, "upper": [[1.7, 2, "3"]]}', "TypeError: expected an integer, got 1.7"),
+])
+def test_pfaffian_malformed_matrix_is_named(tmp_path, capsys, text, detail):
+    # a float dim or index is refused, not truncated to 2 or 1
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert run(capsys, "pfaffian", "--file", str(path)) == (
+        2, "", f"error: malformed matrix in {path} ({detail})\n")
+
+
 def test_pfaffian_dimension_cap(tmp_path, capsys, monkeypatch):
     huge = tmp_path / "huge.json"
     huge.write_text('{"dim": 100000000, "upper": []}')

@@ -1,9 +1,15 @@
-"""No module imports a name it never reads.
+"""No module imports a name it never reads, and `src/` defines no private
+function, class or method that `src/` never reads.
 
-The scan covers `src/pfansatz/*.py` (except `__init__.py`, whose imports
-are the package's re-exports) and `tests/*.py`.  A name counts as read when
-it appears as a load of that name or as the base of an attribute access;
-names listed in a module's `__all__` count as read too.
+The import scan covers `src/pfansatz/*.py` (except `__init__.py`, whose
+imports are the package's re-exports) and `tests/*.py`.  A name counts as
+read when it appears as a load of that name or as the base of an attribute
+access; names listed in a module's `__all__` count as read too.
+
+The private-definition scan covers the module-level functions and classes
+and the methods of `src/pfansatz/*.py` whose names start with `_` (dunder
+methods aside).  Such a name counts as read when any file under `src/`
+loads it, reads it as an attribute, or imports it; tests do not count.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "pfansatz").glob("*.py"))
 FILES = sorted(
     [p for p in (ROOT / "src" / "pfansatz").glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
@@ -51,3 +58,43 @@ def test_every_import_is_read(path):
 def test_the_scan_finds_an_unread_import():
     source = "import os\nimport json\nfrom math import gcd, lcm\nprint(json.dumps(gcd(2, 4)))\n"
     assert unread_imports(source) == [(1, "os"), (3, "lcm")]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def unread_private_definitions(sources: dict) -> list:
+    """(file, line, name) of each private definition in `sources` (file
+    name -> text) that no file in `sources` reads."""
+    defined, read = [], set()
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        for node in tree.body + [m for c in classes for m in c.body]:
+            if isinstance(node, kinds) and _is_private(node.name):
+                defined.append((name, node.lineno, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_every_private_definition_is_read():
+    assert unread_private_definitions({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_the_scan_finds_an_unread_private_definition():
+    sources = {
+        "a.py": "def _kept():\n    pass\n\n\ndef _left():\n    pass\n\n\n"
+                "class _Box:\n    def _unused(self):\n        pass\n\n"
+                "    def __repr__(self):\n        return self._shown()\n\n"
+                "    def _shown(self):\n        return ''\n",
+        "b.py": "from .a import _kept\n\n_Box()\n",
+    }
+    assert unread_private_definitions(sources) == [("a.py", 5, "_left"), ("a.py", 10, "_unused")]

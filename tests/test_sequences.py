@@ -8,11 +8,14 @@ import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pfansatz.poly import Polynomial
+from pfansatz.pfaffian import SkewMatrix
+from pfansatz.pipeline import CofactorTable, check_identity2
+from pfansatz.poly import Polynomial, entry_text
 from pfansatz.sequences import (
     delannoy,
-    family_entry,
     family_from_descriptor,
     hyp2f1_terminating,
     motzkin,
@@ -22,7 +25,6 @@ from pfansatz.sequences import (
     narayana_value,
     schroeder,
     trinomial_coefficient,
-    validate_family_skew,
 )
 
 # ---------------------------------------------------------------------------
@@ -228,35 +230,36 @@ def test_motzkin_column_bottom_row():
 
 
 def test_family_descriptors_round_trip():
+    # from_dense refuses a nonzero diagonal or a pair a(i, j) != -a(j, i)
     for desc in ("motzkin", "delannoy", "schroeder", "narayana:x=2",
                  "narayana:x=sym", "genmotzkin:k=2", "genmotzkin-sum:k=3"):
-        fam = family_from_descriptor(desc)
-        assert validate_family_skew(fam, size=8)
+        A = SkewMatrix.from_family(family_from_descriptor(desc), 8)
+        assert SkewMatrix.from_dense(A.dense()) == A
 
 
 def test_family_entries_match_defining_rules():
-    mz = family_from_descriptor("motzkin")
-    assert family_entry(mz, 1, 2) == motzkin(0)
-    assert family_entry(mz, 2, 5) == 3 * motzkin(4)
-    de = family_from_descriptor("delannoy")
-    assert family_entry(de, 1, 2) == delannoy(0)
-    sc = family_from_descriptor("schroeder")
-    assert family_entry(sc, 1, 2) == schroeder(1)
-    na = family_from_descriptor("narayana:x=sym")
-    assert family_entry(na, 1, 2) == narayana(1)
-    gm = family_from_descriptor("genmotzkin:k=2")
-    assert family_entry(gm, 1, 2) == motzkin_column(2, 1)
-    gs = family_from_descriptor("genmotzkin-sum:k=2")
-    assert family_entry(gs, 1, 2) == motzkin_column(2, 1) + motzkin_column(2, 2)
+    def entry(desc, i, j):
+        return SkewMatrix.from_family(family_from_descriptor(desc), 6).entry(i, j)
+
+    assert entry("motzkin", 1, 2) == motzkin(0)
+    assert entry("motzkin", 2, 5) == 3 * motzkin(4)
+    assert entry("delannoy", 1, 2) == delannoy(0)
+    assert entry("schroeder", 1, 2) == schroeder(1)
+    assert entry("narayana:x=sym", 1, 2) == narayana(1)
+    assert entry("genmotzkin:k=2", 1, 2) == motzkin_column(2, 1)
+    assert entry("genmotzkin-sum:k=2", 1, 2) == motzkin_column(2, 1) + motzkin_column(2, 2)
 
 
 def test_family_entry_negative_sequence_index_is_zero():
-    # the (1,2) entry of the delannoy family reads index i+j-3 = 0; the (2,1)
-    # mirror stays consistent through the sign factor
+    # the (1,2) entry of the delannoy family reads moment 3, delannoy(0); the
+    # moments below read negative indices and vanish; the (2,1) mirror stays
+    # consistent through the sign factor
     de = family_from_descriptor("delannoy")
-    assert family_entry(de, 2, 1) == -family_entry(de, 1, 2)
-    with pytest.raises(ValueError):
-        family_entry(de, 0, 1)
+    assert [de.moment(s) for s in range(4)] == [0, 0, 0, 1]
+    A = SkewMatrix.from_family(de, 2)
+    assert A.entry(2, 1) == -A.entry(1, 2) == -1
+    with pytest.raises(IndexError):
+        A.entry(0, 1)
 
 
 def test_bad_descriptors_raise():
@@ -269,5 +272,117 @@ def test_bad_descriptors_raise():
 def test_narayana_rational_parameter():
     fam = family_from_descriptor("narayana:x=1/2")
     assert fam.x == Fraction(1, 2)
-    assert family_entry(fam, 1, 2) == narayana_value(1, Fraction(1, 2))
+    assert SkewMatrix.from_family(fam, 2).entry(1, 2) == narayana_value(1, Fraction(1, 2))
     assert fam.descriptor == "narayana:x=1/2"
+
+
+# ---------------------------------------------------------------------------
+# the moment form against the per-entry rules it replaced
+
+
+def entry_rule(descriptor):
+    """The (i, j) rule each family used before families became moment
+    sequences, written out independently of `family_from_descriptor`."""
+    name, _, arg = descriptor.partition(":")
+    value = arg.partition("=")[2]
+    if name == "motzkin":
+        return lambda i, j: (j - i) * motzkin(i + j - 3)
+    if name == "delannoy":
+        return lambda i, j: (j - i) * delannoy(i + j - 3)
+    if name == "schroeder":
+        return lambda i, j: (j - i) * schroeder(i + j - 2)
+    if descriptor == "narayana:x=sym":
+        return lambda i, j: narayana(i + j - 2) * (j - i)
+    if name == "narayana":
+        return lambda i, j: (j - i) * narayana_value(i + j - 2, Fraction(value))
+    k = int(value)
+    if name == "genmotzkin":
+        return lambda i, j: (j - i) * motzkin_column(k, i + j - 2)
+    return lambda i, j: (j - i) * (motzkin_column(k, i + j - 2) + motzkin_column(k, i + j - 1))
+
+
+def per_entry(rule, zero):
+    """The entry function of a rule family: `zero` on the diagonal."""
+    return lambda i, j: zero if i == j else rule(i, j)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def descriptors(draw):
+    name = draw(st.sampled_from(["motzkin", "delannoy", "schroeder", "narayana",
+                                 "genmotzkin", "genmotzkin-sum"]))
+    if name == "narayana":
+        x = draw(st.one_of(st.just("sym"), RATIONALS.map(str)))
+        return f"narayana:x={x}"
+    if name.startswith("genmotzkin"):
+        return f"{name}:k={draw(st.integers(1, 4))}"
+    return name
+
+
+def zero_of(descriptor):
+    return Polynomial.zero(("x",)) if descriptor == "narayana:x=sym" else Fraction(0)
+
+
+def same_entry(a, b):
+    """Equal, of one type, over the same variables and printed alike."""
+    return (type(a) is type(b) and a == b and entry_text(a) == entry_text(b)
+            and getattr(a, "variables", None) == getattr(b, "variables", None))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(descriptors(), st.integers(0, 12))
+def test_from_family_matches_the_entry_rules(descriptor, half_dim):
+    dim = 2 * half_dim
+    A = SkewMatrix.from_family(family_from_descriptor(descriptor), dim)
+    entry = per_entry(entry_rule(descriptor), zero_of(descriptor))
+    assert same_entry(A.zero(), zero_of(descriptor))
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            assert same_entry(A.entry(i, j), entry(i, j)), (i, j)
+
+
+def contraction_by_entries(entry, table, j_extra):
+    """check_identity2 as it was: one entry call per (n, i, j)."""
+    values = {}
+    for n in range(1, table.n_max + 1):
+        if n in table.singular:
+            continue
+        row = table.row(n)
+        for j in range(1, 2 * n + j_extra + 1):
+            total = None
+            for i in range(1, 2 * n):
+                term = row[i - 1] * entry(i, j)
+                total = term if total is None else total + term
+            values[(n, j)] = total
+    return values
+
+
+@st.composite
+def cofactor_tables(draw, symbolic):
+    """A table of drawn rows: rationals, or polynomials in x when symbolic."""
+    n_max = draw(st.integers(1, 4 if symbolic else 6))
+    singular = {n: "drawn" for n in draw(st.sets(st.integers(1, n_max), max_size=2))}
+    if symbolic:
+        cell = st.lists(RATIONALS, min_size=1, max_size=3).map(
+            lambda cs: Polynomial(("x",), {(e,): c for e, c in enumerate(cs)}))
+    else:
+        cell = RATIONALS
+    values = {(n, i): draw(cell) for n in range(1, n_max + 1) if n not in singular
+              for i in range(1, 2 * n)}
+    return CofactorTable(n_max, values, singular)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(["motzkin", "narayana:x=p/q", "narayana:x=sym"]), RATIONALS,
+       st.integers(0, 4), st.data())
+def test_check_identity2_matches_the_per_entry_contraction(kind, x, j_extra, data):
+    descriptor = kind.replace("p/q", str(x))
+    fam = family_from_descriptor(descriptor)
+    table = data.draw(cofactor_tables(kind == "narayana:x=sym"))
+    entry = per_entry(entry_rule(descriptor), zero_of(descriptor))
+    expected = contraction_by_entries(entry, table, j_extra)
+    got = check_identity2(fam, table, j_extra).values
+    assert got.keys() == expected.keys()
+    assert all(same_entry(got[k], expected[k]) for k in expected)
