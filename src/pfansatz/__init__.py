@@ -75,7 +75,7 @@ from .pipeline import (
     conjecture_predicted,
     ratio_sequence,
 )
-from .poly import Polynomial, RationalFunction, entry_text, format_rational, parse_entry, parse_poly
+from .poly import Polynomial, entry_text, format_rational, parse_entry, parse_poly, quotient_text
 from .sequences import (
     MatrixFamily,
     delannoy,

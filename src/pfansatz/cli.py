@@ -54,7 +54,7 @@ from .pipeline import (
     closed_form_from_text,
     ratio_sequence,
 )
-from .poly import ParseBudget, entry_text, format_rational, parse_entry
+from .poly import entry_text, format_rational
 from .minorsum import theorem4_terms, verify_msf, verify_okinawa
 from .sequences import delannoy, family_from_descriptor, motzkin, schroeder
 
@@ -124,14 +124,7 @@ def _load_matrix_file(path: str) -> SkewMatrix:
         if isinstance(data, dict):
             return SkewMatrix.from_json_dict(data)
         if isinstance(data, list):  # dense row-major form, entries numbers or text
-            budget = ParseBudget()  # one bound on the parse work of every entry
-            rows = []
-            for row in data:
-                rows.append([
-                    Fraction(v) if isinstance(v, int) else parse_entry(str(v), budget)
-                    for v in row
-                ])
-            return SkewMatrix.from_dense(rows)
+            return SkewMatrix.from_json_rows(data)
     except (TypeError, KeyError) as e:
         # a field, triple, row or index of the wrong JSON type
         raise UsageError(f"malformed matrix in {path} ({type(e).__name__}: {e})") from None
@@ -522,11 +515,11 @@ def _suite_cofactor(rng: random.Random):
         while done < 6:
             A = _random_skew(rng, dim)
             try:
-                c = cofactor_vector(A)
+                c, den = cofactor_vector(A)
             except SingularCofactorSystem:
                 continue
             done += 1
-            if c[-1] != 1:
+            if c[-1] != den:
                 return False, "normalization entry is not 1"
             for j in range(1, dim):
                 total = sum((c[i - 1] * A.entry(i, j) for i in range(1, dim)), Fraction(0))

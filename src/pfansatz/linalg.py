@@ -9,8 +9,8 @@ Polynomial systems, ranks and determinants go through one fraction-free
 Bareiss row echelon (`_bareiss`, over Z or Q[x]; Bareiss 1968): after k
 pivot steps every trailing entry is a (k+1)-minor of the input, so the
 division by the previous pivot is exact, and it is checked.  A polynomial
-solve back-substitutes y = D x, D the last pivot, in Q[x] and divides by D
-once per entry at the end.  RationalFunction entries are rejected.
+solve back-substitutes y = D x, D the last pivot, in Q[x] and returns the
+numerators y over the one denominator D, undivided.
 
 Rational solves, ranks and `nullspace`'s exact fallback keep their own
 kernel, `_int_echelon`, beside `_bareiss`: its per-row content removal keeps
@@ -50,22 +50,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from .poly import (
     Polynomial,
-    RationalFunction,
     common_variables,
     exact_quotient,
     over_common_denominator,
-    poly_exact_divide,
     polynomial_over,
 )
 
 
 class ExactMatrix:
-    """Immutable dense matrix; entries are Fractions, Polynomials, or
-    RationalFunctions (0-indexed storage)."""
+    """Immutable dense matrix; entries are Fractions or Polynomials (0-indexed
+    storage)."""
 
     __slots__ = ("entries", "rows", "cols")
 
@@ -117,8 +115,12 @@ class ExactMatrix:
 
 @dataclass(frozen=True)
 class LinearSolution:
+    """x = vector / denominator: the denominator is 1 for a rational system
+    and the last Bareiss pivot for a system over Q[x]."""
+
     vector: tuple
     unique: bool
+    denominator: Union[int, Polynomial]
 
 
 def _coerce_rows(matrix) -> list:
@@ -342,20 +344,10 @@ def _bareiss(m: list, ncols: int) -> tuple:
     return pivots, sign
 
 
-def _polynomial_rows(rows: list, operation: str) -> tuple:
+def _polynomial_rows(rows: list) -> tuple:
     """The entries as Polynomials over their common variables, and that tuple."""
-    if any(isinstance(x, RationalFunction) for r in rows for x in r):
-        raise ValueError(f"{operation} supports rational and polynomial entries only")
     variables = common_variables(x for r in rows for x in r)
     return [[polynomial_over(x, variables) for x in r] for r in rows], variables
-
-
-def _over_pivot(y: Polynomial, d: Polynomial):
-    """y / d as a Polynomial when d divides y, else a reduced RationalFunction."""
-    if d.is_constant():
-        return y / d.constant_value()
-    q = poly_exact_divide(y, d)
-    return q if q is not None else RationalFunction(y, d)
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +358,15 @@ def solve_linear(matrix, rhs) -> Optional[LinearSolution]:
     """Exact solution of A x = b, or None if inconsistent.
 
     Free unknowns (if any) are set to 0 in the returned vector and
-    `unique=False`.
+    `unique=False`.  Over Q the vector is x itself (denominator 1); over Q[x]
+    it is the polynomial y = D x, D the last Bareiss pivot.
     """
     rows = _coerce_rows(matrix)
     rhs = list(rhs)
     if len(rhs) != len(rows):
         raise ValueError(f"rhs length {len(rhs)} != {len(rows)} rows")
     if not rows:
-        return LinearSolution((), True)
+        return LinearSolution((), True, 1)
     n = len(rows[0])
     aug = [r + [rhs[i]] for i, r in enumerate(rows)]
     if _all_rational(aug):
@@ -383,8 +376,8 @@ def solve_linear(matrix, rhs) -> Optional[LinearSolution]:
             return None
         assign = {n: -1}  # A x - b = 0 form; free unknowns stay 0
         x = _back_substitute(work, pivots, n + 1, assign)
-        return LinearSolution(tuple(x[:n]), unique=len(pivots) == n)
-    m, variables = _polynomial_rows(aug, "solve_linear")
+        return LinearSolution(tuple(x[:n]), len(pivots) == n, 1)
+    m, variables = _polynomial_rows(aug)
     pivots, _ = _bareiss(m, n + 1)
     if any(col == n for _, col in pivots):
         return None
@@ -400,7 +393,7 @@ def solve_linear(matrix, rhs) -> Optional[LinearSolution]:
             if row[c] and y[c]:
                 total = total - row[c] * y[c]
         y[col] = exact_quotient(total, row[col])
-    return LinearSolution(tuple(_over_pivot(v, d) for v in y), unique=len(pivots) == n)
+    return LinearSolution(tuple(y), len(pivots) == n, d)
 
 
 def nullspace(matrix) -> List[tuple]:
@@ -436,14 +429,13 @@ def matrix_rank(matrix) -> int:
     if _all_rational(rows):
         work = _int_rows(rows)
         return len(_int_echelon(work, len(rows[0])))
-    m, _ = _polynomial_rows(rows, "matrix_rank")
+    m, _ = _polynomial_rows(rows)
     return len(_bareiss(m, len(rows[0]))[0])
 
 
 def determinant(matrix):
     """Exact determinant by Bareiss elimination: over Z after clearing
-    denominators for rational entries, over Q[x] for polynomial entries.
-    RationalFunction entries are rejected."""
+    denominators for rational entries, over Q[x] for polynomial entries."""
     rows = _coerce_rows(matrix)
     n = len(rows)
     if n == 0:
@@ -453,7 +445,7 @@ def determinant(matrix):
     if _all_rational(rows):
         forms = [over_common_denominator(r) for r in rows]
         return Fraction(_bareiss_det([ints for ints, _ in forms]), prod(den for _, den in forms))
-    m, variables = _polynomial_rows(rows, "determinant")
+    m, variables = _polynomial_rows(rows)
     return _bareiss_det(m) or Polynomial.zero(variables)
 
 

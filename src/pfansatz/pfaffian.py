@@ -2,8 +2,7 @@
 
 Conventions: indices are 1-based to match the combinatorial formulas; the
 Pfaffian of the empty matrix is 1 and of any odd-dimensional matrix is 0.
-Entries may be Fractions or Polynomials (pf_naive and pf_laplace also take
-RationalFunctions).
+Entries are Fractions or Polynomials.
 
 The three routes share no arithmetic kernel, so a bug in one cannot hide
 behind agreement with another:
@@ -25,13 +24,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import solve_linear
 from .poly import (
+    Entry,
     ParseBudget,
     Polynomial,
-    RationalFunction,
     common_variables,
     entry_text,
     exact_quotient,
@@ -40,8 +39,6 @@ from .poly import (
     polynomial_over,
 )
 from .sequences import MatrixFamily
-
-Entry = Union[Fraction, Polynomial, RationalFunction]
 
 NAIVE_DIMENSION_LIMIT = 14
 # the memoized expansion visits every subset of the index set: time and
@@ -181,15 +178,22 @@ class SkewMatrix:
         for item in triples:
             if len(item) != 3:
                 raise ValueError(f"malformed upper triple: {item!r}")
-            i, j, text = _json_int(item[0]), _json_int(item[1]), str(item[2])
+            i, j = _json_int(item[0]), _json_int(item[1])
             if (i, j) in upper:
                 raise ValueError(f"duplicate entry ({i}, {j})")
-            v = parse_entry(text, budget)
+            v = _json_entry(item[2], budget)
             if isinstance(v, Polynomial):
                 symbolic = True
             upper[(i, j)] = v
         zero = Polynomial.zero(("x",)) if symbolic else Fraction(0)
         return cls(dim, upper, zero)
+
+    @classmethod
+    def from_json_rows(cls, rows) -> "SkewMatrix":
+        """The dense row-major JSON form; raises TypeError like
+        `from_json_dict`."""
+        budget = ParseBudget()  # one bound on the parse work of every entry
+        return cls.from_dense([[_json_entry(v, budget) for v in row] for row in rows])
 
     @classmethod
     def from_json(cls, text: str) -> "SkewMatrix":
@@ -204,6 +208,16 @@ def _json_int(value) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def _json_entry(value, budget: ParseBudget) -> Entry:
+    """A matrix entry of either JSON form: an integer (not a bool) or entry
+    text; any other JSON value (true, null, 1.5, [3]) is a TypeError."""
+    if isinstance(value, str):
+        return parse_entry(value, budget)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer or entry text, got {value!r}")
+    return Fraction(value)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +323,6 @@ def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
         upper = {key: polynomial_over(v, variables) for key, v in A.upper.items()}
         scale = None
     else:
-        if any(isinstance(v, RationalFunction) for v in A.upper.values()):
-            raise ValueError("pf_eliminate supports rational and polynomial entries only")
         zero, one = 0, 1
         ints, scale = over_common_denominator(A.upper.values())
         upper = dict(zip(A.upper, ints))
@@ -404,13 +416,15 @@ def gamma(A: SkewMatrix, i: int, j: int) -> Entry:
     return -v
 
 
-def cofactor_vector(A: SkewMatrix) -> List[Entry]:
-    """The normalized last-column cofactor vector c of length dim-1.
+def cofactor_vector(A: SkewMatrix) -> Tuple[List[Entry], Entry]:
+    """The normalized last-column cofactor vector c of length dim-1, as
+    (numerators, denominator): c = numerators / denominator.
 
     Defined by the linear system: sum_i c_i a(i, j) = 0 for every j < dim,
-    with the normalization c_{dim-1} = 1.  Raises SingularCofactorSystem when
-    that system has no unique solution (equivalently, the normalizing
-    sub-Pfaffian vanishes).
+    with the normalization c_{dim-1} = 1.  The denominator is 1 for a rational
+    matrix and the last Bareiss pivot of the solve over Q[x].  Raises
+    SingularCofactorSystem when that system has no unique solution
+    (equivalently, the normalizing sub-Pfaffian vanishes).
     """
     m = A.dim
     if m < 2:
@@ -427,20 +441,14 @@ def cofactor_vector(A: SkewMatrix) -> List[Entry]:
     sol = solve_linear(rows, rhs)
     if sol is None or not sol.unique:
         raise SingularCofactorSystem(m, "no unique normalized solution")
-    return list(sol.vector)
+    return list(sol.vector), sol.denominator
 
 
-def cofactor_vector_via_minors(A: SkewMatrix) -> List[Entry]:
-    """Independent route: c_i = gamma(i, dim) / gamma(dim-1, dim)."""
+def cofactor_vector_via_minors(A: SkewMatrix) -> Tuple[List[Entry], Entry]:
+    """Independent route: c_i = gamma(i, dim) / gamma(dim-1, dim), as
+    ([gamma(i, dim)], gamma(dim-1, dim))."""
     m = A.dim
     denom = gamma(A, m - 1, m)
     if not denom:
         raise SingularCofactorSystem(m, "normalizing sub-Pfaffian is zero")
-    out = []
-    for i in range(1, m):
-        num = gamma(A, i, m)
-        if isinstance(num, Polynomial) or isinstance(denom, Polynomial):
-            out.append((RationalFunction.lift(num) / RationalFunction.lift(denom)))
-        else:
-            out.append(num / denom)
-    return out
+    return [gamma(A, i, m) for i in range(1, m)], denom

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ._version import __version__
 from .guessing import (
@@ -33,21 +33,14 @@ from .guessing import (
 )
 from .pfaffian import SingularCofactorSystem, SkewMatrix, cofactor_vector, pf_eliminate
 from .poly import (
+    Entry,
     Polynomial,
-    RationalFunction,
     entry_text,
     format_rational,
     parse_poly,
+    quotient_text,
 )
 from .sequences import MatrixFamily, family_from_descriptor
-
-Value = Union[Fraction, Polynomial, RationalFunction]
-
-
-def _div(a: Value, b: Value) -> Value:
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return Fraction(a) / Fraction(b)
-    return RationalFunction.lift(a) / RationalFunction.lift(b)
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +52,9 @@ class ClosedForm:
     """Opaque exact evaluator n -> b_{2n} with b_0 = evaluate(0) = 1."""
 
     description: str
-    fn: Callable[[int], Value]
+    fn: Callable[[int], Entry]
 
-    def evaluate(self, n: int) -> Value:
+    def evaluate(self, n: int) -> Entry:
         if n < 0:
             raise ValueError("closed forms are indexed by n >= 0")
         return self.fn(n)
@@ -173,25 +166,29 @@ def closed_form_from_text(text: str) -> ClosedForm:
 
 class CofactorTable:
     """Normalized cofactor vectors c_{2n,i} for n = 1..n_max, together with the
-    mathematically-zero extension outside 1 <= i <= 2n-1.
+    mathematically-zero extension outside 1 <= i <= 2n-1.  Row n is stored
+    as numerators over one denominator, c_{2n,i} = values[(n, i)] /
+    denominators[n]; the denominator is 1 for a rational family.
 
     Sizes where the normalized system is singular are recorded under
     `singular` and excluded from lookups.
     """
 
-    def __init__(self, n_max: int, values: Dict[Tuple[int, int], Value], singular: Dict[int, str]):
+    def __init__(self, n_max: int, values: Dict[Tuple[int, int], Entry],
+                 denominators: Dict[int, Entry], singular: Dict[int, str]):
         self.n_max = n_max
         self.values = values
+        self.denominators = denominators
         self.singular = singular
 
-    def get(self, n: int, i: int) -> Optional[Value]:
+    def get(self, n: int, i: int) -> Optional[Entry]:
         if n < 1 or n > self.n_max or n in self.singular:
             return None
         if 1 <= i <= 2 * n - 1:
             return self.values[(n, i)]
         return Fraction(0)
 
-    def row(self, n: int) -> List[Value]:
+    def row(self, n: int) -> List[Entry]:
         if n in self.singular or not 1 <= n <= self.n_max:
             raise KeyError(f"no cofactor row at n={n}")
         return [self.values[(n, i)] for i in range(1, 2 * n)]
@@ -215,20 +212,21 @@ def c_table(
     family: MatrixFamily, n_max: int, progress: Optional[Callable[[str], None]] = None
 ) -> CofactorTable:
     """Solve the normalized cofactor system at each even size 2..2*n_max."""
-    values: Dict[Tuple[int, int], Value] = {}
+    values: Dict[Tuple[int, int], Entry] = {}
+    denominators: Dict[int, Entry] = {}
     singular: Dict[int, str] = {}
     for n in range(1, n_max + 1):
         if progress is not None:
             progress(f"cofactor system n={n}")
         A = SkewMatrix.from_family(family, 2 * n)
         try:
-            vec = cofactor_vector(A)
+            vec, denominators[n] = cofactor_vector(A)
         except SingularCofactorSystem as e:
             singular[n] = str(e)
             continue
         for i, v in enumerate(vec, start=1):
             values[(n, i)] = v
-    return CofactorTable(n_max, values, singular)
+    return CofactorTable(n_max, values, denominators, singular)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +235,15 @@ def c_table(
 
 @dataclass(frozen=True)
 class OrthogonalityGrid:
-    """Values g_{n,j} = sum_i c_{2n,i} a(i,j); zero for j < 2n, the ratio on
-    the diagonal j = 2n."""
+    """Values g_{n,j} = sum_i c_{2n,i} a(i,j), stored as the contraction of
+    the row's numerators over the row's denominator, g_{n,j} = values[(n, j)]
+    / denominators[n]; zero for j < 2n, the ratio on the diagonal j = 2n."""
 
     n_max: int
-    values: Dict[Tuple[int, int], Value]
+    values: Dict[Tuple[int, int], Entry]
+    denominators: Dict[int, Entry]
 
-    def get(self, n: int, j: int) -> Optional[Value]:
+    def get(self, n: int, j: int) -> Optional[Entry]:
         return self.values.get((n, j))
 
     def zero_violations(self) -> List[Tuple[int, int]]:
@@ -262,7 +262,7 @@ class OrthogonalityGrid:
 def check_identity2(family: MatrixFamily, table: CofactorTable, j_extra: int = 4) -> OrthogonalityGrid:
     """Contract sums g_{n,j} for 1 <= j <= 2n + j_extra at every solved n."""
     m = [family.moment(s) for s in range(4 * table.n_max + j_extra)]
-    values: Dict[Tuple[int, int], Value] = {}
+    values: Dict[Tuple[int, int], Entry] = {}
     for n in range(1, table.n_max + 1):
         if n in table.singular:
             continue
@@ -273,13 +273,14 @@ def check_identity2(family: MatrixFamily, table: CofactorTable, j_extra: int = 4
                 term = row[i - 1] * ((j - i) * m[i + j])
                 total = term if total is None else total + term
             values[(n, j)] = total
-    return OrthogonalityGrid(table.n_max, values)
+    return OrthogonalityGrid(table.n_max, values, table.denominators)
 
 
 @dataclass(frozen=True)
 class RatioResult:
-    ratios: List[Value]            # r_1 .. r_n  (index 0 is r_1)
-    pfaffians: List[Value]         # b_0, b_2, .., b_{2n}
+    ratios: List[Entry]            # r_1 .. r_n as numerators (index 0 is r_1)
+    denominators: List[Entry]      # r_n = ratios[n - 1] / denominators[n - 1]
+    pfaffians: List[Entry]         # b_0, b_2, .., b_{2n}
     quotients_match: bool
     mismatch_n: Optional[int]
 
@@ -292,14 +293,17 @@ def ratio_sequence(family: MatrixFamily, grid: OrthogonalityGrid,
 
     Only the contiguous run of solved sizes starting at n = 1 is used: past a
     singular size the quotient b_{2n}/b_{2n-2} loses its meaning, so ratios
-    there would not be comparable."""
-    ratios: List[Value] = []
+    there would not be comparable.  A ratio g/D equals b_{2n}/b_{2n-2} when
+    g * b_{2n-2} == D * b_{2n}."""
+    ratios: List[Entry] = []
+    denominators: List[Entry] = []
     for n in range(1, grid.n_max + 1):
         v = grid.get(n, 2 * n)
         if v is None:
             break
         ratios.append(v)
-    pfaffians: List[Value] = []
+        denominators.append(grid.denominators[n])
+    pfaffians: List[Entry] = []
     if cross_check:
         pfaffians.append(Fraction(1))
         if ratios:
@@ -309,11 +313,9 @@ def ratio_sequence(family: MatrixFamily, grid: OrthogonalityGrid,
             pfaffians.append(pf_eliminate(SkewMatrix.from_family(family, 2 * n)))
         for n in range(1, len(ratios) + 1):
             prev = pfaffians[n - 1]
-            if not prev:
-                return RatioResult(ratios, pfaffians, False, n)
-            if ratios[n - 1] != _div(pfaffians[n], prev):
-                return RatioResult(ratios, pfaffians, False, n)
-    return RatioResult(ratios, pfaffians, True, None)
+            if not prev or ratios[n - 1] * prev != denominators[n - 1] * pfaffians[n]:
+                return RatioResult(ratios, denominators, pfaffians, False, n)
+    return RatioResult(ratios, denominators, pfaffians, True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +433,14 @@ def certify(
             verdict = "refuted"
             witness = {"check": label, **fields}
 
-    # cofactor-normalization: c_{2n,2n-1} == 1
-    n0 = next((n for n in range(1, n_max + 1)
-               if n not in table.singular and table.get(n, 2 * n - 1) != 1), None)
+    # cofactor-normalization: c_{2n,2n-1} == 1, its numerator the denominator
+    n0 = next((n for n in range(1, n_max + 1) if n not in table.singular
+               and table.get(n, 2 * n - 1) != table.denominators[n]), None)
     record("cofactor-normalization", "last entry equals 1 at every solved n",
            None if n0 is None else
            (f"fails at n={n0}",
-            {"n": n0, "lhs": entry_text(table.get(n0, 2 * n0 - 1)), "rhs": "1"}))
+            {"n": n0, "lhs": quotient_text(table.get(n0, 2 * n0 - 1), table.denominators[n0]),
+             "rhs": "1"}))
 
     say("contracting the orthogonality grid")
     grid = check_identity2(family, table, j_extra=8)
@@ -446,27 +449,32 @@ def certify(
     if violations:
         n0, j0 = violations[0]
         failure = (f"nonzero at (n,j)={violations[0]}",
-                   {"n": n0, "j": j0, "lhs": entry_text(grid.get(n0, j0)), "rhs": "0"})
+                   {"n": n0, "j": j0, "lhs": quotient_text(grid.get(n0, j0), grid.denominators[n0]),
+                    "rhs": "0"})
     record("cofactor-orthogonality", "g(n,j) == 0 for all 1 <= j < 2n", failure)
 
     say("cross-checking ratios against eliminated Pfaffians")
     ratio = ratio_sequence(family, grid)
+    ratios = [quotient_text(g, d) for g, d in zip(ratio.ratios, ratio.denominators)]
     n0 = ratio.mismatch_n
     record("pfaffian-ratio", "diagonal equals Pf quotient at every n",
            None if ratio.quotients_match else
            (f"mismatch at n={n0}",
-            {"n": n0, "lhs": entry_text(ratio.ratios[n0 - 1]),
+            {"n": n0, "lhs": ratios[n0 - 1],
              "rhs": f"({entry_text(ratio.pfaffians[n0])})/({entry_text(ratio.pfaffians[n0 - 1])})"}))
 
     say("comparing against the closed form")
     failure = None
-    product = Fraction(1) if not family.symbolic else Polynomial.constant(1, ("x",))
-    for n, r in enumerate(ratio.ratios, start=1):
-        product = product * r
+    # the telescoped product of the ratios, as numerator over denominator
+    product = denominator = 1
+    for n, (g, d) in enumerate(zip(ratio.ratios, ratio.denominators), start=1):
+        product = product * g
+        denominator = denominator * d
         expected = closed_form.evaluate(n)
-        if product != expected or ratio.pfaffians[n] != expected:
+        if product != expected * denominator or ratio.pfaffians[n] != expected:
             failure = (f"mismatch at n={n}",
-                       {"n": n, "lhs": entry_text(product), "rhs": entry_text(expected)})
+                       {"n": n, "lhs": quotient_text(product, denominator),
+                        "rhs": entry_text(expected)})
             break
     record("closed-form-product",
            "telescoped product and direct Pfaffian equal the closed form", failure)
@@ -529,7 +537,7 @@ def certify(
         verdict=verdict,
         checks=checks,
         witness=witness,
-        ratios=[entry_text(v) for v in ratio.ratios],
+        ratios=ratios,
         pfaffians=[entry_text(v) for v in ratio.pfaffians],
         singular=dict(table.singular),
         operators=operators,

@@ -1,4 +1,4 @@
-"""Exact multivariate polynomials and rational functions over Q.
+"""Exact multivariate polynomials over Q.
 
 A polynomial is an ordered tuple of variable names plus a map from exponent
 vectors (one non-negative integer per variable) to nonzero Fraction
@@ -8,15 +8,16 @@ values can be shared freely between threads.  `Polynomial(...)` validates
 its input; arithmetic results, canonical by construction, go through the
 unchecked `_trusted` instead.
 
-Every exact entry (int, Fraction, Polynomial, RationalFunction) is falsy
-exactly when it is zero, and `Fraction(0) * x` is the zero of x's domain
+Every exact entry (int, Fraction, Polynomial) is falsy exactly when it is
+zero, and `Fraction(0) * x` is the zero of x's domain
 (a Polynomial keeps its variables), so `Fraction(0) * x + 1` is its one.
 
 The text format is what `parse_poly` reads and `str()` writes: integer or
 a/b coefficients, `*` for products, `^` or `**` for powers, terms printed in
 graded-lexicographic order (largest first) with respect to the declared
 variable order.  Round-tripping text -> value -> text is the identity on
-canonical text.
+canonical text.  A quotient of polynomials is kept as a (numerator,
+denominator) pair and is printed, in lowest terms, by `quotient_text`.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ from math import comb, gcd, lcm
 from operator import add
 from typing import Mapping, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
-Entry = Union[Fraction, "Polynomial", "RationalFunction"]
+Entry = Union[Fraction, "Polynomial"]
 
 
 class PolynomialError(ValueError):
@@ -289,8 +288,6 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
-        if isinstance(other, RationalFunction):
-            return other == self
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self._aligned(other)
@@ -580,7 +577,7 @@ def entry_text(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# univariate division / gcd (used to keep rational functions reduced)
+# univariate division / gcd, and quotients in lowest terms
 
 
 def poly_divmod(a: Polynomial, b: Polynomial, var: str) -> tuple:
@@ -648,123 +645,41 @@ def poly_gcd(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
     return a / lead
 
 
-# ---------------------------------------------------------------------------
-# rational functions
-
-
-class RationalFunction:
-    """Quotient of polynomials, reduced by content and (univariate) gcd.
-
-    The denominator is kept primitive with positive leading coefficient, and
-    is never zero.  Multivariate quotients are reduced by content only;
-    equality still compares exactly by cross-multiplication.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Polynomial, den: Polynomial):
-        if isinstance(num, (int, Fraction)):
-            num = Polynomial.constant(num)
-        if isinstance(den, (int, Fraction)):
-            den = Polynomial.constant(den)
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            num, den = Polynomial.zero(), Polynomial.constant(1)
-        else:
-            union = Polynomial._union_vars(num, den)
-            num = num.with_variables(union)
-            den = den.with_variables(union)
-            eff = set(num.effective_variables()) | set(den.effective_variables())
-            if len(eff) == 1 and not den.is_constant():
-                var = next(iter(eff))
-                g = poly_gcd(num, den, var)
-                if g.total_degree() > 0:
-                    num, _ = poly_divmod(num, g, var)
-                    den, _ = poly_divmod(den, g, var)
-                    num = num.with_variables(union)
-                    den = den.with_variables(union)
-            elif not den.is_constant():
-                q = poly_exact_divide(num, den)
-                if q is not None:
-                    num, den = q.with_variables(union), Polynomial.constant(1, union)
-            scale = den.content()
-            if den.leading_term()[1] < 0:
-                scale = -scale
-            num = num / scale
-            den = den / scale
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard
-        raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def lift(cls, x) -> "RationalFunction":
-        if isinstance(x, RationalFunction):
-            return x
-        if isinstance(x, Polynomial):
-            return cls(x, Polynomial.constant(1))
-        return cls(Polynomial.constant(_as_fraction(x)), Polynomial.constant(1))
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def as_polynomial(self) -> Polynomial:
-        """Exact conversion back to a polynomial; raises if the quotient is not one."""
-        if self.den.is_constant():
-            return self.num / self.den.constant_value()
-        q = poly_exact_divide(self.num, self.den)
+def quotient_text(num, den) -> str:
+    """The text of num / den in lowest terms, for exact scalars or
+    Polynomials.  A univariate quotient is reduced by `poly_gcd`; a
+    multivariate one only when den divides num.  The denominator is then
+    made primitive with a positive leading coefficient, and it is printed,
+    as `(num)/(den)`, only when it is not 1."""
+    if not isinstance(num, Polynomial) and not isinstance(den, Polynomial):
+        return format_rational(Fraction(num) / den)
+    if not den:
+        raise ZeroDivisionError("quotient with zero denominator")
+    if not num:
+        return "0"
+    num, den = (x if isinstance(x, Polynomial) else Polynomial.constant(x) for x in (num, den))
+    union = Polynomial._union_vars(num, den)
+    num = num.with_variables(union)
+    den = den.with_variables(union)
+    eff = set(num.effective_variables()) | set(den.effective_variables())
+    if len(eff) == 1 and not den.is_constant():
+        var = next(iter(eff))
+        g = poly_gcd(num, den, var)
+        if g.total_degree() > 0:
+            num, _ = poly_divmod(num, g, var)
+            den, _ = poly_divmod(den, g, var)
+    elif not den.is_constant():
+        q = poly_exact_divide(num, den)
         if q is not None:
-            return q
-        raise PolynomialError(f"not a polynomial: ({self.num})/({self.den})")
-
-    def __add__(self, other):
-        o = RationalFunction.lift(other)
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-RationalFunction.lift(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = RationalFunction.lift(other)
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = RationalFunction.lift(other)
-        if not o:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return RationalFunction.lift(other) / self
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = RationalFunction.lift(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
-
-    def __str__(self):
-        if self.den == 1:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self):
-        return f"RationalFunction({str(self)!r})"
+            num, den = q, Polynomial.constant(1, union)
+    scale = den.content()
+    if den.leading_term()[1] < 0:
+        scale = -scale
+    num = num / scale
+    den = den / scale
+    if den == 1:
+        return str(num)
+    return f"({num})/({den})"
 
 
 # ---------------------------------------------------------------------------

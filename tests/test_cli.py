@@ -158,6 +158,32 @@ def test_pfaffian_malformed_matrix_is_named(tmp_path, capsys, text, detail):
         2, "", f"error: malformed matrix in {path} ({detail})\n")
 
 
+@pytest.mark.parametrize("form", ["dense", "object"])
+@pytest.mark.parametrize("value", ["true", "null", "1.5", "[3]"])
+def test_pfaffian_refuses_an_entry_that_is_no_integer_or_text(tmp_path, capsys, form, value):
+    # a JSON boolean is not read as the number 1, nor null as text "None"
+    text = (f"[[0, {value}], [-1, 0]]" if form == "dense"
+            else f'{{"dim": 2, "upper": [[1, 2, {value}]]}}')
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    got = repr(json.loads(value))
+    assert run(capsys, "pfaffian", "--file", str(path)) == (
+        2, "", f"error: malformed matrix in {path} "
+               f"(TypeError: expected an integer or entry text, got {got})\n")
+
+
+def test_pfaffian_file_entries_are_integers_or_text(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('[[0, -3], [3, 0]]')
+    assert run(capsys, "pfaffian", "--file", str(path)) == (0, "-3\n", "")
+    path.write_text('[[0, "x/2"], ["-x/2", 0]]')
+    assert run(capsys, "pfaffian", "--file", str(path)) == (0, "1/2*x\n", "")
+    path.write_text('{"dim": 2, "upper": [[1, 2, -3]]}')
+    assert run(capsys, "pfaffian", "--file", str(path)) == (0, "-3\n", "")
+    path.write_text('{"dim": 2, "upper": [[1, 2, "x/2"]]}')
+    assert run(capsys, "pfaffian", "--file", str(path)) == (0, "1/2*x\n", "")
+
+
 def test_pfaffian_dimension_cap(tmp_path, capsys, monkeypatch):
     huge = tmp_path / "huge.json"
     huge.write_text('{"dim": 100000000, "upper": []}')

@@ -22,7 +22,7 @@ from pfansatz.linalg import (
     nullspace,
     solve_linear,
 )
-from pfansatz.poly import Polynomial, RationalFunction, parse_poly
+from pfansatz.poly import Polynomial, parse_poly, poly_divmod, poly_gcd, quotient_text
 
 
 def det_permutation_sum(rows):
@@ -114,12 +114,6 @@ def test_determinant_polynomial_matches_permutation_sum():
             assert determinant(ExactMatrix(rows)) == det_permutation_sum(rows)
 
 
-def test_determinant_rejects_rational_functions():
-    r = RationalFunction(parse_poly("1", ("x",)), parse_poly("x", ("x",)))
-    with pytest.raises(ValueError):
-        determinant(ExactMatrix([[r]]))
-
-
 def test_determinant_multiplicative():
     rng = random.Random(102)
     for _ in range(5):
@@ -137,6 +131,7 @@ def test_solve_unique_system():
     sol = solve_linear([[2, 1], [1, -1]], [Fraction(5), Fraction(1)])
     assert sol is not None and sol.unique
     assert sol.vector == (Fraction(2), Fraction(1))
+    assert sol.denominator == 1
 
 
 def test_solve_residual_on_random_systems():
@@ -166,14 +161,14 @@ def test_solve_underdetermined_flags_nonunique():
 def test_solve_polynomial_entries():
     n = parse_poly("n", ("n",))
     one = Polynomial.constant(1, ("n",))
-    # [[n, 1], [0, 1]] x = [n + 1, 1]  =>  x = (1, 1)
+    # [[n, 1], [0, 1]] x = [n + 1, 1]  =>  x = (1, 1), returned as (D, D)
     sol = solve_linear(
         [[n, one], [Polynomial.zero(("n",)), one]],
         [parse_poly("n + 1", ("n",)), one],
     )
     assert sol is not None and sol.unique
-    assert sol.vector[0] == RationalFunction.lift(one)
-    assert sol.vector[1] == RationalFunction.lift(one)
+    assert sol.denominator
+    assert sol.vector == (sol.denominator, sol.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +234,36 @@ def test_rank_polynomial_entries():
 
 
 # ---------------------------------------------------------------------------
-# the polynomial Bareiss kernel against the RationalFunction field elimination
-# it replaced (a copy kept here as the oracle)
+# the polynomial Bareiss kernel against field elimination over Q(x) (the
+# elimination it replaced, kept here as the oracle), on a test-local field
+# of reduced (numerator, denominator) pairs
+
+
+class Quotient:
+    """num / den over Q(x): den monic, and gcd(num, den) = 1 by `poly_gcd`."""
+
+    def __init__(self, num, den=1):
+        num, den = (x if isinstance(x, Polynomial) else Polynomial.constant(x, X)
+                    for x in (num, den))
+        if not den.is_constant():
+            g = poly_gcd(num, den, "x")
+            if g.total_degree() > 0:
+                num = poly_divmod(num, g, "x")[0].with_variables(X)
+                den = poly_divmod(den, g, "x")[0].with_variables(X)
+        _, lead = den.leading_term()
+        self.num, self.den = num / lead, den / lead
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __sub__(self, other):
+        return Quotient(self.num * other.den - other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other):
+        return Quotient(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        return Quotient(self.num * other.den, self.den * other.num)
 
 
 def field_echelon(rows, ncols):
@@ -263,14 +286,14 @@ def field_echelon(rows, ncols):
 
 
 def field_solve(rows, rhs):
-    """(vector, unique) with free unknowns 0, or None when inconsistent."""
+    """(vector of Quotients, unique) with free unknowns 0, or None when
+    inconsistent."""
     n = len(rows[0])
-    work = [[RationalFunction.lift(x) for x in r + [b]] for r, b in zip(rows, rhs)]
+    work = [[Quotient(x) for x in r + [b]] for r, b in zip(rows, rhs)]
     pivots = field_echelon(work, n + 1)
     if any(col == n for _, col in pivots):
         return None
-    zero = RationalFunction.lift(Fraction(0))
-    x = [zero] * n
+    x = [Quotient(0)] * n
     for r, col in reversed(pivots):
         total = work[r][n]
         for c in range(col + 1, n):
@@ -280,7 +303,7 @@ def field_solve(rows, rhs):
 
 
 def field_rank(rows):
-    return len(field_echelon([[RationalFunction.lift(x) for x in r] for r in rows], len(rows[0])))
+    return len(field_echelon([[Quotient(x) for x in r] for r in rows], len(rows[0])))
 
 
 X = ("x",)
@@ -344,14 +367,12 @@ def test_polynomial_solve_matches_field_elimination(system):
         return
     vector, unique = ref
     assert sol.unique == unique
-    assert list(sol.vector) == vector
-    for v in sol.vector:
-        # a quotient that is a polynomial comes back as one
-        assert isinstance(v, Polynomial) or not v.den.is_constant()
+    d = sol.denominator
+    assert d
+    for y, q in zip(sol.vector, vector):
+        assert y * q.den == q.num * d
     for r, b in zip(rows, rhs):
-        total = sum((RationalFunction.lift(a) * v for a, v in zip(r, sol.vector)),
-                    RationalFunction.lift(Fraction(0)))
-        assert total == b
+        assert sum((a * y for a, y in zip(r, sol.vector)), Polynomial.zero(X)) == d * b
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -369,25 +390,21 @@ def test_determinant_equals_permutation_sum(n, polynomial, data):
     assert determinant(ExactMatrix(rows)) == det_permutation_sum(rows)
 
 
-def test_polynomial_solve_and_rank_reject_rational_functions():
-    r = RationalFunction(parse_poly("1", X), parse_poly("x", X))
-    with pytest.raises(ValueError):
-        solve_linear([[r]], [Fraction(1)])
-    with pytest.raises(ValueError):
-        matrix_rank([[r, parse_poly("x", X)]])
-
-
 def test_polynomial_solve_returns_polynomials_and_reduced_quotients():
     x = parse_poly("x", X)
     one = Polynomial.constant(1, X)
     # [[x, 1], [1, x]] v = [1, 0]: v = (x, -1) / (x^2 - 1)
     sol = solve_linear([[x, one], [one, x]], [one, Polynomial.zero(X)])
     assert sol.unique
-    assert sol.vector[0] == RationalFunction(x, x * x - 1)
-    assert sol.vector[1] == RationalFunction(-one, x * x - 1)
-    # x v = x^2 + x: v = x + 1, a Polynomial
+    d = sol.denominator
+    assert all(type(y) is Polynomial for y in sol.vector)
+    assert sol.vector[0] * (x * x - 1) == x * d
+    assert sol.vector[1] * (x * x - 1) == -d
+    assert [quotient_text(y, d) for y in sol.vector] == ["(x)/(x^2 - 1)", "(-1)/(x^2 - 1)"]
+    # x v = x^2 + x: v = x + 1, whose text is a polynomial's
     sol = solve_linear([[x]], [x * x + x])
-    assert type(sol.vector[0]) is Polynomial and sol.vector[0] == x + 1
+    assert sol.vector[0] == (x + 1) * sol.denominator
+    assert quotient_text(sol.vector[0], sol.denominator) == "x + 1"
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +455,7 @@ def reference_solve(rows, rhs):
     assign = {c: Fraction(0) for c in range(n) if c not in {col for _, col in pivots}}
     assign[n] = Fraction(-1)
     x = fraction_back_substitute(work, pivots, n + 1, assign)
-    return LinearSolution(tuple(x[:n]), unique=len(pivots) == n)
+    return LinearSolution(tuple(x[:n]), unique=len(pivots) == n, denominator=1)
 
 
 @st.composite

@@ -31,7 +31,7 @@ from pfansatz.pfaffian import (
     pf_naive,
 )
 from pfansatz.pipeline import OrthogonalityGrid, RatioResult, ratio_sequence
-from pfansatz.poly import Polynomial, RationalFunction, parse_poly
+from pfansatz.poly import Polynomial, parse_poly
 from pfansatz.sequences import MatrixFamily, family_from_descriptor
 
 
@@ -316,12 +316,12 @@ def test_cofactor_vector_defining_identities():
         while found < 4:
             A = random_skew(rng, dim)
             try:
-                c = cofactor_vector(A)
+                c, den = cofactor_vector(A)
             except SingularCofactorSystem:
                 continue
             found += 1
             assert len(c) == dim - 1
-            assert c[-1] == 1
+            assert den == 1 and c[-1] == 1
             for j in range(1, dim):
                 assert sum(
                     (c[i - 1] * A.entry(i, j) for i in range(1, dim)), Fraction(0)
@@ -334,11 +334,20 @@ def test_cofactor_vector_matches_minor_route():
         for _ in range(4):
             A = random_skew(rng, dim)
             try:
-                by_system = cofactor_vector(A)
+                y, d = cofactor_vector(A)
             except SingularCofactorSystem:
                 continue
-            by_minors = cofactor_vector_via_minors(A)
-            assert by_system == by_minors
+            g, gd = cofactor_vector_via_minors(A)
+            assert len(y) == len(g) == dim - 1
+            assert all(a * gd == b * d for a, b in zip(y, g))
+    # over Q[x], where the row at dim 4 is a quotient that is no polynomial
+    x = parse_poly("x", ("x",))
+    family = MatrixFamily("moments", "x^s + 1", lambda s: x ** s + 1)
+    for dim in (4, 6):
+        A = SkewMatrix.from_family(family, dim)
+        y, d = cofactor_vector(A)
+        g, gd = cofactor_vector_via_minors(A)
+        assert all(a * gd == b * d for a, b in zip(y, g))
 
 
 def test_cofactor_vector_singular_raises():
@@ -468,8 +477,8 @@ def per_n_ratio_sequence(family, grid):
     ]
     for n in range(1, len(ratios) + 1):
         if pfaffians[n - 1] == 0 or ratios[n - 1] != pfaffians[n] / pfaffians[n - 1]:
-            return RatioResult(ratios, pfaffians, False, n)
-    return RatioResult(ratios, pfaffians, True, None)
+            return RatioResult(ratios, [1] * len(ratios), pfaffians, False, n)
+    return RatioResult(ratios, [1] * len(ratios), pfaffians, True, None)
 
 
 @PROPERTY
@@ -480,15 +489,10 @@ def test_ratio_sequence_falls_back_when_b2_vanishes(n_max, moments, diagonal):
     moments = [Fraction(v) for v in moments]
     moments[3] = Fraction(0)
     family = MatrixFamily("handmade", "handmade", moments.__getitem__)
-    grid = OrthogonalityGrid(n_max, {(n, 2 * n): Fraction(diagonal[n - 1]) for n in range(1, n_max + 1)})
+    grid = OrthogonalityGrid(n_max, {(n, 2 * n): Fraction(diagonal[n - 1]) for n in range(1, n_max + 1)},
+                             {n: 1 for n in range(1, n_max + 1)})
     result = ratio_sequence(family, grid)
     assert result == per_n_ratio_sequence(family, grid)
     assert result.pfaffians[1] == 0 and len(result.pfaffians) == n_max + 1
     if n_max > 1:
         assert result.mismatch_n is not None
-
-
-def test_eliminate_rejects_rational_function_entries():
-    A = SkewMatrix(2, {(1, 2): RationalFunction.lift(Fraction(3))})
-    with pytest.raises(ValueError):
-        pf_eliminate(A)

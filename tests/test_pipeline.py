@@ -1,6 +1,7 @@
 """The cofactor pipeline: tables, identity grids, ratio sequences,
 closed forms, certification verdicts, and the scaled-family checker."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from pfansatz import pipeline
 from pfansatz.pfaffian import SkewMatrix, pf_eliminate, pf_naive
 from pfansatz.pipeline import (
+    ClosedForm,
     c_table,
     certify,
     check_conjecture1,
@@ -18,8 +20,8 @@ from pfansatz.pipeline import (
     conjecture_predicted,
     ratio_sequence,
 )
-from pfansatz.poly import Polynomial, parse_poly
-from pfansatz.sequences import family_from_descriptor
+from pfansatz.poly import Polynomial, parse_poly, quotient_text
+from pfansatz.sequences import MatrixFamily, family_from_descriptor
 
 MOTZKIN = family_from_descriptor("motzkin")
 
@@ -180,7 +182,7 @@ def test_narayana_symbolic_ratios():
     ratio = ratio_sequence(fam, grid)
     assert ratio.quotients_match
     expected = ["x", "5*x^3", "9*x^5", "13*x^7"]
-    assert [str(v) for v in ratio.ratios] == expected
+    assert [quotient_text(g, d) for g, d in zip(ratio.ratios, ratio.denominators)] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +220,19 @@ def test_certify_refutation_witness():
 
 def _wrong_last_entry_at_n2(real):
     def cofactor_vector(A):
-        vec = real(A)
+        vec, den = real(A)
         if A.dim == 4:
             vec[-1] = Fraction(2)
-        return vec
+        return vec, den
     return cofactor_vector
 
 
 def _wrong_middle_entry_at_n3(real):
     def cofactor_vector(A):
-        vec = real(A)
+        vec, den = real(A)
         if A.dim == 6:
             vec[1] += 1
-        return vec
+        return vec, den
     return cofactor_vector
 
 
@@ -315,6 +317,80 @@ def test_certify_symbolic_family_skips_operator_guessing():
     report = certify(fam, cf, 3)
     assert report.verdict == "certified-at-scale"
     assert report.operators["skipped"]["status"] == "diagnostic"
+
+
+# ---------------------------------------------------------------------------
+# the quotient path: symbolic families whose cofactor rows and ratios are
+# quotients that are no polynomials, which no built-in family reaches.  The
+# reports and texts were recorded from the implementation that divided each
+# row by its denominator as a reduced rational function.
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+X = parse_poly("x", ("x",))
+MOMENTS = {
+    "x^s + 1": lambda s: X ** s + 1,
+    "x^(s mod 3) + s^2": lambda s: X ** (s % 3) + s * s,
+}
+
+
+def moment_family(descriptor):
+    return MatrixFamily("moments", descriptor, MOMENTS[descriptor])
+
+
+def direct_pfaffian(family, description="direct Pfaffian", factor=lambda n: 1):
+    return ClosedForm(description, lambda n: factor(n) * pf_eliminate(
+        SkewMatrix.from_family(family, 2 * n)))
+
+
+@pytest.mark.parametrize("descriptor, name", [
+    ("x^s + 1", "certify_moment_x_s_plus_1.json"),
+    ("x^(s mod 3) + s^2", "certify_moment_x_s_mod_3.json"),
+])
+def test_certify_quotient_rows_match_the_recorded_report(descriptor, name):
+    family = moment_family(descriptor)
+    lines = certify(family, direct_pfaffian(family), 5).to_json().splitlines(keepends=True)
+    report = "".join(line for line in lines if not line.startswith('  "version": '))
+    with open(os.path.join(DATA, name), encoding="utf-8", newline="") as fh:
+        assert report == fh.read()
+
+
+def test_certify_quotient_witnesses(monkeypatch):
+    family = moment_family("x^(s mod 3) + s^2")
+    ratio_3 = ("(9*x^6 + 1395*x^4 - 1413*x^3 - 108*x^2 - 1179*x + 1296)"
+               "/(x^4 + 50*x^2 - 46*x - 1)")
+    twice = direct_pfaffian(family, "twice direct", lambda n: 2 if n >= 3 else 1)
+    report = certify(family, twice, 4)
+    assert report.witness == {
+        "check": "closed-form-product", "n": 3,
+        "lhs": "27*x^6 + 4185*x^4 - 4239*x^3 - 324*x^2 - 3537*x + 3888",
+        "rhs": "54*x^6 + 8370*x^4 - 8478*x^3 - 648*x^2 - 7074*x + 7776"}
+    assert report.ratios[2:] == [
+        ratio_3, "(2916*x^2 + 2916*x + 2916)/(x^4 + 2*x^3 + 158*x^2 + 157*x + 144)"]
+    monkeypatch.setattr(pipeline, "pf_eliminate",
+                        _wrong_last_leading_pfaffian(pipeline.pf_eliminate))
+    report = certify(family, direct_pfaffian(family), 3)
+    assert report.witness == {
+        "check": "pfaffian-ratio", "n": 3, "lhs": ratio_3,
+        "rhs": "(54*x^6 + 8370*x^4 - 8478*x^3 - 648*x^2 - 7074*x + 7776)"
+               "/(3*x^4 + 150*x^2 - 138*x - 3)"}
+
+
+def test_certify_quotient_orthogonality_witness(monkeypatch):
+    real = pipeline.cofactor_vector
+
+    def cofactor_vector(A):
+        vec, den = real(A)
+        if A.dim == 4:
+            vec[0] = vec[0] + X * den
+        return vec, den
+
+    monkeypatch.setattr(pipeline, "cofactor_vector", cofactor_vector)
+    family = moment_family("x^s + 1")
+    report = certify(family, direct_pfaffian(family), 3)
+    assert report.witness == {"check": "cofactor-orthogonality", "n": 2, "j": 2,
+                              "lhs": "x^4 + x", "rhs": "0"}
+    assert report.ratios == [
+        "x^3 + 1", "(3*x^9 + x^7 - x^6 + 6*x^5 - x^4 + x^3 + 3*x)/(x^3 + 1)", "0"]
 
 
 def test_certify_guess_sections_record_windows():

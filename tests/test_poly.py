@@ -1,4 +1,4 @@
-"""Exact polynomial and rational-function arithmetic."""
+"""Exact polynomial arithmetic and the text of polynomial quotients."""
 
 import math
 import random
@@ -13,7 +13,6 @@ from pfansatz.poly import (
     ParseBudget,
     Polynomial,
     PolynomialError,
-    RationalFunction,
     entry_text,
     exact_quotient,
     format_rational,
@@ -24,6 +23,7 @@ from pfansatz.poly import (
     poly_divmod,
     poly_exact_divide,
     poly_gcd,
+    quotient_text,
 )
 
 
@@ -228,40 +228,47 @@ def test_poly_gcd_univariate():
 
 
 # ---------------------------------------------------------------------------
-# rational functions
+# quotients in lowest terms
 
 
-def test_rational_function_reduction():
-    f = RationalFunction(P("n^2 - 1", ("n",)), P("n - 1", ("n",)))
-    assert f.as_polynomial() == P("n + 1", ("n",))
+# (numerator, denominator, text): the texts `str(RationalFunction(num, den))`
+# printed before the class was replaced by `quotient_text`
+QUOTIENT_TEXTS = [
+    ("x^2 - 1", "x - 1", "x + 1"),
+    ("x^2 - 1", "x^2 + 2*x + 1", "(x - 1)/(x + 1)"),
+    ("x", "x^2 - 1", "(x)/(x^2 - 1)"),
+    ("x + 2", "-2*x^2 + 3", "(-x - 2)/(2*x^2 - 3)"),
+    ("x", "1/2*x + 3/4", "(4*x)/(2*x + 3)"),
+    ("2*x^2 + 4", "6", "1/3*x^2 + 2/3"),
+    ("x", "-3", "-1/3*x"),
+    ("0", "x + 1", "0"),
+    ("x^3 - x", "x^2 + x", "x - 1"),
+    ("3", "x^2 + x", "(3)/(x^2 + x)"),
+    ("-x^2 + 1", "-x - 1", "x - 1"),
+    ("x^2 - y^2", "x - y", "x + y"),
+    ("x*y", "x + y", "(x*y)/(x + y)"),
+    ("x", "-x*y - 1", "(-x)/(x*y + 1)"),
+    ("x", "y + 1", "(x)/(y + 1)"),
+    ("6*x*y + 4*y", "-4*x - 2", "(-3*x*y - 2*y)/(2*x + 1)"),
+    ("3/2", "1", "3/2"),
+    ("x^4 - 1", "2*x^2 - 2", "1/2*x^2 + 1/2"),
+]
 
 
-def test_rational_function_field_ops():
-    n = P("n", ("n",))
-    f = RationalFunction(Polynomial.constant(1, ("n",)), n)  # 1/n
-    g = RationalFunction(n, n + Polynomial.constant(1, ("n",)))  # n/(n+1)
-    s = f + g
-    # oracle: evaluate both sides at several integers
-    for k in (1, 2, 3, 7):
-        lhs = Fraction(1, k) + Fraction(k, k + 1)
-        num = s.num.eval({"n": k})
-        den = s.den.eval({"n": k})
-        assert Fraction(num, den) == lhs
-    assert (f * g) / g == f
-    assert not (f - f)
+@pytest.mark.parametrize("num, den, text", QUOTIENT_TEXTS)
+def test_quotient_text_prints_the_reduced_quotient(num, den, text):
+    assert quotient_text(P(num), P(den)) == text
 
 
-def test_rational_function_division_by_zero():
-    n = P("n", ("n",))
-    f = RationalFunction(n, Polynomial.constant(1, ("n",)))
+def test_quotient_text_of_scalars_and_mixed_operands():
+    assert quotient_text(Fraction(3, 4), 1) == "3/4"
+    assert quotient_text(Fraction(-6), Fraction(4)) == "-3/2"
+    assert quotient_text(Fraction(2), P("x + 1")) == "(2)/(x + 1)"
+    assert quotient_text(P("2*x + 2"), Fraction(-2)) == "-x - 1"
     with pytest.raises(ZeroDivisionError):
-        f / RationalFunction(Polynomial.zero(("n",)), Polynomial.constant(1, ("n",)))
-
-
-def test_rational_function_lift():
-    f = RationalFunction.lift(Fraction(3, 2))
-    assert f == RationalFunction.lift(Fraction(3, 2))
-    assert f.num.constant_value() / f.den.constant_value() == Fraction(3, 2)
+        quotient_text(P("x"), Polynomial.zero(("x",)))
+    with pytest.raises(ZeroDivisionError):
+        quotient_text(Fraction(1), 0)
 
 
 def test_exact_quotient_refuses_a_remainder():
@@ -470,12 +477,7 @@ def test_exact_divide_is_none_exactly_when_divmod_leaves_a_remainder(c, b, r):
 # is the zero of x's domain
 
 
-ENTRIES = st.one_of(
-    INTS,
-    FRACTIONS,
-    polynomials(COEFFICIENTS),
-    st.builds(RationalFunction, polynomials(COEFFICIENTS), polynomials(COEFFICIENTS).filter(bool)),
-)
+ENTRIES = st.one_of(INTS, FRACTIONS, polynomials(COEFFICIENTS))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -488,7 +490,5 @@ def test_truthiness_is_the_zero_test_and_zero_times_x_is_its_domain_zero(x):
     if isinstance(x, Polynomial):
         assert type(zero) is Polynomial and zero.variables == x.variables
         assert (zero + 1).variables == x.variables
-    elif isinstance(x, RationalFunction):
-        assert type(zero) is RationalFunction
     else:
         assert type(zero) is Fraction and type(zero + 1) is Fraction

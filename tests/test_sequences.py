@@ -371,7 +371,8 @@ def cofactor_tables(draw, symbolic):
         cell = RATIONALS
     values = {(n, i): draw(cell) for n in range(1, n_max + 1) if n not in singular
               for i in range(1, 2 * n)}
-    return CofactorTable(n_max, values, singular)
+    denominators = {n: 1 for n in range(1, n_max + 1) if n not in singular}
+    return CofactorTable(n_max, values, denominators, singular)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
