@@ -7,6 +7,11 @@ scale than the default pipeline runs; keeping them here lets `certify`
 re-verify them against freshly computed tables on every run, and lets the
 tests pin the guesser's output without re-deriving it.
 
+The module keeps each operator as its term texts; `known_operators` parses
+one family's operators on that family's first lookup and caches them, so
+importing the module parses nothing and a family without entries builds
+nothing.
+
 Residuals are checked on the zero-extended tables: cofactor rows are
 extended by c(n, i) = 0 for i <= 0 and i >= 2n, which is compatible with all
 cofactor operators below.  The orthogonality operators hold on the whole
@@ -18,6 +23,7 @@ deduce the diagonal value, but its residual is still zero there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 from .guessing import RecurrenceOperator
@@ -30,147 +36,77 @@ class CatalogEntry:
     operator: RecurrenceOperator
 
 
-def _op(variables, terms) -> RecurrenceOperator:
-    return RecurrenceOperator.make(variables, terms)
-
-
-# -- cofactor operators, triangle-count family --------------------------------
-
-COFACTOR_OPS_MOTZKIN: Tuple[CatalogEntry, ...] = (
-    CatalogEntry(
-        "c",
-        "c-mixed-order-1",
-        _op(
-            ("n", "i"),
-            {
-                (0, 0): "(i-1)*(2*n-3)*(4*n-7)",
-                (-1, -1): "(2*n+i-4)*(8*i*n-8*i-8*n^2+6*n+3)",
-                (-1, 0): "-(i-1)*(16*i*n-16*i+8*n^2-34*n+27)",
-                (-1, 1): "-24*i*(i-1)*(n-1)",
-                (0, -1): "(2*n-3)*(4*n-7)*(2*n-i)",
-            },
-        ),
-    ),
-    CatalogEntry(
-        "c",
-        "c-row-order-2",
-        _op(
-            ("n", "i"),
-            {
-                (0, 0): "(n-2)*(2*n-5)*(4*n-11)*(4*n-7)*(2*n-i-2)*(2*n-i-1)",
-                (-1, 0): "-(2*n-5)*(4*n-11)*(8*i^2*n^2-24*i^2*n+17*i^2-16*i*n^2"
-                         "+48*i*n-33*i-16*n^4+108*n^3-258*n^2+258*n-92)",
-                (-2, 0): "(n-1)*(4*n-7)*(2*n+i-5)*(32*i*n^2-122*i*n+117*i"
-                         "-32*n^3+168*n^2-280*n+144)",
-                (-2, 1): "-6*i*(4*i+1)*(n-2)*(n-1)*(2*n-3)*(4*n-7)",
-                (-2, 2): "-36*i*(i+1)*(n-2)*(n-1)*(2*n-3)*(4*n-7)",
-            },
-        ),
-    ),
-    CatalogEntry(
-        "c",
-        "c-column-order-3",
-        _op(
-            ("n", "i"),
-            {
-                (0, 0): "18*n*(i-3)*(i-2)*(i-1)",
-                (0, -3): "-(2*n+i-4)*(10*i^2*n-24*i*n^2-63*i*n+i+16*n^3+76*n^2+97*n-3)",
-                (0, -2): "2*(i-3)*n*(7*i^2-12*i*n-46*i+33*n+73)",
-                (0, -1): "3*(i-3)*(i-2)*n*(14*i-12*n-39)",
-                (1, -3): "(2*n-1)*(4*n-3)*(2*n-i+4)*(2*n-i+3)",
-            },
-        ),
-    ),
-)
-
-
-# -- orthogonality-grid operators, triangle-count family ----------------------
-
-G_OPS_MOTZKIN: Tuple[CatalogEntry, ...] = (
-    CatalogEntry(
-        "g",
-        "g-mixed-order-1",
-        _op(
-            ("n", "j"),
-            {
-                (0, 0): "j*(4*n-7)*(2*n+j-2)",
-                (-1, 0): "-j*(4*n-3)*(j-n+1)",
-                (-1, 1): "-(n-1)*(4*n-3)*(2*n-j-3)",
-            },
-        ),
-    ),
-    CatalogEntry(
-        "g",
-        "g-column-order-2",
-        _op(
-            ("n", "j"),
-            {
-                (0, 0): "(j-2*n)*(2*n+j-2)",
-                (0, -2): "-3*(j-2)*(j-1)",
-                (0, -1): "-(j-1)*(2*j-3)",
-            },
-        ),
-    ),
-)
-
-
-# -- ratio operator, triangle-count family ------------------------------------
-
-R_OP_MOTZKIN = CatalogEntry(
-    "r",
-    "r-order-2",
-    _op(
-        ("n",),
-        {
+# (target, name, variables, {shift: coefficient text}) by family
+_TERMS = {
+    "motzkin": (
+        # cofactor operators
+        ("c", "c-mixed-order-1", ("n", "i"), {
+            (0, 0): "(i-1)*(2*n-3)*(4*n-7)",
+            (-1, -1): "(2*n+i-4)*(8*i*n-8*i-8*n^2+6*n+3)",
+            (-1, 0): "-(i-1)*(16*i*n-16*i+8*n^2-34*n+27)",
+            (-1, 1): "-24*i*(i-1)*(n-1)",
+            (0, -1): "(2*n-3)*(4*n-7)*(2*n-i)",
+        }),
+        ("c", "c-row-order-2", ("n", "i"), {
+            (0, 0): "(n-2)*(2*n-5)*(4*n-11)*(4*n-7)*(2*n-i-2)*(2*n-i-1)",
+            (-1, 0): "-(2*n-5)*(4*n-11)*(8*i^2*n^2-24*i^2*n+17*i^2-16*i*n^2"
+                     "+48*i*n-33*i-16*n^4+108*n^3-258*n^2+258*n-92)",
+            (-2, 0): "(n-1)*(4*n-7)*(2*n+i-5)*(32*i*n^2-122*i*n+117*i"
+                     "-32*n^3+168*n^2-280*n+144)",
+            (-2, 1): "-6*i*(4*i+1)*(n-2)*(n-1)*(2*n-3)*(4*n-7)",
+            (-2, 2): "-36*i*(i+1)*(n-2)*(n-1)*(2*n-3)*(4*n-7)",
+        }),
+        ("c", "c-column-order-3", ("n", "i"), {
+            (0, 0): "18*n*(i-3)*(i-2)*(i-1)",
+            (0, -3): "-(2*n+i-4)*(10*i^2*n-24*i*n^2-63*i*n+i+16*n^3+76*n^2+97*n-3)",
+            (0, -2): "2*(i-3)*n*(7*i^2-12*i*n-46*i+33*n+73)",
+            (0, -1): "3*(i-3)*(i-2)*n*(14*i-12*n-39)",
+            (1, -3): "(2*n-1)*(4*n-3)*(2*n-i+4)*(2*n-i+3)",
+        }),
+        # orthogonality-grid operators
+        ("g", "g-mixed-order-1", ("n", "j"), {
+            (0, 0): "j*(4*n-7)*(2*n+j-2)",
+            (-1, 0): "-j*(4*n-3)*(j-n+1)",
+            (-1, 1): "-(n-1)*(4*n-3)*(2*n-j-3)",
+        }),
+        ("g", "g-column-order-2", ("n", "j"), {
+            (0, 0): "(j-2*n)*(2*n+j-2)",
+            (0, -2): "-3*(j-2)*(j-1)",
+            (0, -1): "-(j-1)*(2*j-3)",
+        }),
+        # ratio operator
+        ("r", "r-order-2", ("n",), {
             (0,): "2*(4*n-11)*(4*n-7)*(4*n-5)*(7*n-13)",
             (-1,): "-(4*n-11)*(350*n^3-1413*n^2+1798*n-714)",
             (-2,): "9*(n-2)*(2*n-3)*(4*n-7)*(7*n-6)",
-        },
+        }),
     ),
-)
-
-
-# -- cofactor operators, king-walk family --------------------------------------
-
-COFACTOR_OPS_DELANNOY: Tuple[CatalogEntry, ...] = (
-    CatalogEntry(
-        "c",
-        "c-column-order-4",
-        _op(
-            ("n", "i"),
-            {
-                (0, 0): "2*(i-3)*(i-2)*(i-1)",
-                (0, -1): "-3*(i-3)*(i-2)*(8*i-27)",
-                (0, -2): "(i-3)*(76*i^2-589*i-8*n^2+16*n+1109)",
-                (0, -3): "-3*(8*i^3-105*i^2-16*i*n^2+32*i*n+443*i+68*n^2-136*n-600)",
-                (0, -4): "(2*i-11)*(i-2*n-3)*(i+2*n-7)",
-            },
-        ),
+    "delannoy": (
+        # cofactor operators
+        ("c", "c-column-order-4", ("n", "i"), {
+            (0, 0): "2*(i-3)*(i-2)*(i-1)",
+            (0, -1): "-3*(i-3)*(i-2)*(8*i-27)",
+            (0, -2): "(i-3)*(76*i^2-589*i-8*n^2+16*n+1109)",
+            (0, -3): "-3*(8*i^3-105*i^2-16*i*n^2+32*i*n+443*i+68*n^2-136*n-600)",
+            (0, -4): "(2*i-11)*(i-2*n-3)*(i+2*n-7)",
+        }),
+        ("c", "c-row-order-1", ("n", "i"), {
+            (0, 0): "2*(n-2)*(2*n-3)*(4*n-9)*(i-2*n+1)*(i-2*n+2)",
+            (-1, 0): "-(n-1)*(i+2*n-5)*(68*i^2*n-102*i^2-96*i*n^2+178*i*n"
+                     "-43*i+64*n^3-208*n^2+200*n-56)",
+            (-1, 1): "6*i*(n-1)*(2*n-3)*(35*i^2+4*i*n-66*i-n+14)",
+            (-1, 2): "-i*(i+1)*(n-1)*(2*n-3)*(70*i+4*n-31)",
+            (-1, 3): "6*i*(i+1)*(i+2)*(n-1)*(2*n-3)",
+        }),
     ),
-    CatalogEntry(
-        "c",
-        "c-row-order-1",
-        _op(
-            ("n", "i"),
-            {
-                (0, 0): "2*(n-2)*(2*n-3)*(4*n-9)*(i-2*n+1)*(i-2*n+2)",
-                (-1, 0): "-(n-1)*(i+2*n-5)*(68*i^2*n-102*i^2-96*i*n^2+178*i*n"
-                         "-43*i+64*n^3-208*n^2+200*n-56)",
-                (-1, 1): "6*i*(n-1)*(2*n-3)*(35*i^2+4*i*n-66*i-n+14)",
-                (-1, 2): "-i*(i+1)*(n-1)*(2*n-3)*(70*i+4*n-31)",
-                (-1, 3): "6*i*(i+1)*(i+2)*(n-1)*(2*n-3)",
-            },
-        ),
-    ),
-)
-
-
-_BY_FAMILY = {
-    "motzkin": COFACTOR_OPS_MOTZKIN + G_OPS_MOTZKIN + (R_OP_MOTZKIN,),
-    "delannoy": COFACTOR_OPS_DELANNOY,
 }
 
 
+@lru_cache(maxsize=None)
 def known_operators(family_name: str) -> Tuple[CatalogEntry, ...]:
-    """All cataloged operators for a family (empty tuple when none)."""
-    return _BY_FAMILY.get(family_name, ())
+    """All cataloged operators for a family (empty tuple when none), parsed
+    on the family's first lookup."""
+    return tuple(
+        CatalogEntry(target, name, RecurrenceOperator.make(variables, terms))
+        for target, name, variables, terms in _TERMS.get(family_name, ())
+    )

@@ -216,14 +216,7 @@ class RecurrenceOperator:
         return Fraction(total, den)
 
     def admissible_points(self, table: Table) -> List[Point]:
-        pts = set(table.values)
-        shifts = self.shifts()
-        cands = {tuple(q - s for q, s in zip(p, shift)) for p in pts for shift in shifts}
-        return sorted(
-            p
-            for p in cands
-            if all(tuple(a + b for a, b in zip(p, s)) in pts for s in shifts)
-        )
+        return _admissible(table, self.shifts())
 
     # -- serialization -----------------------------------------------------
 
@@ -261,6 +254,14 @@ class RecurrenceOperator:
             )
             parts.append(f"({coeff})" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
+
+
+def _admissible(table: Table, shifts: Sequence[Point]) -> List[Point]:
+    """The sorted points p with p + s in the table for every shift s: the
+    intersection over s of the table's points moved by -s."""
+    return sorted(set.intersection(*(
+        {tuple(map(operator.sub, q, s)) for q in table.values} for s in shifts
+    )))
 
 
 def apply_operator(
@@ -326,6 +327,8 @@ class GuessSpec:
                 raise ValueError(f"support arity mismatch: {supp}")
             if len(set(supp)) != len(supp):
                 raise ValueError("duplicate support shifts")
+            if not supp:
+                raise ValueError("empty support")
             return supp
         orders = tuple(int(o) for o in self.orders)
         if len(orders) != arity or any(o < 0 for o in orders):
@@ -424,10 +427,7 @@ def guess_from_table(
     monomials = _monomials(table.arity, spec.degree)
     unknowns = len(support) * len(monomials)
 
-    probe = RecurrenceOperator.make(
-        variables, {s: Polynomial.constant(1, variables) for s in support}
-    )
-    admissible = probe.admissible_points(table)
+    admissible = _admissible(table, support)
     usable = []  # (point, row) of every non-trivial equation, by point
     for p in admissible:
         row = _equation_row(table, support, monomials, p)
@@ -547,40 +547,57 @@ def guess_univariate(data, spec: GuessSpec, variable: str = "n") -> GuessResult:
 # integer roots and leading-coefficient analysis
 
 
-def _int_divisors(n: int) -> List[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    total = 0
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+def _root_brackets(coeffs: Sequence[int], lo: int, hi: int) -> List[int]:
+    """Integers k such that every real root in [lo, hi] of the polynomial with
+    ascending integer coefficients `coeffs` (last one nonzero) lies in some
+    [k, k + 1].  The derivative's brackets cut [lo, hi] into pieces on which
+    the polynomial is strictly monotone; each piece holds at most one root,
+    which bisection over the integers brackets."""
+    if len(coeffs) == 1:
+        return []
+    critical = _root_brackets([k * c for k, c in enumerate(coeffs)][1:], lo, hi)
+    brackets = set(critical)
+    ends = [lo, *(e for k in critical for e in (k, k + 1)), hi]
+    for a, b in zip(ends[::2], ends[1::2]):
+        if a > b:
+            continue
+        fa, fb = _horner(coeffs, a), _horner(coeffs, b)
+        if fa and fb and (fa > 0) == (fb > 0):
+            continue
+        # a root lies in [a, b], and fa is 0 or of the sign opposite to it
+        while b - a > 1:
+            m = (a + b) // 2
+            fm = _horner(coeffs, m)
+            if fa and fm and (fm > 0) == (fa > 0):
+                a, fa = m, fm
+            else:
+                b = m
+        brackets.add(a)
+    return sorted(brackets)
 
 
 def integer_roots(p: Polynomial) -> List[int]:
     """All integer roots of a univariate polynomial (errors on the zero
-    polynomial; a nonzero constant has none)."""
+    polynomial; a nonzero constant has none).  The real roots are bracketed
+    inside the Cauchy bound 1 + max|a_k| / |a_d|, and each bracket's two
+    integers are tested exactly, so the cost grows with the coefficients'
+    bit size, not with their size."""
     if not p:
         raise ValueError("zero polynomial has every integer as a root")
     var = p.sole_variable()
     if var is None:
         return []
     ints, _ = over_common_denominator(p.univariate_coefficients(var))
-    low = 0
-    while ints[low] == 0:
-        low += 1
-    roots = set()
-    if low > 0:
-        roots.add(0)
-    constant = ints[low]
-    for d in _int_divisors(constant):
-        for cand in (d, -d):
-            if sum(c * cand ** k for k, c in enumerate(ints[low:])) == 0:
-                roots.add(cand)
-    return sorted(roots)
+    bound = 2 + max(abs(c) for c in ints[:-1]) // abs(ints[-1])
+    candidates = {k + d for k in _root_brackets(ints, -bound, bound) for d in (0, 1)}
+    return sorted(x for x in candidates if not _horner(ints, x))
 
 
 # parse order matters: a two-character relation is tried before its prefix
@@ -673,12 +690,34 @@ class LeadingReport:
 def _region_box_points(region_text: str, names: Tuple[str, ...], box) -> Tuple[Point, ...]:
     """The integer points of the box (one (low, high) range per name, in
     product order) that satisfy the region parsed from `region_text`.
-    Memoized, so the operators of one guess share a single region scan."""
-    region = Region.parse(region_text)
-    ranges = [range(lo, hi + 1) for lo, hi in box]
-    return tuple(
-        combo for combo in product(*ranges) if region.satisfied(dict(zip(names, combo)))
-    )
+    Memoized, so the operators of one guess share a single region scan.
+
+    A constraint on the window's variables is tested in integers: its
+    polynomial times the (positive) lcm of its coefficients' denominators,
+    evaluated by `int_value` on the point tuple.  Any other constraint takes
+    `Constraint.satisfied`, which raises for its unbound variable."""
+    tests = []  # (int form over the point tuple, relation) or (None, constraint)
+    for c in Region.parse(region_text).constraints:
+        if not set(c.poly.effective_variables()) <= set(names):
+            tests.append((None, c))
+            continue
+        ints, _ = over_common_denominator(list(c.poly.terms.values()))
+        form = tuple(
+            (k, tuple((names.index(v), e) for v, e in zip(c.poly.variables, exp) if e))
+            for k, exp in zip(ints, c.poly.terms)
+        )
+        tests.append((form, _RELATIONS[c.relation]))
+
+    def inside(point: Point) -> bool:
+        for form, test in tests:
+            if form is None:
+                if not test.satisfied(dict(zip(names, point))):
+                    return False
+            elif not test(int_value(form, point), 0):
+                return False
+        return True
+
+    return tuple(filter(inside, product(*(range(lo, hi + 1) for lo, hi in box))))
 
 
 def leading_nonvanishing(

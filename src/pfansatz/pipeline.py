@@ -26,6 +26,7 @@ from .guessing import (
     GuessingError,
     GuessSpec,
     GuessResult,
+    Region,
     Table,
     apply_operator,
     guess_from_table,
@@ -37,6 +38,7 @@ from .poly import (
     Polynomial,
     entry_text,
     format_rational,
+    over_common_denominator,
     parse_poly,
     quotient_text,
 )
@@ -260,19 +262,32 @@ class OrthogonalityGrid:
 
 
 def check_identity2(family: MatrixFamily, table: CofactorTable, j_extra: int = 4) -> OrthogonalityGrid:
-    """Contract sums g_{n,j} for 1 <= j <= 2n + j_extra at every solved n."""
+    """Contract sums g_{n,j} for 1 <= j <= 2n + j_extra at every solved n.
+
+    Over Q each row and the moments are written as ints over their common
+    denominators, so each g_{n,j} is one int sum and one Fraction."""
     m = [family.moment(s) for s in range(4 * table.n_max + j_extra)]
+    rational = not family.symbolic
+    if rational:
+        m_ints, m_den = over_common_denominator(m)
     values: Dict[Tuple[int, int], Entry] = {}
     for n in range(1, table.n_max + 1):
         if n in table.singular:
             continue
         row = table.row(n)
+        if rational:
+            ints, den = over_common_denominator(row)
+            den *= m_den
         for j in range(1, 2 * n + j_extra + 1):
-            total = None
-            for i in range(1, 2 * n):
-                term = row[i - 1] * ((j - i) * m[i + j])
-                total = term if total is None else total + term
-            values[(n, j)] = total
+            if rational:
+                total = sum((j - i) * c * m_ints[i + j] for i, c in enumerate(ints, 1))
+                values[(n, j)] = Fraction(total, den)
+            else:
+                total = None
+                for i in range(1, 2 * n):
+                    term = row[i - 1] * ((j - i) * m[i + j])
+                    total = term if total is None else total + term
+                values[(n, j)] = total
     return OrthogonalityGrid(table.n_max, values, table.denominators)
 
 
@@ -394,6 +409,7 @@ def _guess_section(result_or_error, region: Optional[str] = None,
     if isinstance(result_or_error, GuessResult):
         section = {"status": "ok", **result_or_error.to_json_dict()}
         if region is not None:
+            region = Region.parse(region)
             leads = []
             for op in result_or_error.operators:
                 try:
@@ -487,8 +503,9 @@ def certify(
                       "this family is symbolic",
         }
     else:
-        # imported here: the catalog parses its operators at import (about
-        # 30 ms), which no other command needs
+        # imported here: no other command needs the catalog, and compiling
+        # it costs start-up time where no bytecode cache is kept; it builds a
+        # family's operators on that family's first lookup
         from .catalog import known_operators
 
         tables = {"c": table.as_table(), "g": grid.as_table(),

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfansatz import guessing
-from pfansatz.catalog import COFACTOR_OPS_MOTZKIN, known_operators
+from pfansatz.catalog import known_operators
 from pfansatz.guessing import (
     DegenerateData,
     _equation_row,
@@ -37,7 +37,7 @@ from pfansatz.guessing import (
 )
 from pfansatz.linalg import nullspace, solve_linear
 from pfansatz.pipeline import c_table, check_identity2, ratio_sequence
-from pfansatz.poly import Polynomial, int_value, parse_poly
+from pfansatz.poly import Polynomial, PolynomialError, int_value, parse_poly
 from pfansatz.sequences import family_from_descriptor, motzkin
 
 
@@ -302,7 +302,7 @@ def test_leading_univariate_exact():
 
 
 def test_leading_bivariate_window_verified():
-    entry = next(e for e in COFACTOR_OPS_MOTZKIN if e.name == "c-mixed-order-1")
+    entry = next(e for e in known_operators("motzkin") if e.name == "c-mixed-order-1")
     rep = leading_nonvanishing(
         entry.operator,
         "n >= 2 and i - 2*n >= 0",
@@ -768,3 +768,132 @@ def bivariate_leads(draw):
 @given(bivariate_leads(), st.integers(2, 7))
 def test_window_scan_matches_box_scan_on_random_leads(op, size):
     _check_window_scan(op, C_REGION, {"n": (1, size), "i": (1, 2 * size - 1)})
+
+
+# ---------------------------------------------------------------------------
+# integer kernels of the certify path, against the former loops
+
+
+def former_integer_roots(ints):
+    """The former root search: every divisor d of the lowest nonzero
+    coefficient, and -d, tried in turn (0 when lower ones vanish)."""
+    low = 0
+    while ints[low] == 0:
+        low += 1
+    roots = {0} if low else set()
+    constant = abs(ints[low])
+    for d in range(1, constant + 1):
+        if constant % d == 0:
+            roots.update(c for c in (d, -d)
+                         if sum(a * c ** k for k, a in enumerate(ints[low:])) == 0)
+    return sorted(roots)
+
+
+def poly_from_roots(roots, cofactor):
+    """Ascending integer coefficients of prod (n - r) times `cofactor`."""
+    coeffs = list(cofactor)
+    for r in roots:
+        coeffs = [-r * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+@PROPERTY
+@given(st.lists(st.integers(-40, 40), max_size=3),
+       st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+def test_integer_roots_match_divisor_enumeration(roots, cofactor):
+    coeffs = poly_from_roots(roots, cofactor)
+    hypothesis.assume(len(coeffs) > 1 and any(coeffs[:-1]))
+    hypothesis.assume(abs(next(c for c in coeffs if c)) <= 10 ** 4)
+    p = Polynomial(("n",), {(k,): c for k, c in enumerate(coeffs)})
+    assert integer_roots(p) == former_integer_roots(coeffs)
+
+
+def test_integer_roots_large_constant_term():
+    n = Polynomial.variable("n")
+    big = 2 ** 61 + 1
+    p = (n - big) * (n + 3) * (2 * n - 5) * (n * n + 7)
+    assert integer_roots(p) == [-3, big]
+    huge = 2 ** 100 + 277
+    assert integer_roots(n * n * (n - huge) * (n + 2 ** 99)) == [-2 ** 99, 0, huge]
+    assert integer_roots(n ** 3 + huge) == []
+    assert integer_roots((n - 2 ** 64) ** 2 * (3 * n + 1)) == [2 ** 64]
+
+
+def former_admissible(table, shifts):
+    pts = set(table.values)
+    cands = {tuple(q - s for q, s in zip(p, shift)) for p in pts for shift in shifts}
+    return sorted(
+        p for p in cands if all(tuple(a + b for a, b in zip(p, s)) in pts for s in shifts)
+    )
+
+
+@st.composite
+def tables_and_shifts(draw):
+    """A table with holes on a small box and distinct shifts, some negative."""
+    arity = draw(st.sampled_from((1, 2)))
+    coord = st.integers(-4, 6)
+    points = draw(st.sets(st.tuples(*[coord] * arity), max_size=40))
+    shifts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * arity),
+                           min_size=1, max_size=4, unique=True))
+    return Table(arity, {p: Fraction(1) for p in points}), shifts
+
+
+@PROPERTY
+@given(tables_and_shifts())
+def test_admissible_points_match_former_comprehension(case):
+    table, shifts = case
+    variables = ("n", "i")[:table.arity]
+    op = RecurrenceOperator.make(variables, {s: "1" for s in shifts})
+    expected = former_admissible(table, shifts)
+    assert op.admissible_points(table) == expected
+    assert guessing._admissible(table, shifts) == expected
+
+
+def reference_box_points(text, names, box):
+    region = Region.parse(text)
+    ranges = [range(lo, hi + 1) for lo, hi in box]
+    return tuple(c for c in itertools.product(*ranges) if region.satisfied(dict(zip(names, c))))
+
+
+@st.composite
+def region_texts(draw):
+    """Conjunctions of linear constraints in n and i under every relation,
+    with rational coefficients now and then."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b, c = (draw(st.integers(-4, 4)) for _ in range(3))
+        d = draw(st.sampled_from((1, 1, 2, 3)))
+        rel = draw(st.sampled_from(sorted(guessing._RELATIONS)))
+        pieces.append(f"{a}*n/{d} + {b}*i + {c} {rel} 0")
+    return " and ".join(pieces)
+
+
+@PROPERTY
+@given(region_texts(), st.integers(1, 6))
+def test_box_scan_matches_region_satisfied(text, size):
+    names, box = ("i", "n"), ((-1, 2 * size), (0, size))
+    assert guessing._region_box_points(text, names, box) == reference_box_points(text, names, box)
+
+
+def test_box_scan_rational_and_equality_constraints():
+    names, box = ("i", "n"), ((0, 9), (0, 9))
+    for text in ("n/2 - i >= 0", "n/2 - i == 0 and n >= 1", "2*n/3 - i != 0",
+                 "n - 2*i == 1/2", "i <= n/3 + 1/2 and n > 2"):
+        expected = reference_box_points(text, names, box)
+        assert guessing._region_box_points(text, names, box) == expected, text
+    assert guessing._region_box_points("n/2 - i == 0", names, box) == (
+        (0, 0), (1, 2), (2, 4), (3, 6), (4, 8))
+
+
+def test_box_scan_refuses_a_variable_outside_the_window_as_before():
+    names, box = ("i", "n"), ((0, 3), (0, 3))
+    with pytest.raises(PolynomialError) as old:
+        reference_box_points("n >= 1 and k - i >= 0", names, box)
+    with pytest.raises(PolynomialError) as new:
+        guessing._region_box_points("n >= 1 and k - i >= 0", names, box)
+    assert str(new.value) == str(old.value)
+    # a constraint the scan never reaches raises nothing, as before
+    text = "n >= 10 and k >= 0"
+    assert guessing._region_box_points(text, names, box) == reference_box_points(text, names, box) == ()

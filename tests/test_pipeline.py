@@ -1,8 +1,10 @@
 """The cofactor pipeline: tables, identity grids, ratio sequences,
 closed forms, certification verdicts, and the scaled-family checker."""
 
+import importlib.util
 import os
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -144,6 +146,33 @@ def test_grid_zeros_and_diagonal():
     assert [grid.get(n, 2 * n) for n in range(1, 5)] == [1, 5, 9, 13]
     # the grid extends past the diagonal
     assert grid.get(2, 2 * 2 + 4) is not None
+
+
+def reference_grid(family, table, j_extra):
+    """check_identity2's former Fraction loop."""
+    m = [family.moment(s) for s in range(4 * table.n_max + j_extra)]
+    values = {}
+    for n in range(1, table.n_max + 1):
+        if n not in table.singular:
+            row = table.row(n)
+            for j in range(1, 2 * n + j_extra + 1):
+                values[(n, j)] = sum((row[i - 1] * ((j - i) * m[i + j]) for i in range(1, 2 * n)),
+                                     Fraction(0))
+    return values
+
+
+@pytest.mark.parametrize("family", [
+    MOTZKIN,
+    family_from_descriptor("narayana:x=3/7"),
+    family_from_descriptor("narayana:x=0"),
+    MatrixFamily("moments", "s^2/3 + 1/(s+1)", lambda s: Fraction(s * s, 3) + Fraction(1, s + 1)),
+])
+def test_integer_contraction_matches_fraction_loop(family):
+    table = c_table(family, 6)
+    grid = check_identity2(family, table, j_extra=5)
+    expected = reference_grid(family, table, 5)
+    assert grid.values == expected
+    assert all(type(v) is Fraction for v in grid.values.values())
 
 
 def test_ratio_sequence_cross_check():
@@ -317,6 +346,36 @@ def test_certify_symbolic_family_skips_operator_guessing():
     report = certify(fam, cf, 3)
     assert report.verdict == "certified-at-scale"
     assert report.operators["skipped"]["status"] == "diagnostic"
+
+
+def test_certify_builds_catalog_operators_only_for_the_family_at_hand(monkeypatch):
+    from pfansatz import catalog
+
+    def refuse(variables, terms):
+        raise AssertionError("a catalog operator was built")
+
+    catalog.known_operators.cache_clear()
+    monkeypatch.setattr(catalog, "RecurrenceOperator", SimpleNamespace(make=refuse))
+    fam = family_from_descriptor("narayana:x=3/7")
+    report = certify(fam, closed_form_for("narayana", fam.x), 5)
+    assert report.verdict == "certified-at-scale"
+    assert "catalog" not in report.operators
+    with pytest.raises(AssertionError, match="catalog operator"):
+        catalog.known_operators("motzkin")
+    catalog.known_operators.cache_clear()
+
+
+def test_importing_the_catalog_parses_nothing(monkeypatch):
+    from pfansatz.guessing import RecurrenceOperator
+
+    def refuse(cls, variables, terms):
+        raise AssertionError("the catalog built an operator at import")
+
+    monkeypatch.setattr(RecurrenceOperator, "make", classmethod(refuse))
+    spec = importlib.util.find_spec("pfansatz.catalog")
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert fresh.known_operators("narayana") == ()
 
 
 # ---------------------------------------------------------------------------
