@@ -56,7 +56,7 @@ from .pipeline import (
 )
 from .poly import entry_text, format_rational
 from .minorsum import theorem4_terms, verify_msf, verify_okinawa
-from .sequences import delannoy, family_from_descriptor, motzkin, schroeder
+from .sequences import PLAIN_SEQUENCES, family_from_descriptor
 
 OUT_DIR_ENV = "PFANSATZ_OUT_DIR"
 
@@ -221,6 +221,7 @@ def cmd_certify(args) -> int:
             raise UsageError(f"{e}; pass --closed-form-override to supply one") from None
     if args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
+    _check_dimension(2 * args.n_max)  # the largest matrix
 
     report = certify(family, closed_form, args.n_max, progress=_say)
     text = report.to_json() if args.format == "json" else report.render_text()
@@ -236,8 +237,6 @@ def cmd_certify(args) -> int:
 # guess
 
 
-_SEQUENCES = {"motzkin": motzkin, "delannoy": delannoy, "schroeder": schroeder}
-
 # Default --n-max of a generated source.  A ratio source gives one point per
 # n, and the default class (order 2, degree 2) needs 19 usable equations:
 # r:motzkin first has them at n_max = 28.
@@ -252,18 +251,19 @@ def _guess_table(source: str, n_max: Optional[int]) -> Tuple[Table, Tuple[str, .
     anything else (or "file:<path>") a table JSON file."""
     kind, sep, rest = source.partition(":")
     if kind == "seq" and sep:
-        fn = _SEQUENCES.get(rest)
-        if fn is None:
+        if rest not in PLAIN_SEQUENCES:
             raise UsageError(
-                f"unknown sequence {rest!r}; choose from {sorted(_SEQUENCES)}"
+                f"unknown sequence {rest!r}; choose from {sorted(PLAIN_SEQUENCES)}"
             )
+        sequence = PLAIN_SEQUENCES[rest][0]
         bound = _DEFAULT_BOUNDS[kind] if n_max is None else n_max
-        return Table.from_sequence([fn(n) for n in range(bound + 1)]), ("n",)
+        return Table.from_sequence([sequence(n) for n in range(bound + 1)]), ("n",)
     if kind in ("c", "g", "r") and sep:
         family = family_from_descriptor(rest)
         if family.symbolic:
             raise UsageError("guessing operates on rational tables only")
         bound = _DEFAULT_BOUNDS[kind] if n_max is None else n_max
+        _check_dimension(2 * bound)  # the largest matrix
         table = c_table(family, bound, progress=_say)
         if kind == "c":
             return table.as_table(), ("n", "i")
@@ -448,6 +448,7 @@ def cmd_conjecture(args) -> int:
         raise UsageError("--k must be >= 1")
     if args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
+    _check_dimension(2 * args.n_max)  # the largest matrix
     report = check_conjecture1(args.k, args.n_max, variant=args.variant, progress=_say)
     text = report.to_json() if args.format == "json" else report.render_text()
     _emit(text, args.out,

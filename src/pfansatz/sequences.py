@@ -3,8 +3,9 @@ matrix families built from them.
 
 Sequence generators return exact values (Fraction, or Polynomial for the
 variable-weighted case) and treat negative indices as 0, which makes the
-moments below total functions.  Memo caches hold immutable values only,
-so concurrent readers are safe.
+moments below total functions.  Memo caches hold immutable values, or
+`PRecursive` evaluators that rebind theirs as one tuple, so concurrent
+readers are safe.
 """
 
 from __future__ import annotations
@@ -44,69 +45,75 @@ def hyp2f1_terminating(a: Fraction, b: Fraction, c: Fraction, z: Fraction) -> Fr
     return total
 
 
-@functools.lru_cache(maxsize=None)
+class PRecursive:
+    """The sequence of a recurrence: initial values a(0), a(1), ..., and a step
+    giving a(n) from n and the list a(0..n-1).  Values grow by a loop, never
+    by recursion, into one tuple; a(n) for n < 0 is the zero of the domain."""
+
+    def __init__(self, initial: tuple, step: Callable[[int, list], Entry]):
+        self._values = tuple(initial)
+        self._step = step
+
+    def __call__(self, n: int) -> Entry:
+        values = self._values
+        if n < 0:
+            return Fraction(0) * values[0]
+        if n >= len(values):
+            grown = list(values)
+            while len(grown) <= n:
+                grown.append(self._step(len(grown), grown))
+            self._values = values = tuple(grown)
+        return values[n]
+
+
+_MOTZKIN = PRecursive((Fraction(1), Fraction(1)),
+                      lambda n, M: ((2 * n + 1) * M[n - 1] + 3 * (n - 1) * M[n - 2]) / (n + 2))
+_DELANNOY = PRecursive((Fraction(1), Fraction(3)),
+                       lambda n, D: (3 * (2 * n - 1) * D[n - 1] - (n - 1) * D[n - 2]) / n)
+_SCHROEDER = PRecursive((Fraction(1), Fraction(2)),
+                        lambda n, S: (3 * (2 * n - 1) * S[n - 1] - (n - 2) * S[n - 2]) / (n + 1))
+
+
 def motzkin(n: int) -> Fraction:
-    """sum_k C(n,2k) C(2k,k) / (k+1); 0 for n < 0."""
-    if n < 0:
-        return Fraction(0)
-    return sum(
-        (Fraction(comb(n, 2 * k) * comb(2 * k, k), k + 1) for k in range(n // 2 + 1)),
-        Fraction(0),
+    """(n+2) M(n) = (2n+1) M(n-1) + 3(n-1) M(n-2), M(0) = M(1) = 1; 0 for n < 0."""
+    return _MOTZKIN(n)
+
+
+def delannoy(n: int) -> Fraction:
+    """Central values: n D(n) = 3(2n-1) D(n-1) - (n-1) D(n-2), D(0) = 1,
+    D(1) = 3; 0 for n < 0."""
+    return _DELANNOY(n)
+
+
+def schroeder(n: int) -> Fraction:
+    """(n+1) S(n) = 3(2n-1) S(n-1) - (n-2) S(n-2), S(0) = 1, S(1) = 2; 0 for n < 0."""
+    return _SCHROEDER(n)
+
+
+def _narayana_at(x: Entry) -> PRecursive:
+    """The weight-enumerator sequence N at x, a rational or the variable x."""
+    rise, fall = 1 + x, (1 - x) ** 2
+    return PRecursive(
+        (x ** 0, x),  # x ** 0 is the one of x's domain
+        lambda n, N: ((2 * n - 1) * rise * N[n - 1] - (n - 2) * fall * N[n - 2]) / (n + 1),
     )
 
 
-@functools.lru_cache(maxsize=None)
-def delannoy(n: int) -> Fraction:
-    """Central values sum_k C(n,k) C(n+k,k); 0 for n < 0."""
-    if n < 0:
-        return Fraction(0)
-    return sum((Fraction(comb(n, k) * comb(n + k, k)) for k in range(n + 1)), Fraction(0))
+_NARAYANA = _narayana_at(Polynomial.variable("x"))
+_narayana_at_rational = functools.lru_cache(maxsize=None)(_narayana_at)
 
 
-_X = Polynomial.variable("x")
-
-
-@functools.lru_cache(maxsize=None)
 def narayana(n: int) -> Polynomial:
-    """Weight-enumerator polynomial sum_k C(n,k) C(n,k-1) x^k / n, with the
-    n = 0 value 1; zero polynomial for n < 0."""
-    if n < 0:
-        return Polynomial.zero(("x",))
-    if n == 0:
-        return Polynomial.constant(1, ("x",))
-    terms = {}
-    for k in range(1, n + 1):
-        c = Fraction(comb(n, k) * comb(n, k - 1), n)
-        if c:
-            terms[(k,)] = c
-    return Polynomial(("x",), terms)
+    """Weight-enumerator polynomial sum_k C(n,k) C(n,k-1) x^k / n, computed by
+    (n+1) N(n) = (2n-1)(1+x) N(n-1) - (n-2)(1-x)^2 N(n-2), N(0) = 1, N(1) = x;
+    zero polynomial for n < 0."""
+    return _NARAYANA(n)
 
 
 @functools.lru_cache(maxsize=None)
 def narayana_value(n: int, x: Fraction) -> Fraction:
-    """Same sum evaluated directly at a rational x."""
-    if n < 0:
-        return Fraction(0)
-    if n == 0:
-        return Fraction(1)
-    x = Fraction(x)
-    total = Fraction(0)
-    pw = Fraction(1)
-    for k in range(1, n + 1):
-        pw *= x
-        total += Fraction(comb(n, k) * comb(n, k - 1), n) * pw
-    return total
-
-
-@functools.lru_cache(maxsize=None)
-def schroeder(n: int) -> Fraction:
-    """sum_k C(n+k,2k) C(2k,k) / (k+1); 0 for n < 0."""
-    if n < 0:
-        return Fraction(0)
-    return sum(
-        (Fraction(comb(n + k, 2 * k) * comb(2 * k, k), k + 1) for k in range(n + 1)),
-        Fraction(0),
-    )
+    """The same recurrence at a rational x."""
+    return _narayana_at_rational(Fraction(x))(n)
 
 
 def trinomial_coefficient(m: int, r: int) -> int:
@@ -122,28 +129,18 @@ def motzkin_triangle(i: int, j: int) -> Fraction:
     """Entry (i, j) of the Motzkin path triangle, 1-based; 0 outside the band
     j <= 2i - 1.
 
-    Odd columns j = 2k-1 count paths from height 0 to height k-1 in i-1 steps;
-    even columns carry the companion weighted count k * [x^(i+k-1)](1+x+x^2)^(i-1).
-    Both are evaluated through terminating Gauss sums with a binomial prefactor;
-    a zero prefactor short-circuits (the sum parameters may not terminate there).
+    Odd columns j = 2k-1 count paths from height 0 to height k-1 in i-1 steps,
+    by reflection T(i-1, i+k-2) - T(i-1, i+k), with T the trinomial
+    coefficient; even columns j = 2k carry the companion weighted count
+    k * T(i-1, i+k-1).
     """
     if i < 1 or j < 1:
         return Fraction(0)
-    if j % 2 == 1:
-        k = (j + 1) // 2
-        pre = comb(i - 1, k - 1) if k - 1 <= i - 1 else 0
-        if not pre:
-            return Fraction(0)
-        return pre * hyp2f1_terminating(
-            Fraction(k - i, 2), Fraction(k - i + 1, 2), Fraction(k + 1), Fraction(4)
-        )
-    k = j // 2
-    pre = (i - 1) * comb(i - 2, k - 1) if 0 <= k - 1 <= i - 2 else 0
-    if not pre:
-        return Fraction(0)
-    return pre * hyp2f1_terminating(
-        Fraction(k - i + 1, 2), Fraction(k - i + 2, 2), Fraction(k + 1), Fraction(4)
-    )
+    k = (j + 1) // 2
+    if j % 2:
+        return Fraction(trinomial_coefficient(i - 1, i + k - 2)
+                        - trinomial_coefficient(i - 1, i + k))
+    return Fraction(k * trinomial_coefficient(i - 1, i + k - 1))
 
 
 def motzkin_column(k: int, i: int) -> Fraction:
@@ -175,6 +172,10 @@ class MatrixFamily:
         return f"MatrixFamily({self.descriptor!r})"
 
 
+# the families without a parameter: name -> (sequence, offset), mu(s) = sequence(s - offset)
+PLAIN_SEQUENCES = {"motzkin": (motzkin, 3), "delannoy": (delannoy, 3), "schroeder": (schroeder, 2)}
+
+
 def family_from_descriptor(descriptor: str) -> MatrixFamily:
     """Build a family from a descriptor string.
 
@@ -185,18 +186,11 @@ def family_from_descriptor(descriptor: str) -> MatrixFamily:
     name, _, arg = descriptor.partition(":")
     name = name.strip()
     arg = arg.strip()
-    if name == "motzkin":
+    if name in PLAIN_SEQUENCES:
         if arg:
             raise ValueError(f"{name} takes no parameter, got {arg!r}")
-        return MatrixFamily("motzkin", descriptor, lambda s: motzkin(s - 3))
-    if name == "delannoy":
-        if arg:
-            raise ValueError(f"{name} takes no parameter, got {arg!r}")
-        return MatrixFamily("delannoy", descriptor, lambda s: delannoy(s - 3))
-    if name == "schroeder":
-        if arg:
-            raise ValueError(f"{name} takes no parameter, got {arg!r}")
-        return MatrixFamily("schroeder", descriptor, lambda s: schroeder(s - 2))
+        sequence, offset = PLAIN_SEQUENCES[name]
+        return MatrixFamily(name, descriptor, lambda s: sequence(s - offset))
     if name == "narayana":
         key, _, value = arg.partition("=")
         if key.strip() != "x" or not value:

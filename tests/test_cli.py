@@ -436,6 +436,28 @@ def test_guess_symbolic_family_rejected_before_any_solve(capsys, kind):
     assert "cofactor system" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("certify", "--family", "motzkin"),
+    ("conjecture", "--k", "2"),
+    ("guess", "--source", "c:motzkin"),
+    ("guess", "--source", "g:delannoy"),
+    ("guess", "--source", "r:schroeder"),
+])
+def test_n_max_above_the_cap_fails_before_any_solve(capsys, argv):
+    code, out, err = run(capsys, *argv, "--n-max", "201")
+    assert code == 2
+    assert out == ""
+    assert err == "error: matrix dimension 402 is above the cap of 400\n"
+    assert "cofactor system" not in err
+
+
+def test_guess_unknown_sequence_names_the_built_in_ones(capsys):
+    code, out, err = run(capsys, "guess", "--source", "seq:nosuch")
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown sequence 'nosuch'; "
+                   "choose from ['delannoy', 'motzkin', 'schroeder']\n")
+
+
 @pytest.mark.parametrize("values, error", [
     ('[{"point": [null], "value": "1"}]', "TypeError"),
     ('[{"value": "1"}]', "KeyError"),

@@ -5,10 +5,14 @@ Every generator is checked against an independent combinatorial oracle
 """
 
 import functools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfansatz.pfaffian import SkewMatrix
@@ -387,3 +391,93 @@ def test_check_identity2_matches_the_per_entry_contraction(kind, x, j_extra, dat
     got = check_identity2(fam, table, j_extra).values
     assert got.keys() == expected.keys()
     assert all(same_entry(got[k], expected[k]) for k in expected)
+
+
+# ---------------------------------------------------------------------------
+# the recurrences against the binomial sums they replaced
+
+
+def motzkin_sum(n):
+    if n < 0:
+        return Fraction(0)
+    return sum(
+        (Fraction(comb(n, 2 * k) * comb(2 * k, k), k + 1) for k in range(n // 2 + 1)),
+        Fraction(0),
+    )
+
+
+def delannoy_sum(n):
+    if n < 0:
+        return Fraction(0)
+    return sum((Fraction(comb(n, k) * comb(n + k, k)) for k in range(n + 1)), Fraction(0))
+
+
+def schroeder_sum(n):
+    if n < 0:
+        return Fraction(0)
+    return sum(
+        (Fraction(comb(n + k, 2 * k) * comb(2 * k, k), k + 1) for k in range(n + 1)),
+        Fraction(0),
+    )
+
+
+def narayana_sum(n):
+    if n < 0:
+        return Polynomial.zero(("x",))
+    if n == 0:
+        return Polynomial.constant(1, ("x",))
+    terms = {}
+    for k in range(1, n + 1):
+        c = Fraction(comb(n, k) * comb(n, k - 1), n)
+        if c:
+            terms[(k,)] = c
+    return Polynomial(("x",), terms)
+
+
+def narayana_value_sum(n, x):
+    if n < 0:
+        return Fraction(0)
+    if n == 0:
+        return Fraction(1)
+    x = Fraction(x)
+    total = Fraction(0)
+    pw = Fraction(1)
+    for k in range(1, n + 1):
+        pw *= x
+        total += Fraction(comb(n, k) * comb(n, k - 1), n) * pw
+    return total
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(-3, 200), st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99)))
+@example(200, Fraction(3, 7))
+def test_recurrences_match_the_binomial_sums(s, x):
+    assert same_entry(motzkin(s), motzkin_sum(s))
+    assert same_entry(delannoy(s), delannoy_sum(s))
+    assert same_entry(schroeder(s), schroeder_sum(s))
+    assert same_entry(narayana(s), narayana_sum(s))
+    assert same_entry(narayana_value(s, x), narayana_value_sum(s, x))
+    assert same_entry(narayana_value(s, Fraction(0)), narayana_value_sum(s, Fraction(0)))
+
+
+def test_cold_recurrences_never_recurse():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys; from pfansatz.sequences import delannoy, motzkin; "
+            "sys.setrecursionlimit(200); print(motzkin(3000)); print(delannoy(3000))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          check=False, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    # the same values as a run under the default limit
+    assert done.stdout.decode().split() == [str(motzkin(3000)), str(delannoy(3000))]
+
+
+def test_triangle_against_walks_and_expansions_on_a_wide_band():
+    expansion = [1]  # coefficients of (1 + x + x^2)^(i - 1)
+    for i in range(1, 31):
+        for k in range(1, i + 3):
+            assert motzkin_triangle(i, 2 * k - 1) == motzkin_paths(i - 1, k - 1)
+            r = i + k - 1
+            assert motzkin_triangle(i, 2 * k) == k * (expansion[r] if r < len(expansion) else 0)
+        expansion = [sum(expansion[r - d] for d in range(3) if 0 <= r - d < len(expansion))
+                     for r in range(len(expansion) + 2)]
