@@ -7,6 +7,11 @@ scale than the default pipeline runs; keeping them here lets `certify`
 re-verify them against freshly computed tables on every run, and lets the
 tests pin the guesser's output without re-deriving it.
 
+The cofactor ("c") operators also generate rows: `pipeline.c_table` takes
+row n of a family from them and keeps it only when it is normalized and
+orthogonal to the family's raw moments, else it solves row n.  A wrong
+operator here therefore costs only time, never a wrong table.
+
 The module keeps each operator as its term texts; `known_operators` parses
 one family's operators on that family's first lookup and caches them, so
 importing the module parses nothing and a family without entries builds

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .linalg import nullspace, solve_linear
 from .poly import Polynomial, PolynomialError, format_rational, int_value, parse_poly
@@ -214,6 +214,28 @@ class RecurrenceOperator:
         ints, den = over_common_denominator(shifted)
         total = sum(int_value(c.int_form(), point) * v for (_, c), v in zip(self.terms, ints))
         return Fraction(total, den)
+
+    def solve_at(self, value: Callable[[Point], Optional[Fraction]], point: Point) -> Optional[Fraction]:
+        """The value at `point` that makes the residual there vanish, solved
+        for the term of shift zero: -(sum of the other terms) / its
+        coefficient, the coefficients evaluated by `int_value`.  None when
+        the operator has no such term, its coefficient vanishes at `point`,
+        or `value` gives None for a shifted point."""
+        lead = 0
+        others = []
+        for shift, coeff in self.terms:
+            if any(shift):
+                others.append((shift, coeff))
+            else:
+                lead = int_value(coeff.int_form(), point)
+        if not lead:
+            return None
+        shifted = [value(tuple(map(operator.add, point, s))) for s, _ in others]
+        if None in shifted:
+            return None
+        ints, den = over_common_denominator(shifted)
+        total = sum(int_value(c.int_form(), point) * v for (_, c), v in zip(others, ints))
+        return Fraction(-total, den * lead)
 
     def admissible_points(self, table: Table) -> List[Point]:
         return _admissible(table, self.shifts())

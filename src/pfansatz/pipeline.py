@@ -213,22 +213,79 @@ class CofactorTable:
 def c_table(
     family: MatrixFamily, n_max: int, progress: Optional[Callable[[str], None]] = None
 ) -> CofactorTable:
-    """Solve the normalized cofactor system at each even size 2..2*n_max."""
+    """The normalized cofactor rows at each even size 2..2*n_max.
+
+    A rational family with cataloged cofactor operators takes row n from
+    them (`_generated_row`) when row n-1 is in the table with a nonzero
+    diagonal g(n-1, 2n-2) = Pf(A_{2n-2}) / Pf(A_{2n-4}): the leading block
+    of odd size 2n-1 then has a one-dimensional kernel, so a row that is
+    normalized and orthogonal to the raw moments is the cofactor row.
+    Every other row is solved."""
     values: Dict[Tuple[int, int], Entry] = {}
     denominators: Dict[int, Entry] = {}
     singular: Dict[int, str] = {}
+    ops: List = []
+    m_ints: List[int] = []
+    if not family.symbolic:
+        # imported here, as in `certify`: it builds this family's operators
+        from .catalog import known_operators
+
+        ops = [item.operator for item in known_operators(family.name) if item.target == "c"]
+    if ops:
+        m_ints = over_common_denominator([family.moment(s) for s in range(4 * n_max)])[0]
+    diagonals: Dict[int, int] = {}  # g(n, 2n) of each kept row, times a positive int
     for n in range(1, n_max + 1):
         if progress is not None:
             progress(f"cofactor system n={n}")
-        A = SkewMatrix.from_family(family, 2 * n)
-        try:
-            vec, denominators[n] = cofactor_vector(A)
-        except SingularCofactorSystem as e:
-            singular[n] = str(e)
-            continue
+        vec = _generated_row(ops, values, m_ints, n) if diagonals.get(n - 1) else None
+        if vec is not None:
+            denominators[n] = 1
+        else:
+            A = SkewMatrix.from_family(family, 2 * n)
+            try:
+                vec, denominators[n] = cofactor_vector(A)
+            except SingularCofactorSystem as e:
+                singular[n] = str(e)
+                continue
         for i, v in enumerate(vec, start=1):
             values[(n, i)] = v
+        if ops:
+            diagonals[n] = _contract(over_common_denominator(vec)[0], m_ints, 2 * n)
     return CofactorTable(n_max, values, denominators, singular)
+
+
+def _generated_row(ops: list, values: Dict[Tuple[int, int], Entry], m_ints: List[int],
+                   n: int) -> Optional[List[Fraction]]:
+    """Row n, each c(n, i) from the first operator that can solve for it
+    (`RecurrenceOperator.solve_at`) and c(n, 2n-1) = 1; None when some i has
+    no such operator or the row is not orthogonal to the moments, sum_i
+    c(n, i) a(i, j) != 0 for some j < 2n.
+
+    An operator may read the rows already in `values`, the entries of row n
+    found so far, and the zero extension of either."""
+    row = {2 * n - 1: Fraction(1)}
+
+    def value(point):
+        m, i = point
+        if m == n:
+            return row.get(i) if 1 <= i < 2 * n else Fraction(0)
+        if (m, 1) not in values:
+            return None
+        return values.get(point, Fraction(0))
+
+    for i in range(1, 2 * n - 1):
+        for op in ops:
+            v = op.solve_at(value, (n, i))
+            if v is not None:
+                row[i] = v
+                break
+        else:
+            return None
+    vec = [row[i] for i in range(1, 2 * n)]
+    ints = over_common_denominator(vec)[0]
+    if any(_contract(ints, m_ints, j) for j in range(1, 2 * n)):
+        return None
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +337,7 @@ def check_identity2(family: MatrixFamily, table: CofactorTable, j_extra: int = 4
             den *= m_den
         for j in range(1, 2 * n + j_extra + 1):
             if rational:
-                total = sum((j - i) * c * m_ints[i + j] for i, c in enumerate(ints, 1))
-                values[(n, j)] = Fraction(total, den)
+                values[(n, j)] = Fraction(_contract(ints, m_ints, j), den)
             else:
                 total = None
                 for i in range(1, 2 * n):
@@ -289,6 +345,12 @@ def check_identity2(family: MatrixFamily, table: CofactorTable, j_extra: int = 4
                     total = term if total is None else total + term
                 values[(n, j)] = total
     return OrthogonalityGrid(table.n_max, values, table.denominators)
+
+
+def _contract(ints: List[int], m_ints: List[int], j: int) -> int:
+    """sum_i (j - i) * ints[i - 1] * m_ints[i + j]: the contraction of an
+    integer row with column j of the matrix of integer moments."""
+    return sum((j - i) * c * m_ints[i + j] for i, c in enumerate(ints, 1))
 
 
 @dataclass(frozen=True)

@@ -345,20 +345,24 @@ class Polynomial:
 
     def substitute(self, mapping: Mapping[str, Entry]) -> "Polynomial":
         """Substitute polynomials/scalars for variables; unmentioned variables
-        stay themselves."""
-        base = {}
+        stay themselves.  Each replacement's powers are built once, each
+        by one product from the one below, and each coefficient is
+        multiplied in as a scalar."""
+        powers = []  # powers[k][e - 1] is the replacement of variable k to the e
         for v in self.variables:
             repl = mapping.get(v, Polynomial.variable(v))
             if isinstance(repl, (int, Fraction)):
                 repl = Polynomial.constant(repl)
-            base[v] = repl
+            powers.append([repl])
         total = Polynomial.zero()
         for exp, coeff in self.terms.items():
-            term = Polynomial.constant(coeff)
-            for v, e in zip(self.variables, exp):
+            term = None
+            for pows, e in zip(powers, exp):
                 if e:
-                    term = term * base[v] ** e
-            total = total + term
+                    while len(pows) < e:
+                        pows.append(pows[-1] * pows[0])
+                    term = pows[e - 1] if term is None else term * pows[e - 1]
+            total = total + (Polynomial.constant(coeff) if term is None else term * coeff)
         return total
 
     def shifted(self, offsets: Mapping[str, int]) -> "Polynomial":

@@ -451,6 +451,27 @@ def test_n_max_above_the_cap_fails_before_any_solve(capsys, argv):
     assert "cofactor system" not in err
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("a term or a system was computed")
+
+
+@pytest.mark.parametrize("source", ["seq:motzkin", "c:motzkin", "g:delannoy", "r:schroeder"])
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_generated_sources_refuse_n_max_below_one(capsys, monkeypatch, source, n_max):
+    monkeypatch.setattr(cli, "c_table", refuse)
+    monkeypatch.setitem(cli.PLAIN_SEQUENCES, "motzkin", (refuse, 3))
+    code, out, err = run(capsys, "guess", "--source", source, "--n-max", n_max)
+    assert (code, out, err) == (2, "", "error: --n-max must be >= 1\n")
+
+
+def test_sequence_source_refuses_n_max_above_its_cap(capsys, monkeypatch):
+    monkeypatch.setitem(cli.PLAIN_SEQUENCES, "motzkin", (refuse, 3))
+    code, out, err = run(capsys, "guess", "--source", "seq:motzkin",
+                         "--n-max", str(cli.SEQUENCE_TERM_LIMIT + 1))
+    assert (code, out) == (2, "")
+    assert err == "error: --n-max 10001 is above the cap of 10000 for seq: sources\n"
+
+
 def test_guess_unknown_sequence_names_the_built_in_ones(capsys):
     code, out, err = run(capsys, "guess", "--source", "seq:nosuch")
     assert (code, out) == (2, "")

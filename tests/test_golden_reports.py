@@ -16,6 +16,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = [
     ("motzkin", 10, "certify_motzkin.json"),
     ("motzkin", 20, "certify_motzkin_20.json"),
+    ("motzkin", 40, "certify_motzkin_40.json"),
     ("delannoy", 8, "certify_delannoy.json"),
     ("narayana:x=3/7", 8, "certify_narayana_x_3_7.json"),
     ("narayana:x=sym", 6, "certify_narayana_x_sym.json"),

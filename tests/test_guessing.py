@@ -440,6 +440,22 @@ def test_residual_at_matches_former_loop(case, data):
         assert got is None or type(got) is Fraction
 
 
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(rational_tables(), st.data())
+def test_solve_at_zeroes_the_residual(case, data):
+    op, table = case
+    lead = dict(op.terms)[(0,) * table.arity]
+    for p in data.draw(st.lists(st.sampled_from(op.admissible_points(table)), max_size=6)):
+        got = op.solve_at(table.get, p)
+        if not lead.eval(dict(zip(op.variables, p))):
+            assert got is None
+            continue
+        assert type(got) is Fraction
+        assert op.residual_at(Table(table.arity, {**table.values, p: got}), p) == 0
+    # a point next to the grid has a missing shifted value
+    assert op.solve_at(table.get, tuple(c - 1 for c in min(table.values))) is None
+
+
 def former_make_scale(coefficients):
     """RecurrenceOperator.make's former content loop: the lcm of the
     denominators over the gcd of the numerators."""

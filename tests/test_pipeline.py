@@ -3,13 +3,25 @@ closed forms, certification verdicts, and the scaled-family checker."""
 
 import importlib.util
 import os
+from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pfansatz import pipeline
-from pfansatz.pfaffian import SkewMatrix, pf_eliminate, pf_naive
+from pfansatz.guessing import RecurrenceOperator
+from pfansatz.pfaffian import (
+    SingularCofactorSystem,
+    SkewMatrix,
+    cofactor_vector,
+    pf_eliminate,
+    pf_naive,
+)
 from pfansatz.pipeline import (
     ClosedForm,
     c_table,
@@ -175,6 +187,139 @@ def test_integer_contraction_matches_fraction_loop(family):
     assert all(type(v) is Fraction for v in grid.values.values())
 
 
+# ---------------------------------------------------------------------------
+# cofactor rows generated from the catalog's operators
+
+
+def solve_loop(family, n_max):
+    """c_table's loop before rows were generated: one solve per n, as
+    (values, denominators, singular)."""
+    values, denominators, singular = {}, {}, {}
+    for n in range(1, n_max + 1):
+        try:
+            vec, denominators[n] = cofactor_vector(SkewMatrix.from_family(family, 2 * n))
+        except SingularCofactorSystem as e:
+            singular[n] = str(e)
+            continue
+        for i, v in enumerate(vec, start=1):
+            values[(n, i)] = v
+    return values, denominators, singular
+
+
+def assert_same_table(table, expected):
+    values, denominators, singular = expected
+    assert table.values == values
+    assert all(type(v) is Fraction for v in table.values.values())
+    assert table.denominators == denominators
+    assert table.singular == singular
+
+
+def recording_solves(solved):
+    """pipeline.cofactor_vector, appending each solved n to `solved`."""
+    real = pipeline.cofactor_vector
+
+    def record(A):
+        solved.append(A.dim // 2)
+        return real(A)
+    return record
+
+
+def recording_tries(tried):
+    """RecurrenceOperator.solve_at, appending the n of each point to `tried`."""
+    real = RecurrenceOperator.solve_at
+
+    def record(self, value, point):
+        tried.append(point[0])
+        return real(self, value, point)
+    return record
+
+
+GENERATED_BOUNDS = {"motzkin": 30, "delannoy": 20}
+
+
+@lru_cache(maxsize=None)
+def solved_rows(descriptor):
+    return solve_loop(family_from_descriptor(descriptor), GENERATED_BOUNDS[descriptor])
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(st.sampled_from(sorted(GENERATED_BOUNDS)).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(1, GENERATED_BOUNDS[d]))))
+@example(("motzkin", 30))
+@example(("delannoy", 20))
+def test_generated_rows_match_the_solve_loop(case):
+    descriptor, n_max = case
+    values, denominators, singular = solved_rows(descriptor)
+    solved = []
+    with mock.patch.object(pipeline, "cofactor_vector", recording_solves(solved)):
+        table = c_table(family_from_descriptor(descriptor), n_max)
+    assert_same_table(table, ({k: v for k, v in values.items() if k[0] <= n_max},
+                              {n: d for n, d in denominators.items() if n <= n_max},
+                              singular))
+    # rows 1 and 2 are solved; the operators give every later row
+    assert solved == list(range(1, min(n_max, 2) + 1))
+
+
+def test_rows_of_other_moments_under_a_cataloged_name_are_solved(monkeypatch):
+    # the motzkin moments with mu(7) one larger: the motzkin operators give
+    # rows that are not orthogonal to these moments
+    family = MatrixFamily("motzkin", "motzkin, mu(7) + 1", lambda s: MOTZKIN.moment(s) + (s == 7))
+    expected = solve_loop(family, 12)
+    solved, tried = [], []
+    monkeypatch.setattr(pipeline, "cofactor_vector", recording_solves(solved))
+    monkeypatch.setattr(RecurrenceOperator, "solve_at", recording_tries(tried))
+    table = c_table(family, 12)
+    assert set(tried) == set(range(2, 13))
+    assert solved == list(range(1, 13))
+    assert_same_table(table, expected)
+
+
+def test_an_operator_off_by_one_costs_only_solves(monkeypatch):
+    from pfansatz import catalog
+
+    real_known, real_c_table = catalog.known_operators, pipeline.c_table
+
+    def off_by_one(name):
+        first, *rest = real_known(name)
+        assert first.name == "c-mixed-order-1"
+        terms = {s: c + 1 if s == (-1, 1) else c for s, c in first.operator.terms}
+        wrong = RecurrenceOperator.make(first.operator.variables, terms)
+        return (replace(first, operator=wrong), *rest)
+
+    def c_table_with_the_wrong_operator(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(catalog, "known_operators", off_by_one)
+            return real_c_table(*args, **kwargs)
+
+    solved = []
+    monkeypatch.setattr(pipeline, "c_table", c_table_with_the_wrong_operator)
+    monkeypatch.setattr(pipeline, "cofactor_vector", recording_solves(solved))
+    lines = certify(MOTZKIN, closed_form_for("motzkin"), 10).to_json().splitlines(keepends=True)
+    assert solved == list(range(1, 11))
+    report = "".join(line for line in lines if not line.startswith('  "version": '))
+    with open(os.path.join(DATA, "certify_motzkin.json"), encoding="utf-8", newline="") as fh:
+        assert report == fh.read()
+
+
+def test_no_row_is_generated_past_a_vanishing_pfaffian(monkeypatch):
+    # the motzkin moments with mu(15) lowered by the ratio r_4 = 13: the
+    # Pfaffians of dim < 8 and rows 1..4 stay motzkin's, and Pf(A_8) = 0
+    family = MatrixFamily("motzkin", "motzkin, Pf(A_8) = 0",
+                          lambda s: MOTZKIN.moment(s) - 13 * (s == 15))
+    assert pf_eliminate(SkewMatrix.from_family(family, 8)) == 0
+    expected = solve_loop(family, 8)
+    assert expected[2] == {5: "cofactor system singular at dim=10: no unique normalized solution"}
+    solved, tried = [], []
+    monkeypatch.setattr(pipeline, "cofactor_vector", recording_solves(solved))
+    monkeypatch.setattr(RecurrenceOperator, "solve_at", recording_tries(tried))
+    table = c_table(family, 8)
+    assert_same_table(table, expected)
+    # rows 3 and 4 are generated; row 4's diagonal Pf(A_8)/Pf(A_6) is zero
+    # and row 5 is singular, so no operator is tried before row 7
+    assert solved == [1, 2, 5, 6, 7, 8]
+    assert sorted(set(tried)) == [2, 3, 4, 7, 8]
+
+
 def test_ratio_sequence_cross_check():
     table = c_table(MOTZKIN, 6)
     grid = check_identity2(MOTZKIN, table, j_extra=2)
@@ -290,7 +435,10 @@ def test_certify_normalization_witness(monkeypatch):
 def test_certify_orthogonality_witness(monkeypatch):
     monkeypatch.setattr(pipeline, "cofactor_vector",
                         _wrong_middle_entry_at_n3(pipeline.cofactor_vector))
-    report = certify(MOTZKIN, closed_form_for("motzkin"), 4)
+    # the motzkin moments under a name without catalog operators, so row 3
+    # is solved (and wrong), not generated
+    family = MatrixFamily("uncataloged", "motzkin", MOTZKIN.moment)
+    report = certify(family, closed_form_for("motzkin"), 4)
     assert report.verdict == "refuted"
     assert report.witness == {"check": "cofactor-orthogonality", "n": 3, "j": 1,
                               "lhs": "-1", "rhs": "0"}

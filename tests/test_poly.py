@@ -112,6 +112,61 @@ def test_shifted_and_substitute():
     assert q == P("n^2 + n", ("n",))
 
 
+def former_substitute(p, mapping):
+    """Polynomial.substitute's former loop: each term a product of
+    `Polynomial.constant(coeff)` and a fresh power of each replacement."""
+    base = {}
+    for v in p.variables:
+        repl = mapping.get(v, Polynomial.variable(v))
+        if isinstance(repl, (int, Fraction)):
+            repl = Polynomial.constant(repl)
+        base[v] = repl
+    total = Polynomial.zero()
+    for exp, coeff in p.terms.items():
+        term = Polynomial.constant(coeff)
+        for v, e in zip(p.variables, exp):
+            if e:
+                term = term * base[v] ** e
+        total = total + term
+    return total
+
+
+SUBSTITUTE_NAMES = ("n", "i", "j", "x")
+substitute_coefficients = st.one_of(
+    st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
+
+
+@st.composite
+def substituted_polynomials(draw, variables, max_terms=5):
+    exponents = st.tuples(*(st.integers(0, 4) for _ in variables))
+    terms = draw(st.dictionaries(exponents, substitute_coefficients, max_size=max_terms))
+    return Polynomial(variables, terms)
+
+
+@st.composite
+def substitutions(draw):
+    variables = tuple(draw(st.permutations(SUBSTITUTE_NAMES))[:draw(st.integers(1, 3))])
+    mapping = {}
+    for v in draw(st.lists(st.sampled_from(SUBSTITUTE_NAMES), unique=True, max_size=3)):
+        if draw(st.booleans()):
+            mapping[v] = draw(substitute_coefficients)
+        else:
+            names = tuple(draw(st.permutations(SUBSTITUTE_NAMES))[:draw(st.integers(0, 2))])
+            mapping[v] = draw(substituted_polynomials(names, max_terms=3))
+    return draw(substituted_polynomials(variables)), mapping
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(substitutions())
+def test_substitute_matches_former_loop(case):
+    p, mapping = case
+    got = p.substitute(mapping)
+    expected = former_substitute(p, mapping)
+    assert got == expected
+    assert got.variables == expected.variables
+    assert str(got) == str(expected)
+
+
 def test_univariate_coefficients():
     p = P("3*n^2 - n + 5", ("n",))
     assert p.univariate_coefficients("n") == [Fraction(5), Fraction(-1), Fraction(3)]
