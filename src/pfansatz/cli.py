@@ -49,7 +49,6 @@ from .pipeline import (
     c_table,
     certify,
     check_conjecture1,
-    check_identity2,
     closed_form_for,
     closed_form_from_text,
     ratio_sequence,
@@ -272,10 +271,9 @@ def _guess_table(source: str, n_max: Optional[int]) -> Tuple[Table, Tuple[str, .
         if family.symbolic:
             raise UsageError("guessing operates on rational tables only")
         _check_dimension(2 * bound)  # the largest matrix
-        table = c_table(family, bound, progress=_say)
+        table, grid = c_table(family, bound, progress=_say)
         if kind == "c":
             return table.as_table(), ("n", "i")
-        grid = check_identity2(family, table, j_extra=4)
         if kind == "g":
             return grid.as_table(), ("n", "j")
         ratios = ratio_sequence(family, grid, cross_check=False).ratios

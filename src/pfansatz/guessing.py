@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import comb, gcd, prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .linalg import nullspace, solve_linear
@@ -340,7 +340,11 @@ class GuessSpec:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
-    def effective_support(self, arity: int) -> Tuple[Point, ...]:
+    def effective_support(self, arity: int, points: int) -> Tuple[Point, ...]:
+        """The support's shifts, sorted; () when there are more of them than
+        `points`, the size of the table.  No point is then admissible, since
+        p + s is a distinct table point for each shift s, and a box that
+        large is not listed."""
         if (self.support is None) == (self.orders is None):
             raise ValueError("exactly one of support/orders must be set")
         if self.support is not None:
@@ -351,10 +355,12 @@ class GuessSpec:
                 raise ValueError("duplicate support shifts")
             if not supp:
                 raise ValueError("empty support")
-            return supp
+            return supp if len(supp) <= points else ()
         orders = tuple(int(o) for o in self.orders)
         if len(orders) != arity or any(o < 0 for o in orders):
             raise ValueError(f"bad orders {self.orders} for arity {arity}")
+        if prod(o + 1 for o in orders) > points:
+            return ()
         return tuple(sorted(product(*(range(o + 1) for o in orders))))
 
 
@@ -445,21 +451,28 @@ def guess_from_table(
     variables = tuple(variables)
     if len(variables) != table.arity:
         raise ValueError("variable count must match table arity")
-    support = spec.effective_support(table.arity)
-    monomials = _monomials(table.arity, spec.degree)
-    unknowns = len(support) * len(monomials)
+    support = spec.effective_support(table.arity, len(table))
+    if not support:
+        raise DegenerateData()
+    unknowns = len(support) * comb(spec.degree + table.arity, table.arity)
 
     admissible = _admissible(table, support)
+    # an equation is non-trivial exactly when one of its shifted values is
+    # nonzero (the constant monomial carries each), so the data are checked
+    # against the class before any monomial or row is listed
+    nontrivial = sum(1 for p in admissible
+                     if any(table.values[tuple(map(operator.add, p, s))] for s in support))
+    if not nontrivial:
+        raise DegenerateData()
+    cap = min(unknowns + spec.extra_equations, (3 * nontrivial) // 4)
+    if cap < unknowns + spec.margin:
+        raise UnderdeterminedData(unknowns + spec.margin, cap)
+    monomials = _monomials(table.arity, spec.degree)
     usable = []  # (point, row) of every non-trivial equation, by point
     for p in admissible:
         row = _equation_row(table, support, monomials, p)
         if any(row):
             usable.append((p, row))
-    if not usable:
-        raise DegenerateData()
-    cap = min(unknowns + spec.extra_equations, (3 * len(usable)) // 4)
-    if cap < unknowns + spec.margin:
-        raise UnderdeterminedData(unknowns + spec.margin, cap)
     data_window = tuple(p for p, _ in usable[:cap])
     matrix = [row for _, row in usable[:cap]]
     # a trivial row vanishes against every vector, so only these can reject

@@ -1,11 +1,14 @@
 """Certification pipeline for Pfaffian closed forms.
 
-Given a skew matrix family, the pipeline solves the normalized cofactor
-system at every size 2n up to a bound, checks the defining identities of the
-cofactor vector against the matrix, forms the ratio sequence
-r_n = b_{2n}/b_{2(n-1)}, cross-checks it against directly computed
-Pfaffians, and compares the telescoped product with the candidate closed
-form.  Everything is exact; a single mismatch refutes with a witness.
+Given a skew matrix family, the pipeline finds the normalized cofactor row
+at every size 2n up to a bound, generated by cataloged recurrences or
+solved, and contracts each kept row with the matrix once, as it is kept:
+the contraction g(n, j) accepts a generated row and is the grid that checks
+the defining identities of the cofactor vector.  It then forms the ratio
+sequence r_n = b_{2n}/b_{2(n-1)}, the diagonal g(n, 2n), cross-checks it
+against directly computed Pfaffians, and compares the telescoped product
+with the candidate closed form.  Everything is exact; a single mismatch
+refutes with a witness.
 
 The checks carry semantic labels:
   cofactor-normalization   last cofactor entry equals 1,
@@ -211,55 +214,65 @@ class CofactorTable:
 
 
 def c_table(
-    family: MatrixFamily, n_max: int, progress: Optional[Callable[[str], None]] = None
-) -> CofactorTable:
-    """The normalized cofactor rows at each even size 2..2*n_max.
+    family: MatrixFamily, n_max: int, j_extra: int = 4,
+    progress: Optional[Callable[[str], None]] = None,
+) -> Tuple[CofactorTable, OrthogonalityGrid]:
+    """The normalized cofactor rows at each even size 2..2*n_max, and their
+    contractions g(n, j) for 1 <= j <= 2n + j_extra: each kept row is
+    contracted once, by `check_identity2`, as it is kept.
 
     A rational family with cataloged cofactor operators takes row n from
     them (`_generated_row`) when row n-1 is in the table with a nonzero
     diagonal g(n-1, 2n-2) = Pf(A_{2n-2}) / Pf(A_{2n-4}): the leading block
     of odd size 2n-1 then has a one-dimensional kernel, so a row that is
-    normalized and orthogonal to the raw moments is the cofactor row.
-    Every other row is solved."""
+    normalized and orthogonal to the raw moments, g(n, j) = 0 for j < 2n,
+    is the cofactor row.  Every other row is solved."""
     values: Dict[Tuple[int, int], Entry] = {}
     denominators: Dict[int, Entry] = {}
     singular: Dict[int, str] = {}
+    grid: Dict[Tuple[int, int], Entry] = {}
+    moments = [family.moment(s) for s in range(4 * n_max + j_extra)]
     ops: List = []
-    m_ints: List[int] = []
     if not family.symbolic:
         # imported here, as in `certify`: it builds this family's operators
         from .catalog import known_operators
 
         ops = [item.operator for item in known_operators(family.name) if item.target == "c"]
-    if ops:
-        m_ints = over_common_denominator([family.moment(s) for s in range(4 * n_max)])[0]
-    diagonals: Dict[int, int] = {}  # g(n, 2n) of each kept row, times a positive int
+        moments, m_den = over_common_denominator(moments)
+
+    def contract(vec: List[Entry], den: Entry, n: int) -> List[Entry]:
+        if not family.symbolic:  # a rational row's denominator is 1
+            vec, den = over_common_denominator(vec)
+            den *= m_den
+        return check_identity2(vec, den, moments, 2 * n + j_extra)
+
     for n in range(1, n_max + 1):
         if progress is not None:
             progress(f"cofactor system n={n}")
-        vec = _generated_row(ops, values, m_ints, n) if diagonals.get(n - 1) else None
+        vec = _generated_row(ops, values, n) if grid.get((n - 1, 2 * n - 2)) else None
         if vec is not None:
-            denominators[n] = 1
-        else:
-            A = SkewMatrix.from_family(family, 2 * n)
+            den, g = 1, contract(vec, 1, n)
+        if vec is None or any(g[:2 * n - 1]):
             try:
-                vec, denominators[n] = cofactor_vector(A)
+                vec, den = cofactor_vector(SkewMatrix.from_family(family, 2 * n))
             except SingularCofactorSystem as e:
                 singular[n] = str(e)
                 continue
+            g = contract(vec, den, n)
+        denominators[n] = den
         for i, v in enumerate(vec, start=1):
             values[(n, i)] = v
-        if ops:
-            diagonals[n] = _contract(over_common_denominator(vec)[0], m_ints, 2 * n)
-    return CofactorTable(n_max, values, denominators, singular)
+        for j, v in enumerate(g, start=1):
+            grid[(n, j)] = v
+    return (CofactorTable(n_max, values, denominators, singular),
+            OrthogonalityGrid(n_max, grid, denominators))
 
 
-def _generated_row(ops: list, values: Dict[Tuple[int, int], Entry], m_ints: List[int],
+def _generated_row(ops: list, values: Dict[Tuple[int, int], Entry],
                    n: int) -> Optional[List[Fraction]]:
     """Row n, each c(n, i) from the first operator that can solve for it
     (`RecurrenceOperator.solve_at`) and c(n, 2n-1) = 1; None when some i has
-    no such operator or the row is not orthogonal to the moments, sum_i
-    c(n, i) a(i, j) != 0 for some j < 2n.
+    no such operator.
 
     An operator may read the rows already in `values`, the entries of row n
     found so far, and the zero extension of either."""
@@ -281,11 +294,21 @@ def _generated_row(ops: list, values: Dict[Tuple[int, int], Entry], m_ints: List
                 break
         else:
             return None
-    vec = [row[i] for i in range(1, 2 * n)]
-    ints = over_common_denominator(vec)[0]
-    if any(_contract(ints, m_ints, j) for j in range(1, 2 * n)):
-        return None
-    return vec
+    return [row[i] for i in range(1, 2 * n)]
+
+
+def check_identity2(row: List[Entry], den: Entry, moments: List[Entry],
+                    j_max: int) -> List[Entry]:
+    """[g(1), .., g(j_max)]: a cofactor row, numerators over `den`, contracted
+    with the columns of a(i, j) = (j - i) * moments[i + j].  Over Q the row
+    and moments are ints, `den` the product of their denominators, and g(j)
+    is one int sum over `den`; over Q[x] g(j) is the polynomial sum, the
+    numerator of the contraction over `den`."""
+    out = []
+    for j in range(1, j_max + 1):
+        total = sum((j - i) * c * moments[i + j] for i, c in enumerate(row, 1))
+        out.append(Fraction(total, den) if isinstance(total, int) else total)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -316,41 +339,6 @@ class OrthogonalityGrid:
         if any(not isinstance(v, Fraction) for v in self.values.values()):
             raise ValueError("guessing operates on rational tables only")
         return Table(2, dict(self.values))
-
-
-def check_identity2(family: MatrixFamily, table: CofactorTable, j_extra: int = 4) -> OrthogonalityGrid:
-    """Contract sums g_{n,j} for 1 <= j <= 2n + j_extra at every solved n.
-
-    Over Q each row and the moments are written as ints over their common
-    denominators, so each g_{n,j} is one int sum and one Fraction."""
-    m = [family.moment(s) for s in range(4 * table.n_max + j_extra)]
-    rational = not family.symbolic
-    if rational:
-        m_ints, m_den = over_common_denominator(m)
-    values: Dict[Tuple[int, int], Entry] = {}
-    for n in range(1, table.n_max + 1):
-        if n in table.singular:
-            continue
-        row = table.row(n)
-        if rational:
-            ints, den = over_common_denominator(row)
-            den *= m_den
-        for j in range(1, 2 * n + j_extra + 1):
-            if rational:
-                values[(n, j)] = Fraction(_contract(ints, m_ints, j), den)
-            else:
-                total = None
-                for i in range(1, 2 * n):
-                    term = row[i - 1] * ((j - i) * m[i + j])
-                    total = term if total is None else total + term
-                values[(n, j)] = total
-    return OrthogonalityGrid(table.n_max, values, table.denominators)
-
-
-def _contract(ints: List[int], m_ints: List[int], j: int) -> int:
-    """sum_i (j - i) * ints[i - 1] * m_ints[i + j]: the contraction of an
-    integer row with column j of the matrix of integer moments."""
-    return sum((j - i) * c * m_ints[i + j] for i, c in enumerate(ints, 1))
 
 
 @dataclass(frozen=True)
@@ -493,7 +481,7 @@ def certify(
     say = progress or (lambda msg: None)
 
     say(f"solving cofactor systems up to n={n_max}")
-    table = c_table(family, n_max, progress=progress)
+    table, grid = c_table(family, n_max, j_extra=8, progress=progress)
     checks: Dict[str, dict] = {}
     witness = None
     verdict = "inapplicable" if table.singular else "certified-at-scale"
@@ -520,8 +508,6 @@ def certify(
             {"n": n0, "lhs": quotient_text(table.get(n0, 2 * n0 - 1), table.denominators[n0]),
              "rhs": "1"}))
 
-    say("contracting the orthogonality grid")
-    grid = check_identity2(family, table, j_extra=8)
     violations = grid.zero_violations()
     failure = None
     if violations:

@@ -23,6 +23,7 @@ denominator) pair and is printed, in lowest terms, by `quotient_text`.
 from __future__ import annotations
 
 import ast
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add
@@ -47,7 +48,10 @@ def _as_fraction(x) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    # str() of an int above 4300 digits raises, by the interpreter's guard on
+    # int-text conversion; Decimal prints the same digits at any size
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{str(Decimal(q.denominator))}"
 
 
 def _gl_key(exp: tuple) -> tuple:

@@ -32,7 +32,6 @@ from pfansatz.pfaffian import SkewMatrix, gamma, pf_eliminate, pf_laplace, pf_na
 from pfansatz.pipeline import (
     c_table,
     check_conjecture1,
-    check_identity2,
     ratio_sequence,
 )
 from pfansatz.poly import parse_poly
@@ -114,7 +113,7 @@ def test_criterion_04_large_path_family_and_weight_two():
 
 def test_criterion_05_cofactor_pipeline_reproduction():
     fam = family_from_descriptor("motzkin")
-    table = c_table(fam, 12)
+    table, grid = c_table(fam, 12)
     assert table.singular == {}
 
     # pinned early values and the normalization entry
@@ -131,7 +130,6 @@ def test_criterion_05_cofactor_pipeline_reproduction():
             assert table.get(n, i) == 0, (n, i)
 
     # the contracted sums vanish strictly below the diagonal
-    grid = check_identity2(fam, table, j_extra=4)
     assert grid.zero_violations() == []
     assert grid.get(1, 1) == 0
     assert grid.get(2, 1) == 0
@@ -159,13 +157,13 @@ def test_criterion_06_operator_catalog_and_guesser_reproduction():
 
     # (a) every cataloged operator has zero residual on independently built
     # tables reaching n = 10
-    ct10 = c_table(fam, 10).as_table()
-    grid10 = check_identity2(fam, c_table(fam, 10), j_extra=4)
+    table10, grid10 = c_table(fam, 10)
+    ct10 = table10.as_table()
     rtab10 = Table.from_sequence(
         ratio_sequence(fam, grid10, cross_check=False).ratios, start=1
     )
     gtab10 = grid10.as_table()
-    dct10 = c_table(dfam, 10).as_table()
+    dct10 = c_table(dfam, 10)[0].as_table()
     table_for = {"c": ct10, "g": gtab10, "r": rtab10}
     checked = 0
     for (target, name), entry in sorted(entries.items()):
@@ -180,9 +178,9 @@ def test_criterion_06_operator_catalog_and_guesser_reproduction():
 
     # (b) the guesser, restricted to each operator's support and degree,
     # independently recovers exactly the cataloged operator
-    ct12 = c_table(fam, 12).as_table()
-    ct16 = c_table(fam, 16).as_table()
-    gtab14 = check_identity2(fam, c_table(fam, 14), j_extra=8).as_table()
+    ct12 = c_table(fam, 12)[0].as_table()
+    ct16 = c_table(fam, 16)[0].as_table()
+    gtab14 = c_table(fam, 14, j_extra=8)[1].as_table()
     reproductions = [
         ("c", "c-mixed-order-1", ct12, ("n", "i"), 3),
         ("c", "c-row-order-2", ct16, ("n", "i"), 6),
@@ -200,7 +198,7 @@ def test_criterion_06_operator_catalog_and_guesser_reproduction():
     # order-2/degree-4 kernel of the ratio table (the sequence also satisfies
     # a first-order recurrence, so that kernel is 9-dimensional)
     r_op = entries[("r", "r-order-2")].operator
-    grid30 = check_identity2(fam, c_table(fam, 30), j_extra=4)
+    grid30 = c_table(fam, 30)[1]
     rtab30 = Table.from_sequence(
         ratio_sequence(fam, grid30, cross_check=False).ratios, start=1
     )

@@ -65,6 +65,14 @@ def test_pfaffian_object_file(tmp_path, capsys):
     assert out == "5\n"
 
 
+def test_pfaffian_prints_an_entry_above_the_int_text_limit(tmp_path, capsys):
+    # 10^5000 has 5001 digits; str() of an int refuses more than 4300
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 2, "upper": [[1, 2, "(10^500)^10"]]}))
+    code, out, err = run(capsys, "pfaffian", "--file", str(path))
+    assert (code, out, err) == (0, "1" + "0" * 5000 + "\n", "")
+
+
 def test_pfaffian_all_algorithms_text(capsys):
     code, out, _ = run(
         capsys, "pfaffian", "--family", "motzkin", "--dim", "4", "--all-algorithms"
@@ -309,6 +317,16 @@ def test_certify_refuted_with_wrong_override(capsys):
     assert "verdict: refuted" in out
 
 
+def test_certify_witness_prints_a_closed_form_above_the_int_text_limit(capsys):
+    code, out, _ = run(
+        capsys, "certify", "--family", "motzkin", "--n-max", "3",
+        "--closed-form-override", "pow(1e5000, n^2)",
+    )
+    assert code == 1
+    assert ('  witness: {"check": "closed-form-product", "lhs": "1", "n": 1, '
+            f'"rhs": "1{"0" * 5000}"}}\n') in out
+
+
 def test_certify_singular_family_is_diagnostic(capsys):
     code, out, _ = run(capsys, "certify", "--family", "genmotzkin:k=2", "--n-max", "4",
                        "--closed-form-override", "prod(4*k+1)")
@@ -382,6 +400,21 @@ def test_guess_underdetermined_is_diagnostic_exit(tmp_path, capsys):
     data = json.loads(out)
     assert data["status"] == "diagnostic"
     assert data["detail"]
+
+
+@pytest.mark.parametrize("argv, detail", [
+    # 4 shifts times C(1502, 2) monomials, plus the margin of 10
+    (("--source", "c:motzkin", "--n-max", "3", "--degree", "1500", "--order", "1"),
+     "underdetermined: 7 usable equations for 4509014 required"),
+    # 200 001 shifts on a table of 41 terms
+    (("--source", "seq:motzkin", "--order", "200000", "--degree", "0"),
+     "degenerate data: all sampled values are zero"),
+])
+def test_guess_checks_the_class_against_the_data_before_listing_it(capsys, argv, detail):
+    start = time.monotonic()
+    code, out, _ = run(capsys, "guess", *argv)
+    assert time.monotonic() - start < 1
+    assert (code, out) == (3, f"diagnostic: {detail}\n")
 
 
 def test_guess_no_fit_exits_one(tmp_path, capsys):

@@ -36,7 +36,7 @@ from pfansatz.guessing import (
     table_to_json_dict,
 )
 from pfansatz.linalg import nullspace, solve_linear
-from pfansatz.pipeline import c_table, check_identity2, ratio_sequence
+from pfansatz.pipeline import c_table, ratio_sequence
 from pfansatz.poly import Polynomial, PolynomialError, int_value, parse_poly
 from pfansatz.sequences import family_from_descriptor, motzkin
 
@@ -362,8 +362,7 @@ CATALOG_FAMILIES = ("delannoy", "motzkin")
 @functools.cache
 def _family_tables(name):
     family = family_from_descriptor(name)
-    table = c_table(family, 8)
-    grid = check_identity2(family, table, j_extra=4)
+    table, grid = c_table(family, 8)
     ratios = ratio_sequence(family, grid, cross_check=False).ratios
     return {"c": table.as_table(), "g": grid.as_table(),
             "r": Table.from_sequence(ratios, start=1)}

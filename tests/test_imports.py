@@ -1,5 +1,6 @@
-"""No module imports a name it never reads, and `src/` defines no private
-function, class or method that `src/` never reads.
+"""No module imports a name it never reads, `src/` defines no private
+function, class or method that `src/` never reads, and every function the
+benchmark's layer tracer wraps still exists.
 
 The import scan covers `src/pfansatz/*.py` (except `__init__.py`, whose
 imports are the package's re-exports) and `tests/*.py`.  A name counts as
@@ -15,6 +16,7 @@ loads it, reads it as an attribute, or imports it; tests do not count.
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -98,3 +100,38 @@ def test_the_scan_finds_an_unread_private_definition():
         "b.py": "from .a import _kept\n\n_Box()\n",
     }
     assert unread_private_definitions(sources) == [("a.py", 5, "_left"), ("a.py", 10, "_unused")]
+
+
+def unresolved_targets(source: str) -> list:
+    """(module, attribute path) of each entry of the `TARGETS` tuple in
+    `source`, the text of `perfbench/layers.py`, that names no callable
+    defined under `src/`.  The file is parsed, not imported."""
+    tree = ast.parse(source)
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets))
+    missing = []
+    for entry in targets.elts:
+        module, attr = (e.value for e in entry.elts[1:3])
+        found = importlib.import_module(module)
+        if not Path(found.__file__).resolve().is_relative_to(ROOT / "src"):
+            missing.append((module, attr))
+            continue
+        for part in attr.split("."):
+            found = getattr(found, part, None)
+        if not callable(found):
+            missing.append((module, attr))
+    return missing
+
+
+def test_every_traced_layer_resolves():
+    source = (ROOT / "perfbench" / "layers.py").read_text()
+    assert "TARGETS = (" in source
+    assert unresolved_targets(source) == []
+
+
+def test_the_scan_finds_a_renamed_layer():
+    source = ('TARGETS = (\n    ("a", "pfansatz.pipeline", "c_table", None),\n'
+              '    ("b", "pfansatz.pipeline", "no_such_function", None),\n'
+              '    ("c", "pfansatz.guessing", "RecurrenceOperator.no_such_method", _hook),\n)\n')
+    assert unresolved_targets(source) == [("pfansatz.pipeline", "no_such_function"),
+                                          ("pfansatz.guessing", "RecurrenceOperator.no_such_method")]

@@ -27,7 +27,6 @@ from pfansatz.pipeline import (
     c_table,
     certify,
     check_conjecture1,
-    check_identity2,
     closed_form_for,
     closed_form_from_text,
     conjecture_class,
@@ -95,7 +94,7 @@ def test_closed_form_text_grammar():
 
 
 def test_cofactor_initial_values():
-    table = c_table(MOTZKIN, 4)
+    table, _ = c_table(MOTZKIN, 4)
     assert table.get(1, 1) == 1          # c_{2,1}
     assert table.get(2, 1) == 2          # c_{4,1}
     assert table.get(2, 3) == 1          # normalization at n = 2
@@ -104,13 +103,13 @@ def test_cofactor_initial_values():
 
 
 def test_cofactor_normalization_all_sizes():
-    table = c_table(MOTZKIN, 8)
+    table, _ = c_table(MOTZKIN, 8)
     for n in range(1, 9):
         assert table.get(n, 2 * n - 1) == 1
 
 
 def test_cofactor_boundary_zero_extension():
-    table = c_table(MOTZKIN, 4)
+    table, _ = c_table(MOTZKIN, 4)
     for n in range(1, 5):
         assert table.get(n, 0) == 0
         assert table.get(n, -3) == 0
@@ -121,7 +120,7 @@ def test_cofactor_boundary_zero_extension():
 
 
 def test_cofactor_as_table_materializes_margin():
-    table = c_table(MOTZKIN, 3)
+    table, _ = c_table(MOTZKIN, 3)
     t = table.as_table()
     assert t.get((2, -1)) == 0
     assert t.get((2, 5)) == 0
@@ -137,7 +136,7 @@ def test_c_table_progress_messages():
 
 def test_singular_family_recorded_not_raised():
     fam = family_from_descriptor("genmotzkin:k=2")
-    table = c_table(fam, 3)
+    table, _ = c_table(fam, 3)
     assert 2 in table.singular
     assert table.get(2, 1) is None
     with pytest.raises(KeyError):
@@ -149,8 +148,7 @@ def test_singular_family_recorded_not_raised():
 
 
 def test_grid_zeros_and_diagonal():
-    table = c_table(MOTZKIN, 6)
-    grid = check_identity2(MOTZKIN, table, j_extra=4)
+    table, grid = c_table(MOTZKIN, 6)
     assert grid.zero_violations() == []
     assert grid.get(1, 1) == 0
     assert grid.get(2, 1) == 0 and grid.get(2, 2) == 0 and grid.get(2, 3) == 0
@@ -177,14 +175,29 @@ def reference_grid(family, table, j_extra):
     MOTZKIN,
     family_from_descriptor("narayana:x=3/7"),
     family_from_descriptor("narayana:x=0"),
+    family_from_descriptor("delannoy"),
     MatrixFamily("moments", "s^2/3 + 1/(s+1)", lambda s: Fraction(s * s, 3) + Fraction(1, s + 1)),
 ])
 def test_integer_contraction_matches_fraction_loop(family):
-    table = c_table(family, 6)
-    grid = check_identity2(family, table, j_extra=5)
+    table, grid = c_table(family, 6, j_extra=5)
     expected = reference_grid(family, table, 5)
     assert grid.values == expected
     assert all(type(v) is Fraction for v in grid.values.values())
+
+
+def test_certify_contracts_each_kept_row_once():
+    real = pipeline.check_identity2
+    calls = []
+
+    def record(row, den, moments, j_max):
+        calls.append((len(row), j_max))
+        return real(row, den, moments, j_max)
+
+    with mock.patch.object(pipeline, "check_identity2", record):
+        report = certify(MOTZKIN, closed_form_for("motzkin"), 20)
+    assert report.verdict == "certified-at-scale"
+    # row n has 2n - 1 entries; rows 3..20 are generated and each is kept
+    assert calls == [(2 * n - 1, 2 * n + 8) for n in range(1, 21)]
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +265,7 @@ def test_generated_rows_match_the_solve_loop(case):
     values, denominators, singular = solved_rows(descriptor)
     solved = []
     with mock.patch.object(pipeline, "cofactor_vector", recording_solves(solved)):
-        table = c_table(family_from_descriptor(descriptor), n_max)
+        table, _ = c_table(family_from_descriptor(descriptor), n_max)
     assert_same_table(table, ({k: v for k, v in values.items() if k[0] <= n_max},
                               {n: d for n, d in denominators.items() if n <= n_max},
                               singular))
@@ -268,7 +281,7 @@ def test_rows_of_other_moments_under_a_cataloged_name_are_solved(monkeypatch):
     solved, tried = [], []
     monkeypatch.setattr(pipeline, "cofactor_vector", recording_solves(solved))
     monkeypatch.setattr(RecurrenceOperator, "solve_at", recording_tries(tried))
-    table = c_table(family, 12)
+    table, _ = c_table(family, 12)
     assert set(tried) == set(range(2, 13))
     assert solved == list(range(1, 13))
     assert_same_table(table, expected)
@@ -312,7 +325,7 @@ def test_no_row_is_generated_past_a_vanishing_pfaffian(monkeypatch):
     solved, tried = [], []
     monkeypatch.setattr(pipeline, "cofactor_vector", recording_solves(solved))
     monkeypatch.setattr(RecurrenceOperator, "solve_at", recording_tries(tried))
-    table = c_table(family, 8)
+    table, _ = c_table(family, 8)
     assert_same_table(table, expected)
     # rows 3 and 4 are generated; row 4's diagonal Pf(A_8)/Pf(A_6) is zero
     # and row 5 is singular, so no operator is tried before row 7
@@ -321,8 +334,7 @@ def test_no_row_is_generated_past_a_vanishing_pfaffian(monkeypatch):
 
 
 def test_ratio_sequence_cross_check():
-    table = c_table(MOTZKIN, 6)
-    grid = check_identity2(MOTZKIN, table, j_extra=2)
+    table, grid = c_table(MOTZKIN, 6, j_extra=2)
     ratio = ratio_sequence(MOTZKIN, grid)
     assert ratio.quotients_match and ratio.mismatch_n is None
     assert ratio.pfaffians[0] == 1
@@ -333,8 +345,7 @@ def test_ratio_sequence_cross_check():
 
 
 def test_ratio_values_to_twelve():
-    table = c_table(MOTZKIN, 12)
-    grid = check_identity2(MOTZKIN, table, j_extra=0)
+    table, grid = c_table(MOTZKIN, 12, j_extra=0)
     ratio = ratio_sequence(MOTZKIN, grid, cross_check=False)
     assert [ratio.ratios[n - 1] for n in range(1, 13)] == [4 * n - 3 for n in range(1, 13)]
     assert ratio.ratios[0] == 1 and ratio.ratios[1] == 5
@@ -342,8 +353,7 @@ def test_ratio_values_to_twelve():
 
 def test_ratio_sequence_stops_at_singular_gap():
     fam = family_from_descriptor("genmotzkin:k=2")
-    table = c_table(fam, 4)
-    grid = check_identity2(fam, table, j_extra=0)
+    table, grid = c_table(fam, 4, j_extra=0)
     ratio = ratio_sequence(fam, grid, cross_check=False)
     # n = 2 is singular, so only the contiguous prefix r_1 remains
     assert len(ratio.ratios) == 1
@@ -351,8 +361,7 @@ def test_ratio_sequence_stops_at_singular_gap():
 
 def test_narayana_symbolic_ratios():
     fam = family_from_descriptor("narayana:x=sym")
-    table = c_table(fam, 4)
-    grid = check_identity2(fam, table, j_extra=0)
+    table, grid = c_table(fam, 4, j_extra=0)
     ratio = ratio_sequence(fam, grid)
     assert ratio.quotients_match
     expected = ["x", "5*x^3", "9*x^5", "13*x^7"]
