@@ -243,6 +243,8 @@ _DEFAULT_BOUNDS = {"seq": 40, "c": 12, "g": 12, "r": 28}
 # The largest --n-max of a seq: source; 10 000 terms guess in about 1.5 s
 # (2-vCPU host, Python 3.11).
 SEQUENCE_TERM_LIMIT = 10_000
+# The arity of a generated source's table, known before it is built.
+_SOURCE_ARITY = {"seq": 1, "c": 2, "g": 2, "r": 1}
 
 
 def _guess_table(source: str, n_max: Optional[int]) -> Tuple[Table, Tuple[str, ...]]:
@@ -324,18 +326,28 @@ def _parse_support(text: str, arity: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(shifts)
 
 
+def _with_shifts(spec: GuessSpec, args, arity: int) -> GuessSpec:
+    """`spec` with the shifts of --order or --support for a table of `arity`."""
+    if args.support:
+        return replace(spec, support=_parse_support(args.support, arity))
+    orders = _parse_orders(args.order, arity) if args.order else (2,) * arity
+    return replace(spec, orders=orders)
+
+
 def cmd_guess(args) -> int:
     if args.order and args.support:
         raise UsageError("give at most one of --order/--support")
-    # the bounds are checked here, before a family source solves its cofactor
-    # systems; the shifts need the table's arity
+    # the bounds, and a generated source's shifts, are checked here, before a
+    # family source solves its cofactor systems; a file's arity is known once
+    # it is read
     spec = GuessSpec(degree=args.degree, margin=args.margin)
+    kind, sep, _ = args.source.partition(":")
+    arity = _SOURCE_ARITY.get(kind) if sep else None
+    if arity is not None:
+        spec = _with_shifts(spec, args, arity)
     table, variables = _guess_table(args.source, args.n_max)
-    if args.support:
-        spec = replace(spec, support=_parse_support(args.support, table.arity))
-    else:
-        orders = _parse_orders(args.order, table.arity) if args.order else (2,) * table.arity
-        spec = replace(spec, orders=orders)
+    if arity is None:
+        spec = _with_shifts(spec, args, table.arity)
 
     config = {
         "source": args.source,
@@ -379,9 +391,16 @@ def cmd_guess(args) -> int:
 # minor-sum
 
 
+# The largest minor-sum --n: the term count grows factorially, and --n 9
+# takes about 18 s, 10 about 83 s (2-vCPU host, Python 3.11).
+MINOR_SUM_N_LIMIT = 9
+
+
 def cmd_minor_sum(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
+    if args.n > MINOR_SUM_N_LIMIT:
+        raise UsageError(f"--n {args.n} is above the cap of {MINOR_SUM_N_LIMIT}")
     terms = theorem4_terms(args.n)
     lhs = sum((t.minor for t in terms), Fraction(0))
     family = family_from_descriptor("motzkin")
@@ -423,9 +442,19 @@ def cmd_minor_sum(args) -> int:
 # okinawa
 
 
+# The largest okinawa --i-max/--j-max: a 40x40 grid takes about 8 s, 60x60
+# about 42 s (2-vCPU host, Python 3.11).
+OKINAWA_INDEX_LIMIT = 60
+
+
 def cmd_okinawa(args) -> int:
     if args.i_max < 0 or args.j_max < 0:
         raise UsageError("--i-max/--j-max must be >= 0")
+    if max(args.i_max, args.j_max) > OKINAWA_INDEX_LIMIT:
+        raise UsageError(
+            f"--i-max/--j-max {max(args.i_max, args.j_max)} is above the cap of "
+            f"{OKINAWA_INDEX_LIMIT}"
+        )
     report = verify_okinawa(args.i_max, args.j_max)
     good = report.checked - len(report.failures)
     config = {"i_max": args.i_max, "j_max": args.j_max}

@@ -20,11 +20,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, gcd, prod
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .linalg import nullspace, solve_linear
 from .poly import Polynomial, PolynomialError, format_rational, int_value, parse_poly
-from .poly import over_common_denominator
+from .poly import over_common_denominator, parse_rational
 
 Point = Tuple[int, ...]
 
@@ -117,7 +117,7 @@ def table_from_json_dict(data: dict) -> Table:
         key = tuple(int(c) for c in point)
         if key in values:
             raise ValueError(f"duplicate point {key} in table JSON")
-        values[key] = Fraction(str(value))
+        values[key] = parse_rational(str(value))
     return Table(arity, values)
 
 
@@ -203,39 +203,35 @@ class RecurrenceOperator:
 
     # -- application -----------------------------------------------------
 
-    def residual_at(self, table: Table, point: Point):
-        """Exact residual at `point`, or None when a shifted value is missing.
-
-        The integer coefficients are evaluated by `int_value` and the values
-        summed over their common denominator, so one Fraction is built."""
-        shifted = [table.values.get(tuple(map(operator.add, point, s))) for s, _ in self.terms]
+    def _sum_at(self, value: Callable[[Point], Optional[Fraction]], point: Point,
+                terms) -> Optional[Fraction]:
+        """Exact sum over `terms` of coeff(point) * value(point + shift), or
+        None when `value` gives None for a shifted point.  The integer
+        coefficients are evaluated by `int_value` and the values summed over
+        their common denominator, so one Fraction is built."""
+        shifted = [value(tuple(map(operator.add, point, s))) for s, _ in terms]
         if None in shifted:
             return None
         ints, den = over_common_denominator(shifted)
-        total = sum(int_value(c.int_form(), point) * v for (_, c), v in zip(self.terms, ints))
+        total = sum(int_value(c.int_form(), point) * v for (_, c), v in zip(terms, ints))
         return Fraction(total, den)
+
+    def residual_at(self, table: Table, point: Point) -> Optional[Fraction]:
+        """Exact residual at `point`, or None when a shifted value is missing."""
+        return self._sum_at(table.values.get, point, self.terms)
 
     def solve_at(self, value: Callable[[Point], Optional[Fraction]], point: Point) -> Optional[Fraction]:
         """The value at `point` that makes the residual there vanish, solved
         for the term of shift zero: -(sum of the other terms) / its
-        coefficient, the coefficients evaluated by `int_value`.  None when
-        the operator has no such term, its coefficient vanishes at `point`,
-        or `value` gives None for a shifted point."""
-        lead = 0
-        others = []
-        for shift, coeff in self.terms:
-            if any(shift):
-                others.append((shift, coeff))
-            else:
-                lead = int_value(coeff.int_form(), point)
+        coefficient.  None when the operator has no such term, its
+        coefficient vanishes at `point`, or `value` gives None for a shifted
+        point."""
+        lead = dict(self.terms).get((0,) * len(self.variables))
+        lead = lead and int_value(lead.int_form(), point)
         if not lead:
             return None
-        shifted = [value(tuple(map(operator.add, point, s))) for s, _ in others]
-        if None in shifted:
-            return None
-        ints, den = over_common_denominator(shifted)
-        total = sum(int_value(c.int_form(), point) * v for (_, c), v in zip(others, ints))
-        return Fraction(-total, den * lead)
+        rest = self._sum_at(value, point, [t for t in self.terms if any(t[0])])
+        return None if rest is None else -rest / lead
 
     def admissible_points(self, table: Table) -> List[Point]:
         return _admissible(table, self.shifts())
@@ -286,32 +282,15 @@ def _admissible(table: Table, shifts: Sequence[Point]) -> List[Point]:
     )))
 
 
-def apply_operator(
-    operator: RecurrenceOperator,
-    table: Union[Table, Sequence],
-    points: Optional[Iterable[Point]] = None,
-) -> Dict[Point, Fraction]:
-    """Residuals of the operator over the table.
-
-    With explicit `points`, every shifted index must be present (CoverageError
-    otherwise); by default the maximal admissible point set is used, and it
-    must be non-empty.
-    """
+def apply_operator(operator: RecurrenceOperator, table: Union[Table, Sequence]) -> Dict[Point, Fraction]:
+    """Residuals of the operator at every admissible point of the table;
+    CoverageError when there is none."""
     if not isinstance(table, Table):
         table = Table.from_sequence(table)
-    if points is None:
-        pts = operator.admissible_points(table)
-        if not pts:
-            raise CoverageError("no point has full data coverage for this support")
-    else:
-        pts = [tuple(p) for p in points]
-    out = {}
-    for p in pts:
-        r = operator.residual_at(table, p)
-        if r is None:
-            raise CoverageError(f"missing data around point {p}")
-        out[p] = r
-    return out
+    pts = operator.admissible_points(table)
+    if not pts:
+        raise CoverageError("no point has full data coverage for this support")
+    return {p: operator.residual_at(table, p) for p in pts}
 
 
 # ---------------------------------------------------------------------------

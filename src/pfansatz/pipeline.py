@@ -43,6 +43,7 @@ from .poly import (
     format_rational,
     over_common_denominator,
     parse_poly,
+    parse_rational,
     quotient_text,
 )
 from .sequences import MatrixFamily, family_from_descriptor
@@ -146,9 +147,9 @@ def closed_form_from_text(text: str) -> ClosedForm:
             inner = _split_top_level(piece[4:-1], ",")
             if len(inner) != 2 or inner[1].strip() not in ("n^2", "n**2"):
                 raise ValueError(f"pow factor must be pow(<rational>, n^2): {piece!r}")
-            factors.append(("pow", Fraction(inner[0].strip())))
+            factors.append(("pow", parse_rational(inner[0].strip())))
         else:
-            factors.append(("const", Fraction(piece)))
+            factors.append(("const", parse_rational(piece)))
 
     def fn(n: int) -> Fraction:
         out = Fraction(1)
@@ -566,8 +567,7 @@ def certify(
             for item in known:
                 tab = tables[item.target]
                 try:
-                    pts = item.operator.admissible_points(tab)
-                    residuals = apply_operator(item.operator, tab, points=pts)
+                    residuals = apply_operator(item.operator, tab)
                     ok = all(v == 0 for v in residuals.values())
                     detail = f"{len(residuals)} residuals"
                 except GuessingError as e:

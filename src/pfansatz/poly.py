@@ -47,6 +47,14 @@ def _as_fraction(x) -> Fraction:
     raise PolynomialError(f"not an exact scalar: {x!r}")
 
 
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), a zero denominator raised as PolynomialError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise PolynomialError(f"zero denominator in {text!r}") from None
+
+
 def format_rational(q: Fraction) -> str:
     # str() of an int above 4300 digits raises, by the interpreter's guard on
     # int-text conversion; Decimal prints the same digits at any size
@@ -536,6 +544,8 @@ def _from_node(node, budget: ParseBudget) -> Polynomial:
             return left ** e
         if isinstance(node.op, ast.Div) and not right.is_constant():
             raise PolynomialError("division only by constants in polynomial text")
+        if isinstance(node.op, ast.Div) and not right:
+            raise PolynomialError("division by zero in polynomial text")
         pairs = len(left.terms) + len(right.terms)
         if isinstance(node.op, ast.Mult):
             pairs = len(left.terms) * len(right.terms)

@@ -297,6 +297,16 @@ def test_pfaffian_json_report(capsys):
     assert data["agree"] is True
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("1/0", "error: division by zero in polynomial text\n"),
+    ("x/0", "error: division by zero in polynomial text\n"),
+])
+def test_pfaffian_file_zero_denominator_is_usage_error(tmp_path, capsys, entry, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 2, "upper": [[1, 2, entry]]}))
+    assert run(capsys, "pfaffian", "--file", str(path)) == (2, "", message)
+
+
 # ---------------------------------------------------------------------------
 # certify
 
@@ -338,6 +348,39 @@ def test_certify_without_builtin_closed_form_hints_override(capsys):
     code, _, err = run(capsys, "certify", "--family", "genmotzkin:k=1", "--n-max", "2")
     assert code == 2
     assert "--closed-form-override" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "error: zero denominator in '1/0'\n"),
+    ("pow(1/0, n^2)", "error: zero denominator in '1/0'\n"),
+    ("prod(k/0)", "error: division by zero in polynomial text\n"),
+])
+def test_certify_override_zero_denominator_is_usage_error(capsys, text, message):
+    assert run(capsys, "certify", "--family", "motzkin", "--n-max", "2",
+               "--closed-form-override", text) == (2, "", message)
+
+
+@pytest.mark.parametrize("family, n_max, uncovered", [
+    ("motzkin", "1", {"c-mixed-order-1", "c-row-order-2", "c-column-order-3",
+                      "g-mixed-order-1", "r-order-2"}),
+    ("motzkin", "2", {"c-row-order-2", "r-order-2"}),
+    ("delannoy", "1", {"c-row-order-1"}),
+])
+def test_certify_catalog_entry_without_a_point_is_not_verified(capsys, family, n_max, uncovered):
+    code, out, _ = run(capsys, "certify", "--family", family, "--n-max", n_max,
+                       "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "certified-at-scale"
+    catalog = data["operators"]["catalog"]
+    assert catalog["ok"] is False
+    for entry in catalog["entries"]:
+        if entry["name"] in uncovered:
+            assert entry["ok"] is False
+            assert entry["detail"] == "no point has full data coverage for this support"
+        else:
+            assert entry["ok"] is True and entry["detail"] != "0 residuals"
+    assert uncovered <= {entry["name"] for entry in catalog["entries"]}
 
 
 def test_certify_json_reports_are_byte_identical(capsys):
@@ -505,6 +548,25 @@ def test_sequence_source_refuses_n_max_above_its_cap(capsys, monkeypatch):
     assert err == "error: --n-max 10001 is above the cap of 10000 for seq: sources\n"
 
 
+@pytest.mark.parametrize("source", ["c:motzkin", "g:delannoy"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--support", "0;1", "error: shift '0' needs 2 entries for this table\n"),
+    ("--order", "1,2,3", "error: --order needs 2 entries for this table, got '1,2,3'\n"),
+])
+def test_guess_checks_the_shifts_against_the_source_arity_before_any_solve(
+        capsys, monkeypatch, source, flag, value, message):
+    monkeypatch.setattr(cli, "c_table", refuse)
+    code, out, err = run(capsys, "guess", "--source", source, "--n-max", "200", flag, value)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_guess_table_zero_denominator_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text('{"arity": 1, "values": [[0, "1"], [1, "1/0"]]}')
+    code, out, err = run(capsys, "guess", "--source", f"file:{path}")
+    assert (code, out, err) == (2, "", "error: zero denominator in '1/0'\n")
+
+
 def test_guess_unknown_sequence_names_the_built_in_ones(capsys):
     code, out, err = run(capsys, "guess", "--source", "seq:nosuch")
     assert (code, out) == (2, "")
@@ -561,6 +623,12 @@ def test_minor_sum_rejects_nonpositive_n(capsys):
     assert run(capsys, "minor-sum", "--n", "0")[0] == 2
 
 
+def test_minor_sum_refuses_n_above_its_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "theorem4_terms", refuse)
+    code, out, err = run(capsys, "minor-sum", "--n", str(cli.MINOR_SUM_N_LIMIT + 1))
+    assert (code, out, err) == (2, "", "error: --n 10 is above the cap of 9\n")
+
+
 def test_okinawa_default_grid_text(capsys):
     code, out, _ = run(capsys, "okinawa")
     assert code == 0
@@ -581,6 +649,13 @@ def test_okinawa_json(capsys):
 
 def test_okinawa_rejects_negative_bounds(capsys):
     assert run(capsys, "okinawa", "--i-max", "-1")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [("--i-max", "61"), ("--i-max", "0", "--j-max", "61")])
+def test_okinawa_refuses_a_grid_above_its_cap(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "verify_okinawa", refuse)
+    code, out, err = run(capsys, "okinawa", *argv)
+    assert (code, out, err) == (2, "", "error: --i-max/--j-max 61 is above the cap of 60\n")
 
 
 # ---------------------------------------------------------------------------

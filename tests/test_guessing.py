@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from pfansatz import guessing
 from pfansatz.catalog import known_operators
 from pfansatz.guessing import (
+    CoverageError,
     DegenerateData,
     _equation_row,
     _is_consequence,
@@ -37,7 +38,7 @@ from pfansatz.guessing import (
 )
 from pfansatz.linalg import nullspace, solve_linear
 from pfansatz.pipeline import c_table, ratio_sequence
-from pfansatz.poly import Polynomial, PolynomialError, int_value, parse_poly
+from pfansatz.poly import Polynomial, PolynomialError, int_value, over_common_denominator, parse_poly
 from pfansatz.sequences import family_from_descriptor, motzkin
 
 
@@ -150,9 +151,9 @@ def test_apply_operator_examples():
 
 def test_apply_operator_coverage_error():
     t = Table.from_sequence([1, 2, 3])
-    op = RecurrenceOperator.make(("n",), {(1,): "1", (0,): "-1"})
-    with pytest.raises(ValueError):
-        apply_operator(op, t, points=[(5,)])
+    op = RecurrenceOperator.make(("n",), {(3,): "1", (0,): "-1"})
+    with pytest.raises(CoverageError, match="no point has full data coverage"):
+        apply_operator(op, t)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +454,54 @@ def test_solve_at_zeroes_the_residual(case, data):
         assert op.residual_at(Table(table.arity, {**table.values, p: got}), p) == 0
     # a point next to the grid has a missing shifted value
     assert op.solve_at(table.get, tuple(c - 1 for c in min(table.values))) is None
+
+
+def former_solve_at(op, value, point):
+    """RecurrenceOperator.solve_at's former body: its own copy of the
+    residual sum, with the zero-shift term split out first."""
+    lead = 0
+    others = []
+    for shift, coeff in op.terms:
+        if any(shift):
+            others.append((shift, coeff))
+        else:
+            lead = int_value(coeff.int_form(), point)
+    if not lead:
+        return None
+    shifted = [value(tuple(p + s for p, s in zip(point, shift))) for shift, _ in others]
+    if None in shifted:
+        return None
+    ints, den = over_common_denominator(shifted)
+    total = sum(int_value(c.int_form(), point) * v for (_, c), v in zip(others, ints))
+    return Fraction(-total, den * lead)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(rational_tables(), st.data())
+def test_solve_at_matches_former_solve(case, data):
+    op, table = case
+    zero = (0,) * table.arity
+    points = sorted(table.values)
+    # missing shifted values: some table points are dropped
+    dropped = set(data.draw(st.lists(st.sampled_from(points), max_size=4)))
+    value = {p: v for p, v in table.values.items() if p not in dropped}.get
+    at = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=6))
+    others = [t for t in op.terms if any(t[0])]
+    first = Polynomial.variable(op.variables[0]).with_variables(op.variables)
+    vanishing = [RecurrenceOperator.make(op.variables, others + [(zero, first - p[0])])
+                 for p in at[:2]]
+    for variant in [
+        op,
+        RecurrenceOperator.make(op.variables, others),  # no zero shift
+        RecurrenceOperator.make(op.variables, [(zero, dict(op.terms)[zero])]),  # only it
+        *vanishing,  # its coefficient vanishes at a drawn point
+    ]:
+        for p in at + [tuple(c - 1 for c in min(table.values))]:
+            got = variant.solve_at(value, p)
+            assert got == former_solve_at(variant, value, p)
+            assert got is None or type(got) is Fraction
+    for variant, p in zip(vanishing, at):
+        assert variant.solve_at(value, p) is None
 
 
 def former_make_scale(coefficients):
