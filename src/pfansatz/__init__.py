@@ -27,7 +27,7 @@ from .guessing import (
     table_from_json_dict,
     table_to_json_dict,
 )
-from .linalg import ExactMatrix, determinant, matrix_rank, nullspace, solve_linear
+from .linalg import determinant, nullspace, solve_linear
 from .minorsum import (
     MinorSumTerm,
     MsfReport,

@@ -1,24 +1,26 @@
 """Exact linear algebra over Q and over Q[x].
 
+A matrix is a sequence of rows, lists or tuples, which every operation
+copies before it eliminates.
+
 Rational systems are solved fraction-free: rows are scaled to integers, the
 elimination uses cross-multiplication updates with per-row content removal,
 and pivots are chosen by minimal bit size to slow coefficient growth.  Back
 substitution keeps int numerators over one common denominator.
 
-Polynomial systems, ranks and determinants go through one fraction-free
+Polynomial systems and determinants go through one fraction-free
 Bareiss row echelon (`_bareiss`, over Z or Q[x]; Bareiss 1968): after k
 pivot steps every trailing entry is a (k+1)-minor of the input, so the
 division by the previous pivot is exact, and it is checked.  A polynomial
 solve back-substitutes y = D x, D the last pivot, in Q[x] and returns the
 numerators y over the one denominator D, undivided.
 
-Rational solves, ranks and `nullspace`'s exact fallback keep their own
-kernel, `_int_echelon`, beside `_bareiss`: its per-row content removal keeps
-entries smaller than Bareiss's exact minors.  With rational solves and ranks
-sent through `_bareiss`, reports stayed byte-identical and `certify` was
-0-20% slower (2-vCPU host, Python 3.11.7, one process per run): motzkin
---n-max 30 1.84-1.94 s to 2.00-2.03 s, narayana:x=3/7 --n-max 14 0.44-0.45 s
-to 0.49-0.55 s, delannoy --n-max 14 0.30-0.31 s to 0.30-0.36 s.
+Rational solves and `nullspace`'s exact fallback keep their own kernel,
+`_int_echelon`, beside `_bareiss`: its per-row content removal keeps entries
+smaller than Bareiss's exact minors.  With rational solves sent through
+`_bareiss`, reports stayed byte-identical and `certify` was slower
+(2-vCPU host, Python 3.11.7, two runs each): narayana:x=3/7 --n-max 30
+2.8-3.1 s to 22-23 s, schroeder --n-max 30 1.0-1.3 s to 1.4-1.5 s.
 
 `nullspace` first works modulo the one prime p = 2^63 - 25 (the modular
 method of Kauers, *The Guessing Handbook*, RISC 09-07, 2009): it echelons the
@@ -40,7 +42,7 @@ exactly, and that check proves it equal to the exact one:
     columns is unique, so after `_normalize_vector` each vector equals the
     one the exact back-substitution gives.
 When an entry does not reconstruct or a vector fails the check, the exact
-`_int_echelon` path (the kernel of `solve_linear` and `matrix_rank`)
+`_int_echelon` path (the kernel of rational `solve_linear`)
 computes the basis.  One prime is enough: entries too large for p are too
 large for any prime of its size, and a prime that divides a pivot of the
 exact echelon (unlikely at 63 bits) costs only the exact path.
@@ -61,58 +63,6 @@ from .poly import (
 )
 
 
-class ExactMatrix:
-    """Immutable dense matrix; entries are Fractions or Polynomials (0-indexed
-    storage)."""
-
-    __slots__ = ("entries", "rows", "cols")
-
-    def __init__(self, entries: Sequence[Sequence]):
-        rows = tuple(tuple(r) for r in entries)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard
-        raise AttributeError("ExactMatrix is immutable")
-
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(zip(*self.entries))) if self.rows else ExactMatrix(())
-
-    def column_submatrix(self, cols: Sequence[int]) -> "ExactMatrix":
-        """Select the given columns (0-indexed), keeping their order."""
-        return ExactMatrix(tuple(tuple(r[c] for c in cols) for r in self.entries))
-
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = other.transpose()
-        out = []
-        for r in self.entries:
-            out.append(tuple(sum(a * b for a, b in zip(r, c)) for c in ot.entries))
-        return ExactMatrix(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and all(
-            a == b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols})"
-
-
 @dataclass(frozen=True)
 class LinearSolution:
     """x = vector / denominator: the denominator is 1 for a rational system
@@ -124,8 +74,6 @@ class LinearSolution:
 
 
 def _coerce_rows(matrix) -> list:
-    if isinstance(matrix, ExactMatrix):
-        return [list(r) for r in matrix.entries]
     return [list(r) for r in matrix]
 
 
@@ -420,17 +368,6 @@ def nullspace(matrix) -> List[tuple]:
         for free in range(n)
         if free not in pivot_cols
     ]
-
-
-def matrix_rank(matrix) -> int:
-    rows = _coerce_rows(matrix)
-    if not rows:
-        return 0
-    if _all_rational(rows):
-        work = _int_rows(rows)
-        return len(_int_echelon(work, len(rows[0])))
-    m, _ = _polynomial_rows(rows)
-    return len(_bareiss(m, len(rows[0]))[0])
 
 
 def determinant(matrix):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb
 from typing import List, Sequence, Tuple
 
-from .linalg import ExactMatrix, determinant
+from .linalg import determinant
 from .pfaffian import SkewMatrix, pf_eliminate, pf_naive
 from .sequences import hyp2f1_terminating, motzkin_triangle
 
@@ -91,11 +91,10 @@ def index_set(lam: Sequence[int], n: int) -> Tuple[int, ...]:
 # the H matrix and the column-minor sum
 
 
-def build_H(rows: int, cols: int) -> ExactMatrix:
-    """H as an exact rows x cols matrix, entries h(i, j) for 1-based i, j."""
-    return ExactMatrix(
-        [[motzkin_triangle(i, j) for j in range(1, cols + 1)] for i in range(1, rows + 1)]
-    )
+def build_H(rows: int, cols: int) -> List[List[Fraction]]:
+    """H as a list of `rows` rows of `cols` entries; row i - 1 holds h(i, j)
+    for 1-based i, j."""
+    return [[motzkin_triangle(i, j) for j in range(1, cols + 1)] for i in range(1, rows + 1)]
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,8 @@ def theorem4_terms(n: int) -> List[MinorSumTerm]:
     terms = []
     for lam in enumerate_even_even(n):
         cols = index_set(lam, 2 * n)
-        sub = H.column_submatrix([c - 1 for c in cols])
-        terms.append(MinorSumTerm(lam, cols, determinant(sub)))
+        minor = determinant([[r[c - 1] for c in cols] for r in H])
+        terms.append(MinorSumTerm(lam, cols, minor))
     return terms
 
 
@@ -133,34 +132,34 @@ def canonical_block_skew(m: int) -> SkewMatrix:
     return SkewMatrix(m, {(2 * k - 1, 2 * k): Fraction(1) for k in range(1, m // 2 + 1)})
 
 
-def msf_Q(T: ExactMatrix, A: SkewMatrix) -> SkewMatrix:
+def msf_Q(T: Sequence[Sequence[Fraction]], A: SkewMatrix) -> SkewMatrix:
     """Q = T A T^t computed two independent ways (matrix product and the
     2x2-minor expansion Q_ij = sum_{k<l} a_kl det T^{i,j}_{k,l}); both must
-    agree exactly."""
-    if T.cols != A.dim:
-        raise ValueError(f"T has {T.cols} columns but A has dimension {A.dim}")
-    a_dense = ExactMatrix(A.dense())
-    product = T.matmul(a_dense).matmul(T.transpose())
+    agree exactly.  T is a sequence of rows of A.dim entries each."""
+    for r in T:
+        if len(r) != A.dim:
+            raise ValueError(f"T has a row of {len(r)} entries but A has dimension {A.dim}")
+    a_dense = A.dense()
+    ta = [[sum(t * a[c] for t, a in zip(r, a_dense)) for c in range(A.dim)] for r in T]
+    product = [[sum(x * y for x, y in zip(r, s)) for s in T] for r in ta]
 
     def entry(i: int, j: int) -> Fraction:
+        ti, tj = T[i - 1], T[j - 1]
         total = Fraction(0)
         for (k, l), a in A.upper.items():
-            total += a * (
-                T.entry(i - 1, k - 1) * T.entry(j - 1, l - 1)
-                - T.entry(i - 1, l - 1) * T.entry(j - 1, k - 1)
-            )
+            total += a * (ti[k - 1] * tj[l - 1] - ti[l - 1] * tj[k - 1])
         return total
 
-    expanded = SkewMatrix.from_function(T.rows, entry)
-    if ExactMatrix(expanded.dense()) != product:
+    expanded = SkewMatrix.from_function(len(T), entry)
+    if expanded.dense() != product:
         raise AssertionError("matrix-product and minor-expansion forms of Q disagree")
     return expanded
 
 
-def msf_lhs_bruteforce(T: ExactMatrix, A: SkewMatrix) -> Fraction:
+def msf_lhs_bruteforce(T: Sequence[Sequence[Fraction]], A: SkewMatrix) -> Fraction:
     """Sum over all size-2n column sets I of Pf(A^I_I) det(T_I), by full
     enumeration; T must have even row count and at least as many columns."""
-    two_n = T.rows
+    two_n = len(T)
     if two_n % 2:
         raise ValueError("T must have an even number of rows")
     total = Fraction(0)
@@ -169,7 +168,7 @@ def msf_lhs_bruteforce(T: ExactMatrix, A: SkewMatrix) -> Fraction:
         pf = pf_naive(sub) if two_n <= 8 else pf_eliminate(sub)
         if pf == 0:
             continue
-        det = determinant(T.column_submatrix([c - 1 for c in I]))
+        det = determinant([[r[c - 1] for c in I] for r in T])
         total += pf * det
     return total
 
@@ -186,10 +185,10 @@ class MsfReport:
         return self.lhs == self.pfaffian
 
 
-def verify_msf(T: ExactMatrix, A: SkewMatrix) -> MsfReport:
+def verify_msf(T: Sequence[Sequence[Fraction]], A: SkewMatrix) -> MsfReport:
     """Full-enumeration left side against Pf(T A T^t) (dual-path Q)."""
     q = msf_Q(T, A)
-    return MsfReport(T.rows, A.dim, msf_lhs_bruteforce(T, A), pf_eliminate(q))
+    return MsfReport(len(T), A.dim, msf_lhs_bruteforce(T, A), pf_eliminate(q))
 
 
 # ---------------------------------------------------------------------------

@@ -347,8 +347,7 @@ class RatioResult:
     ratios: List[Entry]            # r_1 .. r_n as numerators (index 0 is r_1)
     denominators: List[Entry]      # r_n = ratios[n - 1] / denominators[n - 1]
     pfaffians: List[Entry]         # b_0, b_2, .., b_{2n}
-    quotients_match: bool
-    mismatch_n: Optional[int]
+    mismatch_n: Optional[int]      # the first n whose quotient differs, or None
 
 
 def ratio_sequence(family: MatrixFamily, grid: OrthogonalityGrid,
@@ -380,8 +379,8 @@ def ratio_sequence(family: MatrixFamily, grid: OrthogonalityGrid,
         for n in range(1, len(ratios) + 1):
             prev = pfaffians[n - 1]
             if not prev or ratios[n - 1] * prev != denominators[n - 1] * pfaffians[n]:
-                return RatioResult(ratios, denominators, pfaffians, False, n)
-    return RatioResult(ratios, denominators, pfaffians, True, None)
+                return RatioResult(ratios, denominators, pfaffians, n)
+    return RatioResult(ratios, denominators, pfaffians, None)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +522,7 @@ def certify(
     ratios = [quotient_text(g, d) for g, d in zip(ratio.ratios, ratio.denominators)]
     n0 = ratio.mismatch_n
     record("pfaffian-ratio", "diagonal equals Pf quotient at every n",
-           None if ratio.quotients_match else
+           None if n0 is None else
            (f"mismatch at n={n0}",
             {"n": n0, "lhs": ratios[n0 - 1],
              "rhs": f"({entry_text(ratio.pfaffians[n0])})/({entry_text(ratio.pfaffians[n0 - 1])})"}))

@@ -23,6 +23,7 @@ denominator) pair and is printed, in lowest terms, by `quotient_text`.
 from __future__ import annotations
 
 import ast
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -47,8 +48,24 @@ def _as_fraction(x) -> Fraction:
     raise PolynomialError(f"not an exact scalar: {x!r}")
 
 
+# Cap on the decimal exponent of rational text such as "1e5000": Fraction
+# builds 10^|exponent| before anything can check the value, and
+# Fraction("1e1000000") alone takes 0.25 s, growing faster than linearly.
+RATIONAL_EXPONENT_LIMIT = 10_000
+# the exponent of Fraction's decimal form, which is the end of the text
+_RATIONAL_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Fraction(text), a zero denominator raised as PolynomialError."""
+    """Fraction(text); a zero denominator, or a decimal exponent above
+    RATIONAL_EXPONENT_LIMIT in absolute value, raised as PolynomialError."""
+    match = _RATIONAL_EXPONENT.search(text)
+    if match:
+        digits = match.group(1).replace("_", "").lstrip("0") or "0"
+        # the length first, so that a huge exponent is never converted
+        limit = RATIONAL_EXPONENT_LIMIT
+        if len(digits) > len(str(limit)) or int(digits) > limit:
+            raise PolynomialError(f"decimal exponent above {limit} in {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Optional, Union
 
-from .poly import Polynomial, format_rational
+from .poly import Polynomial, format_rational, parse_rational
 
 Entry = Union[Fraction, Polynomial]
 
@@ -110,7 +110,6 @@ def narayana(n: int) -> Polynomial:
     return _NARAYANA(n)
 
 
-@functools.lru_cache(maxsize=None)
 def narayana_value(n: int, x: Fraction) -> Fraction:
     """The same recurrence at a rational x."""
     return _narayana_at_rational(Fraction(x))(n)
@@ -198,10 +197,7 @@ def family_from_descriptor(descriptor: str) -> MatrixFamily:
         value = value.strip()
         if value == "sym":
             return MatrixFamily("narayana", "narayana:x=sym", lambda s: narayana(s - 2))
-        try:
-            x = Fraction(value)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ValueError(f"bad rational for x: {value!r}") from e
+        x = parse_rational(value)
         return MatrixFamily("narayana", f"narayana:x={format_rational(x)}",
                             lambda s: narayana_value(s - 2, x), x=x)
     if name in ("genmotzkin", "genmotzkin-sum"):

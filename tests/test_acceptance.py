@@ -20,7 +20,7 @@ from pfansatz.guessing import (
     apply_operator,
     guess_from_table,
 )
-from pfansatz.linalg import ExactMatrix, determinant, solve_linear
+from pfansatz.linalg import determinant, solve_linear
 from pfansatz.minorsum import (
     build_H,
     canonical_block_skew,
@@ -219,9 +219,7 @@ def test_criterion_06_operator_catalog_and_guesser_reproduction():
         ]
 
     columns = [vectorize(op) for op in raw.operators]
-    matrix = ExactMatrix(
-        [[columns[k][r] for k in range(len(columns))] for r in range(len(coords))]
-    )
+    matrix = [[columns[k][r] for k in range(len(columns))] for r in range(len(coords))]
     assert solve_linear(matrix, vectorize(r_op)) is not None
     residuals = apply_operator(r_op, rtab30)
     assert all(v == 0 for v in residuals.values())
@@ -243,7 +241,7 @@ def test_criterion_07_randomized_cross_validation():
         for _ in range(20):
             A = random_skew(rng, dim)
             dense = [[A.entry(i, j) for j in range(1, dim + 1)] for i in range(1, dim + 1)]
-            assert pf_eliminate(A) ** 2 == determinant(ExactMatrix(dense))
+            assert pf_eliminate(A) ** 2 == determinant(dense)
 
     # simultaneous row/column relabeling scales by the permutation sign
     rng = random.Random("acceptance:relabel")
@@ -290,7 +288,7 @@ def test_criterion_08_column_minor_sum():
     ]
     for i in range(4):
         for j in range(8):
-            assert H.entry(i, j) == printed[i][j], (i + 1, j + 1)
+            assert H[i][j] == printed[i][j], (i + 1, j + 1)
     elapsed = time.monotonic() - start
     assert elapsed < 60
     print(f"[PASS] criterion 8: minor sums equal prod(4k+1) for n=1..3 and H(4) matches entry-for-entry ({elapsed:.2f}s)")
@@ -304,9 +302,7 @@ def test_criterion_09_minor_summation_and_addition_formula():
     rng = random.Random("acceptance:msf")
     for dim in (4, 6):
         for _ in range(5):
-            T = ExactMatrix(
-                [[Fraction(rng.randint(-4, 4)) for _ in range(dim)] for _ in range(2)]
-            )
+            T = [[Fraction(rng.randint(-4, 4)) for _ in range(dim)] for _ in range(2)]
             A = random_skew(rng, dim)
             assert verify_msf(T, A).equal
 

@@ -567,6 +567,32 @@ def test_guess_table_zero_denominator_is_usage_error(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: zero denominator in '1/0'\n")
 
 
+HUGE_EXPONENT = "1e999999999"
+HUGE_EXPONENT_ERROR = (f"error: decimal exponent above {poly.RATIONAL_EXPONENT_LIMIT} "
+                       f"in '{HUGE_EXPONENT}'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pfaffian", "--family", f"narayana:x={HUGE_EXPONENT}", "--dim", "2"],
+    ["certify", "--family", f"narayana:x={HUGE_EXPONENT}", "--n-max", "2"],
+    ["certify", "--family", "motzkin", "--n-max", "2", "--closed-form-override", HUGE_EXPONENT],
+    ["certify", "--family", "motzkin", "--n-max", "2",
+     "--closed-form-override", f"pow({HUGE_EXPONENT}, n^2)"],
+])
+def test_oversized_decimal_exponent_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (2, "", HUGE_EXPONENT_ERROR)
+    assert time.perf_counter() - start < 1
+
+
+def test_guess_table_oversized_decimal_exponent_is_refused_at_once(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text('{"arity": 1, "values": [[0, "1"], [1, "%s"]]}' % HUGE_EXPONENT)
+    start = time.perf_counter()
+    assert run(capsys, "guess", "--source", f"file:{path}") == (2, "", HUGE_EXPONENT_ERROR)
+    assert time.perf_counter() - start < 1
+
+
 def test_guess_unknown_sequence_names_the_built_in_ones(capsys):
     code, out, err = run(capsys, "guess", "--source", "seq:nosuch")
     assert (code, out) == (2, "")

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra: solving, nullspaces, ranks, determinants.
+"""Exact dense linear algebra: solving, nullspaces, determinants.
 
 Oracles: permutation-expansion determinant, residual checks A*x == b and
 A*v == 0, and random matrices with planted rank/kernel structure.
@@ -14,14 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfansatz import linalg
-from pfansatz.linalg import (
-    ExactMatrix,
-    LinearSolution,
-    determinant,
-    matrix_rank,
-    nullspace,
-    solve_linear,
-)
+from pfansatz.linalg import LinearSolution, determinant, nullspace, solve_linear
 from pfansatz.poly import Polynomial, parse_poly, poly_divmod, poly_gcd, quotient_text
 
 
@@ -51,30 +44,6 @@ def random_rational_rows(rng, rows, cols, denom=False):
 
 
 # ---------------------------------------------------------------------------
-# ExactMatrix basics
-
-
-def test_matrix_shape_and_access():
-    m = ExactMatrix([[1, 2, 3], [4, 5, 6]])
-    assert (m.rows, m.cols) == (2, 3)
-    assert m.entry(1, 2) == 6
-    assert m.transpose().entry(2, 1) == 6
-    assert m.column_submatrix([2, 0]).row(0) == (3, 1)
-    with pytest.raises(ValueError):
-        ExactMatrix([[1, 2], [3]])
-    with pytest.raises(AttributeError):
-        m.rows = 5
-
-
-def test_matmul_against_by_hand():
-    a = ExactMatrix([[1, 2], [3, 4]])
-    b = ExactMatrix([[0, 1], [1, 0]])
-    assert a.matmul(b) == ExactMatrix([[2, 1], [4, 3]])
-    with pytest.raises(ValueError):
-        a.matmul(ExactMatrix([[1, 2, 3]]))
-
-
-# ---------------------------------------------------------------------------
 # determinant
 
 
@@ -83,21 +52,20 @@ def test_determinant_matches_permutation_sum():
     for n in (1, 2, 3, 4, 5):
         for _ in range(6):
             rows = random_rational_rows(rng, n, n, denom=True)
-            assert determinant(ExactMatrix(rows)) == det_permutation_sum(rows)
+            assert determinant(rows) == det_permutation_sum(rows)
 
 
 def test_determinant_empty_and_singular():
-    assert determinant(ExactMatrix([])) == 1
-    assert determinant(ExactMatrix([[1, 2], [2, 4]])) == 0
+    assert determinant([]) == 1
+    assert determinant([[1, 2], [2, 4]]) == 0
     with pytest.raises(ValueError):
-        determinant(ExactMatrix([[1, 2]]))
+        determinant([[1, 2]])
 
 
 def test_determinant_polynomial_entries():
     n = parse_poly("n", ("n",))
     one = Polynomial.constant(1, ("n",))
-    m = ExactMatrix([[n, one], [one, n]])
-    assert determinant(m) == parse_poly("n^2 - 1", ("n",))
+    assert determinant([[n, one], [one, n]]) == parse_poly("n^2 - 1", ("n",))
 
 
 def test_determinant_polynomial_matches_permutation_sum():
@@ -111,7 +79,7 @@ def test_determinant_polynomial_matches_permutation_sum():
                 for _ in range(n)
             ]
             rows[0][0] = Fraction(0)  # forces a row swap whenever n > 1
-            assert determinant(ExactMatrix(rows)) == det_permutation_sum(rows)
+            assert determinant(rows) == det_permutation_sum(rows)
 
 
 def test_determinant_multiplicative():
@@ -119,8 +87,8 @@ def test_determinant_multiplicative():
     for _ in range(5):
         a = random_rational_rows(rng, 4, 4)
         b = random_rational_rows(rng, 4, 4)
-        prod = ExactMatrix(a).matmul(ExactMatrix(b))
-        assert determinant(prod) == determinant(ExactMatrix(a)) * determinant(ExactMatrix(b))
+        prod = [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)] for r in a]
+        assert determinant(prod) == determinant(a) * determinant(b)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +140,7 @@ def test_solve_polynomial_entries():
 
 
 # ---------------------------------------------------------------------------
-# nullspace and rank
+# nullspace
 
 
 def test_nullspace_planted_kernel():
@@ -182,7 +150,7 @@ def test_nullspace_planted_kernel():
         cols_n = rows_n + rng.randint(1, 2)
         rows = random_rational_rows(rng, rows_n, cols_n)
         basis = nullspace(rows)
-        assert len(basis) == cols_n - matrix_rank(rows)
+        assert len(basis) == cols_n - field_rank(rows)
         for v in basis:
             for r in rows:
                 assert sum(a * b for a, b in zip(r, v)) == 0
@@ -217,20 +185,6 @@ def test_nullspace_of_integer_rows_equals_fraction_rows(nrows, ncols, data):
     assert all(type(x) is int for r in ints for x in r)
     assert nullspace(ints) == nullspace(rows)
 
-
-
-def test_rank_examples():
-    assert matrix_rank([[1, 2], [2, 4]]) == 1
-    assert matrix_rank([[1, 0], [0, 1]]) == 2
-    assert matrix_rank([]) == 0
-    assert matrix_rank([[0, 0], [0, 0]]) == 0
-
-
-def test_rank_polynomial_entries():
-    n = parse_poly("n", ("n",))
-    zero = Polynomial.zero(("n",))
-    assert matrix_rank([[n, n], [n, n]]) == 1
-    assert matrix_rank([[n, zero], [zero, n]]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +330,18 @@ def test_polynomial_solve_matches_field_elimination(system):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(q_x_systems())
-def test_polynomial_rank_matches_field_elimination(system):
-    _, rows, _ = system
-    assert matrix_rank(rows) == field_rank(rows)
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.booleans(), st.data())
 def test_determinant_equals_permutation_sum(n, polynomial, data):
+    """Also: a matrix is any sequence of rows, so row tuples give the
+    determinant, solution and kernel of the same row lists."""
     entry = q_x_entry() if polynomial else SMALL.map(Fraction)
     rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
-    assert determinant(ExactMatrix(rows)) == det_permutation_sum(rows)
+    tuples = [tuple(r) for r in rows]
+    assert determinant(rows) == determinant(tuples) == det_permutation_sum(rows)
+    rhs = [data.draw(entry) for _ in range(n)]
+    assert solve_linear(rows, rhs) == solve_linear(tuples, tuple(rhs))
+    if not polynomial:
+        assert nullspace(rows) == nullspace(tuples)
 
 
 def test_polynomial_solve_returns_polynomials_and_reduced_quotients():

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from pfansatz.linalg import ExactMatrix, determinant
+from pfansatz.linalg import determinant
 from pfansatz.minorsum import (
     build_H,
     canonical_block_skew,
@@ -172,14 +172,14 @@ def test_build_H_4_by_8_frozen_values():
         [2, 2, 2, 2, 1, 0, 0, 0],
         [4, 6, 5, 6, 3, 3, 1, 0],
     ]
-    assert [[H.entry(i, j) for j in range(8)] for i in range(4)] == expected
+    assert H == expected
 
 
 def test_build_H_matches_triangle_function():
     H = build_H(5, 9)
     for i in range(1, 6):
         for j in range(1, 10):
-            assert H.entry(i - 1, j - 1) == motzkin_triangle(i, j)
+            assert H[i - 1][j - 1] == motzkin_triangle(i, j)
 
 
 def test_columns_beyond_band_are_zero():
@@ -190,11 +190,10 @@ def test_columns_beyond_band_are_zero():
     n = 2
     H = build_H(2 * n, 4 * n + 2)
     for j in range(4 * n, 4 * n + 3):
-        assert all(H.entry(i, j - 1) == 0 for i in range(2 * n))
+        assert all(H[i][j - 1] == 0 for i in range(2 * n))
     cols = index_set((4, 4), 2 * n)  # first part 4 > 2n - 2 = 2
     assert cols == (1, 2, 7, 8)
-    sub = H.column_submatrix([c - 1 for c in cols])
-    assert determinant(sub) == 0
+    assert determinant([[r[c - 1] for c in cols] for r in H]) == 0
 
 
 def test_theorem4_term_counts():
@@ -267,9 +266,11 @@ def test_canonical_minors_are_indicator_of_even_even_index_sets(m, k):
 
 
 def random_rectangular(rng, rows, cols):
-    return ExactMatrix(
-        [[Fraction(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)]
-    )
+    return [[Fraction(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)]
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)] for r in a]
 
 
 def random_skew(rng, dim):
@@ -283,7 +284,7 @@ def random_skew(rng, dim):
 def test_msf_Q_identity_transform_preserves_matrix():
     rng = random.Random(20120702)
     A = random_skew(rng, 6)
-    T = ExactMatrix([[Fraction(1 if i == j else 0) for j in range(6)] for i in range(6)])
+    T = [[Fraction(1 if i == j else 0) for j in range(6)] for i in range(6)]
     assert msf_Q(T, A).dense() == A.dense()
 
 
@@ -291,9 +292,7 @@ def test_msf_Q_row_selection_gives_principal_submatrix():
     rng = random.Random(20120703)
     A = random_skew(rng, 6)
     keep = (2, 3, 5, 6)
-    T = ExactMatrix(
-        [[Fraction(1 if j + 1 == r else 0) for j in range(6)] for r in keep]
-    )
+    T = [[Fraction(1 if j + 1 == r else 0) for j in range(6)] for r in keep]
     Q = msf_Q(T, A)
     for r in range(4):
         for c in range(4):
@@ -306,19 +305,24 @@ def test_msf_Q_matches_independent_product():
         T = random_rectangular(rng, rows, cols)
         A = random_skew(rng, cols)
         Q = msf_Q(T, A)
-        product = T.matmul(ExactMatrix(A.dense())).matmul(T.transpose())
-        assert ExactMatrix(Q.dense()) == product
+        assert Q.dense() == matmul(matmul(T, A.dense()), list(zip(*T)))
 
 
 def test_msf_Q_dimension_mismatch_raises():
-    T = ExactMatrix([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    T = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     A = canonical_block_skew(4)
     with pytest.raises(ValueError):
         msf_Q(T, A)
+    # every row is checked, not the first alone
+    for width in (3, 5):
+        T = [[Fraction(1), Fraction(0), Fraction(0), Fraction(0)], [Fraction(1)] * width]
+        for check in (msf_Q, verify_msf):
+            with pytest.raises(ValueError, match=f"row of {width} entries"):
+                check(T, A)
 
 
 def test_msf_lhs_bruteforce_rejects_odd_rows():
-    T = ExactMatrix([[Fraction(1), Fraction(0), Fraction(0), Fraction(0)]] * 3)
+    T = [[Fraction(1), Fraction(0), Fraction(0), Fraction(0)]] * 3
     A = canonical_block_skew(4)
     with pytest.raises(ValueError):
         msf_lhs_bruteforce(T, A)

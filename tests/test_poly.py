@@ -20,6 +20,7 @@ from pfansatz.poly import (
     over_common_denominator,
     parse_entry,
     parse_poly,
+    parse_rational,
     poly_divmod,
     poly_exact_divide,
     poly_gcd,
@@ -203,6 +204,18 @@ def test_parse_power_caps():
     for text in ("x^1001", "1^1001", "(x^2 + 1)^501", "(x*y)^501", "(2^1000)^1000"):
         with pytest.raises(PolynomialError, match="above the caps"):
             parse_poly(text)
+
+
+def test_parse_rational_exponent_cap():
+    # |exponent| <= 10^4 parses, however it is written; one more is refused
+    # from the text alone, before Fraction builds the power of ten
+    assert parse_rational("1e10000") == 10 ** 10000
+    assert parse_rational(" -2.5E-1_0000 ") == Fraction(-25, 10 ** 10001)
+    assert parse_rational("1e" + "0" * 50 + "7") == 10 ** 7
+    for text in ("1e10001", "1E-10001", "3.5e+99999999999", "1e" + "9" * 10 ** 5):
+        with pytest.raises(PolynomialError, match="decimal exponent above 10000"):
+            parse_rational(text)
+    assert parse_rational("10001") == 10001  # no exponent
 
 
 def test_parse_term_cap():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pfansatz import sequences
 from pfansatz.pfaffian import SkewMatrix
 from pfansatz.pipeline import CofactorTable, check_identity2
 from pfansatz.poly import Polynomial, entry_text, over_common_denominator
@@ -130,15 +131,18 @@ def test_narayana_value_matches_polynomial_eval():
 
 
 def test_narayana_value_is_memoized_and_exact():
-    narayana_value.cache_clear()
+    # one memo: the sequence at each x, which keeps every value it reached
+    memo = sequences._narayana_at_rational
+    memo.cache_clear()
     points = [Fraction(3, 7), Fraction(-2, 5), Fraction(1), Fraction(0), Fraction(9, 4)]
     for _ in range(2):
         for x in points:
             for n in range(-1, 16):
                 assert narayana_value(n, x) == narayana(n).eval({"x": x})
-    info = narayana_value.cache_info()
-    assert info.currsize == len(points) * 17
-    assert info.hits == len(points) * 17
+    info = memo.cache_info()
+    assert info.currsize == len(points)
+    assert info.hits == len(points) * (2 * 17 - 1)
+    assert [len(memo(x)._values) for x in points] == [16] * len(points)
 
 
 def test_schroeder_equals_weighted_count_at_two():
