@@ -62,10 +62,8 @@ from .pfaffian import (
 from .pipeline import (
     CertificationReport,
     ClosedForm,
-    CofactorTable,
+    CofactorRows,
     ConjectureReport,
-    OrthogonalityGrid,
-    RatioResult,
     c_table,
     certify,
     check_conjecture1,

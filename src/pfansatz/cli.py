@@ -46,12 +46,13 @@ from .pfaffian import (
     permutation_sign,
 )
 from .pipeline import (
+    CLOSED_FORM_NAMES,
+    TABLE_VARIABLES,
     c_table,
     certify,
     check_conjecture1,
     closed_form_for,
     closed_form_from_text,
-    ratio_sequence,
 )
 from .poly import entry_text, format_rational
 from .minorsum import theorem4_terms, verify_msf, verify_okinawa
@@ -210,14 +211,16 @@ def cmd_pfaffian(args) -> int:
 
 def cmd_certify(args) -> int:
     family = family_from_descriptor(args.family)
-    if args.closed_form_override:
-        closed_form = closed_form_from_text(args.closed_form_override)
-    else:
-        name = args.closed_form or family.name
-        try:
+    # a built-in name, else closed-form text; the family's name by default
+    name = args.closed_form or family.name
+    try:
+        if name in CLOSED_FORM_NAMES or not args.closed_form:
             closed_form = closed_form_for(name, x=family.x)
-        except ValueError as e:
-            raise UsageError(f"{e}; pass --closed-form-override to supply one") from None
+        else:
+            closed_form = closed_form_from_text(name)
+    except ValueError as e:
+        raise UsageError(f"{e}; --closed-form takes a built-in name "
+                         f"({', '.join(CLOSED_FORM_NAMES)}) or closed-form text") from None
     if args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
     _check_dimension(2 * args.n_max)  # the largest matrix
@@ -273,27 +276,20 @@ def _guess_table(source: str, n_max: Optional[int]) -> Tuple[Table, Tuple[str, .
         if family.symbolic:
             raise UsageError("guessing operates on rational tables only")
         _check_dimension(2 * bound)  # the largest matrix
-        table, grid = c_table(family, bound, progress=_say)
-        if kind == "c":
-            return table.as_table(), ("n", "i")
-        if kind == "g":
-            return grid.as_table(), ("n", "j")
-        ratios = ratio_sequence(family, grid, cross_check=False).ratios
-        return Table.from_sequence(ratios, start=1), ("n",)
+        return c_table(family, bound, progress=_say).table(kind), TABLE_VARIABLES[kind]
     path = rest if kind == "file" and sep else source
     data = _read_json(path)
     try:
         table = table_from_json_dict(data)
+        names = data.get("vars", ["n"] if table.arity == 1 else ["n", "i"])
+        if (not isinstance(names, list) or len(names) != table.arity
+                or not all(isinstance(v, str) for v in names)):
+            raise TypeError(f"vars must be a list of {table.arity} strings, got {names!r}")
     except (TypeError, KeyError) as e:
-        # a row that is not a point/value pair, or a point coordinate or
-        # value of the wrong JSON type
+        # a row that is not a point/value pair, an arity, point coordinate,
+        # value or vars of the wrong JSON type
         raise UsageError(f"malformed table in {path} ({type(e).__name__}: {e})") from None
-    names = data.get("vars")
-    if names is None:
-        names = ("n",) if table.arity == 1 else ("n", "i")
-    if len(names) != table.arity:
-        raise UsageError(f"table arity {table.arity} != vars {names}")
-    return table, tuple(str(v) for v in names)
+    return table, tuple(names)
 
 
 def _parse_orders(text: str, arity: int) -> Tuple[int, ...]:
@@ -659,9 +655,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certify a Pfaffian closed form at finite scale")
     p.add_argument("--family", required=True)
     p.add_argument("--n-max", type=int, default=12, help="largest half-dimension (default 12)")
-    p.add_argument("--closed-form", help="built-in closed form name (default: the family's)")
-    p.add_argument("--closed-form-override",
-                   help="closed-form text, e.g. \"prod(4*k+1)\" or \"pow(2, n^2)*prod(4*k+1)\"")
+    p.add_argument("--closed-form",
+                   help=f"a built-in closed form ({', '.join(CLOSED_FORM_NAMES)}; default: "
+                        "the family's) or closed-form text, e.g. \"prod(4*k+1)\" or "
+                        "\"pow(2, n^2)*prod(4*k+1)\"")
     _add_output_flags(p)
     p.set_defaults(func=cmd_certify)
 

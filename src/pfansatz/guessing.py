@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .linalg import nullspace, solve_linear
 from .poly import Polynomial, PolynomialError, format_rational, int_value, parse_poly
-from .poly import over_common_denominator, parse_rational
+from .poly import json_int, over_common_denominator, parse_rational
 
 Point = Tuple[int, ...]
 
@@ -105,19 +105,25 @@ def table_to_json_dict(table: Table) -> dict:
 
 
 def table_from_json_dict(data: dict) -> Table:
+    """Raises TypeError where the arity, a row, a point coordinate or a value
+    has the wrong JSON type: the arity and coordinates are integers (a float
+    or boolean is refused, not truncated), a value is an integer or rational
+    text."""
     if not isinstance(data, dict) or "arity" not in data or "values" not in data:
         raise ValueError("table JSON must be an object with 'arity' and 'values'")
-    arity = int(data["arity"])
+    arity = json_int(data["arity"])
     values: Dict[Point, Fraction] = {}
     for row in data["values"]:
         if isinstance(row, dict):
             point, value = row["point"], row["value"]
         else:  # also accept the compact [point..., value] row form
             point, value = row[:-1], row[-1]
-        key = tuple(int(c) for c in point)
+        key = tuple(json_int(c) for c in point)
         if key in values:
             raise ValueError(f"duplicate point {key} in table JSON")
-        values[key] = parse_rational(str(value))
+        if not isinstance(value, (str, int)) or isinstance(value, bool):
+            raise TypeError(f"expected an integer or rational text, got {value!r}")
+        values[key] = parse_rational(value) if isinstance(value, str) else Fraction(value)
     return Table(arity, values)
 
 

@@ -34,6 +34,7 @@ from .poly import (
     common_variables,
     entry_text,
     exact_quotient,
+    json_int,
     over_common_denominator,
     parse_entry,
     polynomial_over,
@@ -168,7 +169,7 @@ class SkewMatrix:
         """Raises TypeError where a field, triple or index has the wrong JSON
         type (a float dim or index is refused, not truncated)."""
         try:
-            dim = _json_int(data["dim"])
+            dim = json_int(data["dim"])
             triples = data["upper"]
         except KeyError as e:
             raise ValueError(f"malformed matrix object: missing {e}") from None
@@ -178,7 +179,7 @@ class SkewMatrix:
         for item in triples:
             if len(item) != 3:
                 raise ValueError(f"malformed upper triple: {item!r}")
-            i, j = _json_int(item[0]), _json_int(item[1])
+            i, j = json_int(item[0]), json_int(item[1])
             if (i, j) in upper:
                 raise ValueError(f"duplicate entry ({i}, {j})")
             v = _json_entry(item[2], budget)
@@ -202,12 +203,6 @@ class SkewMatrix:
         except json.JSONDecodeError as e:
             raise ValueError(f"malformed matrix JSON: {e}") from None
         return cls.from_json_dict(data)
-
-
-def _json_int(value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
 
 
 def _json_entry(value, budget: ParseBudget) -> Entry:

@@ -3,8 +3,9 @@
 Given a skew matrix family, the pipeline finds the normalized cofactor row
 at every size 2n up to a bound, generated by cataloged recurrences or
 solved, and contracts each kept row with the matrix once, as it is kept:
-the contraction g(n, j) accepts a generated row and is the grid that checks
-the defining identities of the cofactor vector.  It then forms the ratio
+the contraction g(n, j) accepts a generated row and checks the defining
+identities of the cofactor vector.  One store, `CofactorRows`, keeps each
+row with its denominator and contraction.  The pipeline then forms the ratio
 sequence r_n = b_{2n}/b_{2(n-1)}, the diagonal g(n, 2n), cross-checks it
 against directly computed Pfaffians, and compares the telescoped product
 with the candidate closed form.  Everything is exact; a single mismatch
@@ -90,6 +91,10 @@ def _cf_schroeder(n: int) -> Fraction:
     return Fraction(2) ** (n * n) * _cf_motzkin(n)
 
 
+# The names `closed_form_for` knows.
+CLOSED_FORM_NAMES = ("delannoy", "motzkin", "narayana", "schroeder")
+
+
 def closed_form_for(name: str, x: Optional[Fraction] = None) -> ClosedForm:
     """Built-in closed forms by family name; `x` parametrizes the weighted one
     (None means symbolic)."""
@@ -132,7 +137,7 @@ def _split_top_level(text: str, sep: str = "*") -> List[str]:
 
 
 def closed_form_from_text(text: str) -> ClosedForm:
-    """Small closed-form grammar for overrides: a top-level product of factors
+    """Small closed-form grammar: a top-level product of factors
     `prod(<linear in k>)` (meaning prod_{k=0}^{n-1}), `pow(<rational>, n^2)`,
     and rational constants.  Example: "prod(4*k+2)"."""
     factors = []
@@ -167,71 +172,73 @@ def closed_form_from_text(text: str) -> ClosedForm:
 
 
 # ---------------------------------------------------------------------------
-# cofactor tables
+# cofactor rows
 
 
-class CofactorTable:
-    """Normalized cofactor vectors c_{2n,i} for n = 1..n_max, together with the
-    mathematically-zero extension outside 1 <= i <= 2n-1.  Row n is stored
-    as numerators over one denominator, c_{2n,i} = values[(n, i)] /
-    denominators[n]; the denominator is 1 for a rational family.
+# The variables of each guessing table of `CofactorRows.table`.
+TABLE_VARIABLES = {"c": ("n", "i"), "g": ("n", "j"), "r": ("n",)}
 
-    Sizes where the normalized system is singular are recorded under
-    `singular` and excluded from lookups.
-    """
 
-    def __init__(self, n_max: int, values: Dict[Tuple[int, int], Entry],
-                 denominators: Dict[int, Entry], singular: Dict[int, str]):
-        self.n_max = n_max
-        self.values = values
-        self.denominators = denominators
-        self.singular = singular
+@dataclass(frozen=True)
+class CofactorRows:
+    """The normalized cofactor row at each solved size 2n, with its
+    contraction: rows[n] = (c, den, g), c = [c_{2n,1}, .., c_{2n,2n-1}] and
+    g = [g_{n,1}, .., g_{n,2n+j_extra}] numerators over den (1 for a
+    rational family), g_{n,j} = sum_i c_{2n,i} a(i, j).  g vanishes for
+    j < 2n and carries the ratio on the diagonal j = 2n.  Sizes whose
+    normalized system is singular are under `singular` instead."""
+
+    rows: Dict[int, Tuple[List[Entry], Entry, List[Entry]]]
+    singular: Dict[int, str]
 
     def get(self, n: int, i: int) -> Optional[Entry]:
-        if n < 1 or n > self.n_max or n in self.singular:
+        """The numerator of c_{2n,i}, zero outside 1 <= i <= 2n-1; None
+        when row n is missing."""
+        if n not in self.rows:
             return None
-        if 1 <= i <= 2 * n - 1:
-            return self.values[(n, i)]
-        return Fraction(0)
+        return self.rows[n][0][i - 1] if 1 <= i < 2 * n else Fraction(0)
 
-    def row(self, n: int) -> List[Entry]:
-        if n in self.singular or not 1 <= n <= self.n_max:
-            raise KeyError(f"no cofactor row at n={n}")
-        return [self.values[(n, i)] for i in range(1, 2 * n)]
+    def ratios(self) -> List[Tuple[Entry, Entry]]:
+        """(g(n, 2n), den) over the contiguous run of rows from n = 1: past a
+        missing row the quotient b_{2n}/b_{2n-2} loses its meaning."""
+        out = []
+        while len(out) + 1 in self.rows:
+            n = len(out) + 1
+            _, den, g = self.rows[n]
+            out.append((g[2 * n - 1], den))
+        return out
 
-    def as_table(self) -> Table:
-        """Guessing table with the zero extension materialized to a margin of
-        4 on each side of 1 <= i <= 2n-1."""
-        pts = {}
-        for n in range(1, self.n_max + 1):
-            if n in self.singular:
-                continue
-            for i in range(-3, 2 * n + 4):
-                v = self.get(n, i)
-                if not isinstance(v, Fraction):
-                    raise ValueError("guessing operates on rational tables only")
-                pts[(n, i)] = v
-        return Table(2, pts)
+    def table(self, kind: str) -> Table:
+        """The guessing table "c" (the zero extension materialized to a
+        margin of 4 on each side of 1 <= i <= 2n-1), "g" or "r" (the
+        ratios); its variables are TABLE_VARIABLES[kind]."""
+        if kind == "r":
+            points = {(n,): g for n, (g, _) in enumerate(self.ratios(), start=1)}
+        elif kind == "c":
+            points = {(n, i): self.get(n, i) for n in self.rows for i in range(-3, 2 * n + 4)}
+        else:
+            points = {(n, j): v for n, (_, _, g) in self.rows.items()
+                      for j, v in enumerate(g, start=1)}
+        if any(not isinstance(v, Fraction) for v in points.values()):
+            raise ValueError("guessing operates on rational tables only")
+        return Table(len(TABLE_VARIABLES[kind]), points)
 
 
 def c_table(
     family: MatrixFamily, n_max: int, j_extra: int = 4,
     progress: Optional[Callable[[str], None]] = None,
-) -> Tuple[CofactorTable, OrthogonalityGrid]:
+) -> CofactorRows:
     """The normalized cofactor rows at each even size 2..2*n_max, and their
     contractions g(n, j) for 1 <= j <= 2n + j_extra: each kept row is
     contracted once, by `check_identity2`, as it is kept.
 
     A rational family with cataloged cofactor operators takes row n from
-    them (`_generated_row`) when row n-1 is in the table with a nonzero
-    diagonal g(n-1, 2n-2) = Pf(A_{2n-2}) / Pf(A_{2n-4}): the leading block
-    of odd size 2n-1 then has a one-dimensional kernel, so a row that is
+    them (`_generated_row`) when row n-1 is kept with a nonzero diagonal
+    g(n-1, 2n-2) = Pf(A_{2n-2}) / Pf(A_{2n-4}): the leading block of odd
+    size 2n-1 then has a one-dimensional kernel, so a row that is
     normalized and orthogonal to the raw moments, g(n, j) = 0 for j < 2n,
     is the cofactor row.  Every other row is solved."""
-    values: Dict[Tuple[int, int], Entry] = {}
-    denominators: Dict[int, Entry] = {}
-    singular: Dict[int, str] = {}
-    grid: Dict[Tuple[int, int], Entry] = {}
+    rows = CofactorRows({}, {})
     moments = [family.moment(s) for s in range(4 * n_max + j_extra)]
     ops: List = []
     if not family.symbolic:
@@ -250,52 +257,42 @@ def c_table(
     for n in range(1, n_max + 1):
         if progress is not None:
             progress(f"cofactor system n={n}")
-        vec = _generated_row(ops, values, n) if grid.get((n - 1, 2 * n - 2)) else None
+        previous = rows.rows.get(n - 1)
+        vec = _generated_row(ops, rows, n) if previous and previous[2][2 * n - 3] else None
         if vec is not None:
             den, g = 1, contract(vec, 1, n)
         if vec is None or any(g[:2 * n - 1]):
             try:
                 vec, den = cofactor_vector(SkewMatrix.from_family(family, 2 * n))
             except SingularCofactorSystem as e:
-                singular[n] = str(e)
+                rows.singular[n] = str(e)
                 continue
             g = contract(vec, den, n)
-        denominators[n] = den
-        for i, v in enumerate(vec, start=1):
-            values[(n, i)] = v
-        for j, v in enumerate(g, start=1):
-            grid[(n, j)] = v
-    return (CofactorTable(n_max, values, denominators, singular),
-            OrthogonalityGrid(n_max, grid, denominators))
+        rows.rows[n] = (vec, den, g)
+    return rows
 
 
-def _generated_row(ops: list, values: Dict[Tuple[int, int], Entry],
-                   n: int) -> Optional[List[Fraction]]:
+def _generated_row(ops: list, rows: CofactorRows, n: int) -> Optional[List[Fraction]]:
     """Row n, each c(n, i) from the first operator that can solve for it
     (`RecurrenceOperator.solve_at`) and c(n, 2n-1) = 1; None when some i has
     no such operator.
 
-    An operator may read the rows already in `values`, the entries of row n
-    found so far, and the zero extension of either."""
-    row = {2 * n - 1: Fraction(1)}
-
-    def value(point):
-        m, i = point
-        if m == n:
-            return row.get(i) if 1 <= i < 2 * n else Fraction(0)
-        if (m, 1) not in values:
-            return None
-        return values.get(point, Fraction(0))
-
-    for i in range(1, 2 * n - 1):
-        for op in ops:
-            v = op.solve_at(value, (n, i))
-            if v is not None:
-                row[i] = v
-                break
-        else:
-            return None
-    return [row[i] for i in range(1, 2 * n)]
+    While it is found, the row stands in `rows` as row n, its unknown
+    entries None, so that an operator reads it, the rows before it and the
+    zero extension of each through `rows.get`."""
+    row: List[Optional[Fraction]] = [None] * (2 * n - 2) + [Fraction(1)]
+    rows.rows[n] = (row, 1, [])
+    try:
+        for i in range(1, 2 * n - 1):
+            for op in ops:
+                row[i - 1] = op.solve_at(lambda point: rows.get(*point), (n, i))
+                if row[i - 1] is not None:
+                    break
+            else:
+                return None
+        return row
+    finally:
+        del rows.rows[n]
 
 
 def check_identity2(row: List[Entry], den: Entry, moments: List[Entry],
@@ -313,74 +310,27 @@ def check_identity2(row: List[Entry], den: Entry, moments: List[Entry],
 
 
 # ---------------------------------------------------------------------------
-# identity grids
+# the pfaffian-ratio cross-check
 
 
-@dataclass(frozen=True)
-class OrthogonalityGrid:
-    """Values g_{n,j} = sum_i c_{2n,i} a(i,j), stored as the contraction of
-    the row's numerators over the row's denominator, g_{n,j} = values[(n, j)]
-    / denominators[n]; zero for j < 2n, the ratio on the diagonal j = 2n."""
-
-    n_max: int
-    values: Dict[Tuple[int, int], Entry]
-    denominators: Dict[int, Entry]
-
-    def get(self, n: int, j: int) -> Optional[Entry]:
-        return self.values.get((n, j))
-
-    def zero_violations(self) -> List[Tuple[int, int]]:
-        return sorted(
-            (n, j)
-            for (n, j), v in self.values.items()
-            if j < 2 * n and v
-        )
-
-    def as_table(self) -> Table:
-        if any(not isinstance(v, Fraction) for v in self.values.values()):
-            raise ValueError("guessing operates on rational tables only")
-        return Table(2, dict(self.values))
-
-
-@dataclass(frozen=True)
-class RatioResult:
-    ratios: List[Entry]            # r_1 .. r_n as numerators (index 0 is r_1)
-    denominators: List[Entry]      # r_n = ratios[n - 1] / denominators[n - 1]
-    pfaffians: List[Entry]         # b_0, b_2, .., b_{2n}
-    mismatch_n: Optional[int]      # the first n whose quotient differs, or None
-
-
-def ratio_sequence(family: MatrixFamily, grid: OrthogonalityGrid,
-                   cross_check: bool = True) -> RatioResult:
-    """Diagonal of the orthogonality grid, cross-checked against quotients of
-    independently eliminated Pfaffians.  One elimination of A_{2R}, R the
-    number of ratios, yields every b_{2n} as a leading Pfaffian.
-
-    Only the contiguous run of solved sizes starting at n = 1 is used: past a
-    singular size the quotient b_{2n}/b_{2n-2} loses its meaning, so ratios
-    there would not be comparable.  A ratio g/D equals b_{2n}/b_{2n-2} when
-    g * b_{2n-2} == D * b_{2n}."""
-    ratios: List[Entry] = []
-    denominators: List[Entry] = []
-    for n in range(1, grid.n_max + 1):
-        v = grid.get(n, 2 * n)
-        if v is None:
-            break
-        ratios.append(v)
-        denominators.append(grid.denominators[n])
-    pfaffians: List[Entry] = []
-    if cross_check:
-        pfaffians.append(Fraction(1))
-        if ratios:
-            pf_eliminate(SkewMatrix.from_family(family, 2 * len(ratios)), pfaffians)
-        # a leading Pfaffian that vanished stopped the one-pass prefix short
-        for n in range(len(pfaffians), len(ratios) + 1):
-            pfaffians.append(pf_eliminate(SkewMatrix.from_family(family, 2 * n)))
-        for n in range(1, len(ratios) + 1):
-            prev = pfaffians[n - 1]
-            if not prev or ratios[n - 1] * prev != denominators[n - 1] * pfaffians[n]:
-                return RatioResult(ratios, denominators, pfaffians, n)
-    return RatioResult(ratios, denominators, pfaffians, None)
+def ratio_sequence(family: MatrixFamily, ratios: List[Tuple[Entry, Entry]],
+                   ) -> Tuple[List[Entry], Optional[int]]:
+    """The Pfaffians b_0, b_2, .., b_{2R} of `family`, R = len(ratios), and
+    the first n whose ratio (g, D) of `CofactorRows.ratios` is not
+    b_{2n}/b_{2n-2}, or None.  The ratio g/D is that quotient when
+    g * b_{2n-2} == D * b_{2n}.  One elimination of A_{2R} yields every
+    b_{2n} as a leading Pfaffian."""
+    pfaffians: List[Entry] = [Fraction(1)]
+    if ratios:
+        pf_eliminate(SkewMatrix.from_family(family, 2 * len(ratios)), pfaffians)
+    # a leading Pfaffian that vanished stopped the one-pass prefix short
+    for n in range(len(pfaffians), len(ratios) + 1):
+        pfaffians.append(pf_eliminate(SkewMatrix.from_family(family, 2 * n)))
+    for n, (g, den) in enumerate(ratios, start=1):
+        previous = pfaffians[n - 1]
+        if not previous or g * previous != den * pfaffians[n]:
+            return pfaffians, n
+    return pfaffians, None
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +431,10 @@ def certify(
     say = progress or (lambda msg: None)
 
     say(f"solving cofactor systems up to n={n_max}")
-    table, grid = c_table(family, n_max, j_extra=8, progress=progress)
+    rows = c_table(family, n_max, j_extra=8, progress=progress)
     checks: Dict[str, dict] = {}
     witness = None
-    verdict = "inapplicable" if table.singular else "certified-at-scale"
+    verdict = "inapplicable" if rows.singular else "certified-at-scale"
 
     def record(label: str, passed: str, failure: Optional[Tuple[str, dict]]) -> None:
         """Enter one check: `failure` is None or (detail, witness fields).
@@ -500,42 +450,40 @@ def certify(
             witness = {"check": label, **fields}
 
     # cofactor-normalization: c_{2n,2n-1} == 1, its numerator the denominator
-    n0 = next((n for n in range(1, n_max + 1) if n not in table.singular
-               and table.get(n, 2 * n - 1) != table.denominators[n]), None)
+    n0 = next((n for n, (c, den, _) in rows.rows.items() if c[-1] != den), None)
     record("cofactor-normalization", "last entry equals 1 at every solved n",
            None if n0 is None else
            (f"fails at n={n0}",
-            {"n": n0, "lhs": quotient_text(table.get(n0, 2 * n0 - 1), table.denominators[n0]),
+            {"n": n0, "lhs": quotient_text(rows.rows[n0][0][-1], rows.rows[n0][1]),
              "rhs": "1"}))
 
-    violations = grid.zero_violations()
-    failure = None
-    if violations:
-        n0, j0 = violations[0]
-        failure = (f"nonzero at (n,j)={violations[0]}",
-                   {"n": n0, "j": j0, "lhs": quotient_text(grid.get(n0, j0), grid.denominators[n0]),
-                    "rhs": "0"})
-    record("cofactor-orthogonality", "g(n,j) == 0 for all 1 <= j < 2n", failure)
+    n0, j0 = next(((n, j) for n, (_, _, g) in rows.rows.items()
+                   for j in range(1, 2 * n) if g[j - 1]), (None, None))
+    record("cofactor-orthogonality", "g(n,j) == 0 for all 1 <= j < 2n",
+           None if n0 is None else
+           (f"nonzero at (n,j)={(n0, j0)}",
+            {"n": n0, "j": j0, "lhs": quotient_text(rows.rows[n0][2][j0 - 1], rows.rows[n0][1]),
+             "rhs": "0"}))
 
     say("cross-checking ratios against eliminated Pfaffians")
-    ratio = ratio_sequence(family, grid)
-    ratios = [quotient_text(g, d) for g, d in zip(ratio.ratios, ratio.denominators)]
-    n0 = ratio.mismatch_n
+    run = rows.ratios()
+    pfaffians, n0 = ratio_sequence(family, run)
+    ratios = [quotient_text(g, d) for g, d in run]
     record("pfaffian-ratio", "diagonal equals Pf quotient at every n",
            None if n0 is None else
            (f"mismatch at n={n0}",
             {"n": n0, "lhs": ratios[n0 - 1],
-             "rhs": f"({entry_text(ratio.pfaffians[n0])})/({entry_text(ratio.pfaffians[n0 - 1])})"}))
+             "rhs": f"({entry_text(pfaffians[n0])})/({entry_text(pfaffians[n0 - 1])})"}))
 
     say("comparing against the closed form")
     failure = None
     # the telescoped product of the ratios, as numerator over denominator
     product = denominator = 1
-    for n, (g, d) in enumerate(zip(ratio.ratios, ratio.denominators), start=1):
+    for n, (g, d) in enumerate(run, start=1):
         product = product * g
         denominator = denominator * d
         expected = closed_form.evaluate(n)
-        if product != expected * denominator or ratio.pfaffians[n] != expected:
+        if product != expected * denominator or pfaffians[n] != expected:
             failure = (f"mismatch at n={n}",
                        {"n": n, "lhs": quotient_text(product, denominator),
                         "rhs": entry_text(expected)})
@@ -556,8 +504,7 @@ def certify(
         # family's operators on that family's first lookup
         from .catalog import known_operators
 
-        tables = {"c": table.as_table(), "g": grid.as_table(),
-                  "r": Table.from_sequence(ratio.ratios, start=1)}
+        tables = {kind: rows.table(kind) for kind in ("c", "g", "r")}
         known = known_operators(family.name)
         if known:
             say("verifying cataloged operators on the computed tables")
@@ -578,19 +525,19 @@ def certify(
                 )
             operators["catalog"] = {"ok": all_ok, "entries": entries}
 
-        for kind, message, spec, variables, region, window in (
-            ("r", "guessing a ratio recurrence", R_SPEC, ("n",), "n >= 1", None),
-            ("c", "guessing cofactor recurrences", C_SPEC, ("n", "i"),
+        for kind, message, spec, region, window in (
+            ("r", "guessing a ratio recurrence", R_SPEC, "n >= 1", None),
+            ("c", "guessing cofactor recurrences", C_SPEC,
              "n >= 1 and i >= 1 and 2*n-1-i >= 0",
              {"n": (1, n_max), "i": (1, 2 * n_max - 1)}),
-            ("g", "guessing contraction recurrences", G_SPEC, ("n", "j"),
+            ("g", "guessing contraction recurrences", G_SPEC,
              "n >= 1 and j >= 1 and 2*n-j >= 0",
              {"n": (1, n_max), "j": (1, 2 * n_max)}),
         ):
             say(message)
             try:
                 operators[kind] = _guess_section(
-                    guess_from_table(tables[kind], spec, variables), region, window)
+                    guess_from_table(tables[kind], spec, TABLE_VARIABLES[kind]), region, window)
             except GuessingError as e:
                 operators[kind] = _guess_section(e)
 
@@ -602,8 +549,8 @@ def certify(
         checks=checks,
         witness=witness,
         ratios=ratios,
-        pfaffians=[entry_text(v) for v in ratio.pfaffians],
-        singular=dict(table.singular),
+        pfaffians=[entry_text(v) for v in pfaffians],
+        singular=dict(rows.singular),
         operators=operators,
     )
 

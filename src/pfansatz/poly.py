@@ -51,25 +51,49 @@ def _as_fraction(x) -> Fraction:
 # Cap on the decimal exponent of rational text such as "1e5000": Fraction
 # builds 10^|exponent| before anything can check the value, and
 # Fraction("1e1000000") alone takes 0.25 s, growing faster than linearly.
+# It also caps the digits of each run of digits in the text.
 RATIONAL_EXPONENT_LIMIT = 10_000
-# the exponent of Fraction's decimal form, which is the end of the text
-_RATIONAL_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+# Fraction's text forms, [sign] p/q and [sign] decimal [exponent]
+_RATIONAL = re.compile(
+    r"""\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)
+    (?:/(?P<den>\d+(?:_\d+)*)
+     |(?:\.(?P<dec>\d*|\d+(?:_\d+)*))?(?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?)\s*\Z""",
+    re.VERBOSE)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Fraction(text); a zero denominator, or a decimal exponent above
-    RATIONAL_EXPONENT_LIMIT in absolute value, raised as PolynomialError."""
-    match = _RATIONAL_EXPONENT.search(text)
-    if match:
-        digits = match.group(1).replace("_", "").lstrip("0") or "0"
-        # the length first, so that a huge exponent is never converted
-        limit = RATIONAL_EXPONENT_LIMIT
-        if len(digits) > len(str(limit)) or int(digits) > limit:
-            raise PolynomialError(f"decimal exponent above {limit} in {text!r}")
+    """The value of rational text in Fraction's forms; a zero denominator, a
+    decimal exponent above RATIONAL_EXPONENT_LIMIT in absolute value, or a
+    run of more than RATIONAL_EXPONENT_LIMIT digits, raised as
+    PolynomialError.  Both caps are judged from the text before anything is
+    converted.  The digits are read by Decimal, which takes text of any
+    length, where int text conversion refuses more than 4300 digits."""
+    match = _RATIONAL.match(text)
+    if match is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    limit = RATIONAL_EXPONENT_LIMIT
+    exponent = (match["exp"] or "").lstrip("+-").replace("_", "").lstrip("0")
+    # the length first, so that a huge exponent is never converted
+    if len(exponent) > len(str(limit)) or int(exponent or 0) > limit:
+        raise PolynomialError(f"decimal exponent above {limit} in {text!r}")
+    for run in (match["num"], match["den"], match["dec"]):
+        if run and len(run) - run.count("_") > limit:
+            raise PolynomialError(
+                f"a run of {len(run) - run.count('_')} digits is above the cap of {limit}")
+    if match["den"] is None:
+        return Fraction(Decimal(text))
     try:
-        return Fraction(text)
+        return Fraction(int(Decimal(match["sign"] + match["num"])), int(Decimal(match["den"])))
     except ZeroDivisionError:
         raise PolynomialError(f"zero denominator in {text!r}") from None
+
+
+def json_int(value) -> int:
+    """A JSON integer; a float (even 2.0), a boolean or any other value is a
+    TypeError, not truncated or read as 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def format_rational(q: Fraction) -> str:

@@ -15,7 +15,6 @@ from fractions import Fraction
 from pfansatz.catalog import known_operators
 from pfansatz.guessing import (
     GuessSpec,
-    Table,
     _monomials,
     apply_operator,
     guess_from_table,
@@ -113,7 +112,7 @@ def test_criterion_04_large_path_family_and_weight_two():
 
 def test_criterion_05_cofactor_pipeline_reproduction():
     fam = family_from_descriptor("motzkin")
-    table, grid = c_table(fam, 12)
+    table = c_table(fam, 12)
     assert table.singular == {}
 
     # pinned early values and the normalization entry
@@ -130,16 +129,20 @@ def test_criterion_05_cofactor_pipeline_reproduction():
             assert table.get(n, i) == 0, (n, i)
 
     # the contracted sums vanish strictly below the diagonal
-    assert grid.zero_violations() == []
-    assert grid.get(1, 1) == 0
-    assert grid.get(2, 1) == 0
-    assert grid.get(2, 2) == 0
+    grid = table.table("g")
+    assert not any(v for (n, j), v in grid.values.items() if j < 2 * n)
+    assert grid.get((1, 1)) == 0
+    assert grid.get((2, 1)) == 0
+    assert grid.get((2, 2)) == 0
     for n in range(1, 9):
         for j in range(1, 2 * n):
-            assert grid.get(n, j) == 0, (n, j)
+            assert grid.get((n, j)) == 0, (n, j)
 
-    # diagonal ratios: r_1 = 1, r_2 = 5, r_n = 4n - 3 up to n = 12
-    ratios = ratio_sequence(fam, grid).ratios
+    # diagonal ratios: r_1 = 1, r_2 = 5, r_n = 4n - 3 up to n = 12, each the
+    # quotient of independently eliminated Pfaffians
+    run = table.ratios()
+    assert ratio_sequence(fam, run)[1] is None
+    ratios = [g for g, _ in run]
     assert ratios[0] == 1
     assert ratios[1] == 5
     assert len(ratios) == 12
@@ -157,13 +160,11 @@ def test_criterion_06_operator_catalog_and_guesser_reproduction():
 
     # (a) every cataloged operator has zero residual on independently built
     # tables reaching n = 10
-    table10, grid10 = c_table(fam, 10)
-    ct10 = table10.as_table()
-    rtab10 = Table.from_sequence(
-        ratio_sequence(fam, grid10, cross_check=False).ratios, start=1
-    )
-    gtab10 = grid10.as_table()
-    dct10 = c_table(dfam, 10)[0].as_table()
+    rows10 = c_table(fam, 10)
+    ct10 = rows10.table("c")
+    rtab10 = rows10.table("r")
+    gtab10 = rows10.table("g")
+    dct10 = c_table(dfam, 10).table("c")
     table_for = {"c": ct10, "g": gtab10, "r": rtab10}
     checked = 0
     for (target, name), entry in sorted(entries.items()):
@@ -178,9 +179,9 @@ def test_criterion_06_operator_catalog_and_guesser_reproduction():
 
     # (b) the guesser, restricted to each operator's support and degree,
     # independently recovers exactly the cataloged operator
-    ct12 = c_table(fam, 12)[0].as_table()
-    ct16 = c_table(fam, 16)[0].as_table()
-    gtab14 = c_table(fam, 14, j_extra=8)[1].as_table()
+    ct12 = c_table(fam, 12).table("c")
+    ct16 = c_table(fam, 16).table("c")
+    gtab14 = c_table(fam, 14, j_extra=8).table("g")
     reproductions = [
         ("c", "c-mixed-order-1", ct12, ("n", "i"), 3),
         ("c", "c-row-order-2", ct16, ("n", "i"), 6),
@@ -198,10 +199,7 @@ def test_criterion_06_operator_catalog_and_guesser_reproduction():
     # order-2/degree-4 kernel of the ratio table (the sequence also satisfies
     # a first-order recurrence, so that kernel is 9-dimensional)
     r_op = entries[("r", "r-order-2")].operator
-    grid30 = c_table(fam, 30)[1]
-    rtab30 = Table.from_sequence(
-        ratio_sequence(fam, grid30, cross_check=False).ratios, start=1
-    )
+    rtab30 = c_table(fam, 30).table("r")
     support = ((-2,), (-1,), (0,))
     spec = GuessSpec(degree=4, support=support, margin=5, extra_equations=10)
     raw = guess_from_table(rtab30, spec, ("n",), reduce_consequences=False)

@@ -321,7 +321,7 @@ def test_certify_text_certified(capsys):
 def test_certify_refuted_with_wrong_override(capsys):
     code, out, _ = run(
         capsys, "certify", "--family", "motzkin", "--n-max", "3",
-        "--closed-form-override", "prod(4*k+2)",
+        "--closed-form", "prod(4*k+2)",
     )
     assert code == 1
     assert "verdict: refuted" in out
@@ -330,7 +330,7 @@ def test_certify_refuted_with_wrong_override(capsys):
 def test_certify_witness_prints_a_closed_form_above_the_int_text_limit(capsys):
     code, out, _ = run(
         capsys, "certify", "--family", "motzkin", "--n-max", "3",
-        "--closed-form-override", "pow(1e5000, n^2)",
+        "--closed-form", "pow(1e5000, n^2)",
     )
     assert code == 1
     assert ('  witness: {"check": "closed-form-product", "lhs": "1", "n": 1, '
@@ -339,15 +339,20 @@ def test_certify_witness_prints_a_closed_form_above_the_int_text_limit(capsys):
 
 def test_certify_singular_family_is_diagnostic(capsys):
     code, out, _ = run(capsys, "certify", "--family", "genmotzkin:k=2", "--n-max", "4",
-                       "--closed-form-override", "prod(4*k+1)")
+                       "--closed-form", "prod(4*k+1)")
     assert code == 3
     assert "verdict: inapplicable" in out
 
 
+# what a --closed-form error adds to the reason
+CLOSED_FORM_HINT = ("; --closed-form takes a built-in name "
+                    "(delannoy, motzkin, narayana, schroeder) or closed-form text\n")
+
+
 def test_certify_without_builtin_closed_form_hints_override(capsys):
-    code, _, err = run(capsys, "certify", "--family", "genmotzkin:k=1", "--n-max", "2")
-    assert code == 2
-    assert "--closed-form-override" in err
+    code, out, err = run(capsys, "certify", "--family", "genmotzkin:k=1", "--n-max", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: no built-in closed form named 'genmotzkin'" + CLOSED_FORM_HINT
 
 
 @pytest.mark.parametrize("text, message", [
@@ -357,7 +362,36 @@ def test_certify_without_builtin_closed_form_hints_override(capsys):
 ])
 def test_certify_override_zero_denominator_is_usage_error(capsys, text, message):
     assert run(capsys, "certify", "--family", "motzkin", "--n-max", "2",
-               "--closed-form-override", text) == (2, "", message)
+               "--closed-form", text) == (2, "", message[:-1] + CLOSED_FORM_HINT)
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("catalan", "Invalid literal for Fraction: 'catalan'"),
+    ("prod(4*k+1", "Invalid literal for Fraction: 'prod(4*k+1'"),
+    ("pow(2, n)", "pow factor must be pow(<rational>, n^2): 'pow(2, n)'"),
+])
+def test_certify_closed_form_neither_name_nor_text(capsys, value, reason):
+    assert run(capsys, "certify", "--family", "motzkin", "--n-max", "2",
+               "--closed-form", value) == (2, "", f"error: {reason}{CLOSED_FORM_HINT}")
+
+
+@pytest.mark.parametrize("family, value, description", [
+    ("motzkin", "motzkin", "prod_{k<n} (4k+1)"),
+    ("narayana:x=1", "narayana", "x^(n^2) * prod_{k<n} (4k+1) at x=1"),
+    ("motzkin", "prod(4*k+1)", "prod(4*k+1)"),
+])
+def test_certify_closed_form_takes_a_name_or_text(capsys, family, value, description):
+    code, out, _ = run(capsys, "certify", "--family", family, "--n-max", "3",
+                       "--closed-form", value, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["closed_form"] == description
+
+
+def test_certify_has_no_override_flag(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["certify", "--family", "motzkin", "--closed-form-override", "1"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --closed-form-override" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family, n_max, uncovered", [
@@ -575,13 +609,37 @@ HUGE_EXPONENT_ERROR = (f"error: decimal exponent above {poly.RATIONAL_EXPONENT_L
 @pytest.mark.parametrize("argv", [
     ["pfaffian", "--family", f"narayana:x={HUGE_EXPONENT}", "--dim", "2"],
     ["certify", "--family", f"narayana:x={HUGE_EXPONENT}", "--n-max", "2"],
-    ["certify", "--family", "motzkin", "--n-max", "2", "--closed-form-override", HUGE_EXPONENT],
+    ["certify", "--family", "motzkin", "--n-max", "2", "--closed-form", HUGE_EXPONENT],
     ["certify", "--family", "motzkin", "--n-max", "2",
-     "--closed-form-override", f"pow({HUGE_EXPONENT}, n^2)"],
+     "--closed-form", f"pow({HUGE_EXPONENT}, n^2)"],
 ])
 def test_oversized_decimal_exponent_is_refused_at_once(capsys, argv):
     start = time.perf_counter()
-    assert run(capsys, *argv) == (2, "", HUGE_EXPONENT_ERROR)
+    message = HUGE_EXPONENT_ERROR
+    if "--closed-form" in argv:
+        message = message[:-1] + CLOSED_FORM_HINT
+    assert run(capsys, *argv) == (2, "", message)
+    assert time.perf_counter() - start < 1
+
+
+def test_certify_closed_form_reads_a_constant_of_5000_digits(capsys):
+    argv = ("certify", "--family", "motzkin", "--n-max", "2", "--format", "json")
+    reports = []
+    for text in ("1" + "0" * 4999, "1e4999"):
+        code, out, _ = run(capsys, *argv, "--closed-form", text)
+        assert code == 1
+        report = json.loads(out)
+        assert report.pop("closed_form") == report["config"].pop("closed_form") == text
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["witness"]["rhs"] == "1" + "0" * 4999
+
+
+def test_certify_closed_form_refuses_a_run_of_10001_digits_at_once(capsys):
+    start = time.perf_counter()
+    assert run(capsys, "certify", "--family", "motzkin", "--n-max", "2",
+               "--closed-form", "7" * 10001) == (
+        2, "", "error: a run of 10001 digits is above the cap of 10000" + CLOSED_FORM_HINT)
     assert time.perf_counter() - start < 1
 
 
@@ -613,6 +671,39 @@ def test_guess_malformed_table_file_is_named(tmp_path, capsys, values, error):
     assert out == ""
     assert err.startswith(f"error: malformed table in {path} ({error}: ")
     assert "symbolic" not in err
+
+
+@pytest.mark.parametrize("doc, detail", [
+    ('{"arity": 1, "vars": 5, "values": [[0, "1"]]}',
+     "TypeError: vars must be a list of 1 strings, got 5"),
+    ('{"arity": 2, "vars": ["n", 1], "values": [[0, 0, "1"]]}',
+     "TypeError: vars must be a list of 2 strings, got ['n', 1]"),
+    ('{"arity": 1, "vars": ["n", "i"], "values": [[0, "1"]]}',
+     "TypeError: vars must be a list of 1 strings, got ['n', 'i']"),
+    ('{"arity": 1.9, "values": [[0, "1"]]}', "TypeError: expected an integer, got 1.9"),
+    ('{"arity": 1, "values": [[0.7, "1"]]}', "TypeError: expected an integer, got 0.7"),
+    ('{"arity": 1, "values": [{"point": [true], "value": "1"}]}',
+     "TypeError: expected an integer, got True"),
+    ('{"arity": 1, "values": [[0, 1.5]]}',
+     "TypeError: expected an integer or rational text, got 1.5"),
+    ('{"arity": 1, "values": [[0, false]]}',
+     "TypeError: expected an integer or rational text, got False"),
+])
+def test_guess_table_file_is_read_as_strictly_as_a_matrix_file(tmp_path, capsys, doc, detail):
+    path = tmp_path / "t.json"
+    path.write_text(doc)
+    assert run(capsys, "guess", "--source", f"file:{path}") == (
+        2, "", f"error: malformed table in {path} ({detail})\n")
+
+
+def test_guess_table_file_takes_integer_and_text_values(tmp_path, capsys):
+    rows = [[k, 2 ** k if k % 2 else f"{2 ** k}"] for k in range(20)]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"arity": 1, "vars": ["m"], "values": rows}))
+    code, out, _ = run(capsys, "guess", "--source", f"file:{path}", "--order", "1",
+                       "--degree", "0", "--margin", "2")
+    assert code == 0
+    assert "S_m + (-2)" in out
 
 
 def test_guess_ratio_source_default_bound_fits_default_class(capsys):

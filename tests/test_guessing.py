@@ -37,7 +37,7 @@ from pfansatz.guessing import (
     table_to_json_dict,
 )
 from pfansatz.linalg import nullspace, solve_linear
-from pfansatz.pipeline import c_table, ratio_sequence
+from pfansatz.pipeline import c_table
 from pfansatz.poly import Polynomial, PolynomialError, int_value, over_common_denominator, parse_poly
 from pfansatz.sequences import family_from_descriptor, motzkin
 
@@ -363,10 +363,8 @@ CATALOG_FAMILIES = ("delannoy", "motzkin")
 @functools.cache
 def _family_tables(name):
     family = family_from_descriptor(name)
-    table, grid = c_table(family, 8)
-    ratios = ratio_sequence(family, grid, cross_check=False).ratios
-    return {"c": table.as_table(), "g": grid.as_table(),
-            "r": Table.from_sequence(ratios, start=1)}
+    rows = c_table(family, 8)
+    return {kind: rows.table(kind) for kind in ("c", "g", "r")}
 
 
 @pytest.mark.parametrize("family", CATALOG_FAMILIES)

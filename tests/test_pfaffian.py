@@ -30,7 +30,7 @@ from pfansatz.pfaffian import (
     pf_minor,
     pf_naive,
 )
-from pfansatz.pipeline import OrthogonalityGrid, RatioResult, ratio_sequence
+from pfansatz.pipeline import ratio_sequence
 from pfansatz.poly import Polynomial, parse_poly
 from pfansatz.sequences import MatrixFamily, family_from_descriptor
 
@@ -464,21 +464,16 @@ def test_leading_list_matches_per_n_elimination(case, data):
     assert [str(v) for v in leading] == [str(v) for v in per_n]
 
 
-def per_n_ratio_sequence(family, grid):
-    """The ratio cross-check with one independent elimination per size."""
-    ratios = []
-    for n in range(1, grid.n_max + 1):
-        v = grid.get(n, 2 * n)
-        if v is None:
-            break
-        ratios.append(v)
+def per_n_ratio_sequence(family, ratios):
+    """The ratio cross-check with one independent elimination per size, on
+    rational ratios (g, 1)."""
     pfaffians = [Fraction(1)] + [
         pf_eliminate(SkewMatrix.from_family(family, 2 * n)) for n in range(1, len(ratios) + 1)
     ]
     for n in range(1, len(ratios) + 1):
-        if pfaffians[n - 1] == 0 or ratios[n - 1] != pfaffians[n] / pfaffians[n - 1]:
-            return RatioResult(ratios, [1] * len(ratios), pfaffians, n)
-    return RatioResult(ratios, [1] * len(ratios), pfaffians, None)
+        if pfaffians[n - 1] == 0 or ratios[n - 1][0] != pfaffians[n] / pfaffians[n - 1]:
+            return pfaffians, n
+    return pfaffians, None
 
 
 @PROPERTY
@@ -489,10 +484,9 @@ def test_ratio_sequence_falls_back_when_b2_vanishes(n_max, moments, diagonal):
     moments = [Fraction(v) for v in moments]
     moments[3] = Fraction(0)
     family = MatrixFamily("handmade", "handmade", moments.__getitem__)
-    grid = OrthogonalityGrid(n_max, {(n, 2 * n): Fraction(diagonal[n - 1]) for n in range(1, n_max + 1)},
-                             {n: 1 for n in range(1, n_max + 1)})
-    result = ratio_sequence(family, grid)
-    assert result == per_n_ratio_sequence(family, grid)
-    assert result.pfaffians[1] == 0 and len(result.pfaffians) == n_max + 1
+    ratios = [(Fraction(diagonal[n - 1]), 1) for n in range(1, n_max + 1)]
+    pfaffians, mismatch_n = ratio_sequence(family, ratios)
+    assert (pfaffians, mismatch_n) == per_n_ratio_sequence(family, ratios)
+    assert pfaffians[1] == 0 and len(pfaffians) == n_max + 1
     if n_max > 1:
-        assert result.mismatch_n is not None
+        assert mismatch_n is not None

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfansatz import pipeline
-from pfansatz.guessing import RecurrenceOperator
+from pfansatz.guessing import RecurrenceOperator, Table
 from pfansatz.pfaffian import (
     SingularCofactorSystem,
     SkewMatrix,
@@ -94,34 +94,33 @@ def test_closed_form_text_grammar():
 
 
 def test_cofactor_initial_values():
-    table, _ = c_table(MOTZKIN, 4)
-    assert table.get(1, 1) == 1          # c_{2,1}
-    assert table.get(2, 1) == 2          # c_{4,1}
-    assert table.get(2, 3) == 1          # normalization at n = 2
-    assert table.row(2) == [Fraction(2), Fraction(-2), Fraction(1)]
-    assert not table.singular
+    rows = c_table(MOTZKIN, 4)
+    assert rows.get(1, 1) == 1          # c_{2,1}
+    assert rows.get(2, 1) == 2          # c_{4,1}
+    assert rows.get(2, 3) == 1          # normalization at n = 2
+    assert rows.rows[2][:2] == ([Fraction(2), Fraction(-2), Fraction(1)], 1)
+    assert not rows.singular
 
 
 def test_cofactor_normalization_all_sizes():
-    table, _ = c_table(MOTZKIN, 8)
+    rows = c_table(MOTZKIN, 8)
     for n in range(1, 9):
-        assert table.get(n, 2 * n - 1) == 1
+        assert rows.get(n, 2 * n - 1) == 1
 
 
 def test_cofactor_boundary_zero_extension():
-    table, _ = c_table(MOTZKIN, 4)
+    rows = c_table(MOTZKIN, 4)
     for n in range(1, 5):
-        assert table.get(n, 0) == 0
-        assert table.get(n, -3) == 0
-        assert table.get(n, 2 * n) == 0
-        assert table.get(n, 2 * n + 5) == 0
-    assert table.get(0, 1) is None
-    assert table.get(9, 1) is None
+        assert rows.get(n, 0) == 0
+        assert rows.get(n, -3) == 0
+        assert rows.get(n, 2 * n) == 0
+        assert rows.get(n, 2 * n + 5) == 0
+    assert rows.get(0, 1) is None
+    assert rows.get(9, 1) is None
 
 
 def test_cofactor_as_table_materializes_margin():
-    table, _ = c_table(MOTZKIN, 3)
-    t = table.as_table()
+    t = c_table(MOTZKIN, 3).table("c")
     assert t.get((2, -1)) == 0
     assert t.get((2, 5)) == 0
     assert t.get((2, 1)) == 2
@@ -136,11 +135,11 @@ def test_c_table_progress_messages():
 
 def test_singular_family_recorded_not_raised():
     fam = family_from_descriptor("genmotzkin:k=2")
-    table, _ = c_table(fam, 3)
-    assert 2 in table.singular
-    assert table.get(2, 1) is None
+    rows = c_table(fam, 3)
+    assert 2 in rows.singular
+    assert rows.get(2, 1) is None
     with pytest.raises(KeyError):
-        table.row(2)
+        rows.rows[2]
 
 
 # ---------------------------------------------------------------------------
@@ -148,23 +147,25 @@ def test_singular_family_recorded_not_raised():
 
 
 def test_grid_zeros_and_diagonal():
-    table, grid = c_table(MOTZKIN, 6)
-    assert grid.zero_violations() == []
-    assert grid.get(1, 1) == 0
-    assert grid.get(2, 1) == 0 and grid.get(2, 2) == 0 and grid.get(2, 3) == 0
+    rows = c_table(MOTZKIN, 6)
+    g = {n: row[2] for n, row in rows.rows.items()}
+    assert not any(g[n][j - 1] for n in g for j in range(1, 2 * n))
+    assert g[1][0] == 0
+    assert g[2][0] == 0 and g[2][1] == 0 and g[2][2] == 0
     # diagonal carries the ratio sequence
-    assert [grid.get(n, 2 * n) for n in range(1, 5)] == [1, 5, 9, 13]
-    # the grid extends past the diagonal
-    assert grid.get(2, 2 * 2 + 4) is not None
+    assert [g[n][2 * n - 1] for n in range(1, 5)] == [1, 5, 9, 13]
+    assert rows.ratios()[:4] == [(1, 1), (5, 1), (9, 1), (13, 1)]
+    # the grid extends past the diagonal, to j = 2n + 4
+    assert len(g[2]) == 2 * 2 + 4
 
 
-def reference_grid(family, table, j_extra):
+def reference_grid(family, rows, n_max, j_extra):
     """check_identity2's former Fraction loop."""
-    m = [family.moment(s) for s in range(4 * table.n_max + j_extra)]
+    m = [family.moment(s) for s in range(4 * n_max + j_extra)]
     values = {}
-    for n in range(1, table.n_max + 1):
-        if n not in table.singular:
-            row = table.row(n)
+    for n in range(1, n_max + 1):
+        if n in rows.rows:
+            row = rows.rows[n][0]
             for j in range(1, 2 * n + j_extra + 1):
                 values[(n, j)] = sum((row[i - 1] * ((j - i) * m[i + j]) for i in range(1, 2 * n)),
                                      Fraction(0))
@@ -179,10 +180,11 @@ def reference_grid(family, table, j_extra):
     MatrixFamily("moments", "s^2/3 + 1/(s+1)", lambda s: Fraction(s * s, 3) + Fraction(1, s + 1)),
 ])
 def test_integer_contraction_matches_fraction_loop(family):
-    table, grid = c_table(family, 6, j_extra=5)
-    expected = reference_grid(family, table, 5)
-    assert grid.values == expected
-    assert all(type(v) is Fraction for v in grid.values.values())
+    rows = c_table(family, 6, j_extra=5)
+    expected = reference_grid(family, rows, 6, 5)
+    grid = {(n, j): v for n, (_, _, g) in rows.rows.items() for j, v in enumerate(g, start=1)}
+    assert grid == expected
+    assert all(type(v) is Fraction for v in grid.values())
 
 
 def test_certify_contracts_each_kept_row_once():
@@ -219,12 +221,13 @@ def solve_loop(family, n_max):
     return values, denominators, singular
 
 
-def assert_same_table(table, expected):
+def assert_same_table(rows, expected):
     values, denominators, singular = expected
-    assert table.values == values
-    assert all(type(v) is Fraction for v in table.values.values())
-    assert table.denominators == denominators
-    assert table.singular == singular
+    assert {(n, i): v for n, (c, _, _) in rows.rows.items()
+            for i, v in enumerate(c, start=1)} == values
+    assert all(type(v) is Fraction for c, _, _ in rows.rows.values() for v in c)
+    assert {n: den for n, (_, den, _) in rows.rows.items()} == denominators
+    assert rows.singular == singular
 
 
 def recording_solves(solved):
@@ -265,8 +268,8 @@ def test_generated_rows_match_the_solve_loop(case):
     values, denominators, singular = solved_rows(descriptor)
     solved = []
     with mock.patch.object(pipeline, "cofactor_vector", recording_solves(solved)):
-        table, _ = c_table(family_from_descriptor(descriptor), n_max)
-    assert_same_table(table, ({k: v for k, v in values.items() if k[0] <= n_max},
+        rows = c_table(family_from_descriptor(descriptor), n_max)
+    assert_same_table(rows, ({k: v for k, v in values.items() if k[0] <= n_max},
                               {n: d for n, d in denominators.items() if n <= n_max},
                               singular))
     # rows 1 and 2 are solved; the operators give every later row
@@ -281,10 +284,10 @@ def test_rows_of_other_moments_under_a_cataloged_name_are_solved(monkeypatch):
     solved, tried = [], []
     monkeypatch.setattr(pipeline, "cofactor_vector", recording_solves(solved))
     monkeypatch.setattr(RecurrenceOperator, "solve_at", recording_tries(tried))
-    table, _ = c_table(family, 12)
+    rows = c_table(family, 12)
     assert set(tried) == set(range(2, 13))
     assert solved == list(range(1, 13))
-    assert_same_table(table, expected)
+    assert_same_table(rows, expected)
 
 
 def test_an_operator_off_by_one_costs_only_solves(monkeypatch):
@@ -325,47 +328,93 @@ def test_no_row_is_generated_past_a_vanishing_pfaffian(monkeypatch):
     solved, tried = [], []
     monkeypatch.setattr(pipeline, "cofactor_vector", recording_solves(solved))
     monkeypatch.setattr(RecurrenceOperator, "solve_at", recording_tries(tried))
-    table, _ = c_table(family, 8)
-    assert_same_table(table, expected)
+    rows = c_table(family, 8)
+    assert_same_table(rows, expected)
     # rows 3 and 4 are generated; row 4's diagonal Pf(A_8)/Pf(A_6) is zero
     # and row 5 is singular, so no operator is tried before row 7
     assert solved == [1, 2, 5, 6, 7, 8]
     assert sorted(set(tried)) == [2, 3, 4, 7, 8]
 
 
+def former_views(family, n_max, j_extra):
+    """get and the guessing tables "c", "g" and "r" as the former cofactor
+    table, orthogonality grid and unchecked ratio sequence built them, from
+    the solve loop and the Fraction contraction."""
+    values, denominators, singular = solve_loop(family, n_max)
+    m = [family.moment(s) for s in range(4 * n_max + j_extra)]
+    grid = {(n, j): sum((values[(n, i)] * ((j - i) * m[i + j]) for i in range(1, 2 * n)),
+                        Fraction(0))
+            for n in denominators for j in range(1, 2 * n + j_extra + 1)}
+
+    def get(n, i):
+        if n < 1 or n > n_max or n in singular:
+            return None
+        if 1 <= i <= 2 * n - 1:
+            return values[(n, i)]
+        return Fraction(0)
+
+    c = {(n, i): get(n, i) for n in range(1, n_max + 1) if n not in singular
+         for i in range(-3, 2 * n + 4)}
+    ratios = []
+    for n in range(1, n_max + 1):
+        v = grid.get((n, 2 * n))
+        if v is None:
+            break
+        ratios.append(v)
+    r = Table.from_sequence(ratios, start=1).values
+    return get, {"c": c, "g": grid, "r": r}
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.sampled_from(["motzkin", "delannoy", "narayana:x=p/q", "genmotzkin:k=2"]),
+       st.fractions(min_value=-3, max_value=3, max_denominator=9),
+       st.integers(1, 6), st.integers(0, 4))
+@example("genmotzkin:k=2", Fraction(0), 6, 0)
+def test_row_store_views_match_the_former_classes(kind, x, n_max, j_extra):
+    family = family_from_descriptor(kind.replace("p/q", str(x)))
+    rows = c_table(family, n_max, j_extra)
+    get, tables = former_views(family, n_max, j_extra)
+    for kind in ("c", "g", "r"):
+        table = rows.table(kind)
+        assert table.arity == len(pipeline.TABLE_VARIABLES[kind])
+        assert list(table.values.items()) == list(tables[kind].items())
+    for n in range(-1, n_max + 3):
+        for i in range(-6, 2 * n_max + 6):
+            assert rows.get(n, i) == get(n, i), (n, i)
+            assert type(rows.get(n, i)) is type(get(n, i))
+
+
 def test_ratio_sequence_cross_check():
-    table, grid = c_table(MOTZKIN, 6, j_extra=2)
-    ratio = ratio_sequence(MOTZKIN, grid)
-    assert ratio.mismatch_n is None
-    assert ratio.pfaffians[0] == 1
-    assert ratio.pfaffians[2] == 5
+    run = c_table(MOTZKIN, 6, j_extra=2).ratios()
+    pfaffians, mismatch_n = ratio_sequence(MOTZKIN, run)
+    assert mismatch_n is None
+    assert pfaffians[0] == 1
+    assert pfaffians[2] == 5
     for n in range(1, 7):
-        assert ratio.ratios[n - 1] == 4 * n - 3
-        assert ratio.pfaffians[n] == pf_eliminate(SkewMatrix.from_family(MOTZKIN, 2 * n))
+        assert run[n - 1] == (4 * n - 3, 1)
+        assert pfaffians[n] == pf_eliminate(SkewMatrix.from_family(MOTZKIN, 2 * n))
 
 
 def test_ratio_values_to_twelve():
-    table, grid = c_table(MOTZKIN, 12, j_extra=0)
-    ratio = ratio_sequence(MOTZKIN, grid, cross_check=False)
-    assert [ratio.ratios[n - 1] for n in range(1, 13)] == [4 * n - 3 for n in range(1, 13)]
-    assert ratio.ratios[0] == 1 and ratio.ratios[1] == 5
+    ratios = [g for g, _ in c_table(MOTZKIN, 12, j_extra=0).ratios()]
+    assert [ratios[n - 1] for n in range(1, 13)] == [4 * n - 3 for n in range(1, 13)]
+    assert ratios[0] == 1 and ratios[1] == 5
 
 
 def test_ratio_sequence_stops_at_singular_gap():
     fam = family_from_descriptor("genmotzkin:k=2")
-    table, grid = c_table(fam, 4, j_extra=0)
-    ratio = ratio_sequence(fam, grid, cross_check=False)
+    rows = c_table(fam, 4, j_extra=0)
     # n = 2 is singular, so only the contiguous prefix r_1 remains
-    assert len(ratio.ratios) == 1
+    assert len(rows.ratios()) == 1
+    assert len(rows.table("r")) == 1
 
 
 def test_narayana_symbolic_ratios():
     fam = family_from_descriptor("narayana:x=sym")
-    table, grid = c_table(fam, 4, j_extra=0)
-    ratio = ratio_sequence(fam, grid)
-    assert ratio.mismatch_n is None
+    run = c_table(fam, 4, j_extra=0).ratios()
+    assert ratio_sequence(fam, run)[1] is None
     expected = ["x", "5*x^3", "9*x^5", "13*x^7"]
-    assert [quotient_text(g, d) for g, d in zip(ratio.ratios, ratio.denominators)] == expected
+    assert [quotient_text(g, d) for g, d in run] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +572,7 @@ def test_certify_builds_catalog_operators_only_for_the_family_at_hand(monkeypatc
 
 
 def test_importing_the_catalog_parses_nothing(monkeypatch):
-    from pfansatz.guessing import RecurrenceOperator
+    from pfansatz.guessing import RecurrenceOperator, Table
 
     def refuse(cls, variables, terms):
         raise AssertionError("the catalog built an operator at import")

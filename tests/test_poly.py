@@ -218,6 +218,25 @@ def test_parse_rational_exponent_cap():
     assert parse_rational("10001") == 10001  # no exponent
 
 
+def test_parse_rational_reads_long_digit_runs():
+    # up to 10^4 digits in each run, beyond the interpreter's 4300-digit
+    # limit on int text, as integer, p/q or mantissa text
+    big = "1" + "0" * 4999
+    assert parse_rational(big) == parse_rational("1e4999") == 10 ** 4999
+    assert parse_rational(f"-{big}/{big}3") == -parse_rational("1e4999") / (10 ** 5000 + 3)
+    assert parse_rational(f"{big}.{'0' * 4999}5") == parse_rational("1e4999") + Fraction(5, 10 ** 5000)
+    assert parse_rational("9" * 10000) == 10 ** 10000 - 1
+    # Fraction's grammar, and its message
+    for text in ("1_000", " -3/4 ", ".5", "1.", "+2.5E-3", "1_0.0_1e1_0"):
+        assert parse_rational(text) == Fraction(text)
+    for text in ("1__0", "_1", "3 /4", "-3/-4", "1.5/2", "inf", "nan", "", "1e"):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            parse_rational(text)
+    for text in ("1" * 10001, "1/" + "1" * 10001, "0." + "1" * 10001, "1_" * 10001 + "1"):
+        with pytest.raises(PolynomialError, match="a run of 1000[12] digits is above the cap of 10000"):
+            parse_rational(text)
+
+
 def test_parse_term_cap():
     # a product's bound is t1 * t2, a power's comb(t + e - 1, e); 2000 passes
     forty = "(" + " + ".join(f"a{k}" for k in range(40)) + ")"

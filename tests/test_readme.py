@@ -1,4 +1,5 @@
-"""The Python examples in README.md run as written.
+"""The Python examples in README.md run as written, and its command lines
+parse.
 
 Each ```python block is executed in a fresh namespace.  A line
 `print(...)  # text` states what it prints: the block's output must hold
@@ -7,9 +8,12 @@ each such text as a line."""
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from pfansatz import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
@@ -28,3 +32,20 @@ def test_readme_python_example_runs(index):
     printed = out.getvalue().splitlines()
     for expected in re.findall(r"^print\(.*?\)[ \t]+# (.*)$", source, re.M):
         assert expected.strip() in printed
+
+
+# the `pfansatz ...` lines of the ```text blocks: the CLI examples
+COMMANDS = [line for block in re.findall(r"^```text\n(.*?)^```", README.read_text(encoding="utf-8"),
+                                          re.S | re.M)
+            for line in block.splitlines() if line.startswith("pfansatz ")]
+
+
+def test_readme_has_cli_examples():
+    assert len(COMMANDS) >= 10
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_readme_cli_example_parses(line):
+    argv = shlex.split(line, comments=True)[1:]
+    args = cli.build_parser().parse_args(argv)  # an unknown flag exits 2
+    assert args.command == argv[0]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from pfansatz import sequences
 from pfansatz.pfaffian import SkewMatrix
-from pfansatz.pipeline import CofactorTable, check_identity2
+from pfansatz.pipeline import check_identity2
 from pfansatz.poly import Polynomial, entry_text, over_common_denominator
 from pfansatz.sequences import (
     delannoy,
@@ -351,13 +351,10 @@ def test_from_family_matches_the_entry_rules(descriptor, half_dim):
             assert same_entry(A.entry(i, j), entry(i, j)), (i, j)
 
 
-def contraction_by_entries(entry, table, j_extra):
+def contraction_by_entries(entry, rows, j_extra):
     """check_identity2 as it was: one entry call per (n, i, j)."""
     values = {}
-    for n in range(1, table.n_max + 1):
-        if n in table.singular:
-            continue
-        row = table.row(n)
+    for n, row in rows.items():
         for j in range(1, 2 * n + j_extra + 1):
             total = None
             for i in range(1, 2 * n):
@@ -369,18 +366,17 @@ def contraction_by_entries(entry, table, j_extra):
 
 @st.composite
 def cofactor_tables(draw, symbolic):
-    """A table of drawn rows: rationals, or polynomials in x when symbolic."""
+    """(n_max, {n: row}) of drawn rows, over denominator 1, with up to two
+    sizes missing: rationals, or polynomials in x when symbolic."""
     n_max = draw(st.integers(1, 4 if symbolic else 6))
-    singular = {n: "drawn" for n in draw(st.sets(st.integers(1, n_max), max_size=2))}
+    singular = draw(st.sets(st.integers(1, n_max), max_size=2))
     if symbolic:
         cell = st.lists(RATIONALS, min_size=1, max_size=3).map(
             lambda cs: Polynomial(("x",), {(e,): c for e, c in enumerate(cs)}))
     else:
         cell = RATIONALS
-    values = {(n, i): draw(cell) for n in range(1, n_max + 1) if n not in singular
-              for i in range(1, 2 * n)}
-    denominators = {n: 1 for n in range(1, n_max + 1) if n not in singular}
-    return CofactorTable(n_max, values, denominators, singular)
+    return n_max, {n: [draw(cell) for _ in range(1, 2 * n)]
+                   for n in range(1, n_max + 1) if n not in singular}
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -389,17 +385,15 @@ def cofactor_tables(draw, symbolic):
 def test_check_identity2_matches_the_per_entry_contraction(kind, x, j_extra, data):
     descriptor = kind.replace("p/q", str(x))
     fam = family_from_descriptor(descriptor)
-    table = data.draw(cofactor_tables(kind == "narayana:x=sym"))
+    n_max, rows = data.draw(cofactor_tables(kind == "narayana:x=sym"))
     entry = per_entry(entry_rule(descriptor), zero_of(descriptor))
-    expected = contraction_by_entries(entry, table, j_extra)
-    moments = [fam.moment(s) for s in range(4 * table.n_max + j_extra)]
+    expected = contraction_by_entries(entry, rows, j_extra)
+    moments = [fam.moment(s) for s in range(4 * n_max + j_extra)]
     if not fam.symbolic:
         moments, m_den = over_common_denominator(moments)
     got = {}
-    for n in range(1, table.n_max + 1):
-        if n in table.singular:
-            continue
-        row, den = table.row(n), table.denominators[n]
+    for n, row in rows.items():
+        den = 1
         if not fam.symbolic:
             row, den = over_common_denominator(row)
             den *= m_den
