@@ -54,7 +54,7 @@ from .pipeline import (
     closed_form_for,
     closed_form_from_text,
 )
-from .poly import entry_text, format_rational
+from .poly import entry_text, format_rational, parse_rational
 from .minorsum import theorem4_terms, verify_msf, verify_okinawa
 from .sequences import PLAIN_SEQUENCES, family_from_descriptor
 
@@ -108,10 +108,17 @@ def _ext(fmt: str) -> str:
 # pfaffian
 
 
+def _json_int_literal(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # above the interpreter's limit on int text
+        return int(parse_rational(text))  # read by Decimal, up to its cap
+
+
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int_literal)
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:

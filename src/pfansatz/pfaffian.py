@@ -12,11 +12,18 @@ behind agreement with another:
                     its k-th pivot is the k-th leading Pfaffian, so one pass
                     yields all of them,
   * pf_laplace    - expansion along the last row/column via sub-Pfaffians.
+Each runs a rational matrix in Python ints.  pf_naive and pf_laplace scale
+it once to L * A (`_scaled`), L the lcm of all its denominators, and divide
+their sum by L^(dim/2); pf_eliminate scales it diagonally to D * A * D
+(`_diagonally_scaled`), d_i the least factor that makes column i integral,
+and divides by det D.  A polynomial matrix goes through the same loops as
+it is.  Both scalings rest on `over_common_denominator` (rationals as
+integers over one denominator), the only arithmetic the routes share.
 cofactor_vector goes through linalg.solve_linear, whose polynomial systems
 run the Bareiss row echelon `linalg._bareiss`: it shares Polynomial
-arithmetic, `exact_quotient` and `over_common_denominator` (rationals as
-integers over one denominator) with pf_eliminate but no elimination loop,
-so the pipeline's cofactor and Pfaffian cross-checks stay independent too.
+arithmetic, `exact_quotient` and `over_common_denominator` with
+pf_eliminate but no elimination loop, so the pipeline's cofactor and
+Pfaffian cross-checks stay independent too.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import solve_linear
@@ -43,7 +52,7 @@ from .sequences import MatrixFamily
 
 NAIVE_DIMENSION_LIMIT = 14
 # the memoized expansion visits every subset of the index set: time and
-# memory grow about x3.3 per +2 dimensions
+# memory grow about x3.5 per +2 dimensions (motzkin at 22: 0.3 s, 2-vCPU host)
 LAPLACE_DIMENSION_LIMIT = 22
 # the elimination holds a dense dim x dim array and does O(dim^3) exact
 # operations: motzkin at dim 400 takes about 30 s (2-vCPU host, Python 3.11)
@@ -262,36 +271,63 @@ def permutation_sign(seq: Sequence[int]) -> int:
 # Pfaffian algorithms
 
 
+def _scaled(A: SkewMatrix):
+    """The strict upper triangle that pf_naive and pf_laplace expand, its zero
+    and one, and the map from their sum to Pf A.  A rational matrix becomes
+    the ints of L * A, L the lcm of its denominators, and the sum is divided
+    once by L^(dim/2); a polynomial matrix is expanded as it is."""
+    if any(isinstance(v, Polynomial) for v in A.upper.values()):
+        zero = A.zero()
+        return A.upper, zero, zero + 1, lambda total: total
+    ints, scale = over_common_denominator(A.upper.values())
+    power = scale ** (A.dim // 2)
+    return dict(zip(A.upper, ints)), 0, 1, lambda total: A.zero() + Fraction(total, power)
+
+
 def pf_naive(A: SkewMatrix) -> Entry:
     """Signed sum over perfect matchings; the (2n-1)!! growth is guarded."""
     if A.dim > NAIVE_DIMENSION_LIMIT:
         raise ValueError(
             f"pf_naive dimension guard: dim {A.dim} exceeds limit {NAIVE_DIMENSION_LIMIT}"
         )
-    one = A.zero() + 1
-    if A.dim == 0:
-        return one
-    total = A.zero()
+    upper, zero, one, value = _scaled(A)
+    total = zero
     for matching in PerfectMatching.enumerate(A.dim):
         term = one
-        ok = True
-        for i, j in matching.pairs:
-            v = A.entry(i, j)
+        for pair in matching.pairs:
+            v = upper.get(pair)
             if not v:
-                ok = False
                 break
             term = term * v
-        if ok:
+        else:
             total = total + (term if matching.sign() > 0 else -term)
-    return total
+    return value(total)
+
+
+def _diagonally_scaled(A: SkewMatrix) -> tuple:
+    """(D * A * D as ints by (i, j), [d_1 * ... * d_t for t = 0..dim]) for a
+    rational matrix: d_1 = 1 and d_i is the lcm over j < i of the
+    denominators of a(j, i) * d_j, so that d_j * a(j, i) * d_i is an integer."""
+    ints, den = over_common_denominator(A.upper.values())
+    if den == 1:  # D = I; the column pass would cost over twice this one lcm
+        return dict(zip(A.upper, ints)), [1] * (A.dim + 1)
+    columns = [[] for _ in range(A.dim + 1)]
+    for (j, i), v in A.upper.items():
+        columns[i].append((j, v))
+    d = [1] * (A.dim + 1)
+    upper = {}
+    for i, column in enumerate(columns):
+        ints, d[i] = over_common_denominator([v * d[j] for j, v in column])
+        upper.update(((j, i), n) for (j, _), n in zip(column, ints))
+    return upper, list(accumulate(d, mul))
 
 
 def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
     """Fraction-free skew elimination with 2x2 pivots.
 
-    Rational matrices are scaled by D, the lcm of the entry denominators, and
-    eliminated over Python ints; polynomial matrices are eliminated over Q[x]
-    as they are.  Step k takes the pivot p = M[k][k+1], the first nonzero
+    A rational matrix is scaled to D * A * D by `_diagonally_scaled` and
+    eliminated over Python ints; a polynomial matrix is eliminated over Q[x]
+    as it is.  Step k takes the pivot p = M[k][k+1], the first nonzero
     entry of row k after swapping that column (and row) into place, and
     replaces every trailing entry i, j >= k + 2 by
 
@@ -300,13 +336,13 @@ def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
     where p' is the previous pivot (1 at the first step).  The division is
     exact, and checked.  The pivot of the s-th step is the Pfaffian of the
     leading 2s x 2s block of the (relabelled) scaled matrix, so the last one,
-    signed by the swaps and divided by D^n, is Pf A.  A zero row means
-    Pf A = 0.
+    signed by the swaps and divided by det D = d_1 * ... * d_dim, is Pf A.
+    A zero row means Pf A = 0.
 
     If `leading` is a list, the Pfaffian of each leading 2k x 2k block of A,
-    k = 1, 2, ..., is appended to it while no swap has happened; the first
-    swap (or zero row) stops the recording, so a short list means that some
-    leading Pfaffian vanished.
+    k = 1, 2, ..., is appended to it while no swap has happened: the s-th
+    pivot divided by d_1 * ... * d_2s.  The first swap (or zero row) stops
+    the recording, so a short list means that some leading Pfaffian vanished.
     """
     m = A.dim
     if m == 0:
@@ -316,18 +352,17 @@ def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
         zero = Polynomial.zero(variables)
         one = Polynomial.constant(1, variables)
         upper = {key: polynomial_over(v, variables) for key, v in A.upper.items()}
-        scale = None
+        scales = None
     else:
         zero, one = 0, 1
-        ints, scale = over_common_denominator(A.upper.values())
-        upper = dict(zip(A.upper, ints))
+        upper, scales = _diagonally_scaled(A)
     M = [[zero] * m for _ in range(m)]
     for (i, j), v in upper.items():
         M[i - 1][j - 1] = v
         M[j - 1][i - 1] = -v
 
-    def unscaled(value, steps: int) -> Entry:
-        return value if scale is None else Fraction(value, scale ** steps)
+    def unscaled(value, size: int) -> Entry:
+        return value if scales is None else Fraction(value, scales[size])
 
     sign = 1
     prev = one
@@ -345,7 +380,7 @@ def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
         row_k1 = M[k + 1]
         p = row_k[k + 1]
         if leading is not None:
-            leading.append(unscaled(p, k // 2 + 1))
+            leading.append(unscaled(p, k + 2))
         for i in range(k + 2, m):
             row_i = M[i]
             ci = row_k[i]
@@ -355,7 +390,7 @@ def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
                 row_i[j] = v
                 M[j][i] = -v
         prev = p
-    return unscaled(prev if sign > 0 else -prev, m // 2)
+    return unscaled(prev if sign > 0 else -prev, m)
 
 
 def pf_laplace(A: SkewMatrix) -> Entry:
@@ -370,18 +405,17 @@ def pf_laplace(A: SkewMatrix) -> Entry:
             f"pf_laplace dimension guard: dim {A.dim} exceeds limit "
             f"{LAPLACE_DIMENSION_LIMIT}"
         )
-    one = A.zero() + 1
+    upper, zero, one, value = _scaled(A)
     memo = {(): one}
 
     def rec(indices: tuple) -> Entry:
         if indices in memo:
             return memo[indices]
         last = indices[-1]
-        total = A.zero()
+        total = zero
         sign = 1
         for pos in range(len(indices) - 1):
-            k = indices[pos]
-            v = A.entry(k, last)
+            v = upper.get((indices[pos], last))
             if v:
                 rest = indices[:pos] + indices[pos + 1 : -1]
                 term = v * rec(rest)
@@ -390,7 +424,7 @@ def pf_laplace(A: SkewMatrix) -> Entry:
         memo[indices] = total
         return total
 
-    return rec(tuple(range(1, A.dim + 1)))
+    return value(rec(tuple(range(1, A.dim + 1))))
 
 
 def pf_minor(A: SkewMatrix, removed: Iterable[int]) -> Entry:

@@ -621,12 +621,33 @@ def parse_poly(text: str, variables: Sequence[str] = None, budget: ParseBudget =
     return p.with_variables(tuple(sorted(p.effective_variables())))
 
 
+# an int or int/int literal as `parse_poly` would read it: ASCII digits, no
+# leading zero or underscore, a sign only in front, a nonzero denominator
+_LITERAL = re.compile(r"([-+]?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?\Z")
+
+
 def parse_entry(text: str, budget: ParseBudget = None):
-    """Parse a matrix-entry string into a Fraction (no variables) or Polynomial."""
-    p = parse_poly(text, budget=budget)
-    if p.is_constant():
-        return p.constant_value()
-    return p
+    """Parse a matrix-entry string into a Fraction (no variables) or Polynomial.
+
+    A literal (see `_LITERAL`) is read without `ast`, its digits by
+    `parse_rational`, and charged to `budget` what `parse_poly` charges for
+    it: its sign as a negation, its denominator as a division."""
+    literal = _LITERAL.match(text.strip())
+    if literal is None:
+        p = parse_poly(text, budget=budget)
+        return p.constant_value() if p.is_constant() else p
+    budget = ParseBudget() if budget is None else budget
+    sign, _, den = literal.groups()
+    value = parse_rational(literal[0])
+    num = abs(value.numerator)
+    if den is not None:  # the unreduced numerator and denominator
+        den = int(Decimal(den))
+        num *= den // value.denominator
+    if sign:
+        budget.charge(1 if num else 0, 0, num.bit_length(), 0)
+    if den is not None:
+        budget.charge((1 if num else 0) + 1, 0, num.bit_length(), den.bit_length())
+    return value
 
 
 def entry_text(x) -> str:

@@ -73,6 +73,42 @@ def test_pfaffian_prints_an_entry_above_the_int_text_limit(tmp_path, capsys):
     assert (code, out, err) == (0, "1" + "0" * 5000 + "\n", "")
 
 
+BIG = "7" * 5000  # above the interpreter's 4300-digit limit on int text
+
+
+@pytest.mark.parametrize("entry", [f'"{BIG}"', f'"-{BIG}/3"', BIG, f"-{BIG}"],
+                         ids=["text", "quotient-text", "json-int", "negative-json-int"])
+def test_pfaffian_file_reads_an_entry_of_5000_digits(tmp_path, capsys, entry):
+    # as entry text (without `ast`) or as a JSON integer
+    path = tmp_path / "big.json"
+    path.write_text('{"dim": 2, "upper": [[1, 2, %s]]}' % entry)
+    assert run(capsys, "pfaffian", "--file", str(path)) == (0, entry.strip('"') + "\n", "")
+
+
+@pytest.mark.parametrize("entry", ['"%s"' % ("1" * 10001), "1" * 10001, "-" + "1" * 10001],
+                         ids=["text", "json-int", "negative-json-int"])
+def test_pfaffian_file_refuses_an_entry_of_10001_digits(tmp_path, capsys, entry):
+    path = tmp_path / "big.json"
+    path.write_text('{"dim": 2, "upper": [[1, 2, %s]]}' % entry)
+    assert run(capsys, "pfaffian", "--file", str(path)) == (
+        2, "", "error: a run of 10001 digits is above the cap of 10000\n")
+
+
+def test_table_file_reads_a_json_integer_of_5000_digits(tmp_path, capsys):
+    reports = []
+    for value in (BIG, f'"{BIG}"'):
+        rows = ", ".join(f"[{k}, {value}]" for k in range(20))
+        path = tmp_path / "t.json"
+        path.write_text('{"arity": 1, "values": [%s]}' % rows)
+        reports.append(run(capsys, "guess", "--source", f"file:{path}", "--order", "1",
+                           "--degree", "0", "--margin", "2"))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0 and "S_n + (-1)" in reports[0][1]
+    path.write_text('{"arity": 1, "values": [[0, %s]]}' % ("9" * 10001))
+    assert run(capsys, "guess", "--source", f"file:{path}") == (
+        2, "", "error: a run of 10001 digits is above the cap of 10000\n")
+
+
 def test_pfaffian_all_algorithms_text(capsys):
     code, out, _ = run(
         capsys, "pfaffian", "--family", "motzkin", "--dim", "4", "--all-algorithms"

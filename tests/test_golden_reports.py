@@ -1,9 +1,11 @@
-"""Byte-for-byte regression of `certify --format json` reports.
+"""Byte-for-byte regression of `certify` and `pfaffian` JSON reports.
 
-The files under tests/data/ hold reports recorded from the implementation
-that evaluated operators and guessing rows over Fractions, with the
-"version" line removed; a report of this code, with its "version" line
-removed the same way, must equal them byte for byte."""
+The certify files under tests/data/ hold reports recorded from the
+implementation that evaluated operators and guessing rows over Fractions,
+and the pfaffian file one recorded from the Pfaffian routes that multiplied
+Fraction entries one at a time, each with the "version" line removed; a
+report of this code, with its "version" line removed the same way, must
+equal them byte for byte."""
 
 import os
 
@@ -37,4 +39,17 @@ def test_certify_json_report_matches_golden(capsys, family, n_max, name):
     assert sum(line.startswith('  "version": ') for line in lines) == 1
     report = "".join(line for line in lines if not line.startswith('  "version": '))
     with open(os.path.join(DATA, name), encoding="utf-8", newline="") as fh:
+        assert report == fh.read()
+
+
+def test_pfaffian_json_report_matches_golden(capsys):
+    # all three routes on a rational family: each scales its denominators its own way
+    code = cli.main(["pfaffian", "--family", "narayana:x=3/7", "--dim", "12",
+                     "--all-algorithms", "--format", "json"])
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert code == 0
+    assert sum(line.startswith('  "version": ') for line in lines) == 1
+    report = "".join(line for line in lines if not line.startswith('  "version": '))
+    with open(os.path.join(DATA, "pfaffian_narayana_x_3_7_dim_12.json"), encoding="utf-8",
+              newline="") as fh:
         assert report == fh.read()

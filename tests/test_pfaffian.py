@@ -7,6 +7,7 @@ worked 4x4 pins the sign conventions.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -31,7 +32,14 @@ from pfansatz.pfaffian import (
     pf_naive,
 )
 from pfansatz.pipeline import ratio_sequence
-from pfansatz.poly import Polynomial, parse_poly
+from pfansatz.poly import (
+    Polynomial,
+    common_variables,
+    entry_text,
+    exact_quotient,
+    parse_poly,
+    polynomial_over,
+)
 from pfansatz.sequences import MatrixFamily, family_from_descriptor
 
 
@@ -366,10 +374,16 @@ PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
 X_ZERO = Polynomial.zero(("x",))
 RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-POLYNOMIALS = st.builds(
-    lambda cs: Polynomial(("x",), {(k,): c for k, c in enumerate(cs)}),
-    st.lists(RATIONALS, min_size=1, max_size=3),
-)
+
+
+def polynomials(coefficients):
+    return st.builds(
+        lambda cs: Polynomial(("x",), {(k,): c for k, c in enumerate(cs)}),
+        st.lists(coefficients, min_size=1, max_size=3),
+    )
+
+
+POLYNOMIALS = polynomials(RATIONALS)
 
 
 @st.composite
@@ -462,6 +476,125 @@ def test_leading_list_matches_per_n_elimination(case, data):
     per_n = [pf_eliminate(SkewMatrix.from_family(fam, 2 * k)) for k in range(1, n + 1)]
     assert leading == per_n
     assert [str(v) for v in leading] == [str(v) for v in per_n]
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the routes that multiplied Fractions
+
+WIDE_RATIONALS = st.builds(Fraction, st.integers(-999, 999), st.integers(1, 1000))
+WIDE_POLYNOMIALS = polynomials(WIDE_RATIONALS)
+
+
+@st.composite
+def skew_with_zero_rows(draw, values, max_dim, zero=Fraction(0)):
+    """A sparse skew matrix whose drawn rows (and columns) are zeroed out."""
+    A = draw(sparse_skew(values, max_dim, zero))
+    zeroed = draw(st.sets(st.integers(1, max(A.dim, 1)), max_size=2)) if A.dim else set()
+    return SkewMatrix(A.dim, {key: v for key, v in A.upper.items() if not zeroed & set(key)},
+                      zero)
+
+
+@PROPERTY
+@given(st.one_of(skew_with_zero_rows(WIDE_RATIONALS, 10),
+                 skew_with_zero_rows(WIDE_POLYNOMIALS, 6, X_ZERO)))
+def test_naive_and_laplace_match_the_reference_in_value_and_type(A):
+    # in the matrix's own domain: a Fraction, or a Polynomial over its variables
+    expected = A.zero() + pf_reference(A.upper, tuple(range(1, A.dim + 1)))
+    for pf in (pf_naive, pf_laplace):
+        value = pf(A)
+        assert value == expected
+        assert type(value) is type(expected)
+        assert entry_text(value) == entry_text(expected)
+
+
+def one_lcm_eliminate(A, leading=None):
+    """The elimination before diagonal scaling: every entry of a rational
+    matrix scaled by the one lcm L of all denominators, so that the s-th
+    pivot carries L^s."""
+    m = A.dim
+    if m == 0:
+        return A.zero() + 1
+    if any(isinstance(v, Polynomial) for v in A.upper.values()):
+        variables = common_variables(A.upper.values())
+        zero, one = Polynomial.zero(variables), Polynomial.constant(1, variables)
+        upper = {key: polynomial_over(v, variables) for key, v in A.upper.items()}
+        scale = None
+    else:
+        zero, one = 0, 1
+        scale = math.lcm(*(v.denominator for v in A.upper.values()))
+        upper = {key: v.numerator * (scale // v.denominator) for key, v in A.upper.items()}
+    M = [[zero] * m for _ in range(m)]
+    for (i, j), v in upper.items():
+        M[i - 1][j - 1] = v
+        M[j - 1][i - 1] = -v
+
+    def unscaled(value, steps):
+        return value if scale is None else Fraction(value, scale ** steps)
+
+    sign, prev = 1, one
+    for k in range(0, m, 2):
+        row_k = M[k]
+        piv = next((j for j in range(k + 1, m) if row_k[j]), -1)
+        if piv < 0:
+            return A.zero()
+        if piv != k + 1:
+            for row in M:
+                row[k + 1], row[piv] = row[piv], row[k + 1]
+            M[k + 1], M[piv] = M[piv], M[k + 1]
+            sign, leading = -sign, None
+        row_k1 = M[k + 1]
+        p = row_k[k + 1]
+        if leading is not None:
+            leading.append(unscaled(p, k // 2 + 1))
+        for i in range(k + 2, m):
+            row_i = M[i]
+            for j in range(i + 1, m):
+                v = exact_quotient(p * row_i[j] - row_k[i] * row_k1[j] + row_k[j] * row_k1[i], prev)
+                row_i[j] = v
+                M[j][i] = -v
+        prev = p
+    return unscaled(prev if sign > 0 else -prev, m // 2)
+
+
+def assert_eliminates_as_one_lcm(A):
+    leading, expected_leading = [], []
+    value = pf_eliminate(A, leading)
+    expected = one_lcm_eliminate(A, expected_leading)
+    assert value == expected and type(value) is type(expected)
+    assert leading == expected_leading
+    assert [entry_text(v) for v in leading] == [entry_text(v) for v in expected_leading]
+    return leading
+
+
+@PROPERTY
+@given(st.one_of(skew_with_zero_rows(WIDE_RATIONALS, 12),
+                 skew_with_zero_rows(WIDE_POLYNOMIALS, 6, X_ZERO)))
+def test_eliminate_matches_the_one_lcm_elimination(A):
+    assert_eliminates_as_one_lcm(A)
+
+
+@pytest.mark.parametrize("upper, recorded", [
+    # a(1, 2) = 0: the first pivot is found by a swap, so nothing is recorded
+    ({(1, 3): Fraction(2, 3), (2, 4): Fraction(5, 7), (3, 4): Fraction(1, 9)}, 0),
+    # Pf of the leading 4-block is 1/2 * 1/5 - 1/3 * 3/10 + 0 = 0: the prefix stops
+    ({(1, 2): Fraction(1, 2), (1, 3): Fraction(1, 3), (2, 4): Fraction(3, 10),
+      (3, 4): Fraction(1, 5), (3, 5): Fraction(7, 11), (4, 6): Fraction(1, 13),
+      (5, 6): Fraction(2, 17)}, 1),
+])
+def test_eliminate_stops_recording_as_the_one_lcm_elimination(upper, recorded):
+    dim = max(j for _, j in upper)
+    A = SkewMatrix(dim, upper)
+    assert len(assert_eliminates_as_one_lcm(A)) == recorded
+    assert pf_eliminate(A) == pf_reference(upper, tuple(range(1, dim + 1))) != 0
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.integers(1, 18), st.integers(2, 40), st.data())
+def test_eliminate_matches_the_one_lcm_elimination_on_narayana(p, q, data):
+    # geometric denominators q^s, where the diagonal scaling gains most
+    n = data.draw(st.integers(1, 7))
+    A = SkewMatrix.from_family(family_from_descriptor(f"narayana:x={p}/{q}"), 2 * n)
+    assert len(assert_eliminates_as_one_lcm(A)) == n
 
 
 def per_n_ratio_sequence(family, ratios):

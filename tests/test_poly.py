@@ -272,6 +272,48 @@ def test_parse_entry_dispatch():
     assert isinstance(p, Polynomial) and p.eval({"x": 2}) == 14
 
 
+def ast_entry(text, budget):
+    """parse_entry as it was before the literal fast path: all text through
+    `parse_poly`."""
+    p = parse_poly(text, budget=budget)
+    return p.constant_value() if p.is_constant() else p
+
+
+def parsed(read, text, spent):
+    """(value or (exception type, message), budget spent) of one read of
+    text on a budget that has already spent `spent`."""
+    budget = ParseBudget()
+    budget.spent = spent
+    try:
+        result = read(text, budget)
+    except (ValueError, ZeroDivisionError) as e:
+        result = (type(e), str(e))
+    return result, type(result), budget.spent
+
+
+LITERAL_CORPUS = ["007", "1_0", "3/0", " -4/6 ", "+5", "-0", "+0/5", "0/0", "00/1", "12/-3",
+                  "- 4", "4 / 6", "--4", "1e3", "2.5", "x", "", " ", "-", "/3", "3/", "1/2/3",
+                  "٣", "７/2", "-٤/٥", "4 ", "\t-12345/677\n",
+                  "9" * 1000 + "/" + "7" * 800, "-" + "8" * 4300]
+LITERAL_TEXT = st.one_of(
+    st.sampled_from(LITERAL_CORPUS),
+    st.text(alphabet="0123456789-+/ _x٣７", max_size=14),
+    st.builds("{}{}{}".format, st.sampled_from(["", "-", "+", " "]),
+              st.integers(0, 10 ** 40).map(str),
+              st.sampled_from(["", "/"]).flatmap(
+                  lambda slash: st.just("") if not slash else st.integers(0, 10 ** 30).map(
+                      lambda d: f"/{d}"))),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(LITERAL_TEXT, st.sampled_from([0, 1000, PARSE_WORK_LIMIT - 150, PARSE_WORK_LIMIT - 70]))
+def test_literal_fast_path_reads_as_the_ast_path(text, spent):
+    # the same value or exception, and the same charge: nearly spent budgets
+    # are refused at the same step
+    assert parsed(parse_entry, text, spent) == parsed(ast_entry, text, spent)
+
+
 def test_entry_text_and_format_rational():
     assert format_rational(Fraction(-3, 4)) == "-3/4"
     assert format_rational(Fraction(8)) == "8"
