@@ -285,23 +285,32 @@ def _scaled(A: SkewMatrix):
 
 
 def pf_naive(A: SkewMatrix) -> Entry:
-    """Signed sum over perfect matchings; the (2n-1)!! growth is guarded."""
+    """Signed sum over perfect matchings; the (2n-1)!! growth is guarded.
+
+    The matchings are enumerated by pairing the first remaining index with
+    the t-th remaining one (t = 1, 2, ...), which contributes (-1)^(t-1) to
+    the sign, so each matching is signed as it is built.  The recursion
+    carries the product of the entries so far and skips every matching
+    through a zero entry."""
     if A.dim > NAIVE_DIMENSION_LIMIT:
         raise ValueError(
             f"pf_naive dimension guard: dim {A.dim} exceeds limit {NAIVE_DIMENSION_LIMIT}"
         )
     upper, zero, one, value = _scaled(A)
-    total = zero
-    for matching in PerfectMatching.enumerate(A.dim):
-        term = one
-        for pair in matching.pairs:
-            v = upper.get(pair)
-            if not v:
-                break
-            term = term * v
-        else:
-            total = total + (term if matching.sign() > 0 else -term)
-    return value(total)
+
+    def matchings(items: tuple, term):
+        if not items:
+            return term
+        first = items[0]
+        total = zero
+        for t in range(1, len(items)):
+            v = upper.get((first, items[t]))
+            if v:
+                sub = matchings(items[1:t] + items[t + 1:], term * v)
+                total = total + (sub if t % 2 else -sub)
+        return total
+
+    return value(matchings(tuple(range(1, A.dim + 1)), one))
 
 
 def _diagonally_scaled(A: SkewMatrix) -> tuple:

@@ -1,12 +1,16 @@
 """Exact multivariate polynomials over Q.
 
 A polynomial is an ordered tuple of variable names plus a map from exponent
-vectors (one non-negative integer per variable) to nonzero Fraction
-coefficients.  Everything is canonical on construction (zero coefficients
-dropped) and treated as immutable: all operations build new objects, so
-values can be shared freely between threads.  `Polynomial(...)` validates
-its input; arithmetic results, canonical by construction, go through the
-unchecked `_trusted` instead.
+vectors (one non-negative integer per variable) to nonzero coefficients.  A
+coefficient is a plain int when it is integral and a Fraction with
+denominator > 1 otherwise, so each value has one form and a product of
+integer polynomials builds no Fraction.  No division meets two ints:
+`_quotient` divides them by divmod, never to a float.  `constant_value`,
+`univariate_coefficients` and `eval` still return Fractions.  Everything is
+canonical on construction (zero coefficients dropped) and treated as
+immutable: all operations build new objects, so values can be shared freely
+between threads.  `Polynomial(...)` validates its input; arithmetic results,
+canonical by construction, go through the unchecked `_trusted` instead.
 
 Every exact entry (int, Fraction, Polynomial) is falsy exactly when it is
 zero, and `Fraction(0) * x` is the zero of x's domain
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import ast
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -127,17 +132,31 @@ def over_common_denominator(values) -> tuple:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def _accumulate(terms: dict, exp: tuple, c: Fraction) -> None:
-    """terms[exp] += c, deleting the entry when the sum is zero."""
+def _canonical(c: Scalar) -> Scalar:
+    """A nonzero int or Fraction as a coefficient is stored: an int when it
+    is integral, else the Fraction."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b for stored coefficients, b nonzero, as a stored coefficient:
+    by divmod when both are ints, as Fractions otherwise."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _canonical(a / b)
+
+
+def _accumulate(terms: dict, exp: tuple, c: Scalar) -> None:
+    """terms[exp] += c for a nonzero c, deleting the entry when the sum is
+    zero and storing it canonical otherwise."""
     old = terms.get(exp)
-    if old is None:
-        terms[exp] = c
-        return
-    c += old
-    if c:
-        terms[exp] = c
-    else:
-        del terms[exp]
+    if old is not None:
+        c += old
+        if not c:
+            del terms[exp]
+            return
+    terms[exp] = _canonical(c)
 
 
 class Polynomial:
@@ -157,9 +176,7 @@ class Polynomial:
                 raise PolynomialError(f"negative exponent in {exp}")
             c = _as_fraction(coeff)
             if c:
-                clean[exp] = clean.get(exp, Fraction(0)) + c
-                if not clean[exp]:
-                    del clean[exp]
+                _accumulate(clean, exp, c)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
 
@@ -167,7 +184,7 @@ class Polynomial:
     def _trusted(cls, variables: tuple, terms: dict) -> "Polynomial":
         """A Polynomial built without validation: `variables` is a tuple of
         distinct names and `terms` maps exponent tuples of that length to
-        nonzero Fractions, as every arithmetic result here does."""
+        canonical nonzero coefficients, as every arithmetic result here does."""
         p = object.__new__(cls)
         object.__setattr__(p, "variables", variables)
         object.__setattr__(p, "terms", terms)
@@ -204,7 +221,7 @@ class Polynomial:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise PolynomialError(f"not a constant: {self}")
-        return next(iter(self.terms.values()), Fraction(0))
+        return Fraction(next(iter(self.terms.values()), 0))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -295,15 +312,16 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
+            if not other:
                 return Polynomial._trusted(self.variables, {})
-            return Polynomial._trusted(self.variables, {e: k * c for e, k in self.terms.items()})
+            return Polynomial._trusted(
+                self.variables, {e: _canonical(k * other) for e, k in self.terms.items()})
         a, b = self._aligned(other)
         if a is None:
             return NotImplemented
         # the coefficients multiply and sum as ints over the product of the
-        # two common denominators, one Fraction per result term
+        # two common denominators; a Fraction is built per result term only
+        # when that product is not 1
         left, den_a = over_common_denominator(a.terms.values())
         right, den_b = over_common_denominator(b.terms.values())
         sums = {}
@@ -312,16 +330,20 @@ class Polynomial:
                 exp = tuple(map(add, e1, e2))
                 sums[exp] = sums.get(exp, 0) + n1 * n2
         den = den_a * den_b
-        return Polynomial._trusted(a.variables, {e: Fraction(v, den) for e, v in sums.items() if v})
+        if den == 1:
+            return Polynomial._trusted(a.variables, {e: v for e, v in sums.items() if v})
+        return Polynomial._trusted(
+            a.variables, {e: _canonical(Fraction(v, den)) for e, v in sums.items() if v})
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
+            if not other:
                 raise ZeroDivisionError("division of polynomial by zero")
-            return self * (1 / c)
+            c = _canonical(_as_fraction(other))
+            return Polynomial._trusted(
+                self.variables, {e: _quotient(k, c) for e, k in self.terms.items()})
         if isinstance(other, Polynomial) and other.is_constant():
             return self / other.constant_value()
         return NotImplemented
@@ -358,9 +380,9 @@ class Polynomial:
             return self._int_form
         except AttributeError:
             pass
-        if all(c.denominator == 1 for c in self.terms.values()):
+        if all(type(c) is int for c in self.terms.values()):
             form = tuple(
-                (c.numerator, tuple((i, e) for i, e in enumerate(exp) if e))
+                (c, tuple((i, e) for i, e in enumerate(exp) if e))
                 for exp, c in self.terms.items()
             )
         else:
@@ -448,7 +470,7 @@ class Polynomial:
         deg = self.degree_in(var)
         coeffs = [Fraction(0)] * (deg + 1)
         for exp, c in self.terms.items():
-            coeffs[exp[i]] = c
+            coeffs[exp[i]] = Fraction(c)
         return coeffs
 
     # -- printing -----------------------------------------------------------
@@ -553,22 +575,50 @@ def _check_terms(bound: int) -> None:
         )
 
 
-def _from_node(node, budget: ParseBudget) -> Polynomial:
+# an int literal as `ast` reads one: no leading zero, single underscores
+# between digits, not part of a name, a float or another number
+_INT_RUN = re.compile(r"(?<![\w.])[1-9](?:_?[0-9])*(?![\w.])")
+
+
+def _long_literals(text: str) -> tuple:
+    """(text with every int literal above the interpreter's limit on int
+    text replaced by a fresh name, {name: its digits}): `ast` refuses such
+    a literal, `parse_rational` reads it."""
+    limit = sys.get_int_max_str_digits()
+    prefix = "_digits"
+    while prefix in text:  # no name in the text contains a fresh one
+        prefix = "_" + prefix
+    literals = {}
+
+    def named(match) -> str:
+        run = match[0]
+        if not limit or len(run) - run.count("_") <= limit:
+            return run
+        name = f"{prefix}{len(literals)}"
+        literals[name] = run
+        return name
+
+    return _INT_RUN.sub(named, text), literals
+
+
+def _from_node(node, budget: ParseBudget, literals: dict) -> Polynomial:
     if isinstance(node, ast.Expression):
-        return _from_node(node.body, budget)
+        return _from_node(node.body, budget, literals)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int):
             return Polynomial.constant(node.value)
         raise PolynomialError(f"non-integer literal {node.value!r}")
     if isinstance(node, ast.Name):
+        if node.id in literals:  # a long literal, charged as a short one: not at all
+            return Polynomial.constant(parse_rational(literals[node.id]))
         return Polynomial.variable(node.id)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        inner = _from_node(node.operand, budget)
+        inner = _from_node(node.operand, budget, literals)
         budget.charge(len(inner.terms), len(inner.variables), _coefficient_bits(inner), 0)
         return -inner if isinstance(node.op, ast.USub) else inner
     if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-        left = _from_node(node.left, budget)
-        right = _from_node(node.right, budget)
+        left = _from_node(node.left, budget, literals)
+        right = _from_node(node.right, budget, literals)
         if isinstance(node.op, ast.Pow):
             if not right.is_constant():
                 raise PolynomialError("exponent must be a constant")
@@ -609,11 +659,14 @@ def parse_poly(text: str, variables: Sequence[str] = None, budget: ParseBudget =
     If `variables` is given the result is expressed over exactly that tuple
     (which must cover all names in the text); otherwise the variables are the
     names in the text, sorted alphabetically.  The parse work is charged to
-    `budget`, by default a fresh one (see `PARSE_WORK_LIMIT`).
+    `budget`, by default a fresh one (see `PARSE_WORK_LIMIT`).  An int
+    literal above the interpreter's limit on int text (4300 digits by
+    default) is read by `parse_rational`, under its digit cap.
     """
+    source, literals = _long_literals(text.replace("^", "**").strip())
     try:  # text nested too deeply for the parser or `_from_node` recurses too far
-        tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
-        p = _from_node(tree, ParseBudget() if budget is None else budget)
+        tree = ast.parse(source, mode="eval")
+        p = _from_node(tree, ParseBudget() if budget is None else budget, literals)
     except (SyntaxError, RecursionError) as e:
         raise PolynomialError(f"cannot parse polynomial {text!r}: {e}") from None
     if variables is not None:
@@ -678,13 +731,13 @@ def poly_divmod(a: Polynomial, b: Polynomial, var: str) -> tuple:
             dr -= 1
         if dr < db:
             break
-        factor = rem[dr] / lead
+        factor = _quotient(rem[dr], lead)
         q[dr - db] = factor
         for k in range(db + 1):
             rem[dr - db + k] -= factor * bc[k]
         rem = rem[: dr + 1]
     def build(coeffs):
-        return Polynomial._trusted((var,), {(i,): c for i, c in enumerate(coeffs) if c})
+        return Polynomial._trusted((var,), {(i,): _canonical(c) for i, c in enumerate(coeffs) if c})
     return build(q), build(rem)
 
 
@@ -707,7 +760,7 @@ def poly_exact_divide(num: Polynomial, den: Polynomial):
         t_exp = tuple(r - d for r, d in zip(r_exp, d_exp))
         if any(e < 0 for e in t_exp):
             return None
-        t_coeff = rem.pop(r_exp) / d_coeff
+        t_coeff = _quotient(rem.pop(r_exp), d_coeff)
         quotient[t_exp] = t_coeff
         for exp, c in d_rest:
             _accumulate(rem, tuple(map(add, t_exp, exp)), -t_coeff * c)

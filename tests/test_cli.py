@@ -679,6 +679,33 @@ def test_certify_closed_form_refuses_a_run_of_10001_digits_at_once(capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_certify_closed_form_reads_a_factor_of_5000_digits(capsys):
+    # inside polynomial text, past `ast`'s limit on int literals
+    code, out, err = run(capsys, "certify", "--family", "motzkin", "--n-max", "2",
+                         "--format", "json", "--closed-form", f"prod({BIG}*k+1)")
+    assert (code, err.count("error")) == (1, 0)
+    report = json.loads(out)
+    assert report["closed_form"] == f"prod({BIG}*k+1)"
+    assert report["witness"]["rhs"] == BIG[:-1] + "8"  # 1 * (BIG + 1)
+
+
+def test_pfaffian_file_reads_a_polynomial_entry_of_5000_digits(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"dim": 2, "upper": [[1, 2, "%s*x - x^2"]]}' % BIG)
+    assert run(capsys, "pfaffian", "--file", str(path)) == (0, f"-x^2 + {BIG}*x\n", "")
+
+
+def test_long_literals_in_polynomial_text_keep_the_cap_of_10000_digits(tmp_path, capsys):
+    run_10001 = "1" * 10001
+    assert run(capsys, "certify", "--family", "motzkin", "--n-max", "2",
+               "--closed-form", f"prod({run_10001}*k+1)") == (
+        2, "", "error: a run of 10001 digits is above the cap of 10000" + CLOSED_FORM_HINT)
+    path = tmp_path / "big.json"
+    path.write_text('{"dim": 2, "upper": [[1, 2, "%s*x"]]}' % run_10001)
+    assert run(capsys, "pfaffian", "--file", str(path)) == (
+        2, "", "error: a run of 10001 digits is above the cap of 10000\n")
+
+
 def test_guess_table_oversized_decimal_exponent_is_refused_at_once(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text('{"arity": 1, "values": [[0, "1"], [1, "%s"]]}' % HUGE_EXPONENT)

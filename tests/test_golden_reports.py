@@ -2,8 +2,9 @@
 
 The certify files under tests/data/ hold reports recorded from the
 implementation that evaluated operators and guessing rows over Fractions,
-and the pfaffian file one recorded from the Pfaffian routes that multiplied
-Fraction entries one at a time, each with the "version" line removed; a
+and the pfaffian files one recorded from the Pfaffian routes that multiplied
+Fraction entries one at a time and one from the Polynomial that stored every
+coefficient as a Fraction, each with the "version" line removed; a
 report of this code, with its "version" line removed the same way, must
 equal them byte for byte."""
 
@@ -42,14 +43,24 @@ def test_certify_json_report_matches_golden(capsys, family, n_max, name):
         assert report == fh.read()
 
 
-def test_pfaffian_json_report_matches_golden(capsys):
-    # all three routes on a rational family: each scales its denominators its own way
-    code = cli.main(["pfaffian", "--family", "narayana:x=3/7", "--dim", "12",
+def assert_pfaffian_report_matches(capsys, family, dim, name):
+    code = cli.main(["pfaffian", "--family", family, "--dim", str(dim),
                      "--all-algorithms", "--format", "json"])
     lines = capsys.readouterr().out.splitlines(keepends=True)
     assert code == 0
     assert sum(line.startswith('  "version": ') for line in lines) == 1
     report = "".join(line for line in lines if not line.startswith('  "version": '))
-    with open(os.path.join(DATA, "pfaffian_narayana_x_3_7_dim_12.json"), encoding="utf-8",
-              newline="") as fh:
+    with open(os.path.join(DATA, name), encoding="utf-8", newline="") as fh:
         assert report == fh.read()
+
+
+def test_pfaffian_json_report_matches_golden(capsys):
+    # all three routes on a rational family: each scales its denominators its own way
+    assert_pfaffian_report_matches(capsys, "narayana:x=3/7", 12,
+                                   "pfaffian_narayana_x_3_7_dim_12.json")
+
+
+def test_pfaffian_symbolic_json_report_matches_golden(capsys):
+    # all three routes over Q[x], on polynomials with integer coefficients
+    assert_pfaffian_report_matches(capsys, "narayana:x=sym", 10,
+                                   "pfaffian_narayana_x_sym_dim_10.json")

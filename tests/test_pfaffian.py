@@ -2,7 +2,7 @@
 
 Independent oracles: the definition as a signed sum over pair-partitions is
 re-derived here from scratch (explicit recursion, no shared code with
-pf_naive's matching enumerator), determinants come from linalg, and a hand
+pf_naive's own recursion), determinants come from linalg, and a hand
 worked 4x4 pins the sign conventions.
 """
 
@@ -505,6 +505,39 @@ def test_naive_and_laplace_match_the_reference_in_value_and_type(A):
         assert value == expected
         assert type(value) is type(expected)
         assert entry_text(value) == entry_text(expected)
+
+
+def matching_loop(A):
+    """pf_naive's former loop: every matching of `PerfectMatching.enumerate`,
+    signed by `PerfectMatching.sign` (an inversion count), its entries
+    multiplied in the matrix's own domain."""
+    total = A.zero()
+    for matching in PerfectMatching.enumerate(A.dim):
+        term = A.zero() + 1
+        for pair in matching.pairs:
+            v = A.entry(*pair)
+            if not v:
+                break
+            term = term * v
+        else:
+            total = total + (term if matching.sign() > 0 else -term)
+    return total
+
+
+INTEGRAL = st.builds(Fraction, st.integers(-10**6, 10**6))
+
+
+@PROPERTY
+@given(st.one_of(skew_with_zero_rows(INTEGRAL, 10),
+                 skew_with_zero_rows(WIDE_RATIONALS, 8),
+                 skew_with_zero_rows(polynomials(st.integers(-9, 9)), 6, X_ZERO),
+                 skew_with_zero_rows(WIDE_POLYNOMIALS, 6, X_ZERO)))
+def test_naive_matches_the_matching_loop_in_value_and_type(A):
+    expected = matching_loop(A)
+    value = pf_naive(A)
+    assert value == expected
+    assert type(value) is type(expected)
+    assert entry_text(value) == entry_text(expected)
 
 
 def one_lcm_eliminate(A, leading=None):

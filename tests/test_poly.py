@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,35 @@ def test_parse_rational_reads_long_digit_runs():
     for text in ("1" * 10001, "1/" + "1" * 10001, "0." + "1" * 10001, "1_" * 10001 + "1"):
         with pytest.raises(PolynomialError, match="a run of 1000[12] digits is above the cap of 10000"):
             parse_rational(text)
+
+
+def test_parse_poly_reads_a_long_literal_as_ast_would_without_the_limit():
+    # a literal above the 4300-digit limit on int text, inside polynomial
+    # text: read by parse_rational, with the value and the parse charge that
+    # `ast` gives it when the interpreter's limit is lifted
+    big = "7" * 5000
+    texts = (f"{big}*x + 1", f"-({big}_7 - x)^2/{big}", f"_digits0 + {big}*__digits",
+             f"x{big} + {big}")
+    lifted = []
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for text in texts:
+            budget = ParseBudget()
+            lifted.append((parse_poly(text, budget=budget), budget.spent))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for text, (expected, spent) in zip(texts, lifted):
+        budget = ParseBudget()
+        got = parse_poly(text, budget=budget)
+        assert (got, got.variables, budget.spent) == (expected, expected.variables, spent)
+    assert parse_poly(texts[2]).variables == ("__digits", "_digits0")
+    # a literal that `ast` refuses for another reason is still refused
+    for text in ("0" + big, f"{big}x", f"1.{big}", f"{big}__1"):
+        with pytest.raises(PolynomialError):
+            parse_poly(text)
+    with pytest.raises(PolynomialError, match="a run of 10001 digits is above the cap of 10000"):
+        parse_poly("1" * 10001 + "*x")
 
 
 def test_parse_term_cap():
@@ -535,12 +565,14 @@ COEFFICIENTS = st.one_of(INTS, FRACTIONS)
 
 
 def assert_canonical(p):
-    """p holds exactly what the validating constructor builds from its data."""
+    """p holds exactly what the validating constructor builds from its data,
+    each coefficient in its one form: an int when integral, else a Fraction
+    with denominator > 1, never zero."""
     assert type(p) is Polynomial
     assert Polynomial(p.variables, p.terms).terms == p.terms
     assert len(set(p.variables)) == len(p.variables)
     for exp, c in p.terms.items():
-        assert type(c) is Fraction and c != 0
+        assert c != 0 and type(c) is (int if c.denominator == 1 else Fraction)
         assert len(exp) == len(p.variables) and all(type(e) is int and e >= 0 for e in exp)
 
 
@@ -599,6 +631,138 @@ def test_exact_divide_is_none_exactly_when_divmod_leaves_a_remainder(c, b, r):
         assert_canonical(q)
     else:
         assert q is None
+
+
+# ---------------------------------------------------------------------------
+# int-or-Fraction coefficients against a reference over dict[exponent, Fraction]
+
+
+def reference(p):
+    """p's terms with every coefficient a Fraction, the form they all once had."""
+    return {exp: Fraction(c) for exp, c in p.terms.items()}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for exp, c in b.items():
+        out[exp] = out.get(exp, 0) + c
+    return {exp: c for exp, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return {exp: c for exp, c in out.items() if c}
+
+
+def ref_scale(a, s):
+    return {exp: c * s for exp, c in a.items()} if s else {}
+
+
+def ref_pow(a, k, arity):
+    out = {(0,) * arity: Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_substitute(a, replacements, arity):
+    """The sum over a's terms of c * prod replacements[v]^e_v."""
+    total = {}
+    for exp, c in a.items():
+        term = {(0,) * arity: c}
+        for repl, e in zip(replacements, exp):
+            term = ref_mul(term, ref_pow(repl, e, arity))
+        total = ref_add(total, term)
+    return total
+
+
+def ref_divmod(a, b):
+    """Univariate long division with Fraction coefficients: (q, r)."""
+    q, r = {}, dict(a)
+    (db,), lead = max(b.items())
+    while r and max(r)[0] >= db:
+        (dr,), c = max(r.items())
+        t = {(dr - db,): c / lead}
+        q = ref_add(q, t)
+        r = ref_add(r, ref_scale(ref_mul(t, b), -1))
+    return q, r
+
+
+def ref_gcd(a, b):
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_scale(a, 1 / max(a.items())[1]) if a else a
+
+
+def assert_reference(result, expected, variables):
+    assert_canonical(result)
+    assert reference(result.with_variables(variables)) == expected
+
+
+TWO = ("n", "x")
+WIDE_COEFFICIENTS = st.one_of(
+    INTS, FRACTIONS, st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**4)))
+NONZERO = WIDE_COEFFICIENTS.filter(bool)
+
+
+def small_polynomials(variables, max_terms=4, degree=3):
+    exps = st.tuples(*[st.integers(0, degree)] * len(variables))
+    return st.dictionaries(exps, WIDE_COEFFICIENTS, max_size=max_terms).map(
+        lambda terms: Polynomial(variables, terms))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_polynomials(TWO), small_polynomials(TWO), NONZERO, st.integers(0, 3),
+       small_polynomials(TWO, 3, 1), small_polynomials(TWO, 3, 1), st.integers(-3, 3),
+       small_polynomials(("x",)), small_polynomials(("x",)), st.data())
+def test_coefficient_forms_match_a_fraction_reference(p, q, s, k, rn, rx, offset, a, b, data):
+    rp, rq = reference(p), reference(q)
+    shift = {(0, 1): Fraction(1), (0, 0): Fraction(offset)} if offset else {(0, 1): Fraction(1)}
+    for result, expected in [
+        (p + q, ref_add(rp, rq)),
+        (p - q, ref_add(rp, ref_scale(rq, -1))),
+        (p * q, ref_mul(rp, rq)),
+        (p * s, ref_scale(rp, s)),
+        (s * p, ref_scale(rp, s)),
+        (p / s, ref_scale(rp, 1 / Fraction(s))),
+        (p / Polynomial.constant(s, TWO), ref_scale(rp, 1 / Fraction(s))),
+        (p ** k, ref_pow(rp, k, 2)),
+        (p.substitute({"n": rn, "x": rx}), ref_substitute(rp, [reference(rn), reference(rx)], 2)),
+        (p.shifted({"x": offset}), ref_substitute(rp, [{(1, 0): Fraction(1)}, shift], 2)),
+    ]:
+        assert_reference(result, expected, TWO)
+    assert_reference(p.with_variables(("z",) + TWO),
+                     {(0,) + exp: c for exp, c in rp.items()}, ("z",) + TWO)
+    # the public scalar returns stay Fractions
+    point = {v: data.draw(st.one_of(INTS, FRACTIONS)) for v in TWO}
+    value = p.eval(point)
+    assert type(value) is Fraction
+    assert value == sum(c * point["n"] ** e0 * point["x"] ** e1 for (e0, e1), c in rp.items())
+    for constant in (Polynomial.constant(s, TWO), p - p, p * 0 + s):
+        assert type(constant.constant_value()) is Fraction
+    coeffs = a.univariate_coefficients("x")
+    assert all(type(c) is Fraction for c in coeffs)
+    assert {(e,): c for e, c in enumerate(coeffs) if c} == reference(a)
+    if not b:
+        return
+    ra, rb = reference(a), reference(b)
+    assert_reference(poly_exact_divide(a * b, b), ra, ("x",))
+    quotient, remainder = poly_divmod(a, b, "x")
+    expected_q, expected_r = ref_divmod(ra, rb)
+    assert_reference(quotient, expected_q, ("x",))
+    assert_reference(remainder, expected_r, ("x",))
+    assert_reference(poly_gcd(a, b, "x"), ref_gcd(ra, rb), ("x",))
+    # the quotient's text: no float, the value a / b, in lowest terms
+    text = quotient_text(a, b)
+    assert "." not in text and "e" not in text
+    num, den = text[1:-1].split(")/(") if text.startswith("(") else (text, "1")
+    num, den = reference(P(num, ("x",))), reference(P(den, ("x",)))
+    assert ref_mul(num, rb) == ref_mul(ra, den)
+    assert ref_gcd(num, den) == {(0,): 1}
 
 
 # ---------------------------------------------------------------------------
