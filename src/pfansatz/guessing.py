@@ -557,12 +557,6 @@ def _is_consequence(
     return solve_linear(matrix, target) is not None
 
 
-def guess_univariate(data, spec: GuessSpec, variable: str = "n") -> GuessResult:
-    """Guess operators for a one-dimensional sequence (list or Table)."""
-    table = data if isinstance(data, Table) else Table.from_sequence(data)
-    return guess_from_table(table, spec, (variable,))
-
-
 # ---------------------------------------------------------------------------
 # integer roots and leading-coefficient analysis
 

@@ -29,11 +29,10 @@ Pfaffian cross-checks stay independent too.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .linalg import solve_linear
 from .poly import (
@@ -137,20 +136,6 @@ class SkewMatrix:
     def dense(self) -> list:
         return [[self.entry(i, j) for j in range(1, self.dim + 1)] for i in range(1, self.dim + 1)]
 
-    def submatrix_removing(self, removed: Iterable[int]) -> "SkewMatrix":
-        """Remove the listed rows and the same-numbered columns."""
-        removed = set(removed)
-        if any(not 1 <= r <= self.dim for r in removed):
-            raise IndexError(f"removal indices {sorted(removed)} out of range")
-        keep = [k for k in range(1, self.dim + 1) if k not in removed]
-        upper = {}
-        for a in range(len(keep)):
-            for b in range(a + 1, len(keep)):
-                v = self.entry(keep[a], keep[b])
-                if v:
-                    upper[(a + 1, b + 1)] = v
-        return SkewMatrix(len(keep), upper, self._zero)
-
     def __eq__(self, other):
         if not isinstance(other, SkewMatrix):
             return NotImplemented
@@ -225,38 +210,7 @@ def _json_entry(value, budget: ParseBudget) -> Entry:
 
 
 # ---------------------------------------------------------------------------
-# perfect matchings
-
-
-@dataclass(frozen=True)
-class PerfectMatching:
-    """Pairs (i, j) with i < j, listed with increasing first elements, covering
-    1..2n exactly once."""
-
-    pairs: Tuple[Tuple[int, int], ...]
-
-    def sign(self) -> int:
-        return permutation_sign([k for pair in self.pairs for k in pair])
-
-    @staticmethod
-    def enumerate(dim: int):
-        """Yield all perfect matchings of {1..dim} in canonical order."""
-        if dim % 2:
-            return
-
-        def rec(items):
-            if not items:
-                yield ()
-                return
-            first = items[0]
-            for t in range(1, len(items)):
-                partner = items[t]
-                rest = items[1:t] + items[t + 1 :]
-                for sub in rec(rest):
-                    yield ((first, partner),) + sub
-
-        for pairs in rec(tuple(range(1, dim + 1))):
-            yield PerfectMatching(pairs)
+# permutation signs
 
 
 def permutation_sign(seq: Sequence[int]) -> int:
@@ -436,24 +390,6 @@ def pf_laplace(A: SkewMatrix) -> Entry:
     return value(rec(tuple(range(1, A.dim + 1))))
 
 
-def pf_minor(A: SkewMatrix, removed: Iterable[int]) -> Entry:
-    """Pfaffian of the submatrix with the listed rows/columns removed."""
-    return pf_eliminate(A.submatrix_removing(removed))
-
-
-def gamma(A: SkewMatrix, i: int, j: int) -> Entry:
-    """Signed sub-Pfaffian cofactor: zero on the diagonal, and for i != j the
-    Pfaffian of A with rows/columns {i, j} removed, weighted by (-1)^(j-i-1)
-    for i < j and antisymmetrized for i > j."""
-    if i == j:
-        return A.zero()
-    if i < j:
-        v = pf_minor(A, (i, j))
-        return v if (j - i - 1) % 2 == 0 else -v
-    v = gamma(A, j, i)
-    return -v
-
-
 def cofactor_vector(A: SkewMatrix) -> Tuple[List[Entry], Entry]:
     """The normalized last-column cofactor vector c of length dim-1, as
     (numerators, denominator): c = numerators / denominator.
@@ -480,13 +416,3 @@ def cofactor_vector(A: SkewMatrix) -> Tuple[List[Entry], Entry]:
     if sol is None or not sol.unique:
         raise SingularCofactorSystem(m, "no unique normalized solution")
     return list(sol.vector), sol.denominator
-
-
-def cofactor_vector_via_minors(A: SkewMatrix) -> Tuple[List[Entry], Entry]:
-    """Independent route: c_i = gamma(i, dim) / gamma(dim-1, dim), as
-    ([gamma(i, dim)], gamma(dim-1, dim))."""
-    m = A.dim
-    denom = gamma(A, m - 1, m)
-    if not denom:
-        raise SingularCofactorSystem(m, "normalizing sub-Pfaffian is zero")
-    return [gamma(A, i, m) for i in range(1, m)], denom

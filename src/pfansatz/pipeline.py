@@ -91,10 +91,6 @@ def _cf_schroeder(n: int) -> Fraction:
     return Fraction(2) ** (n * n) * _cf_motzkin(n)
 
 
-# The names `closed_form_for` knows.
-CLOSED_FORM_NAMES = ("delannoy", "motzkin", "narayana", "schroeder")
-
-
 def closed_form_for(name: str, x: Optional[Fraction] = None) -> ClosedForm:
     """Built-in closed forms by family name; `x` parametrizes the weighted one
     (None means symbolic)."""

@@ -32,7 +32,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import add
+from operator import add, neg
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -745,7 +745,13 @@ def poly_exact_divide(num: Polynomial, den: Polynomial):
     """num / den when den divides num exactly (any number of variables),
     else None.  Leading terms are taken in graded-lex order, which divides
     at every step iff the division is exact.  The remainder is one dict,
-    updated in place."""
+    updated in place; its leading term comes off a heap of the negated
+    graded-lex keys of its exponents, where an exponent whose coefficient
+    cancelled since it was pushed is skipped."""
+    # imported here: only a division by a non-constant polynomial needs it,
+    # and loading it costs every command about 1 ms at start-up
+    from heapq import heapify, heappop, heappush
+
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     union = Polynomial._union_vars(num, den)
@@ -755,16 +761,28 @@ def poly_exact_divide(num: Polynomial, den: Polynomial):
     d_rest = [(exp, c) for exp, c in den.terms.items() if exp != d_exp]
     quotient = {}
     rem = dict(num.terms)
+    heap = [_heap_entry(exp) for exp in rem]
+    heapify(heap)
     while rem:
-        r_exp = max(rem, key=_gl_key)
+        r_exp = heappop(heap)[1]
+        if r_exp not in rem:
+            continue
         t_exp = tuple(r - d for r, d in zip(r_exp, d_exp))
         if any(e < 0 for e in t_exp):
             return None
         t_coeff = _quotient(rem.pop(r_exp), d_coeff)
         quotient[t_exp] = t_coeff
         for exp, c in d_rest:
-            _accumulate(rem, tuple(map(add, t_exp, exp)), -t_coeff * c)
+            exp = tuple(map(add, t_exp, exp))
+            if exp not in rem:
+                heappush(heap, _heap_entry(exp))
+            _accumulate(rem, exp, -t_coeff * c)
     return Polynomial._trusted(union, quotient)
+
+
+def _heap_entry(exp: tuple) -> tuple:
+    """(negated graded-lex key, exp): the least entry holds the greatest exp."""
+    return (-sum(exp), tuple(map(neg, exp))), exp
 
 
 def poly_gcd(a: Polynomial, b: Polynomial, var: str) -> Polynomial:

@@ -174,6 +174,9 @@ class MatrixFamily:
 # the families without a parameter: name -> (sequence, offset), mu(s) = sequence(s - offset)
 PLAIN_SEQUENCES = {"motzkin": (motzkin, 3), "delannoy": (delannoy, 3), "schroeder": (schroeder, 2)}
 
+# The families with a built-in closed form, the names `pipeline.closed_form_for` knows.
+CLOSED_FORM_NAMES = ("delannoy", "motzkin", "narayana", "schroeder")
+
 
 def family_from_descriptor(descriptor: str) -> MatrixFamily:
     """Build a family from a descriptor string.

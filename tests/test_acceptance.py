@@ -27,7 +27,7 @@ from pfansatz.minorsum import (
     verify_msf,
     verify_okinawa,
 )
-from pfansatz.pfaffian import SkewMatrix, gamma, pf_eliminate, pf_laplace, pf_naive
+from pfansatz.pfaffian import SkewMatrix, pf_eliminate, pf_laplace, pf_naive
 from pfansatz.pipeline import (
     c_table,
     check_conjecture1,
@@ -35,6 +35,20 @@ from pfansatz.pipeline import (
 )
 from pfansatz.poly import parse_poly
 from pfansatz.sequences import family_from_descriptor, narayana_value, schroeder
+
+
+def gamma(A, i, j):
+    """The signed sub-Pfaffian cofactor from its definition: zero on the
+    diagonal, (-1)^(j-i-1) times the Pfaffian of A without rows/columns
+    {i, j} for i < j, antisymmetric in (i, j)."""
+    if i == j:
+        return Fraction(0)
+    if i > j:
+        return -gamma(A, j, i)
+    keep = [k for k in range(1, A.dim + 1) if k not in (i, j)]
+    minor = SkewMatrix.from_function(len(keep), lambda a, b: A.entry(keep[a - 1], keep[b - 1]))
+    v = pf_eliminate(minor)
+    return v if (j - i - 1) % 2 == 0 else -v
 
 
 def product_4k_plus_1(n):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from pfansatz import __version__, cli, poly
+from pfansatz import __version__, cli, minorsum, pipeline, poly
 from pfansatz.guessing import Table, table_to_json_dict
 from pfansatz.pfaffian import SkewMatrix
 from pfansatz.poly import parse_poly
@@ -530,6 +530,20 @@ def test_guess_checks_the_class_against_the_data_before_listing_it(capsys, argv,
     assert (code, out) == (3, f"diagnostic: {detail}\n")
 
 
+@pytest.mark.parametrize("values, detail", [
+    ((1, 2, 3, 4), "underdetermined: 1 usable equations for 19 required"),
+    ((0,) * 30, "degenerate data: all sampled values are zero"),
+])
+def test_guess_diagnostics_are_its_report_and_exit_3(tmp_path, capsys, values, detail):
+    # the guess command reports them itself: nothing reaches stderr
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table_to_json_dict(Table.from_sequence(values))))
+    assert run(capsys, "guess", "--source", str(path)) == (3, f"diagnostic: {detail}\n", "")
+    code, out, err = run(capsys, "guess", "--source", str(path), "--format", "json")
+    assert (code, err) == (3, "")
+    assert (json.loads(out)["status"], json.loads(out)["detail"]) == ("diagnostic", detail)
+
+
 def test_guess_no_fit_exits_one(tmp_path, capsys):
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
     table = Table.from_sequence([Fraction(p) for p in primes])
@@ -604,7 +618,7 @@ def refuse(*args, **kwargs):
 @pytest.mark.parametrize("source", ["seq:motzkin", "c:motzkin", "g:delannoy", "r:schroeder"])
 @pytest.mark.parametrize("n_max", ["0", "-3"])
 def test_generated_sources_refuse_n_max_below_one(capsys, monkeypatch, source, n_max):
-    monkeypatch.setattr(cli, "c_table", refuse)
+    monkeypatch.setattr(pipeline, "c_table", refuse)
     monkeypatch.setitem(cli.PLAIN_SEQUENCES, "motzkin", (refuse, 3))
     code, out, err = run(capsys, "guess", "--source", source, "--n-max", n_max)
     assert (code, out, err) == (2, "", "error: --n-max must be >= 1\n")
@@ -625,7 +639,7 @@ def test_sequence_source_refuses_n_max_above_its_cap(capsys, monkeypatch):
 ])
 def test_guess_checks_the_shifts_against_the_source_arity_before_any_solve(
         capsys, monkeypatch, source, flag, value, message):
-    monkeypatch.setattr(cli, "c_table", refuse)
+    monkeypatch.setattr(pipeline, "c_table", refuse)
     code, out, err = run(capsys, "guess", "--source", source, "--n-max", "200", flag, value)
     assert (code, out, err) == (2, "", message)
 
@@ -804,7 +818,7 @@ def test_minor_sum_rejects_nonpositive_n(capsys):
 
 
 def test_minor_sum_refuses_n_above_its_cap(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "theorem4_terms", refuse)
+    monkeypatch.setattr(minorsum, "theorem4_terms", refuse)
     code, out, err = run(capsys, "minor-sum", "--n", str(cli.MINOR_SUM_N_LIMIT + 1))
     assert (code, out, err) == (2, "", "error: --n 10 is above the cap of 9\n")
 
@@ -833,7 +847,7 @@ def test_okinawa_rejects_negative_bounds(capsys):
 
 @pytest.mark.parametrize("argv", [("--i-max", "61"), ("--i-max", "0", "--j-max", "61")])
 def test_okinawa_refuses_a_grid_above_its_cap(capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli, "verify_okinawa", refuse)
+    monkeypatch.setattr(minorsum, "verify_okinawa", refuse)
     code, out, err = run(capsys, "okinawa", *argv)
     assert (code, out, err) == (2, "", "error: --i-max/--j-max 61 is above the cap of 60\n")
 

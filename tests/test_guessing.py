@@ -30,7 +30,6 @@ from pfansatz.guessing import (
     UnderdeterminedData,
     apply_operator,
     guess_from_table,
-    guess_univariate,
     integer_roots,
     leading_nonvanishing,
     table_from_json_dict,
@@ -40,6 +39,11 @@ from pfansatz.linalg import nullspace, solve_linear
 from pfansatz.pipeline import c_table
 from pfansatz.poly import Polynomial, PolynomialError, int_value, over_common_denominator, parse_poly
 from pfansatz.sequences import family_from_descriptor, motzkin
+
+
+def guess_univariate(data, spec):
+    """Operators in n for the sequence `data`, n = 0, 1, ..."""
+    return guess_from_table(Table.from_sequence(data), spec, ("n",))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """No module imports a name it never reads, `src/` defines no private
-function, class or method that `src/` never reads, and every function the
-benchmark's layer tracer wraps still exists.
+function, class or method that `src/` never reads, the package exports no
+name that `src/` never reads unless README names it, every function the
+benchmark's layer tracer wraps still exists, and each command loads only
+the modules it runs.
 
 The import scan covers `src/pfansatz/*.py` (except `__init__.py`, whose
 imports are the package's re-exports) and `tests/*.py`.  A name counts as
@@ -17,9 +19,16 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import pfansatz
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "pfansatz").glob("*.py"))
@@ -135,3 +144,98 @@ def test_the_scan_finds_a_renamed_layer():
               '    ("c", "pfansatz.guessing", "RecurrenceOperator.no_such_method", _hook),\n)\n')
     assert unresolved_targets(source) == [("pfansatz.pipeline", "no_such_function"),
                                           ("pfansatz.guessing", "RecurrenceOperator.no_such_method")]
+
+
+def unread_exports(exports, sources: dict, readme: str) -> list:
+    """The names in `exports` that no file in `sources` (file name -> text)
+    reads and that `readme` does not name in code (a code span or block).
+    A name is read as a load, as an attribute, as an imported name, or, for
+    a submodule, as the module of a relative import."""
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+                if node.level and node.module:
+                    read.add(node.module)
+    code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
+    named = set(re.findall(r"\w+", " ".join(code)))
+    return sorted(name for name in exports if name not in read | named)
+
+
+def test_every_export_is_read_or_documented():
+    sources = {p.name: p.read_text() for p in SOURCES if p.name != "__init__.py"}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unread_exports(pfansatz.__all__, sources, readme) == []
+
+
+def test_the_scan_finds_an_unread_export():
+    sources = {"a.py": "from .b import used\nfrom .c import x\n\n\ndef f(m):\n"
+                       "    return used(m.attr) + x\n"}
+    readme = "Call `documented(1)`.\n\n```python\nalso_documented()\n```\nundocumented\n"
+    exports = ("used", "attr", "c", "documented", "also_documented", "undocumented", "b2")
+    assert unread_exports(exports, sources, readme) == ["b2", "undocumented"]
+
+
+# ---------------------------------------------------------------------------
+# the modules each command loads
+
+# Prints the pfansatz modules loaded once `pfansatz.cli` has run argv, with
+# the exit status.
+CLI_PROBE = """
+import contextlib, io, json, sys
+import pfansatz.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = pfansatz.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "pfansatz")]))
+"""
+PFAFFIAN_MODULES = ["pfansatz", "pfansatz._version", "pfansatz.cli", "pfansatz.linalg",
+                    "pfansatz.pfaffian", "pfansatz.poly", "pfansatz.sequences"]
+
+
+def run_probe(source: str, *argv) -> object:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", source, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_importing_the_package_loads_only_the_version():
+    probe = ("import json, sys\nimport pfansatz\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'pfansatz')))")
+    assert run_probe(probe) == ["pfansatz", "pfansatz._version"]
+
+
+def test_pfaffian_loads_no_guessing_or_certification_module(tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"dim": 4, "upper": [[1, 2, "3"], [3, 4, "2/5"], [1, 4, "x"]]}))
+    for argv in (("pfaffian", "--family", "motzkin", "--dim", "12", "--all-algorithms"),
+                 ("pfaffian", "--file", str(path))):
+        assert run_probe(CLI_PROBE, *argv) == [0, PFAFFIAN_MODULES]
+
+
+def test_minor_sum_loads_no_guessing_or_pipeline():
+    code, modules = run_probe(CLI_PROBE, "minor-sum", "--n", "3")
+    assert code == 0
+    assert "pfansatz.minorsum" in modules
+    assert not {"pfansatz.guessing", "pfansatz.pipeline", "pfansatz.catalog"} & set(modules)
+
+
+def test_every_export_resolves_and_star_import_binds_it():
+    for name in pfansatz.__all__:
+        assert getattr(pfansatz, name) is not None, name
+    namespace = {}
+    exec("from pfansatz import *", namespace)
+    assert set(pfansatz.__all__) <= set(namespace)
+    assert set(pfansatz.__all__) <= set(dir(pfansatz))
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pfansatz.no_such_name
+    assert not hasattr(pfansatz, "gamma")  # no longer exported

@@ -3,7 +3,9 @@
 Independent oracles: the definition as a signed sum over pair-partitions is
 re-derived here from scratch (explicit recursion, no shared code with
 pf_naive's own recursion), determinants come from linalg, and a hand
-worked 4x4 pins the sign conventions.
+worked 4x4 pins the sign conventions.  The perfect matchings, minors and
+sub-Pfaffian cofactors (`pf_minor`, `gamma`, the cofactor row by minors)
+are oracles defined here; the package no longer exports them.
 """
 
 import json
@@ -19,16 +21,12 @@ from pfansatz.linalg import determinant
 from pfansatz.pfaffian import (
     LAPLACE_DIMENSION_LIMIT,
     NAIVE_DIMENSION_LIMIT,
-    PerfectMatching,
     SingularCofactorSystem,
     SkewMatrix,
     cofactor_vector,
-    cofactor_vector_via_minors,
-    gamma,
     permutation_sign,
     pf_eliminate,
     pf_laplace,
-    pf_minor,
     pf_naive,
 )
 from pfansatz.pipeline import ratio_sequence
@@ -60,6 +58,56 @@ def pf_reference(entries, indices=None):
             term = a * pf_reference(entries, remaining)
             total += term if pos % 2 == 0 else -term
     return total
+
+
+def perfect_matchings(dim):
+    """Oracle: every perfect matching of {1..dim}, as a tuple of pairs (i, j),
+    i < j, with increasing first elements."""
+
+    def rec(items):
+        if not items:
+            yield ()
+            return
+        for t in range(1, len(items)):
+            for sub in rec(items[1:t] + items[t + 1:]):
+                yield ((items[0], items[t]),) + sub
+
+    if dim % 2 == 0:
+        yield from rec(tuple(range(1, dim + 1)))
+
+
+def submatrix_removing(A, removed):
+    """Oracle: A without the listed rows and the same-numbered columns."""
+    keep = [k for k in range(1, A.dim + 1) if k not in set(removed)]
+    return SkewMatrix.from_function(len(keep), lambda a, b: A.entry(keep[a - 1], keep[b - 1]),
+                                    A.zero())
+
+
+def pf_minor(A, removed):
+    """Oracle: the Pfaffian of A with the listed rows and columns removed."""
+    return pf_eliminate(submatrix_removing(A, removed))
+
+
+def gamma(A, i, j):
+    """Oracle: the signed sub-Pfaffian cofactor, zero on the diagonal, and
+    for i < j the Pfaffian of A without rows/columns {i, j}, weighted by
+    (-1)^(j-i-1); antisymmetric in (i, j)."""
+    if i == j:
+        return A.zero()
+    if i > j:
+        return -gamma(A, j, i)
+    v = pf_minor(A, (i, j))
+    return v if (j - i - 1) % 2 == 0 else -v
+
+
+def cofactor_vector_via_minors(A):
+    """Oracle: the cofactor row by sub-Pfaffians, c_i = gamma(i, dim) /
+    gamma(dim-1, dim), as ([gamma(i, dim)], gamma(dim-1, dim))."""
+    m = A.dim
+    denom = gamma(A, m - 1, m)
+    if not denom:
+        raise SingularCofactorSystem(m, "normalizing sub-Pfaffian is zero")
+    return [gamma(A, i, m) for i in range(1, m)], denom
 
 
 def random_skew(rng, dim, lo=-9, hi=9):
@@ -149,7 +197,7 @@ def test_json_rejects_malformed():
 
 def test_matching_count_is_double_factorial():
     for n, expect in ((1, 1), (2, 3), (3, 15), (4, 105)):
-        assert sum(1 for _ in PerfectMatching.enumerate(2 * n)) == expect
+        assert sum(1 for _ in perfect_matchings(2 * n)) == expect
 
 
 def test_permutation_sign_transpositions():
@@ -453,7 +501,7 @@ def test_leading_list_holds_leading_pfaffians(A):
     leading = []
     pf = pf_eliminate(A, leading)
     n = A.dim // 2
-    blocks = [pf_naive(A.submatrix_removing(range(2 * k + 1, A.dim + 1))) for k in range(1, n + 1)]
+    blocks = [pf_naive(submatrix_removing(A, range(2 * k + 1, A.dim + 1))) for k in range(1, n + 1)]
     assert leading == blocks[: len(leading)]
     # recording stops only where a leading Pfaffian vanishes
     if len(leading) < n:
@@ -508,19 +556,20 @@ def test_naive_and_laplace_match_the_reference_in_value_and_type(A):
 
 
 def matching_loop(A):
-    """pf_naive's former loop: every matching of `PerfectMatching.enumerate`,
-    signed by `PerfectMatching.sign` (an inversion count), its entries
-    multiplied in the matrix's own domain."""
+    """pf_naive's former loop: every matching of `perfect_matchings`, signed
+    by `permutation_sign` of its pairs in order (an inversion count), its
+    entries multiplied in the matrix's own domain."""
     total = A.zero()
-    for matching in PerfectMatching.enumerate(A.dim):
+    for pairs in perfect_matchings(A.dim):
         term = A.zero() + 1
-        for pair in matching.pairs:
+        for pair in pairs:
             v = A.entry(*pair)
             if not v:
                 break
             term = term * v
         else:
-            total = total + (term if matching.sign() > 0 else -term)
+            sign = permutation_sign([k for pair in pairs for k in pair])
+            total = total + (term if sign > 0 else -term)
     return total
 
 

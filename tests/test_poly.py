@@ -613,6 +613,54 @@ def test_exact_divide_recovers_a_factor(a, b):
     assert_canonical(q)
 
 
+def former_exact_divide(num, den):
+    """poly_exact_divide's former loop: the remainder's leading term found by
+    a scan of the whole remainder at every quotient term."""
+    union = Polynomial._union_vars(num, den)
+    num, den = num.with_variables(union), den.with_variables(union)
+    d_exp, d_coeff = den.leading_term()
+    quotient, rem = {}, dict(num.terms)
+    while rem:
+        r_exp = max(rem, key=lambda exp: (sum(exp), exp))
+        t_exp = tuple(r - d for r, d in zip(r_exp, d_exp))
+        if any(e < 0 for e in t_exp):
+            return None
+        t_coeff = rem.pop(r_exp) / Fraction(d_coeff)
+        quotient[t_exp] = t_coeff
+        for exp, c in den.terms.items():
+            if exp != d_exp:
+                key = tuple(a + b for a, b in zip(t_exp, exp))
+                rem[key] = rem.get(key, 0) - t_coeff * c
+                if not rem[key]:
+                    del rem[key]
+    return Polynomial(union, quotient)
+
+
+@st.composite
+def division_cases(draw):
+    """(num, den) over one or two variables, den nonzero: num = a * den,
+    an exact division, or a * den + r, most often an inexact one."""
+    nvars = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    polys = st.dictionaries(exps, COEFFICIENTS, max_size=5).map(
+        lambda terms: Polynomial(VARIABLES[:nvars], terms))
+    a, den = draw(polys), draw(polys.filter(bool))
+    return (a * den + draw(polys) if draw(st.booleans()) else a * den), den
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(division_cases())
+def test_exact_divide_matches_the_former_scan(case):
+    num, den = case
+    expected = former_exact_divide(num, den)
+    q = poly_exact_divide(num, den)
+    if expected is None:
+        assert q is None
+    else:
+        assert q is not None and q.variables == expected.variables and q.terms == expected.terms
+        assert_canonical(q)
+
+
 UNIVARIATE = st.dictionaries(st.tuples(st.integers(0, 5)), COEFFICIENTS, max_size=4).map(
     lambda terms: Polynomial(("x",), terms)
 )
