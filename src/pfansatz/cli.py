@@ -279,7 +279,10 @@ def _guess_table(source: str, n_max: Optional[int]) -> Tuple[Table, Tuple[str, .
     data = _read_json(path)
     try:
         table = table_from_json_dict(data)
-        names = data.get("vars", ["n"] if table.arity == 1 else ["n", "i"])
+        if "vars" not in data and table.arity > 2:
+            raise UsageError(f'malformed table in {path}: "vars" is required above arity 2, '
+                             f"got arity {table.arity}")
+        names = data.get("vars", ["n", "i"][:table.arity])
         if (not isinstance(names, list) or len(names) != table.arity
                 or not all(isinstance(v, str) for v in names)):
             raise TypeError(f"vars must be a list of {table.arity} strings, got {names!r}")

@@ -13,14 +13,13 @@ deterministically.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, gcd, prod
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .linalg import nullspace, solve_linear
 from .poly import Polynomial, PolynomialError, format_rational, int_value, parse_poly
@@ -78,20 +77,11 @@ class Table:
         raise AttributeError("Table is immutable")
 
     @classmethod
-    def from_sequence(cls, data: Sequence, start: int = 0) -> "Table":
-        return cls(1, {(start + k,): Fraction(v) for k, v in enumerate(data)})
-
-    def get(self, point: Point) -> Optional[Fraction]:
-        return self.values.get(tuple(point))
-
-    def points(self) -> List[Point]:
-        return sorted(self.values)
+    def from_sequence(cls, data: Sequence) -> "Table":
+        return cls(1, {(k,): Fraction(v) for k, v in enumerate(data)})
 
     def __len__(self):
         return len(self.values)
-
-    def __contains__(self, point):
-        return tuple(point) in self.values
 
 
 def table_to_json_dict(table: Table) -> dict:
@@ -108,10 +98,12 @@ def table_from_json_dict(data: dict) -> Table:
     """Raises TypeError where the arity, a row, a point coordinate or a value
     has the wrong JSON type: the arity and coordinates are integers (a float
     or boolean is refused, not truncated), a value is an integer or rational
-    text."""
+    text.  An arity below 1 is a ValueError."""
     if not isinstance(data, dict) or "arity" not in data or "values" not in data:
         raise ValueError("table JSON must be an object with 'arity' and 'values'")
     arity = json_int(data["arity"])
+    if arity < 1:
+        raise ValueError(f"table arity must be at least 1, got {arity}")
     values: Dict[Point, Fraction] = {}
     for row in data["values"]:
         if isinstance(row, dict):
@@ -252,9 +244,6 @@ class RecurrenceOperator:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "RecurrenceOperator":
         try:
@@ -263,10 +252,6 @@ class RecurrenceOperator:
         except (KeyError, TypeError) as e:
             raise ValueError(f"malformed operator object: {e}") from None
         return cls.make(variables, terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RecurrenceOperator":
-        return cls.from_json_dict(json.loads(text))
 
     def __str__(self):
         parts = []
@@ -288,11 +273,9 @@ def _admissible(table: Table, shifts: Sequence[Point]) -> List[Point]:
     )))
 
 
-def apply_operator(operator: RecurrenceOperator, table: Union[Table, Sequence]) -> Dict[Point, Fraction]:
+def apply_operator(operator: RecurrenceOperator, table: Table) -> Dict[Point, Fraction]:
     """Residuals of the operator at every admissible point of the table;
     CoverageError when there is none."""
-    if not isinstance(table, Table):
-        table = Table.from_sequence(table)
     pts = operator.admissible_points(table)
     if not pts:
         raise CoverageError("no point has full data coverage for this support")
@@ -362,12 +345,6 @@ class GuessResult:
     rejected_by_validation: int
     reduced_away: int
 
-    def __iter__(self):
-        return iter(self.operators)
-
-    def __len__(self):
-        return len(self.operators)
-
     def to_json_dict(self) -> dict:
         return {
             "vars": list(self.variables),
@@ -430,9 +407,7 @@ def _equation_row(
     return row
 
 
-def guess_from_table(
-    table: Table, spec: GuessSpec, variables: Sequence[str], reduce_consequences: bool = True
-) -> GuessResult:
+def guess_from_table(table: Table, spec: GuessSpec, variables: Sequence[str]) -> GuessResult:
     variables = tuple(variables)
     if len(variables) != table.arity:
         raise ValueError("variable count must match table arity")
@@ -478,7 +453,7 @@ def guess_from_table(
 
     validated.sort(key=_sort_key)
     reduced_away = 0
-    if reduce_consequences and len(validated) > 1:
+    if len(validated) > 1:
         kept: List[RecurrenceOperator] = []
         support_set = set(support)
         for op in validated:
@@ -736,7 +711,7 @@ def _region_box_points(region_text: str, names: Tuple[str, ...], box) -> Tuple[P
 
 def leading_nonvanishing(
     op: RecurrenceOperator,
-    region: Union[Region, str],
+    region: Region,
     window: Optional[Dict[str, Tuple[int, int]]] = None,
 ) -> LeadingReport:
     """Analyze where the leading coefficient vanishes inside the region.
@@ -747,8 +722,6 @@ def leading_nonvanishing(
     plus exact root-finding on each region boundary line where a variable can
     be isolated with unit coefficient; the verdict is window-bounded.
     """
-    if isinstance(region, str):
-        region = Region.parse(region)
     lead_shift = max(op.shifts())
     lead = op.leading_coefficient()
     eff = lead.effective_variables()

@@ -28,7 +28,6 @@ Pfaffian cross-checks stay independent too.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -155,9 +154,6 @@ class SkewMatrix:
         triples = [[i, j, entry_text(v)] for (i, j), v in sorted(self.upper.items())]
         return {"dim": self.dim, "upper": triples}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "SkewMatrix":
         """Raises TypeError where a field, triple or index has the wrong JSON
@@ -190,14 +186,6 @@ class SkewMatrix:
         budget = ParseBudget()  # one bound on the parse work of every entry
         return cls.from_dense([[_json_entry(v, budget) for v in row] for row in rows])
 
-    @classmethod
-    def from_json(cls, text: str) -> "SkewMatrix":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"malformed matrix JSON: {e}") from None
-        return cls.from_json_dict(data)
-
 
 def _json_entry(value, budget: ParseBudget) -> Entry:
     """A matrix entry of either JSON form: an integer (not a bool) or entry
@@ -225,14 +213,23 @@ def permutation_sign(seq: Sequence[int]) -> int:
 # Pfaffian algorithms
 
 
+def _over_common_variables(A: SkewMatrix) -> tuple:
+    """A polynomial matrix's strict upper triangle, zero and one, each over
+    `common_variables`, so that every route's products list the variables
+    in one order and print alike."""
+    variables = common_variables(A.upper.values())
+    upper = {key: polynomial_over(v, variables) for key, v in A.upper.items()}
+    return upper, Polynomial.zero(variables), Polynomial.constant(1, variables)
+
+
 def _scaled(A: SkewMatrix):
     """The strict upper triangle that pf_naive and pf_laplace expand, its zero
     and one, and the map from their sum to Pf A.  A rational matrix becomes
     the ints of L * A, L the lcm of its denominators, and the sum is divided
-    once by L^(dim/2); a polynomial matrix is expanded as it is."""
+    once by L^(dim/2); a polynomial matrix is expanded over
+    `_over_common_variables`."""
     if any(isinstance(v, Polynomial) for v in A.upper.values()):
-        zero = A.zero()
-        return A.upper, zero, zero + 1, lambda total: total
+        return (*_over_common_variables(A), lambda total: total)
     ints, scale = over_common_denominator(A.upper.values())
     power = scale ** (A.dim // 2)
     return dict(zip(A.upper, ints)), 0, 1, lambda total: A.zero() + Fraction(total, power)
@@ -311,10 +308,7 @@ def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
     if m == 0:
         return A.zero() + 1
     if any(isinstance(v, Polynomial) for v in A.upper.values()):
-        variables = common_variables(A.upper.values())
-        zero = Polynomial.zero(variables)
-        one = Polynomial.constant(1, variables)
-        upper = {key: polynomial_over(v, variables) for key, v in A.upper.items()}
+        upper, zero, one = _over_common_variables(A)
         scales = None
     else:
         zero, one = 0, 1

@@ -134,8 +134,8 @@ def _split_top_level(text: str, sep: str = "*") -> List[str]:
 
 def closed_form_from_text(text: str) -> ClosedForm:
     """Small closed-form grammar: a top-level product of factors
-    `prod(<linear in k>)` (meaning prod_{k=0}^{n-1}), `pow(<rational>, n^2)`,
-    and rational constants.  Example: "prod(4*k+2)"."""
+    `prod(<polynomial in k>)` (meaning prod_{k=0}^{n-1}), `pow(<rational>,
+    n^2)`, and rational constants.  Example: "prod(4*k+2)"."""
     factors = []
     for piece in _split_top_level(text.strip()):
         piece = piece.strip()

@@ -710,46 +710,19 @@ def entry_text(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# univariate division / gcd, and quotients in lowest terms
+# division, gcd, and quotients in lowest terms
 
 
-def poly_divmod(a: Polynomial, b: Polynomial, var: str) -> tuple:
-    """Univariate long division: a = q*b + r with deg r < deg b."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    ac = a.univariate_coefficients(var)
-    bc = b.univariate_coefficients(var)
-    while bc and not bc[-1]:
-        bc.pop()
-    q = [Fraction(0)] * max(0, len(ac) - len(bc) + 1)
-    rem = list(ac)
-    db = len(bc) - 1
-    lead = bc[-1]
-    while len(rem) - 1 >= db and any(rem):
-        dr = len(rem) - 1
-        while dr >= 0 and not rem[dr]:
-            dr -= 1
-        if dr < db:
-            break
-        factor = _quotient(rem[dr], lead)
-        q[dr - db] = factor
-        for k in range(db + 1):
-            rem[dr - db + k] -= factor * bc[k]
-        rem = rem[: dr + 1]
-    def build(coeffs):
-        return Polynomial._trusted((var,), {(i,): _canonical(c) for i, c in enumerate(coeffs) if c})
-    return build(q), build(rem)
-
-
-def poly_exact_divide(num: Polynomial, den: Polynomial):
-    """num / den when den divides num exactly (any number of variables),
-    else None.  Leading terms are taken in graded-lex order, which divides
-    at every step iff the division is exact.  The remainder is one dict,
-    updated in place; its leading term comes off a heap of the negated
-    graded-lex keys of its exponents, where an exponent whose coefficient
-    cancelled since it was pushed is skipped."""
-    # imported here: only a division by a non-constant polynomial needs it,
-    # and loading it costs every command about 1 ms at start-up
+def poly_divmod(num: Polynomial, den: Polynomial) -> tuple:
+    """(q, r) with num == q * den + r, over the union of the variables, by
+    long division in graded-lex order (any number of variables).  It stops
+    at the first remainder term that den's leading term does not divide, so
+    r is zero exactly when den divides num, and over one variable deg r <
+    deg den.  The remainder is one dict, updated in place; its leading term
+    comes off a heap of the negated graded-lex keys of its exponents, where
+    an exponent whose coefficient cancelled since it was pushed is skipped."""
+    # imported here: only a polynomial division needs it, and loading it
+    # costs every command about 1 ms at start-up
     from heapq import heapify, heappop, heappush
 
     if not den:
@@ -769,7 +742,7 @@ def poly_exact_divide(num: Polynomial, den: Polynomial):
             continue
         t_exp = tuple(r - d for r, d in zip(r_exp, d_exp))
         if any(e < 0 for e in t_exp):
-            return None
+            break
         t_coeff = _quotient(rem.pop(r_exp), d_coeff)
         quotient[t_exp] = t_coeff
         for exp, c in d_rest:
@@ -777,7 +750,7 @@ def poly_exact_divide(num: Polynomial, den: Polynomial):
             if exp not in rem:
                 heappush(heap, _heap_entry(exp))
             _accumulate(rem, exp, -t_coeff * c)
-    return Polynomial._trusted(union, quotient)
+    return Polynomial._trusted(union, quotient), Polynomial._trusted(union, rem)
 
 
 def _heap_entry(exp: tuple) -> tuple:
@@ -785,11 +758,14 @@ def _heap_entry(exp: tuple) -> tuple:
     return (-sum(exp), tuple(map(neg, exp))), exp
 
 
-def poly_gcd(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
-    """Monic univariate gcd by the Euclidean algorithm."""
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd of two polynomials in at most one variable, by the
+    Euclidean algorithm; PolynomialError when they have two or more."""
+    eff = set(a.effective_variables()) | set(b.effective_variables())
+    if len(eff) > 1:
+        raise PolynomialError(f"gcd of polynomials in more than one variable: {sorted(eff)}")
     while b:
-        _, r = poly_divmod(a, b, var)
-        a, b = b, r
+        a, b = b, poly_divmod(a, b)[1]
     if not a:
         return a
     _, lead = a.leading_term()
@@ -814,14 +790,13 @@ def quotient_text(num, den) -> str:
     den = den.with_variables(union)
     eff = set(num.effective_variables()) | set(den.effective_variables())
     if len(eff) == 1 and not den.is_constant():
-        var = next(iter(eff))
-        g = poly_gcd(num, den, var)
+        g = poly_gcd(num, den)
         if g.total_degree() > 0:
-            num, _ = poly_divmod(num, g, var)
-            den, _ = poly_divmod(den, g, var)
+            num = poly_divmod(num, g)[0]
+            den = poly_divmod(den, g)[0]
     elif not den.is_constant():
-        q = poly_exact_divide(num, den)
-        if q is not None:
+        q, r = poly_divmod(num, den)
+        if not r:
             num, den = q, Polynomial.constant(1, union)
     scale = den.content()
     if den.leading_term()[1] < 0:
@@ -862,7 +837,7 @@ def exact_quotient(num, den):
         return q
     if den.is_constant():
         return num / den.constant_value()
-    q = poly_exact_divide(num, den)
-    if q is None:
+    q, r = poly_divmod(num, den)
+    if r:
         raise ArithmeticError(f"inexact division: ({num}) / ({den})")
     return q

@@ -15,11 +15,14 @@ from fractions import Fraction
 from pfansatz.catalog import known_operators
 from pfansatz.guessing import (
     GuessSpec,
+    _admissible,
+    _equation_row,
     _monomials,
+    _operator_from_vector,
     apply_operator,
     guess_from_table,
 )
-from pfansatz.linalg import determinant, solve_linear
+from pfansatz.linalg import determinant, nullspace, solve_linear
 from pfansatz.minorsum import (
     build_H,
     canonical_block_skew,
@@ -145,12 +148,12 @@ def test_criterion_05_cofactor_pipeline_reproduction():
     # the contracted sums vanish strictly below the diagonal
     grid = table.table("g")
     assert not any(v for (n, j), v in grid.values.items() if j < 2 * n)
-    assert grid.get((1, 1)) == 0
-    assert grid.get((2, 1)) == 0
-    assert grid.get((2, 2)) == 0
+    assert grid.values.get((1, 1)) == 0
+    assert grid.values.get((2, 1)) == 0
+    assert grid.values.get((2, 2)) == 0
     for n in range(1, 9):
         for j in range(1, 2 * n):
-            assert grid.get((n, j)) == 0, (n, j)
+            assert grid.values.get((n, j)) == 0, (n, j)
 
     # diagonal ratios: r_1 = 1, r_2 = 5, r_n = 4n - 3 up to n = 12, each the
     # quotient of independently eliminated Pfaffians
@@ -210,18 +213,25 @@ def test_criterion_06_operator_catalog_and_guesser_reproduction():
         assert result.operators == (op,), name
 
     # (c) the ratio operator lies in the rational span of the raw
-    # order-2/degree-4 kernel of the ratio table (the sequence also satisfies
-    # a first-order recurrence, so that kernel is 9-dimensional)
+    # order-2/degree-4 kernel of the ratio table, the nullspace of its
+    # equation rows at every admissible point (the sequence also satisfies
+    # a first-order recurrence, so that kernel is 9-dimensional); the guess
+    # keeps some of it and reduces the rest away as consequences
     r_op = entries[("r", "r-order-2")].operator
     rtab30 = c_table(fam, 30).table("r")
     support = ((-2,), (-1,), (0,))
+    monomials = _monomials(1, 4)
+    raw = nullspace([_equation_row(rtab30, support, monomials, p)
+                     for p in _admissible(rtab30, support)])
+    assert len(raw) == 9
     spec = GuessSpec(degree=4, support=support, margin=5, extra_equations=10)
-    raw = guess_from_table(rtab30, spec, ("n",), reduce_consequences=False)
-    assert len(raw.operators) == 9
-    for op in raw.operators:
+    result = guess_from_table(rtab30, spec, ("n",))
+    assert len(result.operators) + result.reduced_away == 9
+    raw_operators = [_operator_from_vector(("n",), support, monomials, vec) for vec in raw]
+    for op in raw_operators:
         residuals = apply_operator(op, rtab30)
         assert all(v == 0 for v in residuals.values())
-    coords = [(s, m) for s in support for m in _monomials(1, 4)]
+    coords = [(s, m) for s in support for m in monomials]
 
     def vectorize(op):
         by_shift = {s: c for s, c in op.terms}
@@ -230,7 +240,7 @@ def test_criterion_06_operator_catalog_and_guesser_reproduction():
             for s, m in coords
         ]
 
-    columns = [vectorize(op) for op in raw.operators]
+    columns = [vectorize(op) for op in raw_operators]
     matrix = [[columns[k][r] for k in range(len(columns))] for r in range(len(coords))]
     assert solve_linear(matrix, vectorize(r_op)) is not None
     residuals = apply_operator(r_op, rtab30)

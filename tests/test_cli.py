@@ -123,6 +123,22 @@ def test_pfaffian_all_algorithms_text(capsys):
     ]
 
 
+@pytest.mark.parametrize("doc", [
+    {"dim": 4, "upper": [[1, 2, "z"], [3, 4, "y"]]},
+    [[0, "z", 0, 0], ["-z", 0, 0, 0], [0, 0, 0, "y"], [0, 0, "-y", 0]],
+], ids=["object", "dense"])
+@pytest.mark.parametrize("algorithm", ["naive", "eliminate", "laplace"])
+def test_pfaffian_prints_one_text_on_every_route(tmp_path, capsys, doc, algorithm):
+    # the entries' variables in another order than the sorted one
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "pfaffian", "--file", str(path), "--all-algorithms")
+    assert (code, out.splitlines()) == (0, [
+        "y*z", "  naive: y*z", "  eliminate: y*z", "  laplace: y*z", "agreement: PASS"])
+    assert run(capsys, "pfaffian", "--file", str(path), "--algorithm", algorithm) == (
+        0, "y*z\n", "")
+
+
 def test_pfaffian_all_algorithms_drops_naive_when_large(capsys):
     code, out, _ = run(
         capsys, "pfaffian", "--family", "motzkin", "--dim", "16", "--all-algorithms"
@@ -771,6 +787,32 @@ def test_guess_table_file_is_read_as_strictly_as_a_matrix_file(tmp_path, capsys,
     path.write_text(doc)
     assert run(capsys, "guess", "--source", f"file:{path}") == (
         2, "", f"error: malformed table in {path} ({detail})\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"arity": -1, "values": []}', "table arity must be at least 1, got -1"),
+    ('{"arity": 0, "values": [["1"]]}', "table arity must be at least 1, got 0"),
+    ('{"arity": 3, "values": [[0, 0, 0, "1"]]}',
+     'malformed table in {path}: "vars" is required above arity 2, got arity 3'),
+])
+def test_guess_table_file_refuses_an_unusable_arity(tmp_path, capsys, doc, message):
+    path = tmp_path / "t.json"
+    path.write_text(doc)
+    assert run(capsys, "guess", "--source", f"file:{path}") == (
+        2, "", f"error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("arity, names", [(1, "n"), (2, "n, i"), (3, "a, b, c")])
+def test_guess_table_file_names_its_variables(tmp_path, capsys, arity, names):
+    doc = {"arity": arity, "values": [[*([k] * arity), 2 ** k] for k in range(20)]}
+    if arity == 3:
+        doc["vars"] = ["a", "b", "c"]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "guess", "--source", f"file:{path}", "--format", "json",
+                       "--order", "0", "--degree", "0", "--margin", "0")
+    assert code in (0, 1)
+    assert ", ".join(json.loads(out)["vars"]) == names
 
 
 def test_guess_table_file_takes_integer_and_text_values(tmp_path, capsys):

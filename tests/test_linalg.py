@@ -200,10 +200,10 @@ class Quotient:
         num, den = (x if isinstance(x, Polynomial) else Polynomial.constant(x, X)
                     for x in (num, den))
         if not den.is_constant():
-            g = poly_gcd(num, den, "x")
+            g = poly_gcd(num, den)
             if g.total_degree() > 0:
-                num = poly_divmod(num, g, "x")[0].with_variables(X)
-                den = poly_divmod(den, g, "x")[0].with_variables(X)
+                num = poly_divmod(num, g)[0].with_variables(X)
+                den = poly_divmod(den, g)[0].with_variables(X)
         _, lead = den.leading_term()
         self.num, self.den = num / lead, den / lead
 

@@ -23,7 +23,6 @@ from pfansatz.poly import (
     parse_poly,
     parse_rational,
     poly_divmod,
-    poly_exact_divide,
     poly_gcd,
     quotient_text,
 )
@@ -358,7 +357,7 @@ def test_entry_text_and_format_rational():
 def test_poly_divmod_reconstructs():
     a = P("n^4 - 1", ("n",))
     b = P("n^2 + 1", ("n",))
-    q, r = poly_divmod(a, b, "n")
+    q, r = poly_divmod(a, b)
     assert q * b + r == a
     assert not r
 
@@ -366,24 +365,35 @@ def test_poly_divmod_reconstructs():
 def test_poly_divmod_remainder():
     a = P("n^3 + 2", ("n",))
     b = P("n^2", ("n",))
-    q, r = poly_divmod(a, b, "n")
+    q, r = poly_divmod(a, b)
     assert q * b + r == a
     assert r == P("2", ("n",))
 
 
-def test_poly_exact_divide_multivariate():
+def test_poly_divmod_multivariate():
     num = P("(n + i)*(n - i)", ("n", "i")) * P("2*n + 3", ("n",))
     den = P("n + i", ("n", "i"))
-    q = poly_exact_divide(num, den)
-    assert q is not None and q * den == num
-    assert poly_exact_divide(P("n + 1", ("n",)), P("n", ("n",))) is None
+    q, r = poly_divmod(num, den)
+    assert not r and q * den == num
+    # the division stops at 2*i^2, which den's leading term n does not divide
+    q, r = poly_divmod(P("n^2 + i^2", ("n", "i")), P("n + i", ("n", "i")))
+    assert q == P("n - i", ("n", "i")) and r == P("2*i^2", ("n", "i"))
+    q, r = poly_divmod(P("n + 1", ("n",)), P("n", ("n",)))
+    assert q == 1 and r == 1
 
 
 def test_poly_gcd_univariate():
-    g = poly_gcd(P("n^2 - 1", ("n",)), P("n^2 - 2*n + 1", ("n",)), "n")
-    # gcd is defined up to a scalar; normalize by comparing exact division
-    assert poly_exact_divide(P("n - 1", ("n",)), g) is not None
-    assert poly_exact_divide(g, P("n - 1", ("n",))) is not None
+    g = poly_gcd(P("n^2 - 1", ("n",)), P("n^2 - 2*n + 1", ("n",)))
+    assert g == P("n - 1", ("n",))
+    assert poly_gcd(P("n^2 - 1", ("n", "i")), P("2*n + 2", ("n",))) == P("n + 1", ("n",))
+    assert poly_gcd(P("3", ("n",)), P("x + 1", ("x",))) == 1
+    assert not poly_gcd(Polynomial.zero(("n",)), Polynomial.zero(("n",)))
+
+
+@pytest.mark.parametrize("a, b", [("x + 1", "y + 1"), ("x*y", "x"), ("x", "y^2 + y")])
+def test_poly_gcd_refuses_two_variables_at_once(a, b):
+    with pytest.raises(PolynomialError, match="more than one variable"):
+        poly_gcd(P(a), P(b))
 
 
 # ---------------------------------------------------------------------------
@@ -606,16 +616,18 @@ def test_arithmetic_results_keep_the_constructor_invariants(p, q, s, data):
 def test_exact_divide_recovers_a_factor(a, b):
     if not b:
         with pytest.raises(ZeroDivisionError):
-            poly_exact_divide(a, b)
+            poly_divmod(a, b)
         return
-    q = poly_exact_divide(a * b, b)
-    assert q is not None and q == a
+    q, r = poly_divmod(a * b, b)
+    assert q == a and not r
     assert_canonical(q)
+    assert_canonical(r)
 
 
 def former_exact_divide(num, den):
-    """poly_exact_divide's former loop: the remainder's leading term found by
-    a scan of the whole remainder at every quotient term."""
+    """The former loop of exact division, None when inexact: the remainder's
+    leading term found by a scan of the whole remainder at every quotient
+    term."""
     union = Polynomial._union_vars(num, den)
     num, den = num.with_variables(union), den.with_variables(union)
     d_exp, d_coeff = den.leading_term()
@@ -653,12 +665,37 @@ def division_cases(draw):
 def test_exact_divide_matches_the_former_scan(case):
     num, den = case
     expected = former_exact_divide(num, den)
-    q = poly_exact_divide(num, den)
+    q, r = poly_divmod(num, den)
+    assert_canonical(q)
+    assert_canonical(r)
+    assert q * den + r == num
     if expected is None:
-        assert q is None
+        assert r
     else:
-        assert q is not None and q.variables == expected.variables and q.terms == expected.terms
-        assert_canonical(q)
+        assert not r
+        assert q.variables == expected.variables and q.terms == expected.terms
+
+
+def former_divmod(a, b, var):
+    """The former univariate long division over Fraction coefficient lists:
+    (q, r) over (var,) with a = q*b + r and deg r < deg b."""
+    ac = a.univariate_coefficients(var)
+    bc = b.univariate_coefficients(var)
+    q = [Fraction(0)] * max(0, len(ac) - len(bc) + 1)
+    rem = list(ac)
+    db = len(bc) - 1
+    while len(rem) - 1 >= db and any(rem):
+        dr = len(rem) - 1
+        while dr >= 0 and not rem[dr]:
+            dr -= 1
+        if dr < db:
+            break
+        factor = rem[dr] / bc[-1]
+        q[dr - db] = factor
+        for k in range(db + 1):
+            rem[dr - db + k] -= factor * bc[k]
+        rem = rem[: dr + 1]
+    return tuple(Polynomial((var,), {(i,): c for i, c in enumerate(coeffs)}) for coeffs in (q, rem))
 
 
 UNIVARIATE = st.dictionaries(st.tuples(st.integers(0, 5)), COEFFICIENTS, max_size=4).map(
@@ -667,18 +704,19 @@ UNIVARIATE = st.dictionaries(st.tuples(st.integers(0, 5)), COEFFICIENTS, max_siz
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(UNIVARIATE, UNIVARIATE, UNIVARIATE)
-def test_exact_divide_is_none_exactly_when_divmod_leaves_a_remainder(c, b, r):
+@given(UNIVARIATE, UNIVARIATE, UNIVARIATE, st.booleans())
+def test_divmod_matches_the_former_univariate_loop(c, b, r, exact):
     if not b:
         return
-    a = c * b + r  # divisible when r is, and r is often zero or a multiple of b
-    q = poly_exact_divide(a, b)
-    quotient, remainder = poly_divmod(a, b, "x")
-    if not remainder:
-        assert q == quotient
-        assert_canonical(q)
-    else:
-        assert q is None
+    a = c * b if exact else c * b + r  # r is often zero or a multiple of b
+    quotient, remainder = poly_divmod(a, b)
+    expected_q, expected_r = former_divmod(a, b, "x")
+    for result, expected in ((quotient, expected_q), (remainder, expected_r)):
+        assert_canonical(result)
+        assert result.variables == ("x",) and result.terms == expected.terms
+    assert remainder.total_degree() < b.total_degree()
+    if exact:
+        assert not remainder
 
 
 # ---------------------------------------------------------------------------
@@ -798,12 +836,14 @@ def test_coefficient_forms_match_a_fraction_reference(p, q, s, k, rn, rx, offset
     if not b:
         return
     ra, rb = reference(a), reference(b)
-    assert_reference(poly_exact_divide(a * b, b), ra, ("x",))
-    quotient, remainder = poly_divmod(a, b, "x")
+    quotient, remainder = poly_divmod(a * b, b)
+    assert_reference(quotient, ra, ("x",))
+    assert not remainder
+    quotient, remainder = poly_divmod(a, b)
     expected_q, expected_r = ref_divmod(ra, rb)
     assert_reference(quotient, expected_q, ("x",))
     assert_reference(remainder, expected_r, ("x",))
-    assert_reference(poly_gcd(a, b, "x"), ref_gcd(ra, rb), ("x",))
+    assert_reference(poly_gcd(a, b), ref_gcd(ra, rb), ("x",))
     # the quotient's text: no float, the value a / b, in lowest terms
     text = quotient_text(a, b)
     assert "." not in text and "e" not in text
