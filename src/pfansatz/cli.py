@@ -38,7 +38,7 @@ from .pfaffian import (
     pf_naive,
     permutation_sign,
 )
-from .poly import entry_text, format_rational, parse_rational
+from .poly import PolynomialError, entry_text, format_rational, parse_rational
 from .sequences import CLOSED_FORM_NAMES, PLAIN_SEQUENCES, family_from_descriptor
 
 if TYPE_CHECKING:
@@ -286,9 +286,14 @@ def _guess_table(source: str, n_max: Optional[int]) -> Tuple[Table, Tuple[str, .
         if (not isinstance(names, list) or len(names) != table.arity
                 or not all(isinstance(v, str) for v in names)):
             raise TypeError(f"vars must be a list of {table.arity} strings, got {names!r}")
-    except (TypeError, KeyError) as e:
+    except (UsageError, PolynomialError):
+        # a missing "vars", and the caps and zero denominators of rational
+        # text, name their own fault
+        raise
+    except (TypeError, KeyError, ValueError) as e:
         # a row that is not a point/value pair, an arity, point coordinate,
-        # value or vars of the wrong JSON type
+        # value or vars of the wrong JSON type, a document that is not an
+        # object, an arity below 1, a duplicate point
         raise UsageError(f"malformed table in {path} ({type(e).__name__}: {e})") from None
     return table, tuple(names)
 

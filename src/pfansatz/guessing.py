@@ -4,11 +4,14 @@ An operator is a finite set of integer shift vectors with polynomial
 coefficients in the index variables; it annihilates a table when the residual
 sum_t coeff_t(p) * data(p + shift_t) vanishes at every admissible point p.
 
-Guessing builds one integer equation row per admissible point with one
-unknown per (shift, coefficient-monomial) pair, takes an exact nullspace of
-the data window's rows, and confirms every candidate on the disjoint
-validation window's rows before reporting it.  The windows are derived
-deterministically.
+Guessing works on a table's integer form, its values over one table-wide
+denominator D.  It builds one integer equation row per data-window point,
+with one unknown per (shift, coefficient-monomial) pair, takes an exact
+nullspace of those rows, and confirms every candidate at each point of the
+disjoint validation window before reporting it: one packed int sum per
+point holds every candidate's exact dot product with that point's
+equation, and only when one is nonzero are the validation rows built.
+The windows are derived deterministically.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from itertools import product
 from math import comb, gcd, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .linalg import nullspace, solve_linear
+from .linalg import _packed_columns, nullspace, solve_linear
 from .poly import Polynomial, PolynomialError, format_rational, int_value, parse_poly
 from .poly import json_int, over_common_denominator, parse_rational
 
@@ -61,7 +64,8 @@ class CoverageError(GuessingError):
 class Table:
     """Exact values on an explicit finite set of integer points."""
 
-    __slots__ = ("arity", "values")
+    # _int_form is built on first use by int_form()
+    __slots__ = ("arity", "values", "_int_form")
 
     def __init__(self, arity: int, values: Dict[Point, Fraction]):
         vals = {}
@@ -82,6 +86,18 @@ class Table:
 
     def __len__(self):
         return len(self.values)
+
+    def int_form(self) -> Tuple[Dict[Point, int], int]:
+        """(ints, D): the values over their one common denominator D, with
+        ints[p] == values[p] * D.  Built once and cached."""
+        try:
+            return self._int_form
+        except AttributeError:
+            pass
+        ints, den = over_common_denominator(list(self.values.values()))
+        form = (dict(zip(self.values, ints)), den)
+        object.__setattr__(self, "_int_form", form)
+        return form
 
 
 def table_to_json_dict(table: Table) -> dict:
@@ -202,21 +218,25 @@ class RecurrenceOperator:
     # -- application -----------------------------------------------------
 
     def _sum_at(self, value: Callable[[Point], Optional[Fraction]], point: Point,
-                terms) -> Optional[Fraction]:
+                terms, den: Optional[int] = None) -> Optional[Fraction]:
         """Exact sum over `terms` of coeff(point) * value(point + shift), or
         None when `value` gives None for a shifted point.  The integer
-        coefficients are evaluated by `int_value` and the values summed over
-        their common denominator, so one Fraction is built."""
+        coefficients are evaluated by `int_value` and the values summed as
+        ints, over their common denominator or, when `den` is given, as the
+        numerators of values over den, so one Fraction is built."""
         shifted = [value(tuple(map(operator.add, point, s))) for s, _ in terms]
         if None in shifted:
             return None
-        ints, den = over_common_denominator(shifted)
-        total = sum(int_value(c.int_form(), point) * v for (_, c), v in zip(terms, ints))
+        if den is None:
+            shifted, den = over_common_denominator(shifted)
+        total = sum(int_value(c.int_form(), point) * v for (_, c), v in zip(terms, shifted))
         return Fraction(total, den)
 
     def residual_at(self, table: Table, point: Point) -> Optional[Fraction]:
-        """Exact residual at `point`, or None when a shifted value is missing."""
-        return self._sum_at(table.values.get, point, self.terms)
+        """Exact residual at `point`, or None when a shifted value is missing:
+        one int sum over the table's integer form and one Fraction."""
+        ints, den = table.int_form()
+        return self._sum_at(ints.get, point, self.terms, den)
 
     def solve_at(self, value: Callable[[Point], Optional[Fraction]], point: Point) -> Optional[Fraction]:
         """The value at `point` that makes the residual there vanish, solved
@@ -384,16 +404,8 @@ def _operator_from_vector(
     return RecurrenceOperator.make(variables, terms)
 
 
-def _equation_row(
-    table: Table, support: Tuple[Point, ...], monomials: List[Tuple[int, ...]], p: Point
-) -> List[int]:
-    """The equation at the admissible point p, scaled to integers by the lcm
-    d of its values' denominators.  Its dot product with a vector v is
-    d / c times the residual at p of `_operator_from_vector(v)`, c the
-    nonzero factor `RecurrenceOperator.make` scales v by, so the two vanish
-    together."""
-    shifted = [table.values[tuple(a + b for a, b in zip(p, s))] for s in support]
-    scaled_vals, _ = over_common_denominator(shifted)
+def _powers(p: Point, monomials: List[Tuple[int, ...]]) -> List[int]:
+    """The value of each monomial at the point p."""
     powers = []
     for m in monomials:
         pm = 1
@@ -401,10 +413,52 @@ def _equation_row(
             if e:
                 pm *= base ** e
         powers.append(pm)
+    return powers
+
+
+def _equation_row(
+    table: Table, support: Tuple[Point, ...], monomials: List[Tuple[int, ...]], p: Point
+) -> List[int]:
+    """The equation at the admissible point p, scaled to integers by the
+    table-wide denominator D of `Table.int_form`.  Its dot product with a
+    vector v is D / c times the residual at p of `_operator_from_vector(v)`,
+    c the nonzero factor `RecurrenceOperator.make` scales v by, so the two
+    vanish together.  Scaled by the lcm of the row's own denominators
+    instead, the row differs by a positive integer factor, which `nullspace`
+    strips with the row's content."""
+    ints, _ = table.int_form()
+    powers = _powers(p, monomials)
     row = []
-    for scaled in scaled_vals:
-        row.extend(pm * scaled for pm in powers)
+    for s in support:
+        v = ints[tuple(map(operator.add, p, s))]
+        row.extend(pm * v for pm in powers)
     return row
+
+
+def _packed_rejects(table: Table, support: Tuple[Point, ...], monomials: List[Tuple[int, ...]],
+                    points: Sequence[Point], kernel: List[tuple]) -> bool:
+    """True iff at one of `points` some kernel vector's equation does not
+    vanish, by one int sum per point against the kernel's packed columns:
+    values times monomial powers times packed coordinates.  An equation row
+    (in the table's integer form) has sum|a| at most
+    |support| * max|value| * |monomials| * max|coordinate|^degree."""
+    ints, _ = table.int_form()
+    reach = max([1] + [abs(c) for p in points for c in p])
+    weight = (len(support) * max(map(abs, ints.values())) * len(monomials)
+              * reach ** max(map(sum, monomials)))
+    packed = _packed_columns(kernel, weight)
+    width = len(monomials)
+    by_shift = list(zip(support, (packed[k:k + width] for k in range(0, len(packed), width))))
+    for p in points:
+        powers = _powers(p, monomials)
+        total = 0
+        for shift, coords in by_shift:
+            v = ints[tuple(map(operator.add, p, shift))]
+            if v:
+                total += v * sum(map(operator.mul, powers, coords))
+        if total:
+            return True
+    return False
 
 
 def guess_from_table(table: Table, spec: GuessSpec, variables: Sequence[str]) -> GuessResult:
@@ -420,34 +474,30 @@ def guess_from_table(table: Table, spec: GuessSpec, variables: Sequence[str]) ->
     # an equation is non-trivial exactly when one of its shifted values is
     # nonzero (the constant monomial carries each), so the data are checked
     # against the class before any monomial or row is listed
-    nontrivial = sum(1 for p in admissible
-                     if any(table.values[tuple(map(operator.add, p, s))] for s in support))
-    if not nontrivial:
+    usable = [p for p in admissible
+              if any(table.values[tuple(map(operator.add, p, s))] for s in support)]
+    if not usable:
         raise DegenerateData()
-    cap = min(unknowns + spec.extra_equations, (3 * nontrivial) // 4)
+    cap = min(unknowns + spec.extra_equations, (3 * len(usable)) // 4)
     if cap < unknowns + spec.margin:
         raise UnderdeterminedData(unknowns + spec.margin, cap)
     monomials = _monomials(table.arity, spec.degree)
-    usable = []  # (point, row) of every non-trivial equation, by point
-    for p in admissible:
-        row = _equation_row(table, support, monomials, p)
-        if any(row):
-            usable.append((p, row))
-    data_window = tuple(p for p, _ in usable[:cap])
-    matrix = [row for _, row in usable[:cap]]
-    # a trivial row vanishes against every vector, so only these can reject
-    checks = [row for _, row in usable[cap:]]
+    data_window = tuple(usable[:cap])
+    matrix = [_equation_row(table, support, monomials, p) for p in data_window]
+    # a trivial equation vanishes against every vector, so only the usable
+    # points past the data window can reject
     taken = set(data_window)
     validation_window = tuple(p for p in admissible if p not in taken)
 
     kernel = nullspace(matrix)
-    passed = [
-        vec for vec in kernel if not any(sum(map(operator.mul, row, vec)) for row in checks)
-    ]
-    rejected = len(kernel) - len(passed)
-    if rejected:
-        # fall back to the kernel of the full system: operators that vanish on
-        # every admissible point, hence on both windows
+    passed, rejected = kernel, 0
+    # one packed sum per point tests every vector; only when one fails are
+    # the check rows built, to count the rejected vectors
+    if kernel and _packed_rejects(table, support, monomials, usable[cap:], kernel):
+        checks = [_equation_row(table, support, monomials, p) for p in usable[cap:]]
+        rejected = sum(any(sum(map(operator.mul, row, vec)) for row in checks) for vec in kernel)
+        # fall back to the kernel of the full system: operators that vanish
+        # on every admissible point, hence on both windows
         passed = nullspace(matrix + checks)
     validated = [_operator_from_vector(variables, support, monomials, vec) for vec in passed]
 

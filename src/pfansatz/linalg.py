@@ -28,9 +28,19 @@ integer rows mod p, back-solves one vector per free column f (1 at f, zero
 on the other free columns), and rational-reconstructs every entry.  On the
 115x90 c-guess matrix of `certify motzkin --n-max 30`, `_int_echelon`'s
 entries grow to 436 bits while the kernel entries have at most 10, so the
-work mod p avoids that growth.  The
-basis is returned only after every vector annihilates every integer row
-exactly, and that check proves it equal to the exact one:
+work mod p avoids that growth.  Each pending row is one nonnegative packed
+int, a slot of w bits per column, w the bit length of (rows + 1) * p^2
+rounded up to whole bytes: a slot starts below p and each of at most
+rows - 1 updates adds c * b with c, b < p, so it stays below (rows + 1) * p^2
+and never carries into the next.  A column is read as (row & mask) % p, the
+update is (row >> w) + c * tail for the packed pivot tail, and only pivot
+rows are unpacked.  The basis is returned only after every vector
+annihilates every integer row exactly, one packed sum per row: the vectors
+are packed column by column in balanced s-bit slots, vector k in slot k,
+with 2^(s-1) > max_row sum|a| * max|v| >= |each dot product|, so the sum
+is zero exactly when every dot product is (the lowest nonzero one would
+leave a nonzero remainder mod 2^s).  That check proves the basis equal to
+the exact one:
   - the rank mod p is at most the rank r over Q, so the n - r_p verified
     vectors, independent by their 1s on distinct free columns, are at least
     n - r kernel vectors; hence r_p = r and they span the kernel;
@@ -51,7 +61,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, prod
+from operator import mul
 from typing import List, Optional, Sequence, Union
 
 from .poly import (
@@ -78,7 +90,7 @@ def _coerce_rows(matrix) -> list:
 
 
 def _all_rational(rows) -> bool:
-    return all(isinstance(x, (int, Fraction)) for r in rows for x in r)
+    return all(issubclass(t, (int, Fraction)) for t in set(map(type, chain.from_iterable(rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +104,8 @@ def _int_rows(rows: list) -> list:
 
 
 def _strip_content(row: list) -> list:
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _int_echelon(rows: list, ncols: int) -> list:
@@ -198,49 +203,73 @@ def _modular_kernel(rows: list, ncols: int, p: int) -> Optional[List[list]]:
     """A kernel basis of the int `rows` found mod p, as lists of ints with one
     vector per free column f (1 at f, nonzero otherwise only on pivot columns
     before f), or None when an entry does not reconstruct or a vector fails
-    the exact check against every row."""
-    # echelon mod p; a pending row keeps only its columns from `col` on, and
-    # a pivot row, scaled to pivot 1, its columns from its pivot on.  Pending
-    # entries are reduced mod p only where read: each update adds c * b with
-    # c, b < p, so they stay below rank * p^2.
-    pending = [[a % p for a in r] for r in rows]
+    the exact check against every row (see the module docstring)."""
+    # echelon mod p on packed rows: a pending row is one int whose nb-byte
+    # slots hold its columns from `col` on, lowest first, reduced mod p only
+    # where read; a pivot row is unpacked, scaled to pivot 1 and keeps its
+    # columns from its pivot on
+    nb = ((len(rows) + 1) * p * p).bit_length() + 7 >> 3
+    w = 8 * nb
+    mask = (1 << w) - 1
+    pending = [_pack([a % p for a in r], nb) for r in rows]
     pivots = []  # (pivot column, trailing row)
     for col in range(ncols):
-        k = next((i for i, r in enumerate(pending) if r[0] % p), -1)
+        k = next((i for i, r in enumerate(pending) if (r & mask) % p), -1)
         if k < 0:
-            pending = [r[1:] for r in pending]
+            pending = [r >> w for r in pending]
             continue
         head = pending.pop(k)
-        inv = pow(head[0], -1, p)
-        head = [a * inv % p for a in head]
+        inv = pow((head & mask) % p, -1, p)
+        head = head.to_bytes(nb * (ncols - col), "little")
+        head = [int.from_bytes(head[j:j + nb], "little") * inv % p
+                for j in range(0, len(head), nb)]
         pivots.append((col, head))
-        tail = head[1:]
-        updated = []
-        for r in pending:
-            c = p - r[0] % p
-            updated.append([a + c * b for a, b in zip(r[1:], tail)] if c != p else r[1:])
-        pending = updated
+        tail = _pack(head[1:], nb)
+        pending = [(r >> w) + (p - c) * tail if (c := (r & mask) % p) else r >> w
+                   for r in pending]
     pivot_cols = {col for col, _ in pivots}
     basis = []
     for free in range(ncols):
         if free in pivot_cols:
             continue
-        x = {free: 1}  # the values mod p, nonzero entries only
+        x = [0] * (free + 1)  # the values mod p on columns up to f
+        x[free] = 1
         for col, row in reversed(pivots):
             if col < free:
-                v = -sum(row[c - col] * x[c] for c in x) % p
-                if v:
-                    x[col] = v
+                x[col] = -sum(map(mul, row, x[col:])) % p
         vec = [0] * ncols
-        for c, v in x.items():
-            vec[c] = _rational_reconstruction(v, p)
-            if vec[c] is None:
-                return None
-        vec = over_common_denominator(vec)[0]
-        if any(sum(r[c] * vec[c] for c in x) for r in rows):
-            return None
-        basis.append(vec)
-    return basis
+        for c, v in enumerate(x):
+            if v:
+                vec[c] = _rational_reconstruction(v, p)
+                if vec[c] is None:
+                    return None
+        basis.append(over_common_denominator(vec)[0])
+    return basis if _annihilates(rows, basis) else None
+
+
+def _annihilates(rows: list, basis: List[list]) -> bool:
+    """True iff every int vector of `basis` annihilates every int row, by
+    one sum per row against the vectors' packed columns."""
+    if not basis:
+        return True
+    packed = _packed_columns(basis, max(sum(map(abs, r)) for r in rows))
+    return not any(sum(map(mul, r, packed)) for r in rows)
+
+
+def _packed_columns(vectors: Sequence[Sequence[int]], weight: int) -> List[int]:
+    """The int vectors packed column by column, vector k in the k-th of
+    balanced s-bit slots with 2^(s-1) > weight * max|v|.  For a row a with
+    sum|a| <= weight, sum(a[c] * column c) holds each vector's dot product
+    with a in its slot, none of which can fill it, so the sum is zero
+    exactly when every dot product is."""
+    s = (weight * max(abs(v) for vec in vectors for v in vec)).bit_length() + 1
+    return [sum(c << (s * k) for k, c in enumerate(column)) for column in zip(*vectors)]
+
+
+def _pack(entries: list, nb: int) -> int:
+    """The nonnegative entries, each below 2^(8 nb), as the nb-byte slots of
+    one int, the first entry lowest."""
+    return int.from_bytes(b"".join([a.to_bytes(nb, "little") for a in entries]), "little")
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,31 @@ def test_certify_text_certified(capsys):
     assert "verdict: certified-at-scale" in out
 
 
+def test_certify_still_calls_the_traced_guessing_layers(capsys, monkeypatch):
+    """`certify --family motzkin --n-max 20` calls
+    `RecurrenceOperator.residual_at`, guessing's own `solve_linear` binding
+    (its consequence solves) and `nullspace`: the benchmark's traced run
+    counts its certify workload incorrect when one of these never fires."""
+    from pfansatz import guessing, linalg
+
+    calls = dict.fromkeys(("residual_at", "solve_linear", "nullspace"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    residual_at, nullspace = guessing.RecurrenceOperator.residual_at, linalg.nullspace
+    monkeypatch.setattr(guessing.RecurrenceOperator, "residual_at", counted("residual_at", residual_at))
+    monkeypatch.setattr(guessing, "solve_linear", counted("solve_linear", guessing.solve_linear))
+    for module in (linalg, guessing):
+        monkeypatch.setattr(module, "nullspace", counted("nullspace", nullspace))
+    code, _, _ = run(capsys, "certify", "--family", "motzkin", "--n-max", "20")
+    assert code == 0
+    assert all(calls.values()), calls
+
+
 def test_certify_refuted_with_wrong_override(capsys):
     code, out, _ = run(
         capsys, "certify", "--family", "motzkin", "--n-max", "3",
@@ -798,8 +823,22 @@ def test_guess_table_file_is_read_as_strictly_as_a_matrix_file(tmp_path, capsys,
 def test_guess_table_file_refuses_an_unusable_arity(tmp_path, capsys, doc, message):
     path = tmp_path / "t.json"
     path.write_text(doc)
+    message = message.format(path=path)
+    if not message.startswith("malformed table"):  # a ValueError of the table reader
+        message = f"malformed table in {path} (ValueError: {message})"
+    assert run(capsys, "guess", "--source", f"file:{path}") == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("doc, detail", [
+    ('{"arity": 1, "values": [[0, "1"], [0, "2"]]}', "duplicate point (0,) in table JSON"),
+    ("[1]", "table JSON must be an object with 'arity' and 'values'"),
+    ('{"arity": -1, "values": [[0, "1"]]}', "table arity must be at least 1, got -1"),
+])
+def test_guess_table_file_structural_errors_name_the_file(tmp_path, capsys, doc, detail):
+    path = tmp_path / "t.json"
+    path.write_text(doc)
     assert run(capsys, "guess", "--source", f"file:{path}") == (
-        2, "", f"error: {message.format(path=path)}\n")
+        2, "", f"error: malformed table in {path} (ValueError: {detail})\n")
 
 
 @pytest.mark.parametrize("arity, names", [(1, "n"), (2, "n, i"), (3, "a, b, c")])

@@ -8,6 +8,7 @@ import math
 import os
 import random
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis
 import pytest
@@ -618,8 +619,13 @@ def test_guess_builds_each_row_once_and_evaluates_no_residual(monkeypatch):
         built.clear()
         result = guess_from_table(table, spec, variables)
         assert result.to_json_dict() == expected[label], label
-        admissible = sorted(result.data_window + result.validation_window)
-        assert built == admissible, label
+        assert len(built) == len(set(built)), label
+        assert built[:len(result.data_window)] == list(result.data_window), label
+        if result.rejected_by_validation:
+            # the check rows: the validation points with a nonzero equation
+            assert set(built[len(result.data_window):]) <= set(result.validation_window), label
+        else:
+            assert built == list(result.data_window), label
 
 
 @st.composite
@@ -663,6 +669,117 @@ def test_row_dot_product_vanishes_with_the_residual(case):
             row = _equation_row(table, support, monomials, p)
             dot = sum(a * b for a, b in zip(row, vec))
             assert (dot == 0) == (op.residual_at(table, p) == 0)
+
+
+def reference_equation_row(table, support, monomials, p):
+    """The former equation row: scaled by the lcm of its own values'
+    denominators, not by the table's."""
+    scaled, _ = over_common_denominator([table.values[tuple(a + b for a, b in zip(p, s))]
+                                         for s in support])
+    powers = [math.prod(base ** e for base, e in zip(p, m)) for m in monomials]
+    return [pm * v for v in scaled for pm in powers]
+
+
+def reference_rejected(table, support, monomials, points, kernel):
+    """The former per-vector validation: the number of kernel vectors with a
+    nonzero dot product against some check row."""
+    checks = [reference_equation_row(table, support, monomials, p) for p in points]
+    passed = [vec for vec in kernel if not any(sum(a * b for a, b in zip(row, vec)) for row in checks)]
+    return len(kernel) - len(passed)
+
+
+@PROPERTY
+@given(rows_and_vectors(), st.sampled_from(("drawn", "kernel", "kernel and drawn")))
+def test_packed_validation_matches_the_per_vector_test(case, mode):
+    """The drawn vectors, the kernel of the rows at the tested points (which
+    passes), or that kernel with the random vector added."""
+    table, variables, support, monomials, admissible, vectors = case
+    usable = [p for p in admissible
+              if any(table.values[tuple(a + b for a, b in zip(p, s))] for s in support)]
+    hypothesis.assume(usable)
+    for points in (usable, usable[:1], usable[-2:]):
+        kernel = vectors
+        if mode != "drawn":
+            kernel = nullspace([reference_equation_row(table, support, monomials, p) for p in points])
+            kernel += vectors[:1] if mode == "kernel and drawn" else []
+        if kernel:
+            assert guessing._packed_rejects(table, support, monomials, points, kernel) == (
+                reference_rejected(table, support, monomials, points, kernel) > 0)
+
+
+def test_packed_validation_slots_hold_the_largest_dot_product():
+    """Two vectors whose dot products d0 > 0 and d1 < 0 cancel in slots one
+    step too narrow (d0 == -d1 * 2^t): the packed sum must still see them.
+    In the second case the monomial powers, not the values, make d0 large."""
+    m = 2 ** 9
+    table = Table.from_sequence([1, 1])
+    support, monomials = ((0,), (1,)), [(0,)]
+    assert 2 * m == 2 ** 10  # d0 with the kernel below; d1 = -1
+    assert guessing._packed_rejects(table, support, monomials, [(0,)], [(m, m), (1, -2)])
+    assert not guessing._packed_rejects(table, support, monomials, [(0,)], [(m, -m), (1, -1)])
+    m = 2 ** 4
+    table = Table(1, {(32,): 1, (33,): 1})
+    support, monomials = ((0,), (1,)), [(0,), (1,)]
+    kernel = [(0, m, 0, m), (-4, 0, 0, 0)]  # d0 = 2 * 32 * m = 2^10, d1 = -4
+    assert guessing._packed_rejects(table, support, monomials, [(32,)], kernel)
+    assert reference_rejected(table, support, monomials, [(32,)], kernel) == 2
+
+
+@st.composite
+def perturbed_guess_cases(draw):
+    """A hypergeometric sequence or a bivariate power table with a guess
+    class that fits it, and now and then one value moved, most often at a
+    late point, which the validation window holds."""
+    value = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+    if draw(st.booleans()):
+        a = [draw(value)]
+        p0, p1, q0, q1 = (draw(st.integers(1, 6)) for _ in range(4))
+        for n in range(draw(st.integers(26, 34))):
+            a.append(a[-1] * (p1 * n + p0) / (q1 * n + q0))
+        table = Table.from_sequence(a)
+        spec, variables = GuessSpec(degree=1, orders=(1,), extra_equations=8, margin=4), ("n",)
+    else:
+        r, s = draw(value), draw(value)
+        c = draw(st.integers(0, 5))
+        table = Table(2, {(n, i): r ** n * s ** i * (n + i + c) for n in range(8) for i in range(8)})
+        spec, variables = GuessSpec(degree=1, orders=(1, 1), margin=5), ("n", "i")
+    if draw(st.integers(0, 2)):
+        points = sorted(table.values)
+        at = points[draw(st.integers(len(points) // 2, len(points) - 1))]
+        values = dict(table.values)
+        values[at] += draw(value)
+        table = Table(table.arity, values)
+    return table, spec, variables
+
+
+def test_packed_validation_guesses_as_the_per_vector_test():
+    """Whole guesses with the packed test and with the former per-vector one
+    agree, over tables whose validation rejects candidates (the
+    `nullspace(matrix + checks)` fallback) and tables whose does not."""
+    outcomes = set()
+
+    def per_vector(table, support, monomials, points, kernel):
+        return reference_rejected(table, support, monomials, points, kernel) > 0
+
+    @PROPERTY
+    @given(perturbed_guess_cases())
+    def agrees(case):
+        table, spec, variables = case
+        try:
+            got = guess_from_table(table, spec, variables).to_json_dict()
+        except guessing.GuessingError as e:
+            got = str(e)
+        with mock.patch.object(guessing, "_packed_rejects", per_vector):
+            try:
+                want = guess_from_table(table, spec, variables).to_json_dict()
+            except guessing.GuessingError as e:
+                want = str(e)
+        assert got == want
+        if isinstance(got, dict):
+            outcomes.add("rejected" if got["rejected_by_validation"] else "passed")
+
+    agrees()
+    assert outcomes == {"rejected", "passed"}
 
 
 def test_guess_spec_rejects_negative_bounds():

@@ -481,6 +481,113 @@ def test_nullspace_small_kernel_needs_no_fallback(monkeypatch):
     assert calls == []
 
 
+def reference_modular_kernel(rows, ncols, p):
+    """The former list elimination: pending rows as lists of trailing
+    columns, updated entry by entry, and each vector checked against every
+    row by its own dot product."""
+    pending = [[a % p for a in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        k = next((i for i, r in enumerate(pending) if r[0] % p), -1)
+        if k < 0:
+            pending = [r[1:] for r in pending]
+            continue
+        head = pending.pop(k)
+        inv = pow(head[0], -1, p)
+        head = [a * inv % p for a in head]
+        pivots.append((col, head))
+        tail = head[1:]
+        updated = []
+        for r in pending:
+            c = p - r[0] % p
+            updated.append([a + c * b for a, b in zip(r[1:], tail)] if c != p else r[1:])
+        pending = updated
+    pivot_cols = {col for col, _ in pivots}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        x = {free: 1}
+        for col, row in reversed(pivots):
+            if col < free:
+                v = -sum(row[c - col] * x[c] for c in x) % p
+                if v:
+                    x[col] = v
+        vec = [0] * ncols
+        for c, v in x.items():
+            vec[c] = linalg._rational_reconstruction(v, p)
+            if vec[c] is None:
+                return None
+        vec = linalg.over_common_denominator(vec)[0]
+        if any(sum(r[c] * vec[c] for c in x) for r in rows):
+            return None
+        basis.append(vec)
+    return basis
+
+
+@st.composite
+def modular_kernel_cases(draw):
+    """Content-stripped integer rows of a rank-deficient matrix, with zero
+    and repeated columns spliced in, now and then unit rows that leave no
+    kernel, an entry moved by a multiple of p (which leaves the rows
+    unchanged mod p), and a prime: the one `nullspace` uses, or a small one
+    under which reconstruction and the exact check fail often (p^2 just
+    below a byte boundary, so a slot too narrow would overflow soon)."""
+    p = draw(st.sampled_from((linalg._PRIME, 251, 13)))
+    rows = linalg._int_rows(draw(rank_deficient_rows()))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(rows[0])))
+        source = draw(st.one_of(st.none(), st.integers(0, len(rows[0]) - 1)))
+        for r in rows:
+            r.insert(at, 0 if source is None else r[source])
+    if not draw(st.integers(0, 5)):  # full column rank: the basis is empty
+        rows += [[int(i == j) for j in range(len(rows[0]))] for i in range(len(rows[0]))]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[0]) - 1))
+        rows[i][j] += p * draw(st.sampled_from((-2, -1, 1, 3)))
+    return rows, p
+
+
+def test_packed_modular_kernel_matches_list_elimination():
+    outcomes = set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(modular_kernel_cases())
+    def matches(case):
+        rows, p = case
+        ncols = len(rows[0])
+        got = linalg._modular_kernel([list(r) for r in rows], ncols, p)
+        assert got == reference_modular_kernel([list(r) for r in rows], ncols, p)
+        if got is not None:
+            assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows for v in got)
+        outcomes.add("refused" if got is None else "basis" if got else "empty")
+
+    matches()
+    assert outcomes == {"refused", "basis", "empty"}
+
+
+def test_packed_check_rejects_a_vector_that_misses_a_row_by_one():
+    rows = [[1, 1, 0], [0, 1, 1]]
+    assert linalg._annihilates(rows, [[1, -1, 1]])
+    for miss in ([1, -1, 2], [-1, 1, -2]):  # row 2 gives +1, then -1
+        assert not linalg._annihilates(rows, [[1, -1, 1], miss])
+        assert not linalg._annihilates(rows, [miss, [1, -1, 1]])
+        assert not linalg._annihilates(rows, [miss])
+
+
+def test_packed_check_rejects_a_dot_product_at_the_packing_bound():
+    """max_row sum|a| * max|v| = 2 * 2^9: the first vector's dot product is
+    that bound and the second's is -1, so slots of 10 bits would carry the
+    -1 onto the 2^10 and read zero; the packed check must not."""
+    m = 2 ** 9
+    rows = [[1, 1]]
+    basis = [[m, m], [1, -2]]
+    assert not linalg._annihilates(rows, basis)
+    assert 2 * m + (-1 << 10) == 0  # the cancellation a narrow slot would allow
+    assert linalg._annihilates(rows, [[m, -m], [1, -1]])
+
+
 def test_rational_reconstruction_bounds():
     p = 2**61 - 1
     for q in (Fraction(0), Fraction(-7, 3), Fraction(2**29, 2**30 - 1)):
