@@ -11,7 +11,15 @@ nullspace of those rows, and confirms every candidate at each point of the
 disjoint validation window before reporting it: one packed int sum per
 point holds every candidate's exact dot product with that point's
 equation, and only when one is nonzero are the validation rows built.
-The windows are derived deterministically.
+The windows are derived deterministically.  A candidate that is a
+combination of the shifted and multiplied images of an operator kept
+before it is reduced away; each kept operator's images are built once per
+guess (`_Consequences`).
+
+Residuals and `solve_at` evaluate each coefficient by integer Horner in the
+last coordinate, from ints computed once per line of points
+(`RecurrenceOperator._line`), and a table keeps the point set moved by each
+shift (`Table.moved`) for every operator that finds admissible points on it.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from itertools import product
 from math import comb, gcd, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .linalg import _packed_columns, nullspace, solve_linear
+from .linalg import _int_echelon, _packed_columns, nullspace, solve_linear
 from .poly import Polynomial, PolynomialError, format_rational, int_value, parse_poly
 from .poly import json_int, over_common_denominator, parse_rational
 
@@ -64,8 +72,8 @@ class CoverageError(GuessingError):
 class Table:
     """Exact values on an explicit finite set of integer points."""
 
-    # _int_form is built on first use by int_form()
-    __slots__ = ("arity", "values", "_int_form")
+    # _int_form is built on first use by int_form(), _moved by moved()
+    __slots__ = ("arity", "values", "_int_form", "_moved")
 
     def __init__(self, arity: int, values: Dict[Point, Fraction]):
         vals = {}
@@ -98,6 +106,20 @@ class Table:
         form = (dict(zip(self.values, ints)), den)
         object.__setattr__(self, "_int_form", form)
         return form
+
+    def moved(self, shift: Point) -> frozenset:
+        """The points p with p + shift in the table.  Built once per shift
+        and cached, so the operators on one table share it."""
+        try:
+            memo = self._moved
+        except AttributeError:
+            memo = {}
+            object.__setattr__(self, "_moved", memo)
+        points = memo.get(shift)
+        if points is None:
+            points = memo[shift] = frozenset(
+                [tuple(map(operator.sub, q, shift)) for q in self.values])
+        return points
 
 
 def table_to_json_dict(table: Table) -> dict:
@@ -217,26 +239,66 @@ class RecurrenceOperator:
 
     # -- application -----------------------------------------------------
 
+    def _line(self, point: Point) -> List[Tuple[Point, Point, int, List[int]]]:
+        """The terms on the line through `point` along the last variable,
+        the points that differ from it in the last coordinate only: per
+        term, its shift, the shifted point's other coordinates, the shift's
+        last coordinate, and the coefficient's ascending int coefficients in
+        the last variable, the others fixed at the line's values.  Built for
+        one line at a time, and kept until a point of another line is asked
+        for."""
+        key = point[:-1]
+        try:
+            line, terms = self._on_line
+            if line == key:
+                return terms
+        except AttributeError:
+            pass
+        last = len(key)
+        terms = []
+        for shift, coeff in self.terms:
+            coeffs = {}
+            for c, monomial in coeff.int_form():
+                power = 0
+                for i, e in monomial:
+                    if i == last:
+                        power = e
+                    else:
+                        c *= key[i] ** e
+                coeffs[power] = coeffs.get(power, 0) + c
+            terms.append((shift, tuple(map(operator.add, key, shift)), shift[-1],
+                          [coeffs.get(e, 0) for e in range(max(coeffs) + 1)]))
+        object.__setattr__(self, "_on_line", (key, terms))
+        return terms
+
     def _sum_at(self, value: Callable[[Point], Optional[Fraction]], point: Point,
                 terms, den: Optional[int] = None) -> Optional[Fraction]:
-        """Exact sum over `terms` of coeff(point) * value(point + shift), or
-        None when `value` gives None for a shifted point.  The integer
-        coefficients are evaluated by `int_value` and the values summed as
-        ints, over their common denominator or, when `den` is given, as the
-        numerators of values over den, so one Fraction is built."""
-        shifted = [value(tuple(map(operator.add, point, s))) for s, _ in terms]
+        """Exact sum over `terms`, entries of `_line`, of coeff(point) *
+        value(point + shift), or None when `value` gives None for a shifted
+        point.  Each coefficient is its line's int coefficients by Horner in
+        the last coordinate, and the values are summed as ints, over their
+        common denominator or, when `den` is given, as the numerators of
+        values over den, so one Fraction is built."""
+        x = point[-1]
+        shifted = [value((*moved, x + last)) for _, moved, last, _ in terms]
         if None in shifted:
             return None
         if den is None:
             shifted, den = over_common_denominator(shifted)
-        total = sum(int_value(c.int_form(), point) * v for (_, c), v in zip(terms, shifted))
+        total = 0
+        for (_, _, _, coeffs), v in zip(terms, shifted):
+            if v:
+                c = 0
+                for a in reversed(coeffs):
+                    c = c * x + a
+                total += c * v
         return Fraction(total, den)
 
     def residual_at(self, table: Table, point: Point) -> Optional[Fraction]:
         """Exact residual at `point`, or None when a shifted value is missing:
         one int sum over the table's integer form and one Fraction."""
         ints, den = table.int_form()
-        return self._sum_at(ints.get, point, self.terms, den)
+        return self._sum_at(ints.get, point, self._line(point), den)
 
     def solve_at(self, value: Callable[[Point], Optional[Fraction]], point: Point) -> Optional[Fraction]:
         """The value at `point` that makes the residual there vanish, solved
@@ -244,11 +306,12 @@ class RecurrenceOperator:
         coefficient.  None when the operator has no such term, its
         coefficient vanishes at `point`, or `value` gives None for a shifted
         point."""
-        lead = dict(self.terms).get((0,) * len(self.variables))
-        lead = lead and int_value(lead.int_form(), point)
+        terms = self._line(point)
+        lead = next((c for s, _, _, c in terms if not any(s)), None)
+        lead = lead and _horner(lead, point[-1])
         if not lead:
             return None
-        rest = self._sum_at(value, point, [t for t in self.terms if any(t[0])])
+        rest = self._sum_at(value, point, [t for t in terms if any(t[0])])
         return None if rest is None else -rest / lead
 
     def admissible_points(self, table: Table) -> List[Point]:
@@ -288,9 +351,8 @@ class RecurrenceOperator:
 def _admissible(table: Table, shifts: Sequence[Point]) -> List[Point]:
     """The sorted points p with p + s in the table for every shift s: the
     intersection over s of the table's points moved by -s."""
-    return sorted(set.intersection(*(
-        {tuple(map(operator.sub, q, s)) for q in table.values} for s in shifts
-    )))
+    first, *rest = map(table.moved, shifts)
+    return sorted(first.intersection(*rest))
 
 
 def apply_operator(operator: RecurrenceOperator, table: Table) -> Dict[Point, Fraction]:
@@ -329,10 +391,10 @@ class GuessSpec:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def effective_support(self, arity: int, points: int) -> Tuple[Point, ...]:
-        """The support's shifts, sorted; () when there are more of them than
-        `points`, the size of the table.  No point is then admissible, since
-        p + s is a distinct table point for each shift s, and a box that
-        large is not listed."""
+        """The support's shifts, sorted.  UnderdeterminedData, with 0 usable
+        equations, when there are more of them than `points`, the size of
+        the table: no point is then admissible, since p + s is a distinct
+        table point for each shift s, and a box that large is not listed."""
         if (self.support is None) == (self.orders is None):
             raise ValueError("exactly one of support/orders must be set")
         if self.support is not None:
@@ -343,13 +405,21 @@ class GuessSpec:
                 raise ValueError("duplicate support shifts")
             if not supp:
                 raise ValueError("empty support")
-            return supp if len(supp) <= points else ()
-        orders = tuple(int(o) for o in self.orders)
-        if len(orders) != arity or any(o < 0 for o in orders):
-            raise ValueError(f"bad orders {self.orders} for arity {arity}")
-        if prod(o + 1 for o in orders) > points:
-            return ()
+            count = len(supp)
+        else:
+            orders = tuple(int(o) for o in self.orders)
+            if len(orders) != arity or any(o < 0 for o in orders):
+                raise ValueError(f"bad orders {self.orders} for arity {arity}")
+            count = prod(o + 1 for o in orders)
+        if count > points:
+            raise UnderdeterminedData(self.unknowns(arity, count) + self.margin, 0)
+        if self.support is not None:
+            return supp
         return tuple(sorted(product(*(range(o + 1) for o in orders))))
+
+    def unknowns(self, arity: int, shifts: int) -> int:
+        """One unknown per (shift, coefficient monomial)."""
+        return shifts * comb(self.degree + arity, arity)
 
 
 @dataclass(frozen=True)
@@ -466,11 +536,11 @@ def guess_from_table(table: Table, spec: GuessSpec, variables: Sequence[str]) ->
     if len(variables) != table.arity:
         raise ValueError("variable count must match table arity")
     support = spec.effective_support(table.arity, len(table))
-    if not support:
-        raise DegenerateData()
-    unknowns = len(support) * comb(spec.degree + table.arity, table.arity)
+    unknowns = spec.unknowns(table.arity, len(support))
 
     admissible = _admissible(table, support)
+    if not admissible:
+        raise UnderdeterminedData(unknowns + spec.margin, 0)
     # an equation is non-trivial exactly when one of its shifted values is
     # nonzero (the constant monomial carries each), so the data are checked
     # against the class before any monomial or row is listed
@@ -505,12 +575,9 @@ def guess_from_table(table: Table, spec: GuessSpec, variables: Sequence[str]) ->
     reduced_away = 0
     if len(validated) > 1:
         kept: List[RecurrenceOperator] = []
-        support_set = set(support)
+        is_consequence = _Consequences(support, spec.degree, variables, monomials)
         for op in validated:
-            if any(
-                _is_consequence(op, base, support_set, spec.degree, variables, monomials)
-                for base in kept
-            ):
+            if any(is_consequence(op, base) for base in kept):
                 reduced_away += 1
             else:
                 kept.append(op)
@@ -530,56 +597,101 @@ def guess_from_table(table: Table, spec: GuessSpec, variables: Sequence[str]) ->
     )
 
 
-def _is_consequence(
-    op: RecurrenceOperator,
-    base: RecurrenceOperator,
-    support_set: set,
-    degree: int,
-    variables: Tuple[str, ...],
-    monomials: List[Tuple[int, ...]],
-) -> bool:
-    """True iff `op` is a linear combination of translate-and-multiply images
-    q(vars) * S^v * base that stay inside the support/degree bounds.
+class _Consequences:
+    """The consequence test of one guess: is an operator a linear
+    combination of the images q(vars) * S^v * base of a kept `base` that
+    stay inside the support/degree bounds?
 
     Each image m * S^off * base, m a monomial, is written straight into the
-    (shift, monomial) coordinates from base's shifted coefficients."""
-    index = {key: k for k, key in enumerate(product(sorted(support_set), monomials))}
-    target = [0] * len(index)
-    for shift, coeff in op.terms:
-        for exp, q in coeff.with_variables(variables).terms.items():
-            k = index.get((shift, exp))
-            if k is None:
-                return False
-            target[k] = q
-    base_shifts = base.shifts()
-    multipliers = _monomials(len(variables), degree - base.coefficient_degree())
-    offsets = {
-        tuple(a - b for a, b in zip(s, base_shifts[0])) for s in support_set
-    }
-    gens = []
-    for off in sorted(offsets):
-        moved = [tuple(a + b for a, b in zip(s, off)) for s in base_shifts]
-        if not all(s in support_set for s in moved):
-            continue
-        by_variable = dict(zip(variables, off))
-        shifted = [  # (shift, exponent, coefficient) of S^off * base
-            (s, exp, q)
-            for s, (_, coeff) in zip(moved, base.terms)
-            for exp, q in coeff.with_variables(variables).shifted(by_variable).terms.items()
-        ]
-        for m in multipliers:
-            v = [0] * len(index)
-            for s, exp, q in shifted:
-                k = index.get((s, tuple(a + b for a, b in zip(exp, m))))
+    (shift, monomial) coordinates from base's shifted coefficients.  A
+    base's images and an independent set of the rows of their matrix (one
+    row per coordinate, one column per image) are built once, on the base's
+    first test.  A candidate is then one solve of those rows against its
+    own coordinates there, and it is a consequence exactly when that
+    solution reproduces every coordinate: every other row is a combination
+    of the chosen ones, so any solution of the chosen rows solves the whole
+    system once the candidate lies in the images' span, and no solution
+    does otherwise."""
+
+    def __init__(self, support: Tuple[Point, ...], degree: int,
+                 variables: Tuple[str, ...], monomials: List[Tuple[int, ...]]):
+        self.support_set = set(support)
+        self.degree = degree
+        self.variables = variables
+        self.index = {key: k for k, key in enumerate(product(sorted(support), monomials))}
+        # id(base) -> (base, images, chosen rows); holding base keeps its id
+        self.images = {}
+
+    def _images_of(self, base: RecurrenceOperator) -> Tuple[List[Dict[int, int]], List[int]]:
+        """The images of `base` as sparse coordinate vectors ({coordinate:
+        nonzero int}), and `_independent_rows` of them."""
+        cached = self.images.get(id(base))
+        if cached is not None:
+            return cached[1:]
+        variables, index, support_set = self.variables, self.index, self.support_set
+        base_shifts = base.shifts()
+        multipliers = _monomials(len(variables), self.degree - base.coefficient_degree())
+        offsets = {tuple(a - b for a, b in zip(s, base_shifts[0])) for s in support_set}
+        gens = []
+        for off in sorted(offsets):
+            moved = [tuple(a + b for a, b in zip(s, off)) for s in base_shifts]
+            if not all(s in support_set for s in moved):
+                continue
+            by_variable = dict(zip(variables, off))
+            shifted = [  # (shift, exponent, coefficient) of S^off * base
+                (s, exp, q)
+                for s, (_, coeff) in zip(moved, base.terms)
+                for exp, q in coeff.with_variables(variables).shifted(by_variable).terms.items()
+            ]
+            for m in multipliers:
+                v = {}
+                for s, exp, q in shifted:
+                    k = index.get((s, tuple(a + b for a, b in zip(exp, m))))
+                    if k is None:
+                        break
+                    v[k] = q
+                else:
+                    gens.append(v)
+        rows = _independent_rows(gens, len(index))
+        self.images[id(base)] = (base, gens, rows)
+        return gens, rows
+
+    def __call__(self, op: RecurrenceOperator, base: RecurrenceOperator) -> bool:
+        target = {}
+        for shift, coeff in op.terms:
+            for exp, q in coeff.with_variables(self.variables).terms.items():
+                k = self.index.get((shift, exp))
                 if k is None:
-                    break
-                v[k] = q
-            else:
-                gens.append(v)
-    if not gens:
-        return False
-    matrix = [[g[k] for g in gens] for k in range(len(target))]
-    return solve_linear(matrix, target) is not None
+                    return False
+                target[k] = q
+        gens, rows = self._images_of(base)
+        return bool(gens) and _in_span(target, gens, rows)
+
+
+def _in_span(target: Dict[int, int], gens: List[Dict[int, int]], rows: List[int]) -> bool:
+    """True iff the sparse vector `target` is a combination of the sparse
+    vectors `gens`, given `rows`, coordinates at which their rows are
+    independent and span every other row (`_independent_rows`): one solve
+    of the system at `rows`, which has full row rank and so a solution,
+    then an exact check of every coordinate of the combination it gives."""
+    solution = solve_linear([[g.get(k, 0) for g in gens] for k in rows],
+                            [target.get(k, 0) for k in rows])
+    coefficients, den = over_common_denominator(solution.vector)
+    combination = {}
+    for c, g in zip(coefficients, gens):
+        if c:
+            for k, q in g.items():
+                combination[k] = combination.get(k, 0) + c * q
+    return ({k: v for k, v in combination.items() if v}
+            == {k: q * den for k, q in target.items()})
+
+
+def _independent_rows(gens: List[Dict[int, int]], size: int) -> List[int]:
+    """The sorted coordinates k < size at which the rows [g[k] for g in
+    gens] of the vectors' matrix are linearly independent and span every
+    other row: the pivot columns of the vectors' echelon form."""
+    dense = [[g.get(k, 0) for k in range(size)] for g in gens]
+    return sorted(col for _, col in _int_echelon(dense, size))
 
 
 # ---------------------------------------------------------------------------

@@ -371,25 +371,35 @@ def test_certify_text_certified(capsys):
 
 
 def test_certify_still_calls_the_traced_guessing_layers(capsys, monkeypatch):
-    """`certify --family motzkin --n-max 20` calls
-    `RecurrenceOperator.residual_at`, guessing's own `solve_linear` binding
-    (its consequence solves) and `nullspace`: the benchmark's traced run
-    counts its certify workload incorrect when one of these never fires."""
-    from pfansatz import guessing, linalg
+    """`certify --family motzkin --n-max 20` calls every guessing and
+    polynomial layer that the benchmark's certify workload traces:
+    `apply_operator`, `RecurrenceOperator.residual_at`,
+    `leading_nonvanishing`, `Polynomial.eval`, guessing's own
+    `solve_linear` binding (its consequence solves) and `nullspace`.  The
+    benchmark's traced run counts that workload incorrect when one of
+    these never fires."""
+    from pfansatz import guessing, linalg, pipeline, poly
 
-    calls = dict.fromkeys(("residual_at", "solve_linear", "nullspace"), 0)
+    calls = {}
 
     def counted(name, fn):
+        calls[name] = 0
+
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    residual_at, nullspace = guessing.RecurrenceOperator.residual_at, linalg.nullspace
-    monkeypatch.setattr(guessing.RecurrenceOperator, "residual_at", counted("residual_at", residual_at))
-    monkeypatch.setattr(guessing, "solve_linear", counted("solve_linear", guessing.solve_linear))
-    for module in (linalg, guessing):
-        monkeypatch.setattr(module, "nullspace", counted("nullspace", nullspace))
+    for owner, name in ((guessing.RecurrenceOperator, "residual_at"),
+                        (poly.Polynomial, "eval"), (guessing, "solve_linear")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    # the layers that pipeline imports by name are rebound there as well
+    for name, modules in (("apply_operator", (guessing, pipeline)),
+                          ("leading_nonvanishing", (guessing, pipeline)),
+                          ("nullspace", (linalg, guessing))):
+        wrapper = counted(name, getattr(modules[0], name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
     code, _, _ = run(capsys, "certify", "--family", "motzkin", "--n-max", "20")
     assert code == 0
     assert all(calls.values()), calls
@@ -560,9 +570,9 @@ def test_guess_underdetermined_is_diagnostic_exit(tmp_path, capsys):
     # 4 shifts times C(1502, 2) monomials, plus the margin of 10
     (("--source", "c:motzkin", "--n-max", "3", "--degree", "1500", "--order", "1"),
      "underdetermined: 7 usable equations for 4509014 required"),
-    # 200 001 shifts on a table of 41 terms
+    # 200 001 shifts on a table of 41 terms: no point is admissible
     (("--source", "seq:motzkin", "--order", "200000", "--degree", "0"),
-     "degenerate data: all sampled values are zero"),
+     "underdetermined: 0 usable equations for 200011 required"),
 ])
 def test_guess_checks_the_class_against_the_data_before_listing_it(capsys, argv, detail):
     start = time.monotonic()

@@ -21,7 +21,6 @@ from pfansatz.guessing import (
     CoverageError,
     DegenerateData,
     _equation_row,
-    _is_consequence,
     _monomials,
     _operator_from_vector,
     GuessSpec,
@@ -509,6 +508,72 @@ def test_solve_at_matches_former_solve(case, data):
         assert variant.solve_at(value, p) is None
 
 
+def former_int_residual(op, table, point):
+    """RecurrenceOperator.residual_at's former per-point evaluation: each
+    coefficient by `int_value` at the point, over the table's integer form."""
+    ints, den = table.int_form()
+    shifted = [ints.get(tuple(p + s for p, s in zip(point, shift))) for shift, _ in op.terms]
+    if None in shifted:
+        return None
+    return Fraction(sum(int_value(c.int_form(), point) * v
+                        for (_, c), v in zip(op.terms, shifted)), den)
+
+
+@st.composite
+def line_cases(draw):
+    """A random integer operator in 1-3 variables with a zero shift, a table
+    of rationals (zeros among them) on a box with negative coordinates, and
+    the box's points in shuffled order, some twice."""
+    arity = draw(st.integers(1, 3))
+    variables = ("n", "i", "j")[:arity]
+    side = (5, 4, 3)[arity - 1]
+    box = list(itertools.product(range(-2, side - 2), repeat=arity))
+    monomials = _monomials(arity, 2)
+    free = [m for m in monomials if not m[-1]]  # free of the last variable
+
+    def coefficient():
+        pool = draw(st.sampled_from((monomials, free)))
+        chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+        terms = {m: draw(st.integers(-4, 4)) for m in chosen}
+        if not any(terms.values()):
+            return Polynomial.constant(1, variables)
+        return Polynomial(variables, terms)
+
+    shifts = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * arity), min_size=1, max_size=3,
+                           unique=True))
+    zero = (0,) * arity
+    at = draw(st.sampled_from(box))
+    # the lead vanishes on the plane through `at` normal to a drawn variable
+    k = draw(st.integers(0, arity - 1))
+    lead = draw(st.sampled_from((
+        coefficient(),
+        Polynomial.variable(variables[k]).with_variables(variables) - at[k],
+    )))
+    op = RecurrenceOperator.make(variables, [(zero, lead)] + [
+        (s, coefficient()) for s in shifts if s != zero])
+    table = Table(arity, {p: Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))
+                          for p in box})
+    points = draw(st.permutations(box + draw(st.lists(st.sampled_from(box), max_size=6))))
+    return op, table, points
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(line_cases())
+def test_line_wise_evaluation_matches_the_per_point_one(case):
+    """residual_at and solve_at, whose coefficients come from a per-line
+    cache, against the former evaluation of every coefficient at the point,
+    over points visited in shuffled order so the cached line changes."""
+    op, table, points = case
+    value = table.values.get
+    lead = dict(op.terms)[(0,) * table.arity]
+    for p in points:
+        assert op.residual_at(table, p) == former_int_residual(op, table, p)
+        got = op.solve_at(value, p)
+        assert got == former_solve_at(op, value, p)
+        if not int_value(lead.int_form(), p):
+            assert got is None
+
+
 def former_make_scale(coefficients):
     """RecurrenceOperator.make's former content loop: the lcm of the
     denominators over the gcd of the numerators."""
@@ -851,9 +916,10 @@ def _images(base, support_set, degree):
     return out[:4]
 
 
-def _consequence_cases():
-    """(op, base, support set, degree, variables) from the seeded guesses and
-    from pairs of catalog operators, each base with some of its images."""
+def _consequence_groups():
+    """(operators, support set, degree) from the seeded guesses and from
+    pairs of catalog operators, each group's operators with some images of
+    each of them."""
     with open(os.path.join(DATA, "guess_seeded.json"), encoding="utf-8") as fh:
         expected = json.load(fh)
     groups = []
@@ -874,24 +940,87 @@ def _consequence_cases():
                 ))
                 degree = max(a.coefficient_degree(), b.coefficient_degree())
                 groups.append(([a, b], set(box), degree))
-    cases = []
-    for ops, support, degree in groups:
-        for base in ops:
-            for op in ops + _images(base, support, degree):
-                if op is not base:
-                    cases.append((op, base, support, degree, base.variables))
-    return cases
+    return [(ops + [img for base in ops for img in _images(base, support, degree)],
+             ops, support, degree) for ops, support, degree in groups if ops]
 
 
 def test_is_consequence_matches_operator_construction():
+    """Each group's candidates in the guess's sort order, each tested
+    against every base through one cache, as `guess_from_table` does: the
+    same outcome as the reference, each base's images built once, and
+    candidates outside the span that pass the solve of the chosen rows and
+    fail the check of every row."""
     outcomes = set()
-    for op, base, support, degree, variables in _consequence_cases():
-        monomials = _monomials(len(variables), degree)
-        got = _is_consequence(op, base, support, degree, variables, monomials)
-        assert got == reference_is_consequence(op, base, support, degree, variables, monomials), (
-            str(op), str(base))
-        outcomes.add(got)
+    solves = []
+
+    def recorded(matrix, rhs):
+        solution = solve_linear(matrix, rhs)
+        solves.append(solution is not None)
+        return solution
+
+    built = []
+    independent_rows = guessing._independent_rows
+
+    def counted(gens, size):
+        built.append(len(gens))
+        return independent_rows(gens, size)
+
+    full_check_only = 0
+    with mock.patch.object(guessing, "solve_linear", recorded), \
+            mock.patch.object(guessing, "_independent_rows", counted):
+        for candidates, bases, support, degree in _consequence_groups():
+            variables = bases[0].variables
+            monomials = _monomials(len(variables), degree)
+            is_consequence = guessing._Consequences(
+                tuple(sorted(support)), degree, variables, monomials)
+            built.clear()
+            for op in sorted(candidates, key=guessing._sort_key):
+                for base in bases:
+                    if op is base:
+                        continue
+                    del solves[:]
+                    got = is_consequence(op, base)
+                    assert got == reference_is_consequence(
+                        op, base, support, degree, variables, monomials), (str(op), str(base))
+                    outcomes.add(got)
+                    full_check_only += not got and solves == [True]
+            assert len(built) == len(is_consequence.images) <= len(bases)
     assert outcomes == {True, False}
+    assert full_check_only
+
+
+@st.composite
+def spans(draw):
+    """Sparse integer vectors, some combinations of the others (a rank-deficient
+    set), and a target inside or outside their span."""
+    size = draw(st.integers(1, 8))
+    entry = st.integers(-3, 3)
+    gens = [draw(st.lists(entry, min_size=size, max_size=size))
+            for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2))
+        gens.append([a * x + b * y for x, y in zip(gens[0], gens[-1])])
+    coefficients = draw(st.lists(entry, min_size=len(gens), max_size=len(gens)))
+    target = [sum(c * g[k] for c, g in zip(coefficients, gens)) for k in range(size)]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, size - 1))
+        target[k] += draw(st.integers(1, 3))
+    return [{k: v for k, v in enumerate(g) if v} for g in gens], target
+
+
+@PROPERTY
+@given(spans())
+def test_span_test_on_the_chosen_rows_matches_the_full_solve(case):
+    gens, target = case
+    size = len(target)
+    rows = guessing._independent_rows(gens, size)
+    full = [[g.get(k, 0) for g in gens] for k in range(size)]
+    expected = solve_linear(full, target) is not None
+    assert guessing._in_span({k: v for k, v in enumerate(target) if v}, gens, rows) == expected
+    # the chosen rows are independent, and as many as the matrix's rank
+    chosen = [full[k] for k in rows]
+    rank = len(gens) - len(nullspace(full))
+    assert len(rows) == rank == (len(gens) - len(nullspace(chosen)) if chosen else 0)
 
 
 C_REGION = "n >= 1 and i >= 1 and 2*n-1-i >= 0"
@@ -1034,6 +1163,23 @@ def test_admissible_points_match_former_comprehension(case):
     expected = former_admissible(table, shifts)
     assert op.admissible_points(table) == expected
     assert guessing._admissible(table, shifts) == expected
+
+
+def test_admissible_points_of_two_operators_share_the_moved_sets():
+    """Two operators on one table with two shifts in common: each shift's
+    moved point set is built once, on the table, and both admissible sets
+    equal the former comprehension."""
+    points = [(n, i) for n in range(-1, 5) for i in range(-1, 2 * n + 1) if (n, i) != (2, 1)]
+    table = Table(2, {(n, i): Fraction(n - i) for n, i in points})
+    first = RecurrenceOperator.make(("n", "i"), {(0, 0): "n", (1, 0): "1", (0, 1): "i - 1"})
+    second = RecurrenceOperator.make(("n", "i"), {(0, 0): "1", (1, 0): "n", (1, 1): "2"})
+    moved = []
+    for op in (first, second):
+        assert op.admissible_points(table) == former_admissible(table, op.shifts())
+        moved.append({s: table.moved(s) for s in op.shifts()})
+    assert moved[0][(0, 0)] is moved[1][(0, 0)] and moved[0][(1, 0)] is moved[1][(1, 0)]
+    assert set(table._moved) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+    assert (1, 1) not in first.admissible_points(table)  # (2, 1) is a hole
 
 
 def reference_box_points(text, names, box):
