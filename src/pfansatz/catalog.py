@@ -27,18 +27,22 @@ deduce the diagonal value, but its residual is still zero there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
 from .guessing import RecurrenceOperator
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    target: str                     # "c" | "g" | "r"
-    name: str
-    operator: RecurrenceOperator
+    __slots__ = ("target", "name", "operator")
+
+    def __init__(self, target: str, name: str, operator: RecurrenceOperator):
+        object.__setattr__(self, "target", target)  # "c" | "g" | "r"
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "operator", operator)
+
+    def __setattr__(self, *a):
+        raise AttributeError("CatalogEntry is immutable")
 
 
 # (target, name, variables, {shift: coefficient text}) by family

@@ -21,7 +21,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -328,30 +327,32 @@ def _parse_support(text: str, arity: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(shifts)
 
 
-def _with_shifts(spec: GuessSpec, args, arity: int) -> GuessSpec:
-    """`spec` with the shifts of --order or --support for a table of `arity`."""
+def _guess_spec(args, arity: int) -> GuessSpec:
+    """The class of --degree and --margin with the shifts of --order or
+    --support, for a table of `arity`."""
+    from .guessing import GuessSpec
+
     if args.support:
-        return replace(spec, support=_parse_support(args.support, arity))
+        return GuessSpec(args.degree, support=_parse_support(args.support, arity),
+                         margin=args.margin)
     orders = _parse_orders(args.order, arity) if args.order else (2,) * arity
-    return replace(spec, orders=orders)
+    return GuessSpec(args.degree, orders=orders, margin=args.margin)
 
 
 def cmd_guess(args) -> int:
-    from .guessing import GuessingError, GuessSpec, guess_from_table
+    from .guessing import GuessingError, guess_from_table
 
     if args.order and args.support:
         raise UsageError("give at most one of --order/--support")
-    # the bounds, and a generated source's shifts, are checked here, before a
-    # family source solves its cofactor systems; a file's arity is known once
-    # it is read
-    spec = GuessSpec(degree=args.degree, margin=args.margin)
+    # a generated source's class (bounds and shifts) is checked here, before
+    # a family source solves its cofactor systems; a file's once the file is
+    # read and its arity known
     kind, sep, _ = args.source.partition(":")
     arity = _SOURCE_ARITY.get(kind) if sep else None
-    if arity is not None:
-        spec = _with_shifts(spec, args, arity)
+    spec = None if arity is None else _guess_spec(args, arity)
     table, variables = _guess_table(args.source, args.n_max)
-    if arity is None:
-        spec = _with_shifts(spec, args, table.arity)
+    if spec is None:
+        spec = _guess_spec(args, table.arity)
 
     config = {
         "source": args.source,

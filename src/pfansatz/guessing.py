@@ -25,7 +25,6 @@ shift (`Table.moved`) for every operator that finds admissible points on it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -167,14 +166,27 @@ def _monomials(nvars: int, degree: int) -> List[Tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
 class RecurrenceOperator:
     """Normalized shift operator: integer coefficients with overall content 1,
     and the graded-lex leading coefficient of the lexicographically largest
     shift positive.  Terms are sorted by shift."""
 
-    variables: Tuple[str, ...]
-    terms: Tuple[Tuple[Point, Polynomial], ...]
+    # _on_line is kept by _line()
+    __slots__ = ("variables", "terms", "_on_line")
+
+    def __init__(self, variables: Tuple[str, ...], terms: Tuple[Tuple[Point, Polynomial], ...]):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, *a):
+        raise AttributeError("RecurrenceOperator is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, RecurrenceOperator):
+            return NotImplemented
+        return self.variables == other.variables and self.terms == other.terms
+
+    __hash__ = None
 
     @classmethod
     def make(cls, variables: Sequence[str], terms) -> "RecurrenceOperator":
@@ -368,7 +380,6 @@ def apply_operator(operator: RecurrenceOperator, table: Table) -> Dict[Point, Fr
 # guessing
 
 
-@dataclass(frozen=True)
 class GuessSpec:
     """Operator class bounds plus window policy.
 
@@ -379,24 +390,31 @@ class GuessSpec:
     #unknowns + margin, and validation takes every remaining admissible point.
     """
 
-    degree: int
-    support: Optional[Tuple[Point, ...]] = None
-    orders: Optional[Tuple[int, ...]] = None
-    margin: int = 10
-    extra_equations: int = 25
+    __slots__ = ("degree", "support", "orders", "margin", "extra_equations")
 
-    def __post_init__(self):
-        for name in ("degree", "margin", "extra_equations"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+    def __init__(self, degree: int, support: Optional[Tuple[Point, ...]] = None,
+                 orders: Optional[Tuple[int, ...]] = None, margin: int = 10,
+                 extra_equations: int = 25):
+        for name, value in (("degree", degree), ("margin", margin),
+                            ("extra_equations", extra_equations)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if (support is None) == (orders is None):
+            raise ValueError("exactly one of support/orders must be set")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "extra_equations", extra_equations)
+
+    def __setattr__(self, *a):
+        raise AttributeError("GuessSpec is immutable")
 
     def effective_support(self, arity: int, points: int) -> Tuple[Point, ...]:
         """The support's shifts, sorted.  UnderdeterminedData, with 0 usable
         equations, when there are more of them than `points`, the size of
         the table: no point is then admissible, since p + s is a distinct
         table point for each shift s, and a box that large is not listed."""
-        if (self.support is None) == (self.orders is None):
-            raise ValueError("exactly one of support/orders must be set")
         if self.support is not None:
             supp = tuple(sorted(tuple(int(c) for c in s) for s in self.support))
             if any(len(s) != arity for s in supp):
@@ -422,18 +440,34 @@ class GuessSpec:
         return shifts * comb(self.degree + arity, arity)
 
 
-@dataclass(frozen=True)
+# The operator classes `pipeline.certify` guesses in: the smallest ones
+# containing true operators for the built-in families (the ratio sequences
+# satisfy first-order recurrences; the cofactor and orthogonality grids have
+# small mixed operators).  On ranges too short to determine them the guesses
+# degrade to recorded diagnostics without affecting the verdict.
+R_SPEC = GuessSpec(degree=2, orders=(1,), margin=2, extra_equations=10)
+C_SPEC = GuessSpec(degree=4, orders=(1, 2))
+G_SPEC = GuessSpec(degree=2, orders=(0, 2))
+
+
 class GuessResult:
-    operators: Tuple[RecurrenceOperator, ...]
-    variables: Tuple[str, ...]
-    support: Tuple[Point, ...]
-    degree: int
-    unknowns: int
-    data_window: Tuple[Point, ...]
-    validation_window: Tuple[Point, ...]
-    margin: int
-    rejected_by_validation: int
-    reduced_away: int
+    __slots__ = ("operators", "variables", "support", "degree", "unknowns", "data_window",
+                 "validation_window", "margin", "rejected_by_validation", "reduced_away")
+
+    def __init__(self, operators: Tuple[RecurrenceOperator, ...], variables: Tuple[str, ...],
+                 support: Tuple[Point, ...], degree: int, unknowns: int,
+                 data_window: Tuple[Point, ...], validation_window: Tuple[Point, ...],
+                 margin: int, rejected_by_validation: int, reduced_away: int):
+        self.operators = operators
+        self.variables = variables
+        self.support = support
+        self.degree = degree
+        self.unknowns = unknowns
+        self.data_window = data_window
+        self.validation_window = validation_window
+        self.margin = margin
+        self.rejected_by_validation = rejected_by_validation
+        self.reduced_away = reduced_away
 
     def to_json_dict(self) -> dict:
         return {
@@ -762,21 +796,25 @@ _RELATIONS = {
 }
 
 
-@dataclass(frozen=True)
 class Constraint:
-    poly: Polynomial  # lhs - rhs, compared against 0
-    relation: str
+    __slots__ = ("poly", "relation")
+
+    def __init__(self, poly: Polynomial, relation: str):
+        self.poly = poly  # lhs - rhs, compared against 0
+        self.relation = relation
 
     def satisfied(self, point: Dict[str, int]) -> bool:
         return _RELATIONS[self.relation](self.poly.eval(point), 0)
 
 
-@dataclass(frozen=True)
 class Region:
     """Conjunction of linear (or polynomial) inequality constraints."""
 
-    constraints: Tuple[Constraint, ...]
-    text: str
+    __slots__ = ("constraints", "text")
+
+    def __init__(self, constraints: Tuple[Constraint, ...], text: str):
+        self.constraints = constraints
+        self.text = text
 
     @classmethod
     def parse(cls, text: str) -> "Region":
@@ -808,17 +846,22 @@ class Region:
         return True
 
 
-@dataclass(frozen=True)
 class LeadingReport:
     """Where the leading coefficient of an operator vanishes on a region."""
 
-    leading_shift: Point
-    leading_coefficient: str
-    mode: str  # "exact" or "window"
-    vanishing: Tuple[Dict[str, int], ...]
-    boundary: Tuple[dict, ...]
-    window: Optional[dict]
-    region: str
+    __slots__ = ("leading_shift", "leading_coefficient", "mode", "vanishing", "boundary",
+                 "window", "region")
+
+    def __init__(self, leading_shift: Point, leading_coefficient: str, mode: str,
+                 vanishing: Tuple[Dict[str, int], ...], boundary: Tuple[dict, ...],
+                 window: Optional[dict], region: str):
+        self.leading_shift = leading_shift
+        self.leading_coefficient = leading_coefficient
+        self.mode = mode  # "exact" or "window"
+        self.vanishing = vanishing
+        self.boundary = boundary
+        self.window = window
+        self.region = region
 
     @property
     def clear(self) -> bool:

@@ -59,7 +59,6 @@ exact echelon (unlikely at 63 bits) costs only the exact path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, prod
@@ -75,14 +74,24 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
 class LinearSolution:
     """x = vector / denominator: the denominator is 1 for a rational system
     and the last Bareiss pivot for a system over Q[x]."""
 
-    vector: tuple
-    unique: bool
-    denominator: Union[int, Polynomial]
+    __slots__ = ("vector", "unique", "denominator")
+
+    def __init__(self, vector: tuple, unique: bool, denominator: Union[int, Polynomial]):
+        self.vector = vector
+        self.unique = unique
+        self.denominator = denominator
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearSolution):
+            return NotImplemented
+        return ((self.vector, self.unique, self.denominator)
+                == (other.vector, other.unique, other.denominator))
+
+    __hash__ = None
 
 
 def _coerce_rows(matrix) -> list:

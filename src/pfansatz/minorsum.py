@@ -14,7 +14,6 @@ Conventions: partitions are nonincreasing tuples of positive integers
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import List, Sequence, Tuple
@@ -97,11 +96,13 @@ def build_H(rows: int, cols: int) -> List[List[Fraction]]:
     return [[motzkin_triangle(i, j) for j in range(1, cols + 1)] for i in range(1, rows + 1)]
 
 
-@dataclass(frozen=True)
 class MinorSumTerm:
-    partition: Tuple[int, ...]
-    columns: Tuple[int, ...]
-    minor: Fraction
+    __slots__ = ("partition", "columns", "minor")
+
+    def __init__(self, partition: Tuple[int, ...], columns: Tuple[int, ...], minor: Fraction):
+        self.partition = partition
+        self.columns = columns
+        self.minor = minor
 
 
 def theorem4_terms(n: int) -> List[MinorSumTerm]:
@@ -173,12 +174,14 @@ def msf_lhs_bruteforce(T: Sequence[Sequence[Fraction]], A: SkewMatrix) -> Fracti
     return total
 
 
-@dataclass(frozen=True)
 class MsfReport:
-    rows: int
-    dim: int
-    lhs: Fraction
-    pfaffian: Fraction
+    __slots__ = ("rows", "dim", "lhs", "pfaffian")
+
+    def __init__(self, rows: int, dim: int, lhs: Fraction, pfaffian: Fraction):
+        self.rows = rows
+        self.dim = dim
+        self.lhs = lhs
+        self.pfaffian = pfaffian
 
     @property
     def equal(self) -> bool:
@@ -214,12 +217,15 @@ def _gauss_factor(k: int, i: int) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
 class OkinawaReport:
-    i_max: int
-    j_max: int
-    checked: int
-    failures: Tuple[Tuple[int, int], ...]
+    __slots__ = ("i_max", "j_max", "checked", "failures")
+
+    def __init__(self, i_max: int, j_max: int, checked: int,
+                 failures: Tuple[Tuple[int, int], ...]):
+        self.i_max = i_max
+        self.j_max = j_max
+        self.checked = checked
+        self.failures = failures
 
     @property
     def all_equal(self) -> bool:

@@ -21,21 +21,10 @@ The checks carry semantic labels:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ._version import __version__
-from .guessing import (
-    GuessingError,
-    GuessSpec,
-    GuessResult,
-    Region,
-    Table,
-    apply_operator,
-    guess_from_table,
-    leading_nonvanishing,
-)
 from .pfaffian import SingularCofactorSystem, SkewMatrix, cofactor_vector, pf_eliminate
 from .poly import (
     Entry,
@@ -49,17 +38,22 @@ from .poly import (
 )
 from .sequences import MatrixFamily, family_from_descriptor
 
+if TYPE_CHECKING:
+    from .guessing import GuessResult, Table
+
 
 # ---------------------------------------------------------------------------
 # closed forms
 
 
-@dataclass(frozen=True)
 class ClosedForm:
     """Opaque exact evaluator n -> b_{2n} with b_0 = evaluate(0) = 1."""
 
-    description: str
-    fn: Callable[[int], Entry]
+    __slots__ = ("description", "fn")
+
+    def __init__(self, description: str, fn: Callable[[int], Entry]):
+        self.description = description
+        self.fn = fn
 
     def evaluate(self, n: int) -> Entry:
         if n < 0:
@@ -175,7 +169,6 @@ def closed_form_from_text(text: str) -> ClosedForm:
 TABLE_VARIABLES = {"c": ("n", "i"), "g": ("n", "j"), "r": ("n",)}
 
 
-@dataclass(frozen=True)
 class CofactorRows:
     """The normalized cofactor row at each solved size 2n, with its
     contraction: rows[n] = (c, den, g), c = [c_{2n,1}, .., c_{2n,2n-1}] and
@@ -184,8 +177,12 @@ class CofactorRows:
     j < 2n and carries the ratio on the diagonal j = 2n.  Sizes whose
     normalized system is singular are under `singular` instead."""
 
-    rows: Dict[int, Tuple[List[Entry], Entry, List[Entry]]]
-    singular: Dict[int, str]
+    __slots__ = ("rows", "singular")
+
+    def __init__(self, rows: Dict[int, Tuple[List[Entry], Entry, List[Entry]]],
+                 singular: Dict[int, str]):
+        self.rows = rows
+        self.singular = singular
 
     def get(self, n: int, i: int) -> Optional[Entry]:
         """The numerator of c_{2n,i}, zero outside 1 <= i <= 2n-1; None
@@ -208,6 +205,8 @@ class CofactorRows:
         """The guessing table "c" (the zero extension materialized to a
         margin of 4 on each side of 1 <= i <= 2n-1), "g" or "r" (the
         ratios); its variables are TABLE_VARIABLES[kind]."""
+        from .guessing import Table
+
         if kind == "r":
             points = {(n,): g for n, (g, _) in enumerate(self.ratios(), start=1)}
         elif kind == "c":
@@ -333,28 +332,23 @@ def ratio_sequence(family: MatrixFamily, ratios: List[Tuple[Entry, Entry]],
 # certification
 
 
-# The operator classes `certify` guesses in: the smallest ones containing
-# true operators for the built-in families (the ratio sequences satisfy
-# first-order recurrences; the cofactor and orthogonality grids have small
-# mixed operators).  On ranges too short to determine them the guesses
-# degrade to recorded diagnostics without affecting the verdict.
-R_SPEC = GuessSpec(degree=2, orders=(1,), margin=2, extra_equations=10)
-C_SPEC = GuessSpec(degree=4, orders=(1, 2))
-G_SPEC = GuessSpec(degree=2, orders=(0, 2))
-
-
-@dataclass
 class CertificationReport:
-    family: str
-    closed_form: str
-    n_max: int
-    verdict: str                      # certified-at-scale | refuted | inapplicable
-    checks: Dict[str, dict]
-    witness: Optional[dict]
-    ratios: List[str]
-    pfaffians: List[str]
-    singular: Dict[int, str]
-    operators: Dict[str, dict]
+    __slots__ = ("family", "closed_form", "n_max", "verdict", "checks", "witness", "ratios",
+                 "pfaffians", "singular", "operators")
+
+    def __init__(self, family: str, closed_form: str, n_max: int, verdict: str,
+                 checks: Dict[str, dict], witness: Optional[dict], ratios: List[str],
+                 pfaffians: List[str], singular: Dict[int, str], operators: Dict[str, dict]):
+        self.family = family
+        self.closed_form = closed_form
+        self.n_max = n_max
+        self.verdict = verdict  # certified-at-scale | refuted | inapplicable
+        self.checks = checks
+        self.witness = witness
+        self.ratios = ratios
+        self.pfaffians = pfaffians
+        self.singular = singular
+        self.operators = operators
 
     def to_json_dict(self) -> dict:
         return {
@@ -400,21 +394,19 @@ class CertificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _guess_section(result_or_error, region: Optional[str] = None,
-                   window: Optional[dict] = None) -> dict:
-    if isinstance(result_or_error, GuessResult):
-        section = {"status": "ok", **result_or_error.to_json_dict()}
-        if region is not None:
-            region = Region.parse(region)
-            leads = []
-            for op in result_or_error.operators:
-                try:
-                    leads.append(leading_nonvanishing(op, region, window).to_json_dict())
-                except (GuessingError, ValueError) as e:
-                    leads.append({"error": str(e)})
-            section["leading"] = leads
-        return section
-    return {"status": "diagnostic", "detail": str(result_or_error)}
+def _guess_section(result: GuessResult, region: str, window: Optional[dict]) -> dict:
+    """A guess's report section, with where each operator's leading
+    coefficient vanishes on `region`."""
+    from .guessing import GuessingError, Region, leading_nonvanishing
+
+    region = Region.parse(region)
+    leads = []
+    for op in result.operators:
+        try:
+            leads.append(leading_nonvanishing(op, region, window).to_json_dict())
+        except (GuessingError, ValueError) as e:
+            leads.append({"error": str(e)})
+    return {"status": "ok", **result.to_json_dict(), "leading": leads}
 
 
 def certify(
@@ -495,10 +487,12 @@ def certify(
                       "this family is symbolic",
         }
     else:
-        # imported here: no other command needs the catalog, and compiling
-        # it costs start-up time where no bytecode cache is kept; it builds a
-        # family's operators on that family's first lookup
+        # imported here: no other command needs the catalog or guessing, and
+        # compiling them costs start-up time where no bytecode cache is kept;
+        # the catalog builds a family's operators on that family's first lookup
         from .catalog import known_operators
+        from .guessing import (C_SPEC, G_SPEC, R_SPEC, GuessingError, apply_operator,
+                               guess_from_table)
 
         tables = {kind: rows.table(kind) for kind in ("c", "g", "r")}
         known = known_operators(family.name)
@@ -532,10 +526,11 @@ def certify(
         ):
             say(message)
             try:
-                operators[kind] = _guess_section(
-                    guess_from_table(tables[kind], spec, TABLE_VARIABLES[kind]), region, window)
+                result = guess_from_table(tables[kind], spec, TABLE_VARIABLES[kind])
             except GuessingError as e:
-                operators[kind] = _guess_section(e)
+                operators[kind] = {"status": "diagnostic", "detail": str(e)}
+            else:
+                operators[kind] = _guess_section(result, region, window)
 
     return CertificationReport(
         family=family.descriptor,
@@ -555,13 +550,16 @@ def certify(
 # scaled family conjecture
 
 
-@dataclass(frozen=True)
 class ConjectureReport:
-    k: int
-    variant: str
-    n_max: int
-    rows: Tuple[dict, ...]
-    all_match: bool
+    __slots__ = ("k", "variant", "n_max", "rows", "all_match")
+
+    def __init__(self, k: int, variant: str, n_max: int, rows: Tuple[dict, ...],
+                 all_match: bool):
+        self.k = k
+        self.variant = variant
+        self.n_max = n_max
+        self.rows = rows
+        self.all_match = all_match
 
     def to_json_dict(self) -> dict:
         return {

@@ -11,7 +11,6 @@ readers are safe.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable, Optional, Union
@@ -152,16 +151,22 @@ def motzkin_column(k: int, i: int) -> Fraction:
 # skew matrix families
 
 
-@dataclass(frozen=True)
 class MatrixFamily:
     """The skew-symmetric matrices a(i, j) = (j - i) * moment(i + j) of every
     even dimension, 1-based, named by a descriptor.  The moments are
     Fractions, or Polynomials in x for a symbolic family."""
 
-    name: str
-    descriptor: str
-    moment: Callable[[int], Entry]
-    x: Optional[Fraction] = None
+    __slots__ = ("name", "descriptor", "moment", "x")
+
+    def __init__(self, name: str, descriptor: str, moment: Callable[[int], Entry],
+                 x: Optional[Fraction] = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "descriptor", descriptor)
+        object.__setattr__(self, "moment", moment)
+        object.__setattr__(self, "x", x)
+
+    def __setattr__(self, *a):
+        raise AttributeError("MatrixFamily is immutable")
 
     @property
     def symbolic(self) -> bool:

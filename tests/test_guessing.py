@@ -855,6 +855,12 @@ def test_guess_spec_rejects_negative_bounds():
     GuessSpec(degree=0, orders=(1,), margin=0, extra_equations=0)
 
 
+def test_guess_spec_needs_exactly_one_of_support_and_orders():
+    for shifts in ({}, {"support": ((0,), (1,)), "orders": (1,)}):
+        with pytest.raises(ValueError, match="exactly one of support/orders"):
+            GuessSpec(degree=1, **shifts)
+
+
 # ---------------------------------------------------------------------------
 # consequence reduction and the window scan, against the constructions they
 # replaced (copies kept here as the oracles)

@@ -1,8 +1,8 @@
 """No module imports a name it never reads, `src/` defines no private
 function, class or method that `src/` never reads, the package exports no
 name that `src/` never reads unless README names it, every function the
-benchmark's layer tracer wraps still exists, and each command loads only
-the modules it runs.
+benchmark's layer tracer wraps still exists, each command loads only the
+modules it runs, and no command loads `dataclasses` or `inspect`.
 
 The import scan covers `src/pfansatz/*.py` (except `__init__.py`, whose
 imports are the package's re-exports) and `tests/*.py`.  A name counts as
@@ -197,10 +197,10 @@ PFAFFIAN_MODULES = ["pfansatz", "pfansatz._version", "pfansatz.cli", "pfansatz.l
                     "pfansatz.pfaffian", "pfansatz.poly", "pfansatz.sequences"]
 
 
-def run_probe(source: str, *argv) -> object:
+def run_probe(source: str, *argv, flags: tuple = ()) -> object:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", source, *argv], env=env,
+    done = subprocess.run([sys.executable, *flags, "-c", source, *argv], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -224,6 +224,49 @@ def test_minor_sum_loads_no_guessing_or_pipeline():
     assert code == 0
     assert "pfansatz.minorsum" in modules
     assert not {"pfansatz.guessing", "pfansatz.pipeline", "pfansatz.catalog"} & set(modules)
+
+
+def test_conjecture_and_symbolic_certify_load_no_guessing_or_catalog():
+    for argv in (("conjecture", "--k", "3", "--n-max", "4"),
+                 ("certify", "--family", "narayana:x=sym", "--n-max", "3")):
+        code, modules = run_probe(CLI_PROBE, *argv)
+        assert code == 0
+        assert "pfansatz.pipeline" in modules
+        assert not {"pfansatz.guessing", "pfansatz.catalog"} & set(modules)
+
+
+# Runs each argv of the JSON list in its first argument through
+# `pfansatz.cli` in one interpreter, and prints, per argv, the exit status
+# and which of `dataclasses` and `inspect` are loaded after it.
+STDLIB_PROBE = """
+import contextlib, io, json, sys
+import pfansatz.cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = pfansatz.cli.main(argv)
+    seen.append([code, sorted({"dataclasses", "inspect"} & set(sys.modules))])
+print(json.dumps(seen))
+"""
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    """Under `python -S`, so that no site hook preloads these modules or
+    hides them."""
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"dim": 4, "upper": [[1, 2, "3"], [3, 4, "2/5"], [1, 4, "x"]]}))
+    commands = [
+        ["pfaffian", "--family", "motzkin", "--dim", "6"],
+        ["pfaffian", "--file", str(path)],
+        ["certify", "--family", "motzkin", "--n-max", "4"],
+        ["certify", "--family", "narayana:x=sym", "--n-max", "3"],
+        ["guess", "--source", "c:motzkin"],
+        ["conjecture", "--k", "3", "--n-max", "4"],
+        ["minor-sum", "--n", "3"],
+        ["selftest"],
+    ]
+    seen = run_probe(STDLIB_PROBE, json.dumps(commands), flags=("-S",))
+    assert seen == [[0, []]] * len(commands)
 
 
 def test_every_export_resolves_and_star_import_binds_it():

@@ -3,7 +3,6 @@ closed forms, certification verdicts, and the scaled-family checker."""
 
 import importlib.util
 import os
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -300,7 +299,7 @@ def test_an_operator_off_by_one_costs_only_solves(monkeypatch):
         assert first.name == "c-mixed-order-1"
         terms = {s: c + 1 if s == (-1, 1) else c for s, c in first.operator.terms}
         wrong = RecurrenceOperator.make(first.operator.variables, terms)
-        return (replace(first, operator=wrong), *rest)
+        return (catalog.CatalogEntry(first.target, first.name, wrong), *rest)
 
     def c_table_with_the_wrong_operator(*args, **kwargs):
         with monkeypatch.context() as m:
@@ -315,6 +314,20 @@ def test_an_operator_off_by_one_costs_only_solves(monkeypatch):
     report = "".join(line for line in lines if not line.startswith('  "version": '))
     with open(os.path.join(DATA, "certify_motzkin.json"), encoding="utf-8", newline="") as fh:
         assert report == fh.read()
+
+
+def test_shared_records_are_immutable():
+    """Guess classes, catalog entries, operators and families are shared or
+    cached, so no field of theirs can be reassigned."""
+    from pfansatz import catalog
+    from pfansatz.guessing import C_SPEC
+
+    entry = catalog.known_operators("motzkin")[0]
+    for record, field in ((C_SPEC, "degree"), (entry, "operator"),
+                          (entry.operator, "terms"), (MOTZKIN, "moment")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(record, field, None)
+    assert C_SPEC.degree == 4 and entry.operator.terms and MOTZKIN.moment(3) == 1
 
 
 def test_no_row_is_generated_past_a_vanishing_pfaffian(monkeypatch):
