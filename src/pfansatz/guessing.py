@@ -8,16 +8,17 @@ Guessing works on a table's integer form, its values over one table-wide
 denominator D.  It builds one integer equation row per data-window point,
 with one unknown per (shift, coefficient-monomial) pair, takes an exact
 nullspace of those rows, and confirms every candidate at each point of the
-disjoint validation window before reporting it: one packed int sum per
-point holds every candidate's exact dot product with that point's
-equation, and only when one is nonzero are the validation rows built.
-The windows are derived deterministically.  A candidate that is a
+disjoint validation window before reporting it: the kernel, packed into
+one operator (`_packed_rejects`), has at each point one int sum that
+holds every candidate's exact dot product with that point's equation,
+and only when one is nonzero are the validation rows built.  The windows
+are derived deterministically.  A candidate that is a
 combination of the shifted and multiplied images of an operator kept
 before it is reduced away; each kept operator's images are built once per
 guess (`_Consequences`).
 
-Residuals and `solve_at` evaluate each coefficient by integer Horner in the
-last coordinate, from ints computed once per line of points
+Residuals, `solve_at` and validation evaluate each coefficient by integer
+Horner in the last coordinate, from ints computed once per line of points
 (`RecurrenceOperator._line`), and a table keeps the point set moved by each
 shift (`Table.moved`) for every operator that finds admissible points on it.
 """
@@ -166,10 +167,17 @@ def _monomials(nvars: int, degree: int) -> List[Tuple[int, ...]]:
     return out
 
 
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    total = 0
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
 class RecurrenceOperator:
-    """Normalized shift operator: integer coefficients with overall content 1,
-    and the graded-lex leading coefficient of the lexicographically largest
-    shift positive.  Terms are sorted by shift."""
+    """Shift operator, normalized by `make`: integer coefficients with overall
+    content 1, and the graded-lex leading coefficient of the lexicographically
+    largest shift positive.  Terms are sorted by shift."""
 
     # _on_line is kept by _line()
     __slots__ = ("variables", "terms", "_on_line")
@@ -300,10 +308,7 @@ class RecurrenceOperator:
         total = 0
         for (_, _, _, coeffs), v in zip(terms, shifted):
             if v:
-                c = 0
-                for a in reversed(coeffs):
-                    c = c * x + a
-                total += c * v
+                total += _horner(coeffs, x) * v
         return Fraction(total, den)
 
     def residual_at(self, table: Table, point: Point) -> Optional[Fraction]:
@@ -325,9 +330,6 @@ class RecurrenceOperator:
             return None
         rest = self._sum_at(value, point, [t for t in terms if any(t[0])])
         return None if rest is None else -rest / lead
-
-    def admissible_points(self, table: Table) -> List[Point]:
-        return _admissible(table, self.shifts())
 
     # -- serialization -----------------------------------------------------
 
@@ -370,7 +372,7 @@ def _admissible(table: Table, shifts: Sequence[Point]) -> List[Point]:
 def apply_operator(operator: RecurrenceOperator, table: Table) -> Dict[Point, Fraction]:
     """Residuals of the operator at every admissible point of the table;
     CoverageError when there is none."""
-    pts = operator.admissible_points(table)
+    pts = _admissible(table, operator.shifts())
     if not pts:
         raise CoverageError("no point has full data coverage for this support")
     return {p: operator.residual_at(table, p) for p in pts}
@@ -497,15 +499,21 @@ def _sort_key(op: RecurrenceOperator):
     )
 
 
+def _vector_terms(variables: Tuple[str, ...], support: Tuple[Point, ...],
+                  monomials: List[Tuple[int, ...]], vec: Sequence[int]) -> List[Tuple[Point, Polynomial]]:
+    """(shift, coefficient) per shift of the support, read from `vec`, one
+    coordinate per (shift, monomial) pair."""
+    coeffs = iter(vec)
+    return [(s, Polynomial(variables, dict(zip(monomials, coeffs)))) for s in support]
+
+
 def _operator_from_vector(
     variables: Tuple[str, ...],
     support: Tuple[Point, ...],
     monomials: List[Tuple[int, ...]],
     vec: Sequence[int],
 ) -> RecurrenceOperator:
-    coeffs = iter(vec)
-    terms = {s: Polynomial(variables, dict(zip(monomials, coeffs))) for s in support}
-    return RecurrenceOperator.make(variables, terms)
+    return RecurrenceOperator.make(variables, _vector_terms(variables, support, monomials, vec))
 
 
 def _powers(p: Point, monomials: List[Tuple[int, ...]]) -> List[int]:
@@ -542,27 +550,21 @@ def _equation_row(
 def _packed_rejects(table: Table, support: Tuple[Point, ...], monomials: List[Tuple[int, ...]],
                     points: Sequence[Point], kernel: List[tuple]) -> bool:
     """True iff at one of `points` some kernel vector's equation does not
-    vanish, by one int sum per point against the kernel's packed columns:
-    values times monomial powers times packed coordinates.  An equation row
-    (in the table's integer form) has sum|a| at most
+    vanish.  The kernel's packed columns are read as one operator, one
+    coefficient per shift whose coordinates do not all vanish; its sum at a
+    point over the table's integer form is the int sum_k dot_k * 2^(s*k),
+    dot_k vector k's dot product with the equation there, whatever order
+    evaluates it, and the slots hold each dot_k (`_packed_columns`): an
+    equation row (in the table's integer form) has sum|a| at most
     |support| * max|value| * |monomials| * max|coordinate|^degree."""
-    ints, _ = table.int_form()
+    ints, den = table.int_form()
     reach = max([1] + [abs(c) for p in points for c in p])
     weight = (len(support) * max(map(abs, ints.values())) * len(monomials)
               * reach ** max(map(sum, monomials)))
-    packed = _packed_columns(kernel, weight)
-    width = len(monomials)
-    by_shift = list(zip(support, (packed[k:k + width] for k in range(0, len(packed), width))))
-    for p in points:
-        powers = _powers(p, monomials)
-        total = 0
-        for shift, coords in by_shift:
-            v = ints[tuple(map(operator.add, p, shift))]
-            if v:
-                total += v * sum(map(operator.mul, powers, coords))
-        if total:
-            return True
-    return False
+    names = tuple(f"x{k}" for k in range(table.arity))
+    packed = _vector_terms(names, support, monomials, _packed_columns(kernel, weight))
+    op = RecurrenceOperator(names, tuple((s, c) for s, c in packed if c))
+    return any(op._sum_at(ints.get, p, op._line(p), den) for p in points)
 
 
 def guess_from_table(table: Table, spec: GuessSpec, variables: Sequence[str]) -> GuessResult:
@@ -730,13 +732,6 @@ def _independent_rows(gens: List[Dict[int, int]], size: int) -> List[int]:
 
 # ---------------------------------------------------------------------------
 # integer roots and leading-coefficient analysis
-
-
-def _horner(coeffs: Sequence[int], x: int) -> int:
-    total = 0
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
 
 
 def _root_brackets(coeffs: Sequence[int], lo: int, hi: int) -> List[int]:

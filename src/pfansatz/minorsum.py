@@ -175,11 +175,9 @@ def msf_lhs_bruteforce(T: Sequence[Sequence[Fraction]], A: SkewMatrix) -> Fracti
 
 
 class MsfReport:
-    __slots__ = ("rows", "dim", "lhs", "pfaffian")
+    __slots__ = ("lhs", "pfaffian")
 
-    def __init__(self, rows: int, dim: int, lhs: Fraction, pfaffian: Fraction):
-        self.rows = rows
-        self.dim = dim
+    def __init__(self, lhs: Fraction, pfaffian: Fraction):
         self.lhs = lhs
         self.pfaffian = pfaffian
 
@@ -191,7 +189,7 @@ class MsfReport:
 def verify_msf(T: Sequence[Sequence[Fraction]], A: SkewMatrix) -> MsfReport:
     """Full-enumeration left side against Pf(T A T^t) (dual-path Q)."""
     q = msf_Q(T, A)
-    return MsfReport(len(T), A.dim, msf_lhs_bruteforce(T, A), pf_eliminate(q))
+    return MsfReport(msf_lhs_bruteforce(T, A), pf_eliminate(q))
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +216,9 @@ def _gauss_factor(k: int, i: int) -> Fraction:
 
 
 class OkinawaReport:
-    __slots__ = ("i_max", "j_max", "checked", "failures")
+    __slots__ = ("checked", "failures")
 
-    def __init__(self, i_max: int, j_max: int, checked: int,
-                 failures: Tuple[Tuple[int, int], ...]):
-        self.i_max = i_max
-        self.j_max = j_max
+    def __init__(self, checked: int, failures: Tuple[Tuple[int, int], ...]):
         self.checked = checked
         self.failures = failures
 
@@ -241,4 +236,4 @@ def verify_okinawa(i_max: int, j_max: int) -> OkinawaReport:
             checked += 1
             if okinawa_lhs(i, j) != okinawa_rhs(i, j):
                 failures.append((i, j))
-    return OkinawaReport(i_max, j_max, checked, tuple(failures))
+    return OkinawaReport(checked, tuple(failures))

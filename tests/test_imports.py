@@ -77,7 +77,8 @@ def _is_private(name: str) -> bool:
 
 def unread_private_definitions(sources: dict) -> list:
     """(file, line, name) of each private definition in `sources` (file
-    name -> text) that no file in `sources` reads."""
+    name -> text) that no file in `sources` reads: a function, class or
+    method, or a name a module-level assignment binds."""
     defined, read = [], set()
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for name, source in sources.items():
@@ -86,6 +87,12 @@ def unread_private_definitions(sources: dict) -> list:
         for node in tree.body + [m for c in classes for m in c.body]:
             if isinstance(node, kinds) and _is_private(node.name):
                 defined.append((name, node.lineno, node.name))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(name, t.lineno, t.id) for target in targets
+                            for t in ast.walk(target)
+                            if isinstance(t, ast.Name) and _is_private(t.id)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -107,8 +114,11 @@ def test_the_scan_finds_an_unread_private_definition():
                 "    def __repr__(self):\n        return self._shown()\n\n"
                 "    def _shown(self):\n        return ''\n",
         "b.py": "from .a import _kept\n\n_Box()\n",
+        "c.py": "_USED = 1\n_SPARE, _READ = 2, 3\n_TYPED: int = 4\n__all__ = []\n\n\n"
+                "def f():\n    _local = _USED + _READ\n    return _local\n",
     }
-    assert unread_private_definitions(sources) == [("a.py", 5, "_left"), ("a.py", 10, "_unused")]
+    assert unread_private_definitions(sources) == [
+        ("a.py", 5, "_left"), ("a.py", 10, "_unused"), ("c.py", 2, "_SPARE"), ("c.py", 3, "_TYPED")]
 
 
 def unresolved_targets(source: str) -> list:

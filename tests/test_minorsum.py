@@ -336,7 +336,6 @@ def test_verify_msf_random_instances(rows, dim):
         A = random_skew(rng, dim)
         report = verify_msf(T, A)
         assert report.equal, (report.lhs, report.pfaffian)
-        assert report.rows == rows and report.dim == dim
 
 
 def test_verify_msf_more_rows_than_columns_gives_zero():
