@@ -33,7 +33,6 @@ from itertools import accumulate
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import solve_linear
 from .poly import (
     Entry,
     ParseBudget,
@@ -394,6 +393,9 @@ def cofactor_vector(A: SkewMatrix) -> Tuple[List[Entry], Entry]:
     SingularCofactorSystem when that system has no unique solution
     (equivalently, the normalizing sub-Pfaffian vanishes).
     """
+    # imported at its one use, so that the `pfaffian` command never compiles linalg
+    from .linalg import solve_linear
+
     m = A.dim
     if m < 2:
         raise ValueError("cofactor vector needs dim >= 2")

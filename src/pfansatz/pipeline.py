@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import product
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ._version import __version__
@@ -295,12 +297,104 @@ def check_identity2(row: List[Entry], den: Entry, moments: List[Entry],
     """[g(1), .., g(j_max)]: a cofactor row, numerators over `den`, contracted
     with the columns of a(i, j) = (j - i) * moments[i + j].  Over Q the row
     and moments are ints, `den` the product of their denominators, and g(j)
-    is one int sum over `den`; over Q[x] g(j) is the polynomial sum, the
-    numerator of the contraction over `den`."""
+    is one int sum over `den`.  Over Q[x] (any Polynomial among the row and
+    the moments it reads) g(j) is the polynomial sum, the numerator of the
+    contraction over `den`, over the union of the inputs' variables in order
+    of first appearance, the row's first; it is computed in packed integers
+    (Kronecker substitution), sharing no product code with the solve whose
+    rows it checks.
+
+    Write the row's coefficients as ints R over one denominator D_c and the
+    moments' as ints M over D_m.  An exponent vector e goes to the position
+    sum_k e_k * prod_{l<k} r_l, r_l = 1 + the row's and the moments' largest
+    degrees in variable l, so the exponents of a product add without
+    carrying from one position into the next.  Each polynomial is packed
+    once as its value at X = 2^s, and g(j) = sum_i (j - i) C_i M_{i+j} is
+    one int sum.  Every coefficient of g(j) times D_c*D_m is bounded by
+
+        B = W * sum_i ||R_i||_1 * max_s ||M_s||_inf,
+
+    W the largest |j - i|, ||.||_1 the sum and ||.||_inf the largest of the
+    absolute values of the coefficients.  With 2^(s-1) > B, and > every
+    input coefficient, each coefficient sits in its own balanced base-2^s
+    digit, so the digits of g(j) decode uniquely to its coefficients over
+    D_c*D_m."""
+    used = moments[2:len(row) + j_max + 1]  # i + j runs over 2 .. len(row) + j_max
+    if any(isinstance(v, Polynomial) for v in (*row, *used)):
+        return _packed_contraction(row, used, j_max)
     out = []
     for j in range(1, j_max + 1):
         total = sum((j - i) * c * moments[i + j] for i, c in enumerate(row, 1))
         out.append(Fraction(total, den) if isinstance(total, int) else total)
+    return out
+
+
+def _terms_over(value: Entry, variables: tuple) -> list:
+    """The (exponent, coefficient) pairs of a Polynomial or rational over
+    `variables`."""
+    if isinstance(value, Polynomial):
+        return list(value.with_variables(variables).terms.items())
+    return [((0,) * len(variables), value)] if value else []
+
+
+def _packed_contraction(row: List[Entry], used: List[Entry], j_max: int) -> List[Polynomial]:
+    """`check_identity2` over Q[x]; `used` holds moments[2 ..]."""
+    variables = tuple(dict.fromkeys(
+        v for p in (*row, *used) if isinstance(p, Polynomial) for v in p.variables))
+    row_terms = [_terms_over(v, variables) for v in row]
+    mom_terms = [_terms_over(v, variables) for v in used]
+    radix = [1 + max((e[k] for p in row_terms for e, _ in p), default=0)
+             + max((e[k] for p in mom_terms for e, _ in p), default=0)
+             for k in range(len(variables))]
+    weights = [1]
+    for r in radix:
+        weights.append(weights[-1] * r)
+    row_ints, d_c = over_common_denominator([c for p in row_terms for _, c in p])
+    mom_ints, d_m = over_common_denominator([c for p in mom_terms for _, c in p])
+    width = max(len(row) - 1, j_max - 1)  # W, the largest |j - i|
+    bound = width * sum(map(abs, row_ints)) * max(map(abs, mom_ints), default=0)
+    largest = max([bound, *map(abs, row_ints), *map(abs, mom_ints)])
+    slot = (largest.bit_length() + 8) // 8  # bytes per digit: 2^(8*slot-1) > largest
+    half = 1 << (8 * slot - 1)
+    pad = half.to_bytes(slot, "little")
+
+    def offset(length: int) -> int:
+        """The packed value of `length` digits of `half`."""
+        return int.from_bytes(pad * length, "little")
+
+    def packed(terms_list: list, ints: list) -> list:
+        coefficients = iter(ints)
+        out = []
+        for terms in terms_list:
+            positions = [sum(map(mul, e, weights)) for e, _ in terms]
+            digits = [half] * (max(positions, default=0) + 1)
+            for pos in positions:
+                digits[pos] += next(coefficients)
+            out.append(int.from_bytes(b"".join(d.to_bytes(slot, "little") for d in digits),
+                                      "little") - offset(len(digits)))
+        return out
+
+    cs = packed(row_terms, row_ints)
+    ms = [0, 0] + packed(mom_terms, mom_ints)  # ms[s] is moments[s] packed
+    slots = weights[-1]
+    lift = offset(slots)
+    exponents = [tuple(reversed(e)) for e in product(*(range(r) for r in reversed(radix)))]
+    den = d_c * d_m
+    out = []
+    for j in range(1, j_max + 1):
+        total = sum((j - i) * c * ms[i + j] for i, c in enumerate(cs, 1))
+        terms = {}
+        if total:
+            digits = (total + lift).to_bytes(slots * slot, "little")
+            for pos in range(slots):
+                d = int.from_bytes(digits[pos * slot:(pos + 1) * slot], "little") - half
+                if d:
+                    if den != 1:
+                        d = Fraction(d, den)
+                        d = d.numerator if d.denominator == 1 else d
+                    terms[exponents[pos]] = d
+        # canonical by construction: nonzero coefficients, ints when integral
+        out.append(Polynomial._trusted(variables, terms))
     return out
 
 

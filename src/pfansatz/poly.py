@@ -129,6 +129,8 @@ def over_common_denominator(values) -> tuple:
     of their denominators (1 for no values) and ints[k] == values[k] * den.
     Every exact step that works in integers writes its rationals this way."""
     den = lcm(*(x.denominator for x in values))
+    if den == 1:  # no multiply per value; `numerator` makes a Fraction(k, 1) an int
+        return [x.numerator for x in values], 1
     return [x.numerator * (den // x.denominator) for x in values], den
 
 

@@ -203,8 +203,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = pfansatz.cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "pfansatz")]))
 """
-PFAFFIAN_MODULES = ["pfansatz", "pfansatz._version", "pfansatz.cli", "pfansatz.linalg",
-                    "pfansatz.pfaffian", "pfansatz.poly", "pfansatz.sequences"]
+PFAFFIAN_MODULES = ["pfansatz", "pfansatz._version", "pfansatz.cli", "pfansatz.pfaffian",
+                    "pfansatz.poly", "pfansatz.sequences"]
 
 
 def run_probe(source: str, *argv, flags: tuple = ()) -> object:

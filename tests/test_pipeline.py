@@ -201,6 +201,55 @@ def test_certify_contracts_each_kept_row_once():
     assert calls == [(2 * n - 1, 2 * n + 8) for n in range(1, 21)]
 
 
+def former_contraction(row, moments, j_max):
+    """check_identity2's former Q[x] branch: the sum of Polynomial products."""
+    return [sum((j - i) * c * moments[i + j] for i, c in enumerate(row, 1))
+            for j in range(1, j_max + 1)]
+
+
+def assert_same_polynomials(got, want):
+    """Equal variables, terms and text, and every coefficient canonical."""
+    assert [(g.variables, g.terms, str(g)) for g in got] == \
+        [(w.variables, w.terms, str(w)) for w in want]
+    assert all(type(c) is int or c.denominator > 1 for g in got for c in g.terms.values())
+
+
+COEFFICIENTS = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+                         st.integers(-2 ** 70, 2 ** 70))
+UNIVARIATE = st.lists(COEFFICIENTS, max_size=31).map(
+    lambda cs: Polynomial(("x",), {(e,): c for e, c in enumerate(cs)}))
+BIVARIATE = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), COEFFICIENTS,
+                            max_size=8).map(lambda terms: Polynomial(("x", "y"), terms))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from([UNIVARIATE, BIVARIATE]), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_packed_contraction_matches_the_polynomial_sum(entries, length, j_max, data):
+    # a row entry may also be a plain rational, a constant of the moments' domain
+    row = data.draw(st.lists(st.one_of(entries, COEFFICIENTS.map(Fraction)),
+                             min_size=length, max_size=length))
+    moments = data.draw(st.lists(entries, min_size=length + j_max + 1,
+                                 max_size=length + j_max + 1))
+    assert_same_polynomials(pipeline.check_identity2(row, 1, moments, j_max),
+                            former_contraction(row, moments, j_max))
+
+
+@pytest.mark.parametrize("c, m", [(5, 17), (-5, 17), (85, 257)])
+@pytest.mark.parametrize("variables", [("x",), ("x", "y")])
+def test_packed_contraction_reaches_its_bound(c, m, variables):
+    # row [c, 0, 0] and j_max 4: W = 3, and only moments[5] is nonzero, so
+    # g(4) = 3 * c * moments[5] has coefficients +-B, B = 3 * |c| * m, whose
+    # bit length (8, 16) is a whole number of bytes
+    zero = Polynomial.zero(variables)
+    row = [Polynomial.constant(c, variables), zero, zero]
+    top = (2,) + (1,) * (len(variables) - 1)
+    moments = [zero] * 5 + [Polynomial(variables, {top: m, (0,) * len(variables): -m})] \
+        + [zero] * 2
+    got = pipeline.check_identity2(row, 1, moments, 4)
+    assert sorted(got[3].terms.values()) == [-3 * abs(c) * m, 3 * abs(c) * m]
+    assert_same_polynomials(got, former_contraction(row, moments, 4))
+
+
 # ---------------------------------------------------------------------------
 # cofactor rows generated from the catalog's operators
 
