@@ -240,8 +240,6 @@ _DEFAULT_BOUNDS = {"seq": 40, "c": 12, "g": 12, "r": 28}
 # The largest --n-max of a seq: source; 10 000 terms guess in about 1.5 s
 # (2-vCPU host, Python 3.11).
 SEQUENCE_TERM_LIMIT = 10_000
-# The arity of a generated source's table, known before it is built.
-_SOURCE_ARITY = {"seq": 1, "c": 2, "g": 2, "r": 1}
 
 
 def _guess_table(source: str, n_max: Optional[int]) -> Tuple[Table, Tuple[str, ...]]:
@@ -341,6 +339,7 @@ def _guess_spec(args, arity: int) -> GuessSpec:
 
 def cmd_guess(args) -> int:
     from .guessing import GuessingError, guess_from_table
+    from .pipeline import TABLE_VARIABLES
 
     if args.order and args.support:
         raise UsageError("give at most one of --order/--support")
@@ -348,7 +347,8 @@ def cmd_guess(args) -> int:
     # a family source solves its cofactor systems; a file's once the file is
     # read and its arity known
     kind, sep, _ = args.source.partition(":")
-    arity = _SOURCE_ARITY.get(kind) if sep else None
+    arities = {"seq": 1, **{k: len(v) for k, v in TABLE_VARIABLES.items()}}
+    arity = arities.get(kind) if sep else None
     spec = None if arity is None else _guess_spec(args, arity)
     table, variables = _guess_table(args.source, args.n_max)
     if spec is None:

@@ -21,19 +21,21 @@ Residuals, `solve_at` and validation evaluate each coefficient by integer
 Horner in the last coordinate, from ints computed once per line of points
 (`RecurrenceOperator._line`), and a table keeps the point set moved by each
 shift (`Table.moved`) for every operator that finds admissible points on it.
+Leading-coefficient analysis finds the lead's integer zeros on lines too,
+from the same per-line ints (`_partial_ints`) and one root finder
+(`_integer_zeros`).
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import comb, gcd, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .linalg import _int_echelon, _packed_columns, nullspace, solve_linear
-from .poly import Polynomial, PolynomialError, format_rational, int_value, parse_poly
+from .poly import Polynomial, PolynomialError, format_rational, parse_poly
 from .poly import json_int, over_common_denominator, parse_rational
 
 Point = Tuple[int, ...]
@@ -117,8 +119,8 @@ class Table:
             object.__setattr__(self, "_moved", memo)
         points = memo.get(shift)
         if points is None:
-            points = memo[shift] = frozenset(
-                [tuple(map(operator.sub, q, shift)) for q in self.values])
+            points = memo[shift] = frozenset(zip(*[
+                [c - s for c in column] for column, s in zip(zip(*self.values), shift)]))
         return points
 
 
@@ -172,6 +174,23 @@ def _horner(coeffs: Sequence[int], x: int) -> int:
     for c in reversed(coeffs):
         total = total * x + c
     return total
+
+
+def _partial_ints(form: tuple, free: int, values: Sequence[int]) -> List[int]:
+    """The ascending int coefficients in variable `free` of a polynomial's
+    integer form (`Polynomial.int_form`), every other variable k fixed at
+    values[k]; values[free], and the value of a variable that no monomial
+    holds, is not read."""
+    coeffs = {}
+    for c, monomial in form:
+        power = 0
+        for i, e in monomial:
+            if i == free:
+                power = e
+            else:
+                c *= values[i] ** e
+        coeffs[power] = coeffs.get(power, 0) + c
+    return [coeffs.get(e, 0) for e in range(max(coeffs) + 1)]
 
 
 class RecurrenceOperator:
@@ -275,19 +294,9 @@ class RecurrenceOperator:
         except AttributeError:
             pass
         last = len(key)
-        terms = []
-        for shift, coeff in self.terms:
-            coeffs = {}
-            for c, monomial in coeff.int_form():
-                power = 0
-                for i, e in monomial:
-                    if i == last:
-                        power = e
-                    else:
-                        c *= key[i] ** e
-                coeffs[power] = coeffs.get(power, 0) + c
-            terms.append((shift, tuple(map(operator.add, key, shift)), shift[-1],
-                          [coeffs.get(e, 0) for e in range(max(coeffs) + 1)]))
+        terms = [(shift, tuple(map(operator.add, key, shift)), shift[-1],
+                  _partial_ints(coeff.int_form(), last, key))
+                 for shift, coeff in self.terms]
         object.__setattr__(self, "_on_line", (key, terms))
         return terms
 
@@ -776,8 +785,15 @@ def integer_roots(p: Polynomial) -> List[int]:
         return []
     ints, _ = over_common_denominator(p.univariate_coefficients(var))
     bound = 2 + max(abs(c) for c in ints[:-1]) // abs(ints[-1])
-    candidates = {k + d for k in _root_brackets(ints, -bound, bound) for d in (0, 1)}
-    return sorted(x for x in candidates if not _horner(ints, x))
+    return _integer_zeros(ints, -bound, bound)
+
+
+def _integer_zeros(ints: Sequence[int], lo: int, hi: int) -> List[int]:
+    """The sorted integers in [lo, hi] at which the polynomial with
+    ascending integer coefficients `ints` (last one nonzero) vanishes: the
+    two integers of each `_root_brackets` bracket, tested exactly."""
+    candidates = {k + d for k in _root_brackets(ints, lo, hi) for d in (0, 1)}
+    return sorted(x for x in candidates if lo <= x <= hi and not _horner(ints, x))
 
 
 # parse order matters: a two-character relation is tried before its prefix
@@ -875,40 +891,6 @@ class LeadingReport:
         }
 
 
-@lru_cache(maxsize=16)
-def _region_box_points(region_text: str, names: Tuple[str, ...], box) -> Tuple[Point, ...]:
-    """The integer points of the box (one (low, high) range per name, in
-    product order) that satisfy the region parsed from `region_text`.
-    Memoized, so the operators of one guess share a single region scan.
-
-    A constraint on the window's variables is tested in integers: its
-    polynomial times the (positive) lcm of its coefficients' denominators,
-    evaluated by `int_value` on the point tuple.  Any other constraint takes
-    `Constraint.satisfied`, which raises for its unbound variable."""
-    tests = []  # (int form over the point tuple, relation) or (None, constraint)
-    for c in Region.parse(region_text).constraints:
-        if not set(c.poly.effective_variables()) <= set(names):
-            tests.append((None, c))
-            continue
-        ints, _ = over_common_denominator(list(c.poly.terms.values()))
-        form = tuple(
-            (k, tuple((names.index(v), e) for v, e in zip(c.poly.variables, exp) if e))
-            for k, exp in zip(ints, c.poly.terms)
-        )
-        tests.append((form, _RELATIONS[c.relation]))
-
-    def inside(point: Point) -> bool:
-        for form, test in tests:
-            if form is None:
-                if not test.satisfied(dict(zip(names, point))):
-                    return False
-            elif not test(int_value(form, point), 0):
-                return False
-        return True
-
-    return tuple(filter(inside, product(*(range(lo, hi + 1) for lo, hi in box))))
-
-
 def leading_nonvanishing(
     op: RecurrenceOperator,
     region: Region,
@@ -917,10 +899,13 @@ def leading_nonvanishing(
     """Analyze where the leading coefficient vanishes inside the region.
 
     One effective variable: exact (integer roots filtered by the region).
-    More: every integer point of the window box inside the region is tested
-    (the points in the region are found once per region text and window),
-    plus exact root-finding on each region boundary line where a variable can
-    be isolated with unit coefficient; the verdict is window-bounded.
+    More: the integer zeros in the window box are found line by line, along
+    the lead's effective variable of widest range with every other window
+    variable fixed: the lead's ints in that variable (`_partial_ints`), and
+    their zeros in the range (`_integer_zeros`), or the whole line when they
+    all vanish.  A zero is a hit when the region holds there.  Beside that,
+    exact root-finding runs on each region boundary line where a variable
+    can be isolated with unit coefficient; the verdict is window-bounded.
     """
     lead_shift = max(op.shifts())
     lead = op.leading_coefficient()
@@ -939,20 +924,29 @@ def leading_nonvanishing(
     if window is None:
         raise ValueError("a finite window is required for multivariate leading coefficients")
     names = tuple(sorted(window))
-    box = tuple((window[v][0], window[v][1]) for v in names)
-    points = _region_box_points(region.text, names, box)
+    ranges = {v: range(window[v][0], window[v][1] + 1) for v in names}
     hits = []
-    if points:
+    if all(ranges.values()):
         unbound = [v for v in eff if v not in window]
         if unbound:
             raise PolynomialError(f"unbound variables {unbound} in evaluation")
-        # the point's coordinates in the lead's variable order (an unbound
-        # variable is not effective, so its placeholder is never read)
-        where = [names.index(v) if v in window else 0 for v in lead.variables]
-        form = lead.int_form()
-        for combo in points:
-            if not int_value(form, [combo[k] for k in where]):
-                hits.append(dict(zip(names, combo)))
+        free = max(eff, key=lambda v: len(ranges[v]))
+        span = ranges[free]
+        fixed = [v for v in names if v != free]
+        form, index = lead.int_form(), lead.variables.index(free)
+        for combo in product(*(ranges[v] for v in fixed)):
+            point = dict(zip(fixed, combo))
+            # a lead variable outside the window is not effective, so its
+            # placeholder is never read
+            ints = _partial_ints(form, index, [point.get(v, 0) for v in lead.variables])
+            while ints and not ints[-1]:
+                ints.pop()
+            for x in _integer_zeros(ints, span[0], span[-1]) if ints else span:
+                point[free] = x
+                if region.satisfied(point):
+                    hits.append({v: point[v] for v in names})
+        # reports list the hits in the product order of the sorted names
+        hits.sort(key=lambda hit: list(hit.values()))
     boundary = []
     for c in region.constraints:
         if c.relation == "!=":

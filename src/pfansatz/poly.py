@@ -396,7 +396,9 @@ class Polynomial:
         """Evaluate at a full rational point (every effective variable bound).
 
         Integer coefficients at a point of plain ints are evaluated in Python
-        ints by `int_value`; every other input takes the Fraction loop."""
+        ints by `int_value`, the package's one evaluator of an integer form
+        at a whole point (region constraints are tested through it); every
+        other input takes the Fraction loop."""
         form = self.int_form()
         if form is not None:
             ints = [point.get(v) for v in self.variables]

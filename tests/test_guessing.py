@@ -1053,7 +1053,7 @@ def reference_window_hits(op, region, window):
 
 def _check_window_scan(op, region, window):
     first = leading_nonvanishing(op, Region.parse(region), window)
-    again = leading_nonvanishing(op, Region.parse(region), window)  # served by the memo
+    again = leading_nonvanishing(op, Region.parse(region), window)
     assert first.mode == "window"
     assert first.vanishing == reference_window_hits(op, region, window)
     assert again.to_json_dict() == first.to_json_dict()
@@ -1136,6 +1136,20 @@ def test_integer_roots_match_divisor_enumeration(roots, cofactor):
     assert integer_roots(p) == former_integer_roots(coeffs)
 
 
+@PROPERTY
+@given(st.lists(st.integers(-12, 12), max_size=3),
+       st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+       st.integers(-15, 15), st.integers(0, 20))
+# x^2 (x - 1) on [-3, 0]: the double zero at the top end brackets [0, 1]
+@hypothesis.example(roots=[0, 0], cofactor=[-1, 1], lo=-3, width=3)
+def test_integer_zeros_are_the_zeros_inside_the_range(roots, cofactor, lo, width):
+    coeffs = poly_from_roots(roots, cofactor)
+    hypothesis.assume(coeffs)
+    hi = lo + width
+    expected = [x for x in range(lo, hi + 1) if not guessing._horner(coeffs, x)]
+    assert guessing._integer_zeros(coeffs, lo, hi) == expected
+
+
 def test_integer_roots_large_constant_term():
     n = Polynomial.variable("n")
     big = 2 ** 61 + 1
@@ -1158,7 +1172,7 @@ def former_admissible(table, shifts):
 @st.composite
 def tables_and_shifts(draw):
     """A table with holes on a small box and distinct shifts, some negative."""
-    arity = draw(st.sampled_from((1, 2)))
+    arity = draw(st.sampled_from((1, 2, 3)))
     coord = st.integers(-4, 6)
     points = draw(st.sets(st.tuples(*[coord] * arity), max_size=40))
     shifts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * arity),
@@ -1170,7 +1184,7 @@ def tables_and_shifts(draw):
 @given(tables_and_shifts())
 def test_admissible_points_match_former_comprehension(case):
     table, shifts = case
-    variables = ("n", "i")[:table.arity]
+    variables = ("n", "i", "k")[:table.arity]
     op = RecurrenceOperator.make(variables, {s: "1" for s in shifts})
     expected = former_admissible(table, shifts)
     assert guessing._admissible(table, op.shifts()) == expected
@@ -1194,12 +1208,6 @@ def test_admissible_points_of_two_operators_share_the_moved_sets():
     assert (1, 1) not in guessing._admissible(table, first.shifts())  # (2, 1) is a hole
 
 
-def reference_box_points(text, names, box):
-    region = Region.parse(text)
-    ranges = [range(lo, hi + 1) for lo, hi in box]
-    return tuple(c for c in itertools.product(*ranges) if region.satisfied(dict(zip(names, c))))
-
-
 @st.composite
 def region_texts(draw):
     """Conjunctions of linear constraints in n and i under every relation,
@@ -1213,30 +1221,58 @@ def region_texts(draw):
     return " and ".join(pieces)
 
 
+# zero on the lines n = 3 and i = 2 and on the diagonal n = 2i
+DENSE_ZEROS = RecurrenceOperator.make(
+    ("n", "i"), [((1, 0), "(n - 3)*(i - 2)*(n - 2*i)"), ((0, 0), "1")])
+
+
+def _check_region(text, window):
+    report = leading_nonvanishing(DENSE_ZEROS, Region.parse(text), window)
+    assert report.vanishing == reference_window_hits(DENSE_ZEROS, text, window), text
+    return report
+
+
 @PROPERTY
 @given(region_texts(), st.integers(1, 6))
-def test_box_scan_matches_region_satisfied(text, size):
-    names, box = ("i", "n"), ((-1, 2 * size), (0, size))
-    assert guessing._region_box_points(text, names, box) == reference_box_points(text, names, box)
+def test_window_scan_matches_box_scan_on_random_regions(text, size):
+    _check_region(text, {"i": (-1, 2 * size), "n": (0, size)})
 
 
-def test_box_scan_rational_and_equality_constraints():
-    names, box = ("i", "n"), ((0, 9), (0, 9))
+def test_window_scan_matches_box_scan_on_rational_and_equality_regions():
+    window = {"i": (0, 9), "n": (0, 9)}
     for text in ("n/2 - i >= 0", "n/2 - i == 0 and n >= 1", "2*n/3 - i != 0",
                  "n - 2*i == 1/2", "i <= n/3 + 1/2 and n > 2"):
-        expected = reference_box_points(text, names, box)
-        assert guessing._region_box_points(text, names, box) == expected, text
-    assert guessing._region_box_points("n/2 - i == 0", names, box) == (
-        (0, 0), (1, 2), (2, 4), (3, 6), (4, 8))
+        _check_region(text, window)
+    assert [(p["i"], p["n"]) for p in _check_region("n/2 - i == 0", window).vanishing] == [
+        (0, 0), (1, 2), (2, 4), (3, 6), (4, 8)]
 
 
-def test_box_scan_refuses_a_variable_outside_the_window_as_before():
-    names, box = ("i", "n"), ((0, 3), (0, 3))
+def test_window_scan_refuses_a_variable_outside_the_window_as_before():
+    window = {"i": (0, 3), "n": (0, 3)}
     with pytest.raises(PolynomialError) as old:
-        reference_box_points("n >= 1 and k - i >= 0", names, box)
+        reference_window_hits(DENSE_ZEROS, "n >= 1 and k - i >= 0", window)
     with pytest.raises(PolynomialError) as new:
-        guessing._region_box_points("n >= 1 and k - i >= 0", names, box)
+        leading_nonvanishing(DENSE_ZEROS, Region.parse("n >= 1 and k - i >= 0"), window)
     assert str(new.value) == str(old.value)
-    # a constraint the scan never reaches raises nothing, as before
-    text = "n >= 10 and k >= 0"
-    assert guessing._region_box_points(text, names, box) == reference_box_points(text, names, box) == ()
+    # a constraint that no zero reaches raises nothing (and 2*n has no unit
+    # coefficient, so no boundary line reaches it either)
+    assert _check_region("2*n >= 20 and k >= 0", window).vanishing == ()
+    no_zeros = RecurrenceOperator.make(("n", "i"), [((1, 0), "2*n*i + 1"), ((0, 0), "1")])
+    assert leading_nonvanishing(no_zeros, Region.parse("k >= 0"), window).vanishing == ()
+    # a lead variable outside a non-empty window raises, whatever the region
+    with pytest.raises(PolynomialError, match=r"unbound variables \['i'\]"):
+        leading_nonvanishing(DENSE_ZEROS, Region.parse("n >= 10"), {"n": (0, 3), "j": (0, 3)})
+
+
+def test_window_scan_of_an_empty_window_range_is_clear():
+    """An empty range in either variable gives no zero, no error, and the
+    window as given; the region's boundary lines have no unit coefficient,
+    so the report is clear."""
+    region = Region.parse("2*n >= 3 and 2*i >= 5")
+    full = leading_nonvanishing(DENSE_ZEROS, region, {"i": (1, 8), "n": (1, 8)})
+    assert full.vanishing and not full.boundary
+    for window in ({"i": (1, 8), "n": (5, 4)}, {"i": (3, 2), "n": (1, 8)},
+                   {"j": (1, 8), "n": (1, 0)}):
+        report = leading_nonvanishing(DENSE_ZEROS, region, window)
+        assert report.clear and report.mode == "window"
+        assert report.to_json_dict()["window"] == {v: list(r) for v, r in sorted(window.items())}
