@@ -291,9 +291,11 @@ def _bareiss(m: list, ncols: int) -> tuple:
     the row swaps).  A column without a nonzero entry at or below the
     current row is skipped.  Each step replaces every entry right of the
     pivot p in the rows below by (p * a - q * b) / p', p' the previous pivot
-    (no division at the first step), through the checked `exact_quotient`,
-    and the entries below p by zeros.  Both entry types are falsy exactly
-    when zero."""
+    (no division at the first step), and the entries below p by zeros.  The
+    division is checked: for an int matrix by an inline divmod, for a
+    Polynomial one by `exact_quotient`.  Both entry types are falsy exactly
+    when zero; the matrix holds one of them, which its first entry tells."""
+    integer = bool(m) and bool(m[0]) and type(m[0][0]) is int
     pivots = []
     sign = 1
     prev = None
@@ -322,7 +324,14 @@ def _bareiss(m: list, ncols: int) -> tuple:
                     v = p * a
                 else:
                     continue
-                row_i[j] = v if prev is None else exact_quotient(v, prev)
+                if prev is None:
+                    row_i[j] = v
+                elif integer:
+                    row_i[j], rem = divmod(v, prev)
+                    if rem:
+                        raise ArithmeticError("inexact division by the previous pivot")
+                else:
+                    row_i[j] = exact_quotient(v, prev)
             row_i[col] = zero
         pivots.append((r, col))
         prev = p
@@ -409,14 +418,18 @@ def nullspace(matrix) -> List[tuple]:
 
 
 def determinant(matrix):
-    """Exact determinant by Bareiss elimination: over Z after clearing
-    denominators for rational entries, over Q[x] for polynomial entries."""
+    """Exact determinant by Bareiss elimination, a Fraction for rational
+    entries and a Polynomial for polynomial ones: over Z as it is for int
+    entries, over Z after clearing denominators for rational entries, over
+    Q[x] for polynomial entries."""
     rows = _coerce_rows(matrix)
     n = len(rows)
     if n == 0:
         return Fraction(1)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
+    if set(map(type, chain.from_iterable(rows))) == {int}:
+        return Fraction(_bareiss_det(rows))
     if _all_rational(rows):
         forms = [over_common_denominator(r) for r in rows]
         return Fraction(_bareiss_det([ints for ints, _ in forms]), prod(den for _, den in forms))

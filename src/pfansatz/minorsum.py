@@ -106,8 +106,10 @@ class MinorSumTerm:
 
 
 def theorem4_terms(n: int) -> List[MinorSumTerm]:
-    """One determinant per contributing partition for the H(2n) minor sum."""
-    H = build_H(2 * n, 4 * n - 2)
+    """One determinant per contributing partition for the H(2n) minor sum.
+    H's entries, counts of paths, are integers: they are taken as ints once,
+    so that each minor is eliminated over Z with no denominator pass."""
+    H = [[h.numerator for h in row] for row in build_H(2 * n, 4 * n - 2)]
     terms = []
     for lam in enumerate_even_even(n):
         cols = index_set(lam, 2 * n)

@@ -97,7 +97,13 @@ class SkewMatrix:
     @classmethod
     def from_family(cls, family: MatrixFamily, dim: int) -> "SkewMatrix":
         m = [family.moment(s) for s in range(2 * dim)]
-        return cls.from_function(dim, lambda i, j: (j - i) * m[i + j], Fraction(0) * family.moment(0))
+        zero = Fraction(0) * family.moment(0)
+        if all(type(x) is Fraction and x.denominator == 1 for x in m):
+            # integral moments: each entry is one Fraction of an int product,
+            # built on Fraction's int fast path
+            m = [x.numerator for x in m]
+            return cls.from_function(dim, lambda i, j: Fraction((j - i) * m[i + j]), zero)
+        return cls.from_function(dim, lambda i, j: (j - i) * m[i + j], zero)
 
     @classmethod
     def from_dense(cls, rows: Sequence[Sequence[Entry]]) -> "SkewMatrix":
@@ -293,7 +299,8 @@ def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
         (p * M[i][j] - M[k][i] * M[k+1][j] + M[k][j] * M[k+1][i]) / p'
 
     where p' is the previous pivot (1 at the first step).  The division is
-    exact, and checked.  The pivot of the s-th step is the Pfaffian of the
+    exact, and checked: over Z by an inline divmod, over Q[x] by
+    `exact_quotient`.  The pivot of the s-th step is the Pfaffian of the
     leading 2s x 2s block of the (relabelled) scaled matrix, so the last one,
     signed by the swaps and divided by det D = d_1 * ... * d_dim, is Pf A.
     A zero row means Pf A = 0.
@@ -337,14 +344,26 @@ def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
         p = row_k[k + 1]
         if leading is not None:
             leading.append(unscaled(p, k + 2))
-        for i in range(k + 2, m):
-            row_i = M[i]
-            ci = row_k[i]
-            di = row_k1[i]
-            for j in range(i + 1, m):
-                v = exact_quotient(p * row_i[j] - ci * row_k1[j] + row_k[j] * di, prev)
-                row_i[j] = v
-                M[j][i] = -v
+        if scales is None:
+            for i in range(k + 2, m):
+                row_i = M[i]
+                ci = row_k[i]
+                di = row_k1[i]
+                for j in range(i + 1, m):
+                    v = exact_quotient(p * row_i[j] - ci * row_k1[j] + row_k[j] * di, prev)
+                    row_i[j] = v
+                    M[j][i] = -v
+        else:  # over Z the division is an inline divmod, not a call per entry
+            for i in range(k + 2, m):
+                row_i = M[i]
+                ci = row_k[i]
+                di = row_k1[i]
+                for j in range(i + 1, m):
+                    v, r = divmod(p * row_i[j] - ci * row_k1[j] + row_k[j] * di, prev)
+                    if r:
+                        raise ArithmeticError("inexact division by the previous pivot")
+                    row_i[j] = v
+                    M[j][i] = -v
         prev = p
     return unscaled(prev if sign > 0 else -prev, m)
 

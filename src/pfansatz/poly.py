@@ -22,16 +22,19 @@ graded-lexicographic order (largest first) with respect to the declared
 variable order.  Round-tripping text -> value -> text is the identity on
 canonical text.  A quotient of polynomials is kept as a (numerator,
 denominator) pair and is printed, in lowest terms, by `quotient_text`.
+The reader of that text, built on `ast`, is in `polytext`, which
+`parse_poly` loads on its first call; the caps on polynomial text and the
+`ParseBudget` are here, and so is `parse_entry`, which reads a literal
+entry without it.
 """
 
 from __future__ import annotations
 
-import ast
 import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add, neg
 from typing import Mapping, Sequence, Union
 
@@ -321,6 +324,15 @@ class Polynomial:
         a, b = self._aligned(other)
         if a is None:
             return NotImplemented
+        if len(a.terms) == 1 or len(b.terms) == 1:
+            # a monomial with an int coefficient times an integer polynomial:
+            # each exponent is shifted once and each coefficient scaled, and
+            # the products, distinct and nonzero, need no accumulation
+            mono, poly = (a, b) if len(a.terms) == 1 else (b, a)
+            (shift, c), = mono.terms.items()
+            if type(c) is int and all(type(k) is int for k in poly.terms.values()):
+                return Polynomial._trusted(a.variables, {
+                    tuple(map(add, e, shift)): k * c for e, k in poly.terms.items()})
         # the coefficients multiply and sum as ints over the product of the
         # two common denominators; a Fraction is built per result term only
         # when that product is not 1
@@ -511,8 +523,6 @@ class Polynomial:
 # parsing
 
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-
 # Caps on a power in polynomial text: the exponent, the total degree of the
 # result, and a bound on the bits of its largest coefficient.
 POWER_EXPONENT_LIMIT = 1000
@@ -550,113 +560,6 @@ class ParseBudget:
             )
 
 
-def _coefficient_bits(p: Polynomial) -> int:
-    """Bits of the largest numerator or denominator of p's coefficients."""
-    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-                for c in p.terms.values()), default=0)
-
-
-def _check_power(base: Polynomial, e: int) -> None:
-    """Refuse base^e before computing it when it is above a cap.  A
-    coefficient of base^e is a sum of at most t^e products of e
-    coefficients of base (t its term count), so it has at most
-    e * (b + bit_length(t)) bits, b the bits of base's largest coefficient."""
-    if (e > POWER_EXPONENT_LIMIT
-            or e * max(base.total_degree(), 0) > POWER_DEGREE_LIMIT
-            or e * (_coefficient_bits(base) + len(base.terms).bit_length()) > POWER_BITS_LIMIT):
-        raise PolynomialError(
-            f"a power with exponent {e} is above the caps on polynomial text: "
-            f"exponent {POWER_EXPONENT_LIMIT}, degree {POWER_DEGREE_LIMIT}, "
-            f"coefficient bits {POWER_BITS_LIMIT}"
-        )
-
-
-def _check_terms(bound: int) -> None:
-    if bound > TERM_LIMIT:
-        raise PolynomialError(
-            f"a product or power of up to {bound} terms is above the cap on "
-            f"polynomial text: {TERM_LIMIT} terms"
-        )
-
-
-# an int literal as `ast` reads one: no leading zero, single underscores
-# between digits, not part of a name, a float or another number
-_INT_RUN = re.compile(r"(?<![\w.])[1-9](?:_?[0-9])*(?![\w.])")
-
-
-def _long_literals(text: str) -> tuple:
-    """(text with every int literal above the interpreter's limit on int
-    text replaced by a fresh name, {name: its digits}): `ast` refuses such
-    a literal, `parse_rational` reads it."""
-    limit = sys.get_int_max_str_digits()
-    prefix = "_digits"
-    while prefix in text:  # no name in the text contains a fresh one
-        prefix = "_" + prefix
-    literals = {}
-
-    def named(match) -> str:
-        run = match[0]
-        if not limit or len(run) - run.count("_") <= limit:
-            return run
-        name = f"{prefix}{len(literals)}"
-        literals[name] = run
-        return name
-
-    return _INT_RUN.sub(named, text), literals
-
-
-def _from_node(node, budget: ParseBudget, literals: dict) -> Polynomial:
-    if isinstance(node, ast.Expression):
-        return _from_node(node.body, budget, literals)
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, int):
-            return Polynomial.constant(node.value)
-        raise PolynomialError(f"non-integer literal {node.value!r}")
-    if isinstance(node, ast.Name):
-        if node.id in literals:  # a long literal, charged as a short one: not at all
-            return Polynomial.constant(parse_rational(literals[node.id]))
-        return Polynomial.variable(node.id)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        inner = _from_node(node.operand, budget, literals)
-        budget.charge(len(inner.terms), len(inner.variables), _coefficient_bits(inner), 0)
-        return -inner if isinstance(node.op, ast.USub) else inner
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-        left = _from_node(node.left, budget, literals)
-        right = _from_node(node.right, budget, literals)
-        if isinstance(node.op, ast.Pow):
-            if not right.is_constant():
-                raise PolynomialError("exponent must be a constant")
-            e = right.constant_value()
-            if e.denominator != 1 or e < 0:
-                raise PolynomialError(f"exponent must be a non-negative integer, got {e}")
-            e = int(e)
-            _check_power(left, e)
-            t = max(len(left.terms), 1)
-            _check_terms(comb(t + e - 1, e))
-            half = e // 2
-            bits = half * (_coefficient_bits(left) + t.bit_length())
-            budget.charge(comb(t + half - 1, half) ** 2, len(left.variables), bits, bits)
-            return left ** e
-        if isinstance(node.op, ast.Div) and not right.is_constant():
-            raise PolynomialError("division only by constants in polynomial text")
-        if isinstance(node.op, ast.Div) and not right:
-            raise PolynomialError("division by zero in polynomial text")
-        pairs = len(left.terms) + len(right.terms)
-        if isinstance(node.op, ast.Mult):
-            pairs = len(left.terms) * len(right.terms)
-            _check_terms(pairs)
-        budget.charge(pairs, len(set(left.variables) | set(right.variables)),
-                      _coefficient_bits(left), _coefficient_bits(right))
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        return left / right.constant_value()
-    raise PolynomialError(f"unsupported syntax: {ast.dump(node)}")
-
-
 def parse_poly(text: str, variables: Sequence[str] = None, budget: ParseBudget = None) -> Polynomial:
     """Parse polynomial text like "(i-1)*(2*n-3)" or "x^2 - 1/2".
 
@@ -667,12 +570,11 @@ def parse_poly(text: str, variables: Sequence[str] = None, budget: ParseBudget =
     literal above the interpreter's limit on int text (4300 digits by
     default) is read by `parse_rational`, under its digit cap.
     """
-    source, literals = _long_literals(text.replace("^", "**").strip())
-    try:  # text nested too deeply for the parser or `_from_node` recurses too far
-        tree = ast.parse(source, mode="eval")
-        p = _from_node(tree, ParseBudget() if budget is None else budget, literals)
-    except (SyntaxError, RecursionError) as e:
-        raise PolynomialError(f"cannot parse polynomial {text!r}: {e}") from None
+    # the reader and `ast` are loaded by the first parse: a job that reads no
+    # polynomial text never compiles them
+    from .polytext import parse_text
+
+    p = parse_text(text, ParseBudget() if budget is None else budget)
     if variables is not None:
         return p.with_variables(tuple(variables))
     return p.with_variables(tuple(sorted(p.effective_variables())))
@@ -686,16 +588,20 @@ _LITERAL = re.compile(r"([-+]?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?\Z")
 def parse_entry(text: str, budget: ParseBudget = None):
     """Parse a matrix-entry string into a Fraction (no variables) or Polynomial.
 
-    A literal (see `_LITERAL`) is read without `ast`, its digits by
-    `parse_rational`, and charged to `budget` what `parse_poly` charges for
-    it: its sign as a negation, its denominator as a division."""
+    A literal (see `_LITERAL`) is read without `ast`: an integer within the
+    interpreter's limit on int text (4300 digits by default) by `int`, any
+    other by `parse_rational`.  It is charged to `budget` what `parse_poly`
+    charges for it: its sign as a negation, its denominator as a division."""
     literal = _LITERAL.match(text.strip())
     if literal is None:
         p = parse_poly(text, budget=budget)
         return p.constant_value() if p.is_constant() else p
     budget = ParseBudget() if budget is None else budget
-    sign, _, den = literal.groups()
-    value = parse_rational(literal[0])
+    sign, digits, den = literal.groups()
+    if den is None and len(digits) <= sys.get_int_max_str_digits():  # 0: no limit
+        value = Fraction(int(literal[0]))
+    else:
+        value = parse_rational(literal[0])
     num = abs(value.numerator)
     if den is not None:  # the unreduced numerator and denominator
         den = int(Decimal(den))

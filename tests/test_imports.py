@@ -2,7 +2,9 @@
 function, class or method that `src/` never reads, the package exports no
 name that `src/` never reads unless README names it, every function the
 benchmark's layer tracer wraps still exists, each command loads only the
-modules it runs, and no command loads `dataclasses` or `inspect`.
+modules it runs (the reader of polynomial text only where it reads text,
+the selftest suites only in `selftest`), and no command loads
+`dataclasses` or `inspect`.
 
 The import scan covers `src/pfansatz/*.py` (except `__init__.py`, whose
 imports are the package's re-exports) and `tests/*.py`.  A name counts as
@@ -222,11 +224,17 @@ def test_importing_the_package_loads_only_the_version():
 
 
 def test_pfaffian_loads_no_guessing_or_certification_module(tmp_path):
-    path = tmp_path / "matrix.json"
-    path.write_text(json.dumps({"dim": 4, "upper": [[1, 2, "3"], [3, 4, "2/5"], [1, 4, "x"]]}))
+    """A family or a file of number entries loads no reader of polynomial
+    text; a text entry loads it."""
+    numbers = tmp_path / "numbers.json"
+    numbers.write_text(json.dumps({"dim": 4, "upper": [[1, 2, "3"], [3, 4, "2/5"], [1, 4, 7]]}))
+    text = tmp_path / "text.json"
+    text.write_text(json.dumps({"dim": 4, "upper": [[1, 2, "3"], [3, 4, "2/5"], [1, 4, "x"]]}))
     for argv in (("pfaffian", "--family", "motzkin", "--dim", "12", "--all-algorithms"),
-                 ("pfaffian", "--file", str(path))):
+                 ("pfaffian", "--file", str(numbers))):
         assert run_probe(CLI_PROBE, *argv) == [0, PFAFFIAN_MODULES]
+    assert run_probe(CLI_PROBE, "pfaffian", "--file", str(text)) == [
+        0, sorted(PFAFFIAN_MODULES + ["pfansatz.polytext"])]
 
 
 def test_minor_sum_loads_no_guessing_or_pipeline():
@@ -247,25 +255,26 @@ def test_conjecture_and_symbolic_certify_load_no_guessing_or_catalog():
 
 # Runs each argv of the JSON list in its first argument through
 # `pfansatz.cli` in one interpreter, and prints, per argv, the exit status
-# and which of `dataclasses` and `inspect` are loaded after it.
-STDLIB_PROBE = """
+# and which modules of the JSON list in its second argument are loaded
+# after it.
+MODULES_PROBE = """
 import contextlib, io, json, sys
 import pfansatz.cli
+watched = set(json.loads(sys.argv[2]))
 seen = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = pfansatz.cli.main(argv)
-    seen.append([code, sorted({"dataclasses", "inspect"} & set(sys.modules))])
+    seen.append([code, sorted(watched & set(sys.modules))])
 print(json.dumps(seen))
 """
 
 
-def test_no_command_loads_dataclasses_or_inspect(tmp_path):
-    """Under `python -S`, so that no site hook preloads these modules or
-    hides them."""
+def every_command(tmp_path) -> list:
+    """One argv per command, `selftest` last."""
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps({"dim": 4, "upper": [[1, 2, "3"], [3, 4, "2/5"], [1, 4, "x"]]}))
-    commands = [
+    return [
         ["pfaffian", "--family", "motzkin", "--dim", "6"],
         ["pfaffian", "--file", str(path)],
         ["certify", "--family", "motzkin", "--n-max", "4"],
@@ -273,9 +282,38 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path):
         ["guess", "--source", "c:motzkin"],
         ["conjecture", "--k", "3", "--n-max", "4"],
         ["minor-sum", "--n", "3"],
+        ["okinawa", "--i-max", "3", "--j-max", "3"],
         ["selftest"],
     ]
-    seen = run_probe(STDLIB_PROBE, json.dumps(commands), flags=("-S",))
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    """Under `python -S`, so that no site hook preloads these modules or
+    hides them."""
+    commands = every_command(tmp_path)
+    seen = run_probe(MODULES_PROBE, json.dumps(commands), json.dumps(["dataclasses", "inspect"]),
+                     flags=("-S",))
+    assert seen == [[0, []]] * len(commands)
+
+
+def test_only_selftest_loads_the_suites(tmp_path):
+    commands = every_command(tmp_path)
+    seen = run_probe(MODULES_PROBE, json.dumps(commands), json.dumps(["pfansatz.selftest"]))
+    assert seen == [[0, []]] * (len(commands) - 1) + [[0, ["pfansatz.selftest"]]]
+
+
+def test_jobs_without_polynomial_text_load_no_text_reader():
+    """Under `python -S`: a family Pfaffian, the conjecture check, the minor
+    sum and a symbolic certify read no polynomial text, so neither `ast` nor
+    `pfansatz.polytext` is loaded."""
+    commands = [
+        ["pfaffian", "--family", "narayana:x=sym", "--dim", "6"],
+        ["conjecture", "--k", "3", "--n-max", "4"],
+        ["minor-sum", "--n", "3"],
+        ["certify", "--family", "narayana:x=sym", "--n-max", "3"],
+    ]
+    seen = run_probe(MODULES_PROBE, json.dumps(commands), json.dumps(["ast", "pfansatz.polytext"]),
+                     flags=("-S",))
     assert seen == [[0, []]] * len(commands)
 
 

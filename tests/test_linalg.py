@@ -4,6 +4,7 @@ Oracles: permutation-expansion determinant, residual checks A*x == b and
 A*v == 0, and random matrices with planted rank/kernel structure.
 """
 
+import builtins
 import itertools
 import math
 import random
@@ -89,6 +90,39 @@ def test_determinant_multiplicative():
         b = random_rational_rows(rng, 4, 4)
         prod = [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)] for r in a]
         assert determinant(prod) == determinant(a) * determinant(b)
+
+
+INT_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(INT_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_determinant_of_int_rows_matches_the_fraction_path(rows):
+    # int rows are eliminated as they are; the same rows as Fractions take
+    # the per-row denominator pass, as int rows did before
+    copy = [list(r) for r in rows]
+    got = determinant(rows)
+    assert type(got) is Fraction
+    assert got == determinant([[Fraction(x) for x in r] for r in rows])
+    assert rows == copy  # the input is not eliminated in place
+    if len(rows) <= 4:
+        assert got == det_permutation_sum(rows)
+
+
+def off_by_one_divmod(a, b):
+    """divmod with the dividend one too large wherever the divisor is not
+    +-1: an exact division made inexact."""
+    return builtins.divmod(a + (abs(b) > 1), b)
+
+
+def test_bareiss_refuses_an_inexact_int_division(monkeypatch):
+    rows = [[2, 1, 1], [1, 3, 1], [1, 1, 4]]
+    assert determinant(rows) == 17
+    # the second step divides by the first pivot, 2
+    monkeypatch.setattr(linalg, "divmod", off_by_one_divmod, raising=False)
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        determinant(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ sub-Pfaffian cofactors (`pf_minor`, `gamma`, the cofactor row by minors)
 are oracles defined here; the package no longer exports them.
 """
 
+import builtins
 import json
 import math
 import random
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfansatz import pfaffian
 from pfansatz.linalg import determinant
 from pfansatz.pfaffian import (
     LAPLACE_DIMENSION_LIMIT,
@@ -651,6 +653,20 @@ def assert_eliminates_as_one_lcm(A):
                  skew_with_zero_rows(WIDE_POLYNOMIALS, 6, X_ZERO)))
 def test_eliminate_matches_the_one_lcm_elimination(A):
     assert_eliminates_as_one_lcm(A)
+
+
+def test_eliminate_refuses_an_inexact_int_division(monkeypatch):
+    A = SkewMatrix.from_function(6, lambda i, j: Fraction(2 if (i, j) == (1, 2) else i + 2 * j))
+    assert pf_eliminate(A) == pf_reference(A.upper)
+
+    def off_by_one_divmod(a, b):
+        # the dividend one too large wherever the divisor is not +-1
+        return builtins.divmod(a + (abs(b) > 1), b)
+
+    # the second step divides by the first pivot, a(1, 2) = 2
+    monkeypatch.setattr(pfaffian, "divmod", off_by_one_divmod, raising=False)
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        pf_eliminate(A)
 
 
 @pytest.mark.parametrize("upper, recorded", [

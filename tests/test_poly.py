@@ -343,6 +343,17 @@ def test_literal_fast_path_reads_as_the_ast_path(text, spent):
     assert parsed(parse_entry, text, spent) == parsed(ast_entry, text, spent)
 
 
+@pytest.mark.parametrize("digits", [4300, 4301])
+def test_integer_literals_at_the_int_text_limit_read_as_parse_rational(digits):
+    # `int` reads up to the interpreter's default limit of 4300 digits and
+    # parse_rational beyond it: both give parse_rational's value, a Fraction,
+    # and charge what the ast path charges
+    for text in ("7" * digits, "-" + "8" * digits, "+" + "9" * digits):
+        got = parsed(parse_entry, text, 1000)
+        assert got[0] == parse_rational(text) and got[1] is Fraction
+        assert got == parsed(ast_entry, text, 1000)
+
+
 def test_entry_text_and_format_rational():
     assert format_rational(Fraction(-3, 4)) == "-3/4"
     assert format_rational(Fraction(8)) == "8"
@@ -873,3 +884,35 @@ def test_truthiness_is_the_zero_test_and_zero_times_x_is_its_domain_zero(x):
         assert (zero + 1).variables == x.variables
     else:
         assert type(zero) is Fraction and type(zero + 1) is Fraction
+
+
+def pairwise_product(a, b):
+    """a * b by the general loop: every pair of terms accumulated as
+    Fractions over the union of the variables."""
+    union = Polynomial._union_vars(a, b)
+    a, b = a.with_variables(union), b.with_variables(union)
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            terms[exp] = terms.get(exp, 0) + Fraction(c1) * c2
+    return Polynomial(union, terms)
+
+
+@st.composite
+def monomials(draw):
+    """A polynomial of at most one term, in one or two variables."""
+    variables = draw(st.sampled_from([("x",), ("n", "x"), ("x", "n")]))
+    exp = draw(st.tuples(*[st.integers(0, 4)] * len(variables)))
+    return Polynomial(variables, {exp: draw(COEFFICIENTS)})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(monomials(), st.one_of(small_polynomials(TWO), polynomials(COEFFICIENTS)))
+def test_monomial_products_match_the_pairwise_product(mono, p):
+    # int monomials times int polynomials take the shift-and-scale path;
+    # Fraction coefficients, zero operands and other term counts the general one
+    for a, b in ((p, mono), (mono, p), (mono, mono)):
+        got, expected = a * b, pairwise_product(a, b)
+        assert_canonical(got)
+        assert (got.variables, got.terms) == (expected.variables, expected.terms)
