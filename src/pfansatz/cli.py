@@ -82,8 +82,11 @@ def _emit(text: str, out: Optional[str], default_name: str) -> None:
             sys.stdout.write(text)
             return
         out = os.path.join(directory, default_name)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {out}: {e}") from None
     _say(f"wrote {out}")
 
 
@@ -338,10 +341,10 @@ def _guess_spec(args, arity: int) -> GuessSpec:
     --support, for a table of `arity`."""
     from .guessing import GuessSpec
 
-    if args.support:
+    if args.support is not None:
         return GuessSpec(args.degree, support=_parse_support(args.support, arity),
                          margin=args.margin)
-    orders = _parse_orders(args.order, arity) if args.order else (2,) * arity
+    orders = (2,) * arity if args.order is None else _parse_orders(args.order, arity)
     return GuessSpec(args.degree, orders=orders, margin=args.margin)
 
 
@@ -349,7 +352,7 @@ def cmd_guess(args) -> int:
     from .guessing import GuessingError, guess_from_table
     from .pipeline import TABLE_VARIABLES
 
-    if args.order and args.support:
+    if args.order is not None and args.support is not None:
         raise UsageError("give at most one of --order/--support")
     # a generated source's class (bounds and shifts) is checked here, before
     # a family source solves its cofactor systems; a file's once the file is

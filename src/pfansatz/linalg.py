@@ -68,7 +68,6 @@ from typing import List, Optional, Sequence, Union
 from .poly import (
     Polynomial,
     common_variables,
-    exact_quotient,
     over_common_denominator,
     polynomial_over,
 )
@@ -292,10 +291,9 @@ def _bareiss(m: list, ncols: int) -> tuple:
     current row is skipped.  Each step replaces every entry right of the
     pivot p in the rows below by (p * a - q * b) / p', p' the previous pivot
     (no division at the first step), and the entries below p by zeros.  The
-    division is checked: for an int matrix by an inline divmod, for a
-    Polynomial one by `exact_quotient`.  Both entry types are falsy exactly
-    when zero; the matrix holds one of them, which its first entry tells."""
-    integer = bool(m) and bool(m[0]) and type(m[0][0]) is int
+    matrix holds one of the two entry types; both are falsy exactly when
+    zero and both divide by `divmod`, so the division is checked the same
+    way: a remainder raises ArithmeticError."""
     pivots = []
     sign = 1
     prev = None
@@ -324,14 +322,11 @@ def _bareiss(m: list, ncols: int) -> tuple:
                     v = p * a
                 else:
                     continue
-                if prev is None:
-                    row_i[j] = v
-                elif integer:
-                    row_i[j], rem = divmod(v, prev)
+                if prev is not None:
+                    v, rem = divmod(v, prev)
                     if rem:
                         raise ArithmeticError("inexact division by the previous pivot")
-                else:
-                    row_i[j] = exact_quotient(v, prev)
+                row_i[j] = v
             row_i[col] = zero
         pivots.append((r, col))
         prev = p
@@ -387,7 +382,9 @@ def solve_linear(matrix, rhs) -> Optional[LinearSolution]:
         for c in range(col + 1, n):
             if row[c] and y[c]:
                 total = total - row[c] * y[c]
-        y[col] = exact_quotient(total, row[col])
+        y[col], rem = divmod(total, row[col])
+        if rem:
+            raise ArithmeticError("inexact division by a pivot")
     return LinearSolution(tuple(y), len(pivots) == n, d)
 
 

@@ -21,8 +21,8 @@ it is.  Both scalings rest on `over_common_denominator` (rationals as
 integers over one denominator), the only arithmetic the routes share.
 cofactor_vector goes through linalg.solve_linear, whose polynomial systems
 run the Bareiss row echelon `linalg._bareiss`: it shares Polynomial
-arithmetic, `exact_quotient` and `over_common_denominator` with
-pf_eliminate but no elimination loop, so the pipeline's cofactor and
+arithmetic, the exact division `divmod` and `over_common_denominator`
+with pf_eliminate but no elimination loop, so the pipeline's cofactor and
 Pfaffian cross-checks stay independent too.
 """
 
@@ -39,7 +39,6 @@ from .poly import (
     Polynomial,
     common_variables,
     entry_text,
-    exact_quotient,
     json_int,
     over_common_denominator,
     parse_entry,
@@ -299,11 +298,11 @@ def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
         (p * M[i][j] - M[k][i] * M[k+1][j] + M[k][j] * M[k+1][i]) / p'
 
     where p' is the previous pivot (1 at the first step).  The division is
-    exact, and checked: over Z by an inline divmod, over Q[x] by
-    `exact_quotient`.  The pivot of the s-th step is the Pfaffian of the
-    leading 2s x 2s block of the (relabelled) scaled matrix, so the last one,
-    signed by the swaps and divided by det D = d_1 * ... * d_dim, is Pf A.
-    A zero row means Pf A = 0.
+    exact, and checked: one `divmod` serves both entry types, and a
+    remainder raises ArithmeticError.  The pivot of the s-th step is the
+    Pfaffian of the leading 2s x 2s block of the (relabelled) scaled
+    matrix, so the last one, signed by the swaps and divided by
+    det D = d_1 * ... * d_dim, is Pf A.  A zero row means Pf A = 0.
 
     If `leading` is a list, the Pfaffian of each leading 2k x 2k block of A,
     k = 1, 2, ..., is appended to it while no swap has happened: the s-th
@@ -344,26 +343,16 @@ def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
         p = row_k[k + 1]
         if leading is not None:
             leading.append(unscaled(p, k + 2))
-        if scales is None:
-            for i in range(k + 2, m):
-                row_i = M[i]
-                ci = row_k[i]
-                di = row_k1[i]
-                for j in range(i + 1, m):
-                    v = exact_quotient(p * row_i[j] - ci * row_k1[j] + row_k[j] * di, prev)
-                    row_i[j] = v
-                    M[j][i] = -v
-        else:  # over Z the division is an inline divmod, not a call per entry
-            for i in range(k + 2, m):
-                row_i = M[i]
-                ci = row_k[i]
-                di = row_k1[i]
-                for j in range(i + 1, m):
-                    v, r = divmod(p * row_i[j] - ci * row_k1[j] + row_k[j] * di, prev)
-                    if r:
-                        raise ArithmeticError("inexact division by the previous pivot")
-                    row_i[j] = v
-                    M[j][i] = -v
+        for i in range(k + 2, m):
+            row_i = M[i]
+            ci = row_k[i]
+            di = row_k1[i]
+            for j in range(i + 1, m):
+                v, r = divmod(p * row_i[j] - ci * row_k1[j] + row_k[j] * di, prev)
+                if r:
+                    raise ArithmeticError("inexact division by the previous pivot")
+                row_i[j] = v
+                M[j][i] = -v
         prev = p
     return unscaled(prev if sign > 0 else -prev, m)
 

@@ -15,6 +15,9 @@ canonical by construction, go through the unchecked `_trusted` instead.
 Every exact entry (int, Fraction, Polynomial) is falsy exactly when it is
 zero, and `Fraction(0) * x` is the zero of x's domain
 (a Polynomial keeps its variables), so `Fraction(0) * x + 1` is its one.
+For two ints or two Polynomials, `divmod(a, b)` returns (q, r), and r is
+zero exactly when b divides a: the one exact division of the fraction-free
+kernels.  `divmod` of a Polynomial by a scalar is a TypeError.
 
 The text format is what `parse_poly` reads and `str()` writes: integer or
 a/b coefficients, `*` for products, `^` or `**` for powers, terms printed in
@@ -382,6 +385,9 @@ class Polynomial:
         a, b = self._aligned(other)
         return a.terms == b.terms
 
+    def __divmod__(self, other):
+        return poly_divmod(self, other) if isinstance(other, Polynomial) else NotImplemented
+
     __hash__ = None  # mutable-dict backed; use text form as a key if needed
 
     # -- evaluation / substitution ----------------------------------------
@@ -630,15 +636,18 @@ def poly_divmod(num: Polynomial, den: Polynomial) -> tuple:
     r is zero exactly when den divides num, and over one variable deg r <
     deg den.  The remainder is one dict, updated in place; its leading term
     comes off a heap of the negated graded-lex keys of its exponents, where
-    an exponent whose coefficient cancelled since it was pushed is skipped."""
-    # imported here: only a polynomial division needs it, and loading it
-    # costs every command about 1 ms at start-up
-    from heapq import heapify, heappop, heappush
-
+    an exponent whose coefficient cancelled since it was pushed is skipped.
+    A constant den c needs no heap: q is num / c and r is zero."""
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     union = Polynomial._union_vars(num, den)
     num = num.with_variables(union)
+    if den.is_constant():
+        return num / den, Polynomial._trusted(union, {})
+    # imported here: only a polynomial division needs it, and loading it
+    # costs every command about 1 ms at start-up
+    from heapq import heapify, heappop, heappush
+
     den = den.with_variables(union)
     d_exp, d_coeff = den.leading_term()
     d_rest = [(exp, c) for exp, c in den.terms.items() if exp != d_exp]
@@ -675,7 +684,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if len(eff) > 1:
         raise PolynomialError(f"gcd of polynomials in more than one variable: {sorted(eff)}")
     while b:
-        a, b = b, poly_divmod(a, b)[1]
+        a, b = b, divmod(a, b)[1]
     if not a:
         return a
     _, lead = a.leading_term()
@@ -701,11 +710,9 @@ def quotient_text(num, den) -> str:
     eff = set(num.effective_variables()) | set(den.effective_variables())
     if len(eff) == 1 and not den.is_constant():
         g = poly_gcd(num, den)
-        if g.total_degree() > 0:
-            num = poly_divmod(num, g)[0]
-            den = poly_divmod(den, g)[0]
-    elif not den.is_constant():
-        q, r = poly_divmod(num, den)
+        num, den = divmod(num, g)[0], divmod(den, g)[0]
+    else:
+        q, r = divmod(num, den)
         if not r:
             num, den = q, Polynomial.constant(1, union)
     scale = den.content()
@@ -733,21 +740,3 @@ def polynomial_over(x, variables: tuple) -> Polynomial:
     if isinstance(x, Polynomial):
         return x.with_variables(variables)
     return Polynomial.constant(x, variables)
-
-
-def exact_quotient(num, den):
-    """num / den for int or Polynomial operands when den divides num exactly;
-    raises ArithmeticError otherwise.  The fraction-free kernels divide by
-    their previous pivot, which always divides exactly: a remainder means a
-    bug, never a value to round."""
-    if isinstance(num, int):
-        q, r = divmod(num, den)
-        if r:
-            raise ArithmeticError(f"inexact division: {num} / {den}")
-        return q
-    if den.is_constant():
-        return num / den.constant_value()
-    q, r = poly_divmod(num, den)
-    if r:
-        raise ArithmeticError(f"inexact division: ({num}) / ({den})")
-    return q

@@ -615,6 +615,20 @@ def test_guess_flag_conflicts_and_bad_values(capsys):
     assert run(capsys, "guess", "--source", "seq:motzkin", "--order", "1,2")[0] == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--support", ""), "error: --support is empty\n"),
+    (("--support", " ; "), "error: --support is empty\n"),
+    (("--order", ""), "error: --order expects comma-separated integers, got ''\n"),
+    (("--order", "", "--support", "0;1"), "error: give at most one of --order/--support\n"),
+    (("--order", "1", "--support", ""), "error: give at most one of --order/--support\n"),
+])
+def test_guess_refuses_an_empty_order_or_support(capsys, flags, message):
+    # an empty value is given, not absent: it is refused, never read as the
+    # default class
+    code, out, err = run(capsys, "guess", "--source", "seq:motzkin", *flags)
+    assert (code, out, err) == (2, "", message)
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--degree", "-1", "error: degree must be >= 0, got -1\n"),
     ("--margin", "-2", "error: margin must be >= 0, got -2\n"),
@@ -1038,6 +1052,24 @@ def test_out_flag_overrides_env_dir(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert target.exists()
     assert list(env_dir.iterdir()) == []
+
+
+def test_out_flag_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, "pfaffian", "--family", "motzkin", "--dim", "4",
+                         "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+def test_out_dir_env_naming_a_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    directory = tmp_path / "missing"
+    monkeypatch.setenv("PFANSATZ_OUT_DIR", str(directory))
+    code, out, err = run(capsys, "pfaffian", "--family", "motzkin", "--dim", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {directory / 'pfaffian-motzkin-dim4.txt'}: ")
+    assert not directory.exists()
 
 
 # ---------------------------------------------------------------------------

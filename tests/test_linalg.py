@@ -125,6 +125,35 @@ def test_bareiss_refuses_an_inexact_int_division(monkeypatch):
         determinant(rows)
 
 
+def perturbed_divmod(a, b):
+    """divmod with a Polynomial dividend one too large wherever the divisor
+    is not constant: an exact division made inexact."""
+    if isinstance(b, Polynomial) and not b.is_constant():
+        a = a + 1
+    return builtins.divmod(a, b)
+
+
+def test_bareiss_refuses_an_inexact_polynomial_division(monkeypatch):
+    x = parse_poly("x")
+    rows = [[x, 1, 1], [1, x, 1], [1, 1, x]]
+    assert determinant(rows) == x ** 3 - 3 * x + 2
+    # the second step divides by the first pivot, x
+    monkeypatch.setattr(linalg, "divmod", perturbed_divmod, raising=False)
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        determinant(rows)
+
+
+def test_back_substitution_refuses_an_inexact_polynomial_division(monkeypatch):
+    x = parse_poly("x")
+    # one equation: the echelon takes one step and divides by nothing, so
+    # the only division is the back-substitution's, (x * (x + 1)) / x
+    sol = solve_linear([[x]], [x + 1])
+    assert sol.vector == (x + 1,) and sol.denominator == x
+    monkeypatch.setattr(linalg, "divmod", perturbed_divmod, raising=False)
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        solve_linear([[x]], [x + 1])
+
+
 # ---------------------------------------------------------------------------
 # solve_linear
 

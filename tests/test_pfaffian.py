@@ -36,7 +36,6 @@ from pfansatz.poly import (
     Polynomial,
     common_variables,
     entry_text,
-    exact_quotient,
     parse_poly,
     polynomial_over,
 )
@@ -631,7 +630,8 @@ def one_lcm_eliminate(A, leading=None):
         for i in range(k + 2, m):
             row_i = M[i]
             for j in range(i + 1, m):
-                v = exact_quotient(p * row_i[j] - row_k[i] * row_k1[j] + row_k[j] * row_k1[i], prev)
+                v, r = divmod(p * row_i[j] - row_k[i] * row_k1[j] + row_k[j] * row_k1[i], prev)
+                assert not r
                 row_i[j] = v
                 M[j][i] = -v
         prev = p
@@ -655,6 +655,14 @@ def test_eliminate_matches_the_one_lcm_elimination(A):
     assert_eliminates_as_one_lcm(A)
 
 
+def perturbed_divmod(a, b):
+    """divmod with a Polynomial dividend one too large wherever the divisor
+    is not constant: an exact division made inexact."""
+    if isinstance(b, Polynomial) and not b.is_constant():
+        a = a + 1
+    return builtins.divmod(a, b)
+
+
 def test_eliminate_refuses_an_inexact_int_division(monkeypatch):
     A = SkewMatrix.from_function(6, lambda i, j: Fraction(2 if (i, j) == (1, 2) else i + 2 * j))
     assert pf_eliminate(A) == pf_reference(A.upper)
@@ -665,6 +673,15 @@ def test_eliminate_refuses_an_inexact_int_division(monkeypatch):
 
     # the second step divides by the first pivot, a(1, 2) = 2
     monkeypatch.setattr(pfaffian, "divmod", off_by_one_divmod, raising=False)
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        pf_eliminate(A)
+
+
+def test_eliminate_refuses_an_inexact_polynomial_division(monkeypatch):
+    A = SkewMatrix.from_family(family_from_descriptor("narayana:x=sym"), 6)
+    assert pf_eliminate(A) == pf_reference(A.upper)
+    # from the second step on, the division is by a nonconstant pivot
+    monkeypatch.setattr(pfaffian, "divmod", perturbed_divmod, raising=False)
     with pytest.raises(ArithmeticError, match="inexact division"):
         pf_eliminate(A)
 

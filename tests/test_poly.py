@@ -15,7 +15,6 @@ from pfansatz.poly import (
     Polynomial,
     PolynomialError,
     entry_text,
-    exact_quotient,
     format_rational,
     int_value,
     over_common_denominator,
@@ -451,15 +450,23 @@ def test_quotient_text_of_scalars_and_mixed_operands():
         quotient_text(Fraction(1), 0)
 
 
-def test_exact_quotient_refuses_a_remainder():
-    assert exact_quotient(-12, 4) == -3
-    with pytest.raises(ArithmeticError):
-        exact_quotient(7, 2)
+def test_divmod_leaves_a_remainder_exactly_when_the_division_is_inexact():
+    assert divmod(-12, 4) == (-3, 0)
     x = parse_poly("x", ("x",))
-    assert exact_quotient(x * x - 1, x - 1) == x + 1
-    assert exact_quotient(2 * x, Polynomial.constant(4, ("x",))) == x / 2
-    with pytest.raises(ArithmeticError):
-        exact_quotient(x * x + 1, x - 1)
+    assert divmod(x * x - 1, x - 1) == (x + 1, 0)
+    q, r = divmod(x * x + 1, x - 1)
+    assert r and q == x + 1 and r == 2
+    # a constant divisor: num / c, and a zero remainder over the union of
+    # the variables
+    q, r = divmod(2 * x, Polynomial.constant(4, ("n",)))
+    assert q == x / 2 and q.variables == ("x", "n")
+    assert not r and r.variables == ("x", "n")
+    with pytest.raises(ZeroDivisionError):
+        divmod(x, Polynomial.zero(("x",)))
+    # a scalar divisor or dividend is not a Polynomial division
+    for a, b in ((x, 3), (x, Fraction(1, 2)), (3, x)):
+        with pytest.raises(TypeError):
+            divmod(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -862,6 +869,19 @@ def test_coefficient_forms_match_a_fraction_reference(p, q, s, k, rn, rx, offset
     num, den = reference(P(num, ("x",))), reference(P(den, ("x",)))
     assert ref_mul(num, rb) == ref_mul(ra, den)
     assert ref_gcd(num, den) == {(0,): 1}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(small_polynomials(("x",)), NONZERO, st.sampled_from([(), ("x",), ("n",), ("n", "x")]))
+def test_a_constant_divisor_divides_as_the_long_division(a, c, den_variables):
+    # the shortcut for a constant divisor gives what the long division gives
+    q, r = divmod(a, Polynomial.constant(c, den_variables))
+    union = ("x",) + tuple(v for v in den_variables if v != "x")
+    assert q.variables == r.variables == union
+    expected_q, expected_r = ref_divmod(reference(a), {(0,): Fraction(c)})
+    assert not r and not expected_r
+    assert_reference(q.with_variables(("x",)), expected_q, ("x",))
+    assert q == a / c
 
 
 # ---------------------------------------------------------------------------
