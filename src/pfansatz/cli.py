@@ -14,7 +14,8 @@ parsing and the `pfaffian` command need (`pfaffian`, `poly`, `sequences`);
 each other command imports its own when it runs:
   * conjecture           - `pipeline`,
   * certify              - `pipeline` and `linalg`; a rational family also
-                           `guessing` and `catalog`,
+                           `guessing` and `catalog`, a symbolic one from
+                           `--n-max 4` on `interpolation`,
   * guess                - `pipeline`, `guessing` and `linalg`; a family
                            source also `catalog`,
   * minor-sum, okinawa   - `minorsum` and `linalg`,

@@ -71,17 +71,28 @@ class SkewMatrix:
     __slots__ = ("dim", "upper", "_zero")
 
     def __init__(self, dim: int, upper: dict, zero: Entry = Fraction(0)):
-        if dim < 0 or dim % 2:
-            raise ValueError(f"dimension must be even and non-negative, got {dim}")
+        _check_dimension(dim)
         clean = {}
         for (i, j), v in upper.items():
             if not (1 <= i < j <= dim):
                 raise ValueError(f"bad upper index ({i}, {j}) for dim {dim}")
             if v:
                 clean[(i, j)] = v
+        self._set(dim, clean, zero)
+
+    def _set(self, dim: int, upper: dict, zero: Entry) -> None:
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "upper", clean)
+        object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "_zero", zero)
+
+    @classmethod
+    def _trusted(cls, dim: int, upper: dict, zero: Entry) -> "SkewMatrix":
+        """A SkewMatrix built without the checks of `__init__`: `dim` is even
+        and non-negative, and `upper` maps only indices 1 <= i < j <= dim,
+        to nonzero entries, as `from_function` builds it."""
+        A = object.__new__(cls)
+        A._set(dim, upper, zero)
+        return A
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("SkewMatrix is immutable")
@@ -90,8 +101,10 @@ class SkewMatrix:
 
     @classmethod
     def from_function(cls, dim: int, fn, zero: Entry = Fraction(0)) -> "SkewMatrix":
-        upper = {(i, j): fn(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)}
-        return cls(dim, upper, zero)
+        _check_dimension(dim)
+        upper = {(i, j): v for i in range(1, dim + 1) for j in range(i + 1, dim + 1)
+                 if (v := fn(i, j))}
+        return cls._trusted(dim, upper, zero)
 
     @classmethod
     def from_family(cls, family: MatrixFamily, dim: int) -> "SkewMatrix":
@@ -189,6 +202,11 @@ class SkewMatrix:
         `from_json_dict`."""
         budget = ParseBudget()  # one bound on the parse work of every entry
         return cls.from_dense([[_json_entry(v, budget) for v in row] for row in rows])
+
+
+def _check_dimension(dim: int) -> None:
+    if dim < 0 or dim % 2:
+        raise ValueError(f"dimension must be even and non-negative, got {dim}")
 
 
 def _json_entry(value, budget: ParseBudget) -> Entry:

@@ -302,6 +302,12 @@ def test_only_selftest_loads_the_suites(tmp_path):
     assert seen == [[0, []]] * (len(commands) - 1) + [[0, ["pfansatz.selftest"]]]
 
 
+def test_only_a_symbolic_certify_past_the_crossover_loads_the_interpolation(tmp_path):
+    commands = every_command(tmp_path) + [["certify", "--family", "narayana:x=sym", "--n-max", "4"]]
+    seen = run_probe(MODULES_PROBE, json.dumps(commands), json.dumps(["pfansatz.interpolation"]))
+    assert seen == [[0, []]] * (len(commands) - 1) + [[0, ["pfansatz.interpolation"]]]
+
+
 def test_jobs_without_polynomial_text_load_no_text_reader():
     """Under `python -S`: a family Pfaffian, the conjecture check, the minor
     sum and a symbolic certify read no polynomial text, so neither `ast` nor

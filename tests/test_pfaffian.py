@@ -190,6 +190,41 @@ def test_json_rejects_malformed():
         SkewMatrix.from_json_dict({"dim": 2, "upper": [[1, 2, "1"], [1, 2, "3"]]})
 
 
+@pytest.mark.parametrize("i, j", [(2, 1), (1, 1), (0, 2), (1, 5), (3, 5)])
+def test_json_refuses_an_index_outside_the_strict_upper_triangle(i, j):
+    with pytest.raises(ValueError, match=rf"bad upper index \({i}, {j}\) for dim 4"):
+        SkewMatrix.from_json_dict({"dim": 4, "upper": [[1, 2, "1"], [i, j, "3"]]})
+    with pytest.raises(ValueError, match="dimension must be even and non-negative, got 3"):
+        SkewMatrix.from_json_dict({"dim": 3, "upper": []})
+
+
+@pytest.mark.parametrize("descriptor", [
+    "motzkin", "delannoy", "schroeder", "narayana:x=3/7", "narayana:x=0", "narayana:x=sym",
+    "genmotzkin:k=2", "genmotzkin-sum:k=3",
+])
+def test_family_matrices_equal_the_checked_construction(descriptor):
+    # from_family builds its upper triangle without __init__'s checks
+    family = family_from_descriptor(descriptor)
+    for dim in (0, 2, 8, 14):
+        A = SkewMatrix.from_family(family, dim)
+        m = [family.moment(s) for s in range(2 * dim)]
+        checked = SkewMatrix(dim, {(i, j): (j - i) * m[i + j] for i in range(1, dim + 1)
+                                   for j in range(i + 1, dim + 1)}, Fraction(0) * family.moment(0))
+        assert A.dim == checked.dim
+        assert list(A.upper) == list(checked.upper)
+        assert [(type(v), v) for v in A.upper.values()] == \
+            [(type(v), v) for v in checked.upper.values()]
+        assert type(A.zero()) is type(checked.zero()) and A.zero() == checked.zero()
+        assert all(A.upper.values())
+
+
+def test_from_function_refuses_an_odd_dimension():
+    with pytest.raises(ValueError, match="dimension must be even and non-negative, got 5"):
+        SkewMatrix.from_function(5, lambda i, j: Fraction(1))
+    A = SkewMatrix.from_function(4, lambda i, j: Fraction((i + j) % 2))
+    assert A.upper == {(1, 2): 1, (1, 4): 1, (2, 3): 1, (3, 4): 1}
+
+
 # ---------------------------------------------------------------------------
 # matchings and signs
 

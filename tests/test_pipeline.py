@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pfansatz import pipeline
+from pfansatz import interpolation, linalg, pipeline
 from pfansatz.guessing import RecurrenceOperator
 from pfansatz.pfaffian import (
     SingularCofactorSystem,
@@ -739,6 +739,167 @@ def test_certify_progress_stream():
     certify(MOTZKIN, closed_form_for("motzkin"), 3, progress=seen.append)
     assert any("cofactor system n=2" in m for m in seen)
     assert any("closed form" in m for m in seen)
+
+
+# ---------------------------------------------------------------------------
+# symbolic rows interpolated at integer points
+
+NARAYANA_SYM = family_from_descriptor("narayana:x=sym")
+
+
+def quotient_row(family, n):
+    """Row n of the Q[x] solve, y / den, each entry an exact quotient."""
+    y, den = cofactor_vector(SkewMatrix.from_family(family, 2 * n))
+    quotients = [divmod(v, den) for v in y]
+    assert not any(r for _, r in quotients)
+    return [q for q, _ in quotients]
+
+
+def recording_rows(interpolated):
+    """PointRows.row, appending (n, points tried, row found) to `interpolated`."""
+    real_row, real_at = interpolation.PointRows.row, interpolation.PointRows.at
+
+    def row(self, n):
+        tried = []
+
+        def at(points, v):
+            tried.append(v)
+            return real_at(points, v)
+        with mock.patch.object(interpolation.PointRows, "at", at):
+            found = real_row(self, n)
+        interpolated.append((n, len(tried), found is not None))
+        return found
+    return row
+
+
+def test_symbolic_certify_solves_rows_below_the_crossover_and_interpolates_the_rest(
+        monkeypatch, capsys):
+    # perfbench's pfaffian-symbolic workload runs this job and expects the
+    # Q[x] solve, `solve_linear` and `poly_gcd` to fire in it
+    from pfansatz import cli, poly
+
+    solved, interpolated, gcds = [], [], []
+    real_gcd = poly.poly_gcd
+    monkeypatch.setattr(pipeline, "cofactor_vector", recording_solves(solved))
+    monkeypatch.setattr(interpolation.PointRows, "row", recording_rows(interpolated))
+    monkeypatch.setattr(poly, "poly_gcd", lambda a, b: gcds.append(a) or real_gcd(a, b))
+    code = cli.main(["certify", "--family", "narayana:x=sym", "--n-max", "7", "--format", "json"])
+    assert code == 0
+    assert '"verdict": "certified-at-scale"' in capsys.readouterr().out
+    assert pipeline.INTERPOLATED_FROM == 4
+    assert solved == [1, 2, 3]
+    assert [(n, found) for n, _, found in interpolated] == [(n, True) for n in range(4, 8)]
+    # row n of narayana:x=sym has entries of degree up to 2n - 2: 2n points
+    assert [tried for _, tried, _ in interpolated] == [2 * n for n in range(4, 8)]
+    assert gcds
+
+
+def test_interpolated_rows_equal_the_solved_rows():
+    points = interpolation.PointRows([NARAYANA_SYM.moment(s) for s in range(48)])
+    for n in range(1, 11):
+        assert_same_polynomials(points.row(n), quotient_row(NARAYANA_SYM, n))
+
+
+def test_the_shared_denominator_grows_with_the_points(monkeypatch):
+    # a stand-in solve whose values at x = v are those of three polynomials;
+    # the first two are integers at x = 1, 2, and the divided differences
+    # at x = 3 halve, so the denominator of the earlier ones must grow
+    x = parse_poly("x", ("x",))
+    want = [x * (x - 1) / 2, x ** 3 / 6 - x / 6, Polynomial.constant(1, ("x",))]
+    values = {}
+
+    def solve_linear(rows, rhs):
+        v = values["v"]
+        return linalg.LinearSolution(tuple(p.eval({"x": v}) for p in want), True, 1)
+
+    real_at = interpolation.PointRows.at
+
+    def at(self, v):
+        values["v"] = v
+        return real_at(self, v)
+    monkeypatch.setattr(interpolation, "solve_linear", solve_linear)
+    monkeypatch.setattr(interpolation.PointRows, "at", at)
+    points = interpolation.PointRows([NARAYANA_SYM.moment(s) for s in range(8)])
+    assert_same_polynomials(points.row(2), want)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.integers(-3, 3).filter(bool), st.integers(-4, 4), st.integers(2, 5))
+@example(1, -2, 5)  # x = 2 is singular: every moment but mu(2) vanishes there
+@example(-2, 6, 4)  # x = 3 is singular
+def test_rows_interpolated_past_singular_points_equal_the_solved_rows(a, b, n):
+    # narayana at a*x + b: its rows are narayana's composed with a*x + b,
+    # polynomials, and x = -b/a, when an integer, is a singular point
+    shifted = parse_poly("x", ("x",)) * a + b
+    family = MatrixFamily("moments", f"narayana at {a}*x + {b}",
+                          lambda s: NARAYANA_SYM.moment(s).substitute({"x": shifted}))
+    points = interpolation.PointRows([family.moment(s) for s in range(4 * n)])
+    refused = []
+    real_solve_linear = interpolation.solve_linear
+
+    def solve_linear(rows, rhs):
+        solution = real_solve_linear(rows, rhs)
+        if solution is None or not solution.unique:
+            refused.append(solution)
+        return solution
+    with mock.patch.object(interpolation, "solve_linear", solve_linear):
+        got = points.row(n)
+    assert_same_polynomials(got, quotient_row(family, n))
+    # a*v + b = 0 at one point v >= 1 or at none; the row is found past it
+    assert len(refused) == (b % a == 0 and -b // a >= 1)
+
+
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(st.integers(4, 6), st.data())
+def test_a_wrong_interpolant_is_refused_and_costs_only_the_solve(n, data):
+    real_row = interpolation.PointRows.row
+    plant = {}
+
+    def planted_row(self, m):
+        row = real_row(self, m)
+        if m == n:
+            i = data.draw(st.integers(0, len(row) - 1), label="entry")
+            e = data.draw(st.integers(0, row[i].total_degree()), label="exponent")
+            plant.update(i=i, e=e)
+            row[i] = row[i] + Polynomial(("x",), {(e,): 1})
+        return row
+
+    solved = []
+    with mock.patch.object(interpolation.PointRows, "row", planted_row), \
+            mock.patch.object(pipeline, "cofactor_vector", recording_solves(solved)):
+        lines = certify(NARAYANA_SYM, closed_form_for("narayana"), 6).to_json() \
+            .splitlines(keepends=True)
+    assert plant and solved == [1, 2, 3, n]
+    report = "".join(line for line in lines if not line.startswith('  "version": '))
+    with open(os.path.join(DATA, "certify_narayana_x_sym.json"), encoding="utf-8",
+              newline="") as fh:
+        assert report == fh.read()
+
+
+def test_rows_that_are_no_polynomials_reach_the_cap_and_are_solved(monkeypatch):
+    # the recorded reports of these families pass unedited (above); here,
+    # which source gives each row
+    interpolated, solved = [], []
+    monkeypatch.setattr(interpolation.PointRows, "row", recording_rows(interpolated))
+    monkeypatch.setattr(pipeline, "cofactor_vector", recording_solves(solved))
+    family = moment_family("x^(s mod 3) + s^2")
+    rows = c_table(family, 5, j_extra=8)
+    points = interpolation.PointRows([family.moment(s) for s in range(28)])
+    # row 4's entries are no polynomials: every point up to the cap is tried;
+    # row 5 is the constant row (1, -2, 1, -2, 4, -2, 1, -2, 1), singular at
+    # x = 1 and found at x = 2 and 3
+    assert interpolated == [(4, points.cap(4), False), (5, 3, True)]
+    assert points.cap(4) == 16
+    assert solved == [1, 2, 3, 4]
+    assert rows.rows[5][0] == [1, -2, 1, -2, 4, -2, 1, -2, 1]
+    # x^s + 1 has a vanishing diagonal at n = 3 and singular systems at
+    # n = 4, 5: no row is interpolated
+    interpolated.clear()
+    solved.clear()
+    rows = c_table(moment_family("x^s + 1"), 5, j_extra=8)
+    assert interpolated == []
+    assert solved == [1, 2, 3, 4, 5]
+    assert sorted(rows.singular) == [4, 5]
 
 
 # ---------------------------------------------------------------------------
