@@ -18,8 +18,9 @@ from fractions import Fraction
 from math import comb
 from typing import List, Sequence, Tuple
 
-from .linalg import determinant
+from .linalg import _bareiss, determinant, solve_linear
 from .pfaffian import SkewMatrix, pf_eliminate, pf_naive
+from .poly import over_common_denominator
 from .sequences import hyp2f1_terminating, motzkin_triangle
 
 
@@ -106,14 +107,45 @@ class MinorSumTerm:
 
 
 def theorem4_terms(n: int) -> List[MinorSumTerm]:
-    """One determinant per contributing partition for the H(2n) minor sum.
-    H's entries, counts of paths, are integers: they are taken as ints once,
-    so that each minor is eliminated over Z with no denominator pass."""
+    """One column minor of H(2n) per contributing partition, all read from
+    one reduction of H.  H's entries, counts of paths, are integers, taken
+    as ints once.
+
+    The rows of H end in distinct columns (h(i, j) = 0 for j >= 2i), so H
+    has rank 2n.  Its first 2n independent columns P = (p_1 < .. < p_2n)
+    are the pivot columns of one Bareiss echelon of H, whose last pivot is
+    det H_P up to the sign of its row swaps.  Then H = H_P C, C = H_P^-1 H,
+    whose column p_t is the unit vector e_t and whose other columns come
+    from one `solve_linear(H_P, .)` each.  For a column set S, det H_S =
+    det H_P * det C_S, and expanding det C_S along its unit columns gives
+
+        det H_S = det H_P * (-1)^(sum (i + t)) * det C[R, K]
+
+    with K = S minus P, R the rows t whose p_t is not in S, and the sum over
+    the pivot columns p_t in S, i the position of p_t in S.  C is held as
+    ints over one denominator, so each |K| x |K| minor is one `determinant`
+    of int rows."""
     H = [[h.numerator for h in row] for row in build_H(2 * n, 4 * n - 2)]
+    echelon = [row[:] for row in H]
+    pivots, sign = _bareiss(echelon, len(H[0]))
+    last_row, last_col = pivots[-1]
+    det_p = sign * echelon[last_row][last_col]
+    t_of = {col + 1: t for t, (_, col) in enumerate(pivots)}  # p_t -> t, p_t 1-based
+    H_P = [[row[p - 1] for p in t_of] for row in H]
+    others = [c for c in range(1, len(H[0]) + 1) if c not in t_of]
+    solved = [solve_linear(H_P, [row[c - 1] for row in H]).vector for c in others]
+    ints, den = over_common_denominator([v for column in solved for v in column])
+    size = len(H)
+    C = {c: ints[k * size:(k + 1) * size] for k, c in enumerate(others)}
     terms = []
     for lam in enumerate_even_even(n):
         cols = index_set(lam, 2 * n)
-        minor = determinant([[r[c - 1] for c in cols] for r in H])
+        K = [c for c in cols if c not in t_of]
+        i_of = {t_of[c]: i for i, c in enumerate(cols) if c in t_of}
+        R = [t for t in range(size) if t not in i_of]
+        minor = determinant([[C[c][t] for c in K] for t in R]) * Fraction(det_p, den ** len(K))
+        if sum(i + t for t, i in i_of.items()) % 2:
+            minor = -minor
         terms.append(MinorSumTerm(lam, cols, minor))
     return terms
 

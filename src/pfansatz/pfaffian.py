@@ -9,8 +9,9 @@ behind agreement with another:
   * pf_naive      - signed sum over perfect matchings (definition; dim <= 14),
   * pf_eliminate  - fraction-free skew elimination with 2x2 pivots (the
                     Pfaffian analogue of Bareiss; Rote 2001), over Z or Q[x];
-                    its k-th pivot is the k-th leading Pfaffian, so one pass
-                    yields all of them,
+                    its k-th pivot is the k-th leading Pfaffian up to the
+                    swaps' sign, or that Pfaffian is 0, so one pass yields
+                    all of them,
   * pf_laplace    - expansion along the last row/column via sub-Pfaffians.
 Each runs a rational matrix in Python ints.  pf_naive and pf_laplace scale
 it once to L * A (`_scaled`), L the lcm of all its denominators, and divide
@@ -322,10 +323,17 @@ def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
     matrix, so the last one, signed by the swaps and divided by
     det D = d_1 * ... * d_dim, is Pf A.  A zero row means Pf A = 0.
 
-    If `leading` is a list, the Pfaffian of each leading 2k x 2k block of A,
-    k = 1, 2, ..., is appended to it while no swap has happened: the s-th
-    pivot divided by d_1 * ... * d_2s.  The first swap (or zero row) stops
-    the recording, so a short list means that some leading Pfaffian vanished.
+    If `leading` is a list, the Pfaffians of the leading 2s x 2s blocks of
+    A, s = 1 .. dim/2, are appended to it, all dim/2 of them from this one
+    pass.  The pass keeps `reach`, the largest column swapped into place so
+    far (0-based).  While reach < 2s, every swap so far has permuted the
+    block within itself, so its Pfaffian is the s-th pivot signed by the
+    swaps and divided by d_1 * ... * d_2s.  Otherwise take the first swap,
+    at some step t <= s, that brought in a column beyond the block: row
+    2t-1 was zero on every column of the block past it, and the block's
+    own elimination takes the same t-1 steps and then finds that row zero,
+    so the block's Pfaffian is 0.  A zero row at step t makes the Pfaffian
+    of every block from 2t on 0.  Each 0 is the zero of A's entry type.
     """
     m = A.dim
     if m == 0:
@@ -346,21 +354,27 @@ def pf_eliminate(A: SkewMatrix, leading: Optional[list] = None) -> Entry:
 
     sign = 1
     prev = one
+    reach = 0
     for k in range(0, m, 2):
         row_k = M[k]
         piv = next((j for j in range(k + 1, m) if row_k[j]), -1)
         if piv < 0:
+            if leading is not None:
+                leading.extend([A.zero()] * ((m - k) // 2))
             return A.zero()
         if piv != k + 1:
             for row in M:
                 row[k + 1], row[piv] = row[piv], row[k + 1]
             M[k + 1], M[piv] = M[piv], M[k + 1]
             sign = -sign
-            leading = None
+            reach = max(reach, piv)
         row_k1 = M[k + 1]
         p = row_k[k + 1]
         if leading is not None:
-            leading.append(unscaled(p, k + 2))
+            if reach < k + 2:
+                leading.append(unscaled(p if sign > 0 else -p, k + 2))
+            else:
+                leading.append(A.zero())
         for i in range(k + 2, m):
             row_i = M[i]
             ci = row_k[i]

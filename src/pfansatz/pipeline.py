@@ -449,13 +449,10 @@ def ratio_sequence(family: MatrixFamily, ratios: List[Tuple[Entry, Entry]],
     the first n whose ratio (g, D) of `CofactorRows.ratios` is not
     b_{2n}/b_{2n-2}, or None.  The ratio g/D is that quotient when
     g * b_{2n-2} == D * b_{2n}.  One elimination of A_{2R} yields every
-    b_{2n} as a leading Pfaffian."""
+    b_{2n} as a leading Pfaffian, the zeros among them included."""
     pfaffians: List[Entry] = [Fraction(1)]
     if ratios:
         pf_eliminate(SkewMatrix.from_family(family, 2 * len(ratios)), pfaffians)
-    # a leading Pfaffian that vanished stopped the one-pass prefix short
-    for n in range(len(pfaffians), len(ratios) + 1):
-        pfaffians.append(pf_eliminate(SkewMatrix.from_family(family, 2 * n)))
     for n, (g, den) in enumerate(ratios, start=1):
         previous = pfaffians[n - 1]
         if not previous or g * previous != den * pfaffians[n]:
@@ -778,15 +775,19 @@ def check_conjecture1(
 ) -> ConjectureReport:
     """Compare direct Pfaffians of the k-scaled family against the predicted
     products for every n <= n_max.  Pfaffians are always computed directly
-    (never via ratios) because the predicted values hit exact zeros."""
+    (never via ratios) because the predicted values hit exact zeros: one
+    elimination of A_{2 n_max} yields every Pf(A_{2n}) as a leading
+    Pfaffian, the zeros among them included."""
     say = progress or (lambda msg: None)
     descriptor = f"genmotzkin:k={k}" if variant == "i" else f"genmotzkin-sum:k={k}"
     family = family_from_descriptor(descriptor)
+    pfaffians: List[Entry] = []
+    if n_max > 0:
+        pf_eliminate(SkewMatrix.from_family(family, 2 * n_max), pfaffians)
     rows = []
     all_match = True
-    for n in range(1, n_max + 1):
+    for n, pf in enumerate(pfaffians, start=1):
         say(f"n={n}")
-        pf = pf_eliminate(SkewMatrix.from_family(family, 2 * n))
         predicted = conjecture_predicted(k, n, variant)
         s = conjecture_class(k, n, variant)
         case = "off-class zero" if s is None else _CLASS_LABELS[s]

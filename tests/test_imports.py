@@ -244,6 +244,51 @@ def test_minor_sum_loads_no_guessing_or_pipeline():
     assert not {"pfansatz.guessing", "pfansatz.pipeline", "pfansatz.catalog"} & set(modules)
 
 
+def test_conjecture_and_minor_sum_load_exactly_their_modules():
+    """The conjecture check runs `pipeline` and no `linalg`; the minor sum
+    runs `minorsum` and `linalg` and no `pipeline`."""
+    assert run_probe(CLI_PROBE, "conjecture", "--k", "3", "--n-max", "4") == [
+        0, sorted(PFAFFIAN_MODULES + ["pfansatz.pipeline"])]
+    assert run_probe(CLI_PROBE, "minor-sum", "--n", "3") == [
+        0, sorted(PFAFFIAN_MODULES + ["pfansatz.linalg", "pfansatz.minorsum"])]
+
+
+def module_level_imports(source: str) -> list:
+    """The modules that the top level of `source` imports, as written (a
+    relative import keeps its dots)."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+    return sorted(names)
+
+
+# every command compiles these four modules: a module-level import added to
+# one of them is paid by every job's start-up
+START_UP_IMPORTS = {
+    "cli": ["._version", ".pfaffian", ".poly", ".sequences", "__future__", "argparse",
+            "fractions", "json", "os", "sys", "typing"],
+    "pfaffian": [".poly", ".sequences", "__future__", "fractions", "itertools", "operator",
+                 "typing"],
+    "poly": ["__future__", "decimal", "fractions", "math", "operator", "re", "sys", "typing"],
+    "sequences": [".poly", "__future__", "fractions", "functools", "math", "typing"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(START_UP_IMPORTS))
+def test_start_up_modules_gain_no_module_level_import(module):
+    source = (ROOT / "src" / "pfansatz" / f"{module}.py").read_text()
+    assert module_level_imports(source) == START_UP_IMPORTS[module]
+
+
+def test_the_scan_finds_a_module_level_import():
+    source = ("import os, json\nfrom . import a\nfrom .b import c\n\n\n"
+              "def f():\n    import random\n    return random\n")
+    assert module_level_imports(source) == [".", ".b", "json", "os"]
+
+
 def test_conjecture_and_symbolic_certify_load_no_guessing_or_catalog():
     for argv in (("conjecture", "--k", "3", "--n-max", "4"),
                  ("certify", "--family", "narayana:x=sym", "--n-max", "3")):

@@ -212,6 +212,22 @@ def test_theorem4_terms_n2_detail():
     assert sum(t.minor for t in terms) == 5
 
 
+def per_minor_terms(n):
+    """The minor sum's former loop: each column minor of H(2n) eliminated
+    from scratch by `determinant`."""
+    H = [[h.numerator for h in row] for row in build_H(2 * n, 4 * n - 2)]
+    return [(lam, index_set(lam, 2 * n),
+             determinant([[r[c - 1] for c in index_set(lam, 2 * n)] for r in H]))
+            for lam in enumerate_even_even(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_theorem4_terms_match_one_determinant_per_minor(n):
+    terms = theorem4_terms(n)
+    assert [(t.partition, t.columns, t.minor) for t in terms] == per_minor_terms(n)
+    assert all(type(t.minor) is Fraction for t in terms)
+
+
 def test_theorem4_lhs_small_values():
     assert theorem4_lhs(1) == 1
     assert theorem4_lhs(2) == 5

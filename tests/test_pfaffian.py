@@ -31,7 +31,7 @@ from pfansatz.pfaffian import (
     pf_laplace,
     pf_naive,
 )
-from pfansatz.pipeline import ratio_sequence
+from pfansatz.pipeline import conjecture_class, ratio_sequence
 from pfansatz.poly import (
     Polynomial,
     common_variables,
@@ -535,13 +535,17 @@ def test_leading_list_holds_leading_pfaffians(A):
     leading = []
     pf = pf_eliminate(A, leading)
     n = A.dim // 2
-    blocks = [pf_naive(submatrix_removing(A, range(2 * k + 1, A.dim + 1))) for k in range(1, n + 1)]
-    assert leading == blocks[: len(leading)]
-    # recording stops only where a leading Pfaffian vanishes
-    if len(leading) < n:
-        assert blocks[len(leading)] == 0
-    elif n:
+    # every leading Pfaffian, those past a swap or a zero row included
+    assert leading == leading_blocks(A)
+    assert len(leading) == n
+    if n:
         assert leading[-1] == pf
+
+
+def leading_blocks(A):
+    """pf_naive of each leading 2k x 2k block of A, k = 1 .. dim/2."""
+    return [pf_naive(submatrix_removing(A, range(2 * k + 1, A.dim + 1)))
+            for k in range(1, A.dim // 2 + 1)]
 
 
 LEADING_FAMILIES = (("motzkin", 10), ("delannoy", 10), ("narayana:x=3/7", 10), ("narayana:x=sym", 6))
@@ -558,6 +562,21 @@ def test_leading_list_matches_per_n_elimination(case, data):
     per_n = [pf_eliminate(SkewMatrix.from_family(fam, 2 * k)) for k in range(1, n + 1)]
     assert leading == per_n
     assert [str(v) for v in leading] == [str(v) for v in per_n]
+
+
+@pytest.mark.parametrize("variant", ["genmotzkin", "genmotzkin-sum"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_leading_list_matches_per_n_elimination_on_the_scaled_families(variant, k):
+    # off the residue classes Pf(A_2n) = 0, so the pass swaps there
+    fam = family_from_descriptor(f"{variant}:k={k}")
+    leading = []
+    pf_eliminate(SkewMatrix.from_family(fam, 24), leading)
+    per_n = [pf_eliminate(SkewMatrix.from_family(fam, 2 * n)) for n in range(1, 13)]
+    assert leading == per_n
+    assert [entry_text(v) for v in leading] == [entry_text(v) for v in per_n]
+    shift = "i" if variant == "genmotzkin" else "ii"
+    assert [n for n in range(1, 13) if not leading[n - 1]] == [
+        n for n in range(1, 13) if conjecture_class(k, n, shift) is None]
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +645,9 @@ def test_naive_matches_the_matching_loop_in_value_and_type(A):
 def one_lcm_eliminate(A, leading=None):
     """The elimination before diagonal scaling: every entry of a rational
     matrix scaled by the one lcm L of all denominators, so that the s-th
-    pivot carries L^s."""
+    pivot carries L^s.  `leading` gets every leading Pfaffian: the s-th
+    pivot, signed by the swaps, while every swap so far stayed inside the
+    leading 2s x 2s block, else 0."""
     m = A.dim
     if m == 0:
         return A.zero() + 1
@@ -648,20 +669,26 @@ def one_lcm_eliminate(A, leading=None):
         return value if scale is None else Fraction(value, scale ** steps)
 
     sign, prev = 1, one
+    swapped = set()  # the columns swapped into place so far
     for k in range(0, m, 2):
         row_k = M[k]
         piv = next((j for j in range(k + 1, m) if row_k[j]), -1)
         if piv < 0:
+            if leading is not None:
+                leading += [A.zero()] * ((m - k) // 2)
             return A.zero()
         if piv != k + 1:
             for row in M:
                 row[k + 1], row[piv] = row[piv], row[k + 1]
             M[k + 1], M[piv] = M[piv], M[k + 1]
-            sign, leading = -sign, None
+            sign = -sign
+            swapped.add(piv)
         row_k1 = M[k + 1]
         p = row_k[k + 1]
         if leading is not None:
-            leading.append(unscaled(p, k // 2 + 1))
+            # a column from outside the leading block makes its Pfaffian 0
+            outside = any(j > k + 1 for j in swapped)
+            leading.append(A.zero() if outside else unscaled(p if sign > 0 else -p, k // 2 + 1))
         for i in range(k + 2, m):
             row_i = M[i]
             for j in range(i + 1, m):
@@ -680,6 +707,7 @@ def assert_eliminates_as_one_lcm(A):
     assert value == expected and type(value) is type(expected)
     assert leading == expected_leading
     assert [entry_text(v) for v in leading] == [entry_text(v) for v in expected_leading]
+    assert len(leading) == A.dim // 2
     return leading
 
 
@@ -687,7 +715,23 @@ def assert_eliminates_as_one_lcm(A):
 @given(st.one_of(skew_with_zero_rows(WIDE_RATIONALS, 12),
                  skew_with_zero_rows(WIDE_POLYNOMIALS, 6, X_ZERO)))
 def test_eliminate_matches_the_one_lcm_elimination(A):
-    assert_eliminates_as_one_lcm(A)
+    leading = assert_eliminates_as_one_lcm(A)
+    if A.dim <= NAIVE_DIMENSION_LIMIT:
+        assert leading == leading_blocks(A)
+
+
+@PROPERTY
+@given(st.one_of(skew_with_zero_rows(WIDE_RATIONALS, 10),
+                 skew_with_zero_rows(WIDE_POLYNOMIALS, 6, X_ZERO)))
+def test_leading_list_equals_each_leading_block_eliminated(A):
+    leading = []
+    pf_eliminate(A, leading)
+    blocks = [pf_eliminate(submatrix_removing(A, range(2 * k + 1, A.dim + 1)))
+              for k in range(1, A.dim // 2 + 1)]
+    assert len(leading) == A.dim // 2
+    assert leading == blocks
+    assert [type(v) for v in leading] == [type(v) for v in blocks]
+    assert [entry_text(v) for v in leading] == [entry_text(v) for v in blocks]
 
 
 def perturbed_divmod(a, b):
@@ -721,19 +765,22 @@ def test_eliminate_refuses_an_inexact_polynomial_division(monkeypatch):
         pf_eliminate(A)
 
 
-@pytest.mark.parametrize("upper, recorded", [
-    # a(1, 2) = 0: the first pivot is found by a swap, so nothing is recorded
+@pytest.mark.parametrize("upper, first_zero", [
+    # a(1, 2) = 0: the first pivot is found by a swap
     ({(1, 3): Fraction(2, 3), (2, 4): Fraction(5, 7), (3, 4): Fraction(1, 9)}, 0),
-    # Pf of the leading 4-block is 1/2 * 1/5 - 1/3 * 3/10 + 0 = 0: the prefix stops
+    # Pf of the leading 4-block is 1/2 * 1/5 - 1/3 * 3/10 + 0 = 0: the second
+    # pivot is found by a swap from outside that block, and the third is not
     ({(1, 2): Fraction(1, 2), (1, 3): Fraction(1, 3), (2, 4): Fraction(3, 10),
       (3, 4): Fraction(1, 5), (3, 5): Fraction(7, 11), (4, 6): Fraction(1, 13),
       (5, 6): Fraction(2, 17)}, 1),
 ])
-def test_eliminate_stops_recording_as_the_one_lcm_elimination(upper, recorded):
+def test_eliminate_records_past_a_swap_as_the_one_lcm_elimination(upper, first_zero):
     dim = max(j for _, j in upper)
     A = SkewMatrix(dim, upper)
-    assert len(assert_eliminates_as_one_lcm(A)) == recorded
-    assert pf_eliminate(A) == pf_reference(upper, tuple(range(1, dim + 1))) != 0
+    leading = assert_eliminates_as_one_lcm(A)
+    assert leading == leading_blocks(A)
+    assert [bool(v) for v in leading].index(False) == first_zero
+    assert leading[-1] == pf_eliminate(A) == pf_reference(upper, tuple(range(1, dim + 1))) != 0
 
 
 @settings(derandomize=True, max_examples=8, deadline=None)

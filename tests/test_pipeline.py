@@ -1021,3 +1021,38 @@ def test_check_conjecture1_progress():
     seen = []
     check_conjecture1(1, 3, variant="i", progress=seen.append)
     assert len(seen) >= 3
+
+
+def recording(calls: list, fn):
+    """`fn`, appending the arguments of each call to `calls`."""
+    def wrapped(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapped
+
+
+def test_check_conjecture1_builds_and_eliminates_one_matrix(monkeypatch):
+    eliminated, built = [], []
+    monkeypatch.setattr(pipeline, "pf_eliminate", recording(eliminated, pipeline.pf_eliminate))
+    monkeypatch.setattr(SkewMatrix, "from_family",
+                        classmethod(recording(built, SkewMatrix.from_family.__func__)))
+    report = check_conjecture1(3, 24)
+    assert report.all_match and len(report.rows) == 24
+    assert [row["pfaffian"] == "0" for row in report.rows].count(True) == 8
+    assert [dim for _, _, dim in built] == [48]
+    assert len(eliminated) == 1
+
+
+def test_ratio_sequence_eliminates_once_when_b2_vanishes(monkeypatch):
+    # a(1, 2) = moment(3) = 0; the leading Pfaffians past that zero come from
+    # the same pass; dim 12 reads moments 0..23
+    moments = [Fraction(v) for v in (1, 2, -1, 0, 3, 1, -2, 2, 1, 3, -1, 2) * 2]
+    family = MatrixFamily("handmade", "handmade", moments.__getitem__)
+    eliminated = []
+    monkeypatch.setattr(pipeline, "pf_eliminate", recording(eliminated, pipeline.pf_eliminate))
+    ratios = [(Fraction(1), 1)] * 6
+    pfaffians, mismatch_n = ratio_sequence(family, ratios)
+    assert len(eliminated) == 1
+    assert pfaffians[1] == 0 and mismatch_n == 1
+    assert pfaffians == [Fraction(1)] + [
+        pf_naive(SkewMatrix.from_family(family, 2 * n)) for n in range(1, 7)]
