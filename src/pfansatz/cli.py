@@ -22,8 +22,9 @@ each other command imports its own when it runs:
   * selftest             - `selftest`, with `guessing`, `linalg` and
                            `minorsum`.
 `polytext`, the reader of polynomial text, and with it `ast`, load only
-where text is parsed: a matrix-file entry that is not a number, closed-form
-text, and the catalog's operator and region text.
+where text is parsed: a matrix-file entry that is not a number and
+closed-form text.  The catalog's operators and certify's guess regions are
+built from Polynomials, so no other certify and no guess loads it.
 """
 
 from __future__ import annotations

@@ -241,7 +241,8 @@ class RecurrenceOperator:
         lead_shift = max(merged)
         if merged[lead_shift].leading_term()[1] * scale < 0:
             scale = -scale
-        merged = {s: c * scale for s, c in merged.items()}
+        if scale != 1:
+            merged = {s: c * scale for s, c in merged.items()}
         # residual_at evaluates the coefficients in Python ints
         assert all(c.int_form() is not None for c in merged.values()), merged
         return cls(variables, tuple(sorted(merged.items(), key=lambda t: t[0])))
@@ -510,10 +511,16 @@ def _sort_key(op: RecurrenceOperator):
 
 def _vector_terms(variables: Tuple[str, ...], support: Tuple[Point, ...],
                   monomials: List[Tuple[int, ...]], vec: Sequence[int]) -> List[Tuple[Point, Polynomial]]:
-    """(shift, coefficient) per shift of the support, read from `vec`, one
-    coordinate per (shift, monomial) pair."""
-    coeffs = iter(vec)
-    return [(s, Polynomial(variables, dict(zip(monomials, coeffs)))) for s in support]
+    """(shift, coefficient) per shift of the support whose coordinates in
+    the int vector `vec`, one per (shift, monomial) pair, do not all
+    vanish, in the support's order."""
+    width = len(monomials)
+    terms = []
+    for k, s in enumerate(support):
+        coeffs = {m: c for m, c in zip(monomials, vec[k * width:(k + 1) * width]) if c}
+        if coeffs:
+            terms.append((s, Polynomial._trusted(variables, coeffs)))
+    return terms
 
 
 def _operator_from_vector(
@@ -522,7 +529,14 @@ def _operator_from_vector(
     monomials: List[Tuple[int, ...]],
     vec: Sequence[int],
 ) -> RecurrenceOperator:
-    return RecurrenceOperator.make(variables, _vector_terms(variables, support, monomials, vec))
+    """The operator of a nonzero int vector with content 1, such as a
+    `nullspace` vector, as `RecurrenceOperator.make` normalizes it: the
+    support is sorted and the monomials are in graded-lex order, so the
+    leading coefficient of the largest shift is the last nonzero
+    coordinate, and the vector is negated when that is negative."""
+    if next(c for c in reversed(vec) if c) < 0:
+        vec = [-c for c in vec]
+    return RecurrenceOperator(variables, tuple(_vector_terms(variables, support, monomials, vec)))
 
 
 def _powers(p: Point, monomials: List[Tuple[int, ...]]) -> List[int]:
@@ -542,11 +556,11 @@ def _equation_row(
 ) -> List[int]:
     """The equation at the admissible point p, scaled to integers by the
     table-wide denominator D of `Table.int_form`.  Its dot product with a
-    vector v is D / c times the residual at p of `_operator_from_vector(v)`,
-    c the nonzero factor `RecurrenceOperator.make` scales v by, so the two
+    kernel vector v is D times the residual at p of the operator of v, and
+    `_operator_from_vector(v)` is that operator or its negative, so the two
     vanish together.  Scaled by the lcm of the row's own denominators
-    instead, the row differs by a positive integer factor, which `nullspace`
-    strips with the row's content."""
+    instead, the row differs by a positive integer factor, which changes no
+    kernel."""
     ints, _ = table.int_form()
     powers = _powers(p, monomials)
     row = []
@@ -571,8 +585,8 @@ def _packed_rejects(table: Table, support: Tuple[Point, ...], monomials: List[Tu
     weight = (len(support) * max(map(abs, ints.values())) * len(monomials)
               * reach ** max(map(sum, monomials)))
     names = tuple(f"x{k}" for k in range(table.arity))
-    packed = _vector_terms(names, support, monomials, _packed_columns(kernel, weight))
-    op = RecurrenceOperator(names, tuple((s, c) for s, c in packed if c))
+    op = RecurrenceOperator(names, tuple(
+        _vector_terms(names, support, monomials, _packed_columns(kernel, weight))))
     return any(op._sum_at(ints.get, p, op._line(p), den) for p in points)
 
 

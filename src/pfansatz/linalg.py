@@ -97,8 +97,13 @@ def _coerce_rows(matrix) -> list:
     return [list(r) for r in matrix]
 
 
-def _all_rational(rows) -> bool:
-    return all(issubclass(t, (int, Fraction)) for t in set(map(type, chain.from_iterable(rows))))
+def _entry_types(rows) -> set:
+    return set(map(type, chain.from_iterable(rows)))
+
+
+def _all_rational(types: set) -> bool:
+    """True iff every type of `_entry_types` is an int or Fraction type."""
+    return all(issubclass(t, (int, Fraction)) for t in types)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +364,7 @@ def solve_linear(matrix, rhs) -> Optional[LinearSolution]:
         return LinearSolution((), True, 1)
     n = len(rows[0])
     aug = [r + [rhs[i]] for i, r in enumerate(rows)]
-    if _all_rational(aug):
+    if _all_rational(_entry_types(aug)):
         work = _int_rows(aug)
         pivots = _int_echelon(work, n + 1)
         if any(col == n for _, col in pivots):
@@ -394,17 +399,22 @@ def nullspace(matrix) -> List[tuple]:
 
     The basis is found modulo a prime and accepted only once every vector
     annihilates every integer row exactly (see the module docstring); else
-    `_int_echelon` computes it exactly."""
+    `_int_echelon` computes it exactly, on rows stripped of their content.
+    The prime reads every entry mod p, so a matrix of ints goes to it as it
+    is and rows are scaled to integers only when an entry is a Fraction; the
+    exact check accepts the same basis on rows with or without content."""
     rows = _coerce_rows(matrix)
     if not rows:
         return []
     n = len(rows[0])
-    if not _all_rational(rows):
+    types = _entry_types(rows)
+    if not _all_rational(types):
         raise ValueError("nullspace supports rational entries only")
-    work = _int_rows(rows)
+    work = rows if types == {int} else _int_rows(rows)
     basis = _modular_kernel(work, n, _PRIME)
     if basis is not None:
         return [_normalize_vector(v) for v in basis]
+    work = [_strip_content(r) for r in work]  # smaller entries to eliminate
     pivots = _int_echelon(work, n)
     pivot_cols = {col for _, col in pivots}
     return [
@@ -425,9 +435,10 @@ def determinant(matrix):
         return Fraction(1)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    if set(map(type, chain.from_iterable(rows))) == {int}:
+    types = _entry_types(rows)
+    if types == {int}:
         return Fraction(_bareiss_det(rows))
-    if _all_rational(rows):
+    if _all_rational(types):
         forms = [over_common_denominator(r) for r in rows]
         return Fraction(_bareiss_det([ints for ints, _ in forms]), prod(den for _, den in forms))
     m, variables = _polynomial_rows(rows)

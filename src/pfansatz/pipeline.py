@@ -50,7 +50,7 @@ from .poly import (
 from .sequences import MatrixFamily, family_from_descriptor
 
 if TYPE_CHECKING:
-    from .guessing import GuessResult, Table
+    from .guessing import GuessResult, Region, Table
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +526,29 @@ class CertificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _guess_section(result: GuessResult, region: str, window: Optional[dict]) -> dict:
+def _guess_regions() -> Dict[str, Region]:
+    """The region of each table's guess, built as `Region.parse` reads its
+    text: each constraint is lhs - rhs over the sorted names of lhs."""
+    from .guessing import Constraint, Region
+
+    def at_least(lhs: Polynomial, rhs: int) -> Constraint:
+        return Constraint((lhs - rhs).with_variables(sorted(lhs.effective_variables())), ">=")
+
+    n, i, j = map(Polynomial.variable, ("n", "i", "j"))
+    return {
+        "r": Region((at_least(n, 1),), "n >= 1"),
+        "c": Region((at_least(n, 1), at_least(i, 1), at_least(2*n-1-i, 0)),
+                    "n >= 1 and i >= 1 and 2*n-1-i >= 0"),
+        "g": Region((at_least(n, 1), at_least(j, 1), at_least(2*n-j, 0)),
+                    "n >= 1 and j >= 1 and 2*n-j >= 0"),
+    }
+
+
+def _guess_section(result: GuessResult, region: Region, window: Optional[dict]) -> dict:
     """A guess's report section, with where each operator's leading
     coefficient vanishes on `region`."""
-    from .guessing import GuessingError, Region, leading_nonvanishing
+    from .guessing import GuessingError, leading_nonvanishing
 
-    region = Region.parse(region)
     leads = []
     for op in result.operators:
         try:
@@ -647,13 +664,12 @@ def certify(
                 )
             operators["catalog"] = {"ok": all_ok, "entries": entries}
 
-        for kind, message, spec, region, window in (
-            ("r", "guessing a ratio recurrence", R_SPEC, "n >= 1", None),
+        regions = _guess_regions()
+        for kind, message, spec, window in (
+            ("r", "guessing a ratio recurrence", R_SPEC, None),
             ("c", "guessing cofactor recurrences", C_SPEC,
-             "n >= 1 and i >= 1 and 2*n-1-i >= 0",
              {"n": (1, n_max), "i": (1, 2 * n_max - 1)}),
             ("g", "guessing contraction recurrences", G_SPEC,
-             "n >= 1 and j >= 1 and 2*n-j >= 0",
              {"n": (1, n_max), "j": (1, 2 * n_max)}),
         ):
             say(message)
@@ -662,7 +678,7 @@ def certify(
             except GuessingError as e:
                 operators[kind] = {"status": "diagnostic", "detail": str(e)}
             else:
-                operators[kind] = _guess_section(result, region, window)
+                operators[kind] = _guess_section(result, regions[kind], window)
 
     return CertificationReport(
         family=family.descriptor,
@@ -783,6 +799,7 @@ def check_conjecture1(
     family = family_from_descriptor(descriptor)
     pfaffians: List[Entry] = []
     if n_max > 0:
+        say(f"eliminating A_{2 * n_max}")
         pf_eliminate(SkewMatrix.from_family(family, 2 * n_max), pfaffians)
     rows = []
     all_match = True

@@ -736,6 +736,44 @@ def test_row_dot_product_vanishes_with_the_residual(case):
             assert (dot == 0) == (op.residual_at(table, p) == 0)
 
 
+@st.composite
+def content_one_vectors(draw):
+    """(variables, support, monomials, vector): a nonzero int vector with
+    content 1, one coordinate per (shift, monomial) pair, some shifts with
+    all their coordinates zero."""
+    arity = draw(st.integers(1, 2))
+    orders = tuple(draw(st.integers(0, 2)) for _ in range(arity))
+    degree = draw(st.integers(0, 2))
+    support = GuessSpec(degree, orders=orders).effective_support(arity, 100)
+    monomials = _monomials(arity, degree)
+    vec = []
+    for _ in support:
+        zero = draw(st.booleans())
+        vec += [0 if zero else draw(st.integers(-6, 6)) for _ in monomials]
+    hypothesis.assume(any(vec))
+    g = math.gcd(*vec)
+    return ("n", "i")[:arity], support, monomials, tuple(c // g for c in vec)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(content_one_vectors())
+# the middle shift all zero and a negative lead, the last nonzero coordinate
+@hypothesis.example((("n",), ((0,), (1,), (2,)), [(0,), (1,)], (3, -1, 0, 0, 2, -5)))
+def test_operator_from_vector_is_make(case):
+    """The direct construction equals `make` on the former validating
+    coefficients of every shift, zero ones included."""
+    variables, support, monomials, vec = case
+    width = len(monomials)
+    expected = RecurrenceOperator.make(variables, [
+        (s, Polynomial(variables, dict(zip(monomials, vec[k * width:(k + 1) * width]))))
+        for k, s in enumerate(support)])
+    op = _operator_from_vector(variables, support, monomials, vec)
+    assert op == expected and op.variables == expected.variables
+    assert [(s, c.variables) for s, c in op.terms] == [(s, c.variables) for s, c in expected.terms]
+    assert all(type(q) is int for _, c in op.terms for q in c.terms.values())
+    assert op.to_json_dict() == expected.to_json_dict()
+
+
 def reference_equation_row(table, support, monomials, p):
     """The former equation row: scaled by the lcm of its own values'
     denominators, not by the table's."""

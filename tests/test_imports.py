@@ -353,19 +353,34 @@ def test_only_a_symbolic_certify_past_the_crossover_loads_the_interpolation(tmp_
     assert seen == [[0, []]] * (len(commands) - 1) + [[0, ["pfansatz.interpolation"]]]
 
 
+TEXT_READER = json.dumps(["ast", "pfansatz.polytext"])
+
+
 def test_jobs_without_polynomial_text_load_no_text_reader():
     """Under `python -S`: a family Pfaffian, the conjecture check, the minor
-    sum and a symbolic certify read no polynomial text, so neither `ast` nor
-    `pfansatz.polytext` is loaded."""
+    sum, a symbolic and a rational certify (the catalog's operators and the
+    guess regions are built from Polynomials) and a guess on a family's
+    table read no polynomial text, so neither `ast` nor `pfansatz.polytext`
+    is loaded."""
     commands = [
         ["pfaffian", "--family", "narayana:x=sym", "--dim", "6"],
         ["conjecture", "--k", "3", "--n-max", "4"],
         ["minor-sum", "--n", "3"],
         ["certify", "--family", "narayana:x=sym", "--n-max", "3"],
+        ["certify", "--family", "motzkin", "--n-max", "6"],
+        ["certify", "--family", "narayana:x=3/7", "--n-max", "6"],
+        ["guess", "--source", "c:motzkin"],
     ]
-    seen = run_probe(MODULES_PROBE, json.dumps(commands), json.dumps(["ast", "pfansatz.polytext"]),
-                     flags=("-S",))
+    seen = run_probe(MODULES_PROBE, json.dumps(commands), TEXT_READER, flags=("-S",))
     assert seen == [[0, []]] * len(commands)
+
+
+def test_closed_form_text_loads_the_text_reader():
+    """The converse, under `python -S`: closed-form text goes through the
+    one reader of polynomial text."""
+    command = ["certify", "--family", "motzkin", "--n-max", "4", "--closed-form", "prod(4*k+1)"]
+    seen = run_probe(MODULES_PROBE, json.dumps([command]), TEXT_READER, flags=("-S",))
+    assert seen == [[0, ["ast", "pfansatz.polytext"]]]
 
 
 def test_every_export_resolves_and_star_import_binds_it():

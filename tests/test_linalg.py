@@ -502,6 +502,18 @@ def test_nullspace_matches_fraction_back_substitution(rows):
     assert nullspace(rows) == reference_nullspace(rows)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rank_deficient_rows(),
+       st.lists(st.integers(1, 10**20) | st.just(linalg._PRIME), min_size=8, max_size=8))
+def test_nullspace_of_int_rows_with_content_matches_the_reference(rows, factors):
+    """Rows of ints go to the prime as they are, content and all: scaled to
+    ints and each multiplied by a factor, some by the prime itself, they
+    have the basis of the rational rows."""
+    ints = [[x.numerator * (math.lcm(*(y.denominator for y in r)) // x.denominator) * f
+             for x in r] for r, f in zip(rows, factors)]
+    assert nullspace(ints) == reference_nullspace(rows)
+
+
 def _count_fallbacks(monkeypatch):
     calls = []
     original = linalg._int_echelon
@@ -522,11 +534,23 @@ def test_nullspace_unlucky_prime_falls_through(monkeypatch):
     calls = _count_fallbacks(monkeypatch)
     assert nullspace([[p, 1]]) == [(Fraction(1), Fraction(-p))]
     assert calls == [2]
-    # [[p, p]] is the zero row mod p, but nullspace strips the row's content
-    # first, and [[1, 1]] needs no fallback
+    # [[p, p]] is the zero row mod p: a row of ints goes to the prime as it
+    # is, so the exact path runs, on the row stripped of its content, and
+    # gives the same basis; a row with a Fraction is scaled to ints and
+    # stripped first, and its [[1, 1]] needs no fallback
     del calls[:]
     assert linalg._modular_kernel([[p, p]], 2, p) is None
+    eliminated, counted = [], linalg._int_echelon
+
+    def recorded(rows, ncols):
+        eliminated.append([list(r) for r in rows])
+        return counted(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_int_echelon", recorded)
     assert nullspace([[p, p]]) == [(Fraction(1), Fraction(-1))]
+    assert calls == [2] and eliminated == [[[1, 1]]]
+    del calls[:]
+    assert nullspace([[Fraction(p, 2), Fraction(p, 2)]]) == [(Fraction(1), Fraction(-1))]
     assert calls == []
 
 

@@ -616,6 +616,20 @@ def test_certify_symbolic_family_skips_operator_guessing():
     assert report.operators["skipped"]["status"] == "diagnostic"
 
 
+def test_guess_regions_equal_the_parse_of_their_text():
+    from pfansatz.guessing import Region
+
+    regions = pipeline._guess_regions()
+    assert sorted(regions) == ["c", "g", "r"]
+    for region in regions.values():
+        parsed = Region.parse(region.text)
+        assert len(region.constraints) == len(parsed.constraints)
+        for built, read in zip(region.constraints, parsed.constraints):
+            assert built.poly.variables == read.poly.variables
+            assert built.poly.terms == read.poly.terms
+            assert built.relation == read.relation
+
+
 def test_certify_builds_catalog_operators_only_for_the_family_at_hand(monkeypatch):
     from pfansatz import catalog
 
@@ -1017,10 +1031,16 @@ def test_check_conjecture1_second_branch_case_label():
     assert by_n[4]["case"] == "off-class zero"
 
 
-def test_check_conjecture1_progress():
+def test_check_conjecture1_progress(monkeypatch):
+    """One message before the elimination, so that a long one is announced,
+    then one per n."""
     seen = []
+    monkeypatch.setattr(pipeline, "pf_eliminate",
+                        recording(seen, pipeline.pf_eliminate))
     check_conjecture1(1, 3, variant="i", progress=seen.append)
-    assert len(seen) >= 3
+    assert seen[0] == "eliminating A_6"
+    assert isinstance(seen[1], tuple)  # the elimination's arguments
+    assert seen[2:] == ["n=1", "n=2", "n=3"]
 
 
 def recording(calls: list, fn):
